@@ -150,8 +150,21 @@ class RunConfig:
     # -- serialization / hashing ----------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """All fields as a JSON-serializable dict (round-trips via :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
+        """All fields as a JSON-serializable dict (round-trips via :meth:`from_dict`).
+
+        Listed explicitly rather than built with ``dataclasses.asdict``, which
+        deep-copies and sits on every campaign row's path; the fields are all
+        scalars, so a plain dict is already a private copy.
+        """
+        return {
+            "trials": self.trials,
+            "max_steps": self.max_steps,
+            "quiescence_window": self.quiescence_window,
+            "seed": self.seed,
+            "engine": self.engine,
+            "epsilon": self.epsilon,
+            "allow_approximate": self.allow_approximate,
+        }
 
     def to_json_dict(self) -> Dict[str, Any]:
         """The wire form: all fields, JSON-serializable, stable key set.

@@ -523,8 +523,12 @@ class SharedDirBackend:
         queue = self.queue
         queue.enqueue(cells)
         wanted = {cell.cell_id for cell in cells}
-        worker = _WorkerSession(
-            queue, self.worker_id, timeout=self.timeout, trace=self.trace
+        # A non-participating coordinator is not a worker: no session, so no
+        # stats file or trace shard in its name.
+        worker = (
+            _WorkerSession(queue, self.worker_id, timeout=self.timeout, trace=self.trace)
+            if self.participate
+            else None
         )
         last_done = -1
         last_progress = time.monotonic()
@@ -535,7 +539,7 @@ class SharedDirBackend:
                 last_progress = time.monotonic()
             if done >= len(wanted):
                 break
-            claimed = worker.serve_one() if self.participate else False
+            claimed = worker.serve_one() if worker is not None else False
             if claimed:
                 last_progress = time.monotonic()
                 continue
@@ -547,7 +551,8 @@ class SharedDirBackend:
                     f"workers running?)"
                 )
             time.sleep(self.poll)
-        worker.finish()
+        if worker is not None:
+            worker.finish()
         rows = queue.merged_rows(wanted)
         for cell in cells:
             row = rows.get(cell.cell_id)
@@ -577,7 +582,12 @@ class SharedDirBackend:
 
 
 class _WorkerSession:
-    """Shared claim→run→complete machinery for workers and the coordinator."""
+    """Shared claim→run→complete machinery for workers and the coordinator.
+
+    The session publishes its ``stats/<worker_id>.json`` as soon as it
+    starts, so a worker that joins and never gets a cell still shows up in
+    :meth:`SharedDirQueue.worker_stats`, with ``claimed: 0``.
+    """
 
     def __init__(
         self,
@@ -611,6 +621,7 @@ class _WorkerSession:
                 manifest={"worker": worker_id, "queue_dir": queue.root},
             )
             self._tracer = Tracer(self._sink)
+        queue.write_worker_stats(worker_id, self.stats)
 
     def serve_one(self) -> bool:
         """Claim and execute one cell; ``False`` when nothing was claimable."""
@@ -653,8 +664,7 @@ class _WorkerSession:
 
     def finish(self) -> Dict[str, Any]:
         self.stats["updated_unix"] = time.time()
-        if self.stats["claimed"]:
-            self.queue.write_worker_stats(self.worker_id, self.stats)
+        self.queue.write_worker_stats(self.worker_id, self.stats)
         if self._sink is not None:
             self._sink.close()
         return self.stats

@@ -100,6 +100,11 @@ class ResultCache:
     * ``repro_result_cache_get_seconds`` / ``repro_result_cache_put_seconds``
       — lookup and publish (write + fsync + rename) latency histograms, the
       numbers that expose a cache root on slow storage.
+
+    A cache is always truthy, empty or not: ``if cache:`` asks whether there
+    is a cache, never how full it is.  ``len(cache)`` is an O(entries) walk
+    of the whole directory tree, kept off every per-cell and per-request
+    path; ``repr`` does not walk.
     """
 
     def __init__(
@@ -179,7 +184,11 @@ class ResultCache:
     def __contains__(self, key: str) -> bool:
         return os.path.exists(self._path(key))
 
+    def __bool__(self) -> bool:
+        return True
+
     def __len__(self) -> int:
+        """Number of entries: an O(entries) directory walk, for reports only."""
         if not os.path.isdir(self.root):
             return 0
         count = 0
@@ -190,4 +199,4 @@ class ResultCache:
         return count
 
     def __repr__(self) -> str:
-        return f"ResultCache({self.root!r}, entries={len(self)})"
+        return f"ResultCache({self.root!r})"

@@ -43,7 +43,7 @@ from repro.lab.cache import (
     cell_cache_key,
     spec_fingerprint,
 )
-from repro.lab.store import CellResult, ResultStore
+from repro.lab.store import CellResult, ResultStore, deterministic_view
 from repro.obs.provenance import run_manifest
 from repro.obs.trace import (
     JsonlTraceSink,
@@ -591,7 +591,11 @@ def run_campaign(
     )
     campaign_span.__enter__()
     try:
+        # The one scan of the store: every later row is added here as it is
+        # appended (last write wins by cell id), so results and the summary
+        # never re-read the file.
         recorded = {row.cell_id: row for row in store.iter_rows()}
+        corrupt_lines_skipped = store.last_scan.corrupt_interior
         already_done = 0
         pending: List[Cell] = []
         for cell in cells:
@@ -607,12 +611,17 @@ def run_campaign(
         from_cache = 0
         to_run: List[Cell] = []
         for cell in pending:
-            payload = cache.get(cell.cache_key()) if cache and cell.cacheable else None
+            payload = (
+                cache.get(cell.cache_key())
+                if cache is not None and cell.cacheable
+                else None
+            )
             if payload is not None and payload.get("cell_id") == cell.cell_id:
                 result = CellResult.from_dict(payload)
                 result.cached = True
                 result.wall_time = 0.0
                 store.append(result)
+                recorded[result.cell_id] = result
                 from_cache += 1
                 tracer.event("cache.hit", cell=cell.cell_id, spec=cell.spec)
                 if progress:
@@ -631,19 +640,19 @@ def run_campaign(
 
         executed = 0
         for cell, result in zip(to_run, executor.map(to_run)):
-            store.append(result)
+            row = store.append(result)
+            recorded[result.cell_id] = result
             executed += 1
             if cache is not None and cell.cacheable and result.ok:
-                cache.put(cell.cache_key(), result.deterministic_dict())
+                cache.put(cell.cache_key(), deterministic_view(row))
             if progress:
                 progress(result, "run")
 
-        rows_by_id = {row.cell_id: row for row in store.iter_rows()}
         results = [
-            rows_by_id[cell.cell_id] for cell in cells if cell.cell_id in rows_by_id
+            recorded[cell.cell_id] for cell in cells if cell.cell_id in recorded
         ]
         summary = summarize(results, campaign=campaign.name)
-        summary.corrupt_lines_skipped = store.last_scan.corrupt_interior
+        summary.corrupt_lines_skipped = corrupt_lines_skipped
         with open(os.path.join(out_dir, SUMMARY_NAME), "w", encoding="utf-8") as handle:
             json.dump(summary.to_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -19,8 +19,8 @@ import json
 import os
 import re
 import warnings
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, BinaryIO, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 #: Fields describing how a row was produced rather than what was computed.
 #: Excluded from the deterministic view (and therefore from cache payloads).
@@ -69,18 +69,39 @@ class CellResult:
         return self.status == "ok"
 
     def to_dict(self) -> Dict[str, Any]:
-        """The full row, provenance included (one JSONL line)."""
-        data = asdict(self)
-        data["input"] = list(self.input)
-        data["outputs"] = list(self.outputs)
-        return data
+        """The full row, provenance included (one JSONL line).
+
+        Built field by field rather than with ``dataclasses.asdict``, whose
+        deep copy of every value was the row path's largest fixed cost.  The
+        dict is fresh (``config`` is copied too), so a caller may mutate it
+        without touching the row.
+        """
+        return {
+            "cell_id": self.cell_id,
+            "spec": self.spec,
+            "strategy": self.strategy,
+            "input": list(self.input),
+            "engine": self.engine,
+            "config": dict(self.config),
+            "status": self.status,
+            "expected": self.expected,
+            "outputs": list(self.outputs),
+            "output_mode": self.output_mode,
+            "output_unanimous": self.output_unanimous,
+            "converged": self.converged,
+            "correct": self.correct,
+            "mean_steps": self.mean_steps,
+            "total_steps": self.total_steps,
+            "error": self.error,
+            "wall_time": self.wall_time,
+            "cached": self.cached,
+            "cpu_time": self.cpu_time,
+            "worker": self.worker,
+        }
 
     def deterministic_dict(self) -> Dict[str, Any]:
         """The row minus provenance — the executor-equivalence / cache payload view."""
-        data = self.to_dict()
-        for name in PROVENANCE_FIELDS:
-            data.pop(name)
-        return data
+        return deterministic_view(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CellResult":
@@ -90,12 +111,20 @@ class CellResult:
         return cls(**kwargs)
 
 
+def deterministic_view(row: Mapping[str, Any]) -> Dict[str, Any]:
+    """A :meth:`CellResult.to_dict` row minus :data:`PROVENANCE_FIELDS`."""
+    return {key: value for key, value in row.items() if key not in PROVENANCE_FIELDS}
+
+
 #: Fast path for pulling the ``cell_id`` out of a row without parsing the
 #: whole line.  Rows are written by :meth:`ResultStore.append` with sorted
 #: keys and compact separators, so the *first* occurrence of the pattern is
 #: always the real key (``cached`` and ``cell_id`` sort before every field
 #: whose value could embed the pattern as text).
 _CELL_ID_RE = re.compile(r'"cell_id":"([^"]+)"')
+
+#: Read size when searching backwards for the start of a torn final line.
+_TAIL_BLOCK = 4096
 
 
 @dataclass
@@ -129,7 +158,7 @@ class ResultStore:
     Rows are flushed (and fsync'd) as they are appended, so the store is
     always a valid prefix of the campaign — the property resume depends on.
     A trailing partial line (the one a ``kill -9`` can leave behind) is
-    ignored on read.
+    ignored on read, and the next :meth:`append` never writes onto it.
 
     Readers deduplicate by ``cell_id`` with last-write-wins semantics: a store
     may legitimately hold several rows for one cell (resume re-ran a cell whose
@@ -146,12 +175,52 @@ class ResultStore:
     def exists(self) -> bool:
         return os.path.exists(self.path)
 
-    def append(self, result: CellResult) -> None:
-        line = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+    def append(self, result: CellResult) -> Dict[str, Any]:
+        """Durably append one row; returns the :meth:`CellResult.to_dict` it wrote.
+
+        Callers that need the row's dict form too (the cache payload) reuse
+        the returned dict instead of serializing the row a second time.
+        """
+        data = result.to_dict()
+        line = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+        with open(self.path, "a+b") as handle:
+            self._end_at_line_boundary(handle)
+            handle.write(line.encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
+        return data
+
+    def _end_at_line_boundary(self, handle: BinaryIO) -> None:
+        """Make the file end with a newline before a row is appended to it.
+
+        An append interrupted mid-write leaves a final line with no newline;
+        writing the next row after it would glue the two into one line that
+        the resume scan and :meth:`iter_rows` read differently.  A complete
+        row that lost only its newline is terminated; a torn row, which no
+        reader counts as done (so its cell runs again), is truncated away.
+        Costs a one-byte read per append unless the tail is actually torn.
+        """
+        end = handle.seek(0, os.SEEK_END)
+        if end == 0:
+            return
+        handle.seek(end - 1)
+        if handle.read(1) == b"\n":
+            return
+        start = end
+        while start > 0:
+            step = min(_TAIL_BLOCK, start)
+            handle.seek(start - step)
+            newline = handle.read(step).rfind(b"\n")
+            if newline >= 0:
+                start = start - step + newline + 1
+                break
+            start -= step
+        handle.seek(start)
+        fragment = handle.read(end - start).decode("utf-8", errors="replace")
+        if self._strict_cell_id(fragment) is not None:
+            handle.write(b"\n")
+        else:
+            handle.truncate(start)
 
     @staticmethod
     def _fast_cell_id(line: str) -> Optional[str]:

@@ -201,6 +201,16 @@ class TestWorkerLoop:
         assert queue.all_done()
         assert queue.worker_stats()["solo"]["executed"] == len(cells)
 
+    def test_worker_that_gets_no_work_still_reports_its_stats(self, tmp_path):
+        queue = SharedDirQueue(str(tmp_path / "q"))
+        queue.enqueue(tiny_campaign(grid="0:2").expand())
+        worker_loop(str(tmp_path / "q"), worker_id="busy", max_idle=10.0)
+        stats = worker_loop(str(tmp_path / "q"), worker_id="starved", max_idle=10.0)
+        assert stats["claimed"] == stats["executed"] == 0
+        reported = queue.worker_stats()
+        assert set(reported) == {"busy", "starved"}
+        assert reported["starved"]["claimed"] == 0
+
     def test_reclaims_a_dead_workers_cells(self, tmp_path):
         # a worker claims two cells' worth of leases and dies without completing
         queue = SharedDirQueue(str(tmp_path / "q"), lease_ttl=0.2)
@@ -239,6 +249,17 @@ def spawn_worker(queue_dir, worker_id, lease_ttl="1.0", extra=()):
     )
 
 
+def wait_for_stats(queue_dir, worker_ids, procs, timeout=60.0):
+    """Block until every worker in ``worker_ids`` has published its stats file."""
+    queue = SharedDirQueue(str(queue_dir))
+    deadline = time.monotonic() + timeout
+    while not worker_ids <= set(queue.worker_stats()):
+        exited = [proc.args for proc in procs if proc.poll() is not None]
+        assert not exited, f"worker exited before joining: {exited}"
+        assert time.monotonic() < deadline, "workers never published their stats"
+        time.sleep(0.02)
+
+
 class TestWorkerSubprocesses:
     def test_two_workers_merge_identical_to_serial(self, tmp_path):
         campaign = tiny_campaign(grid="0:4", name="two-worker")
@@ -247,6 +268,10 @@ class TestWorkerSubprocesses:
         queue_dir = tmp_path / "queue"
         workers = [spawn_worker(queue_dir, f"w{i}") for i in range(2)]
         try:
+            # Both workers have joined before any cell is enqueued, so the
+            # test never depends on which process starts faster; a worker the
+            # other one starves still reports (claimed: 0).
+            wait_for_stats(queue_dir, {"w0", "w1"}, workers)
             backend = SharedDirBackend(
                 queue_dir=str(queue_dir), participate=False, poll=0.05
             )

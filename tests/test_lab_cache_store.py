@@ -1,5 +1,6 @@
 """Cache keys, the content-addressed cache, the JSONL store, and resume."""
 
+import dataclasses
 import json
 
 import pytest
@@ -36,6 +37,13 @@ class TestRunConfigCacheKey:
     def test_to_dict_from_dict_round_trip(self):
         config = RunConfig(trials=2, max_steps=50, quiescence_window=9, seed=4, engine="vectorized")
         assert RunConfig.from_dict(config.to_dict()) == config
+
+    def test_to_dict_equals_asdict_and_is_a_fresh_dict(self):
+        config = RunConfig(trials=2, quiescence_window=9, seed=4, allow_approximate=True)
+        data = config.to_dict()
+        assert data == dataclasses.asdict(config)
+        data["trials"] = 99
+        assert config.to_dict()["trials"] == 2
 
     def test_from_dict_ignores_unknown_keys(self):
         data = RunConfig(trials=2).to_dict()
@@ -308,6 +316,60 @@ class TestResultStore:
         assert {r.cell_id for r in rows} == {"c1", "c2"}
         assert store.last_scan.corrupt_interior == 1
 
+    def asdict_view(self, row):
+        expected = dataclasses.asdict(row)
+        expected["input"] = list(row.input)
+        expected["outputs"] = list(row.outputs)
+        return expected
+
+    def test_to_dict_equals_asdict_for_ok_error_and_cached_rows(self):
+        rows = [
+            self.row("c1", cpu_time=0.25, worker=123),
+            self.row("c2", status="error", error="Boom: x", outputs=(), output_mode=None),
+            CellResult.from_dict(dict(self.row("c3").deterministic_dict(), cached=True)),
+        ]
+        for row in rows:
+            assert row.to_dict() == self.asdict_view(row)
+
+    def test_mutating_to_dict_leaves_the_row_unchanged(self):
+        row = self.row("c1")
+        before = row.to_dict()
+        data = row.to_dict()
+        data["config"]["trials"] = 99
+        data["outputs"].append(7)
+        data["input"][0] = 42
+        assert row.to_dict() == before
+        assert row.config == RunConfig(seed=3).to_dict()
+
+    def test_append_returns_the_row_it_wrote(self, tmp_path):
+        store = ResultStore(str(tmp_path / "r.jsonl"))
+        row = self.row("c1")
+        assert store.append(row) == row.to_dict()
+        with open(store.path) as handle:
+            assert json.loads(handle.read()) == row.to_dict()
+
+    def test_append_after_torn_tail_starts_a_fresh_line(self, tmp_path):
+        store = ResultStore(str(tmp_path / "r.jsonl"))
+        store.append(self.row("c1"))
+        with open(store.path, "a") as handle:
+            handle.write('{"cached":false,"cell_id":"c2","con')  # kill -9 mid-write
+        assert store.completed_ids() == {"c1"}
+        store.append(self.row("c2"))
+        assert [r.cell_id for r in store.load()] == ["c1", "c2"]
+        assert store.last_scan.corrupt_total == 0
+        assert store.completed_ids() == {"c1", "c2"}
+
+    def test_append_keeps_a_complete_row_that_lost_its_newline(self, tmp_path):
+        store = ResultStore(str(tmp_path / "r.jsonl"))
+        store.append(self.row("c1"))
+        store.append(self.row("c2"))
+        with open(store.path, "rb+") as handle:
+            handle.truncate(handle.seek(0, 2) - 1)  # drop only the final newline
+        assert store.completed_ids() == {"c1", "c2"}
+        store.append(self.row("c3"))
+        assert [r.cell_id for r in store.load()] == ["c1", "c2", "c3"]
+        assert store.last_scan.corrupt_total == 0
+
     def test_deterministic_dict_drops_provenance_only(self):
         row = self.row(cached=True)
         deterministic = row.deterministic_dict()
@@ -329,6 +391,10 @@ def tiny_campaign(seed=9):
     )
 
 
+def canonical_rows(rows):
+    return [json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) for r in rows]
+
+
 class TestCampaignCacheAndResume:
     def test_second_run_is_all_cache_hits(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -340,6 +406,78 @@ class TestCampaignCacheAndResume:
         assert second.summary.cache_hits == second.total_cells
         assert [r.deterministic_dict() for r in first.results] == [
             r.deterministic_dict() for r in second.results
+        ]
+
+    def test_results_equal_the_rows_on_disk(self, tmp_path):
+        # results are collected in memory, not re-read: they must still be
+        # exactly what the store holds, for executed and replayed rows alike
+        cache_dir = str(tmp_path / "cache")
+        for out in ("cold", "replay"):
+            run = run_campaign(tiny_campaign(), str(tmp_path / out), cache_dir=cache_dir)
+            on_disk = ResultStore(str(tmp_path / out / "results.jsonl")).load()
+            assert canonical_rows(run.results) == canonical_rows(on_disk)
+        cold = ResultStore(str(tmp_path / "cold" / "results.jsonl")).load()
+        replay = ResultStore(str(tmp_path / "replay" / "results.jsonl")).load()
+        assert all(row.cached for row in replay)
+        assert [r.deterministic_dict() for r in cold] == [
+            r.deterministic_dict() for r in replay
+        ]
+
+    def test_cache_replay_never_walks_the_cache(self, tmp_path, monkeypatch):
+        cache_dir = str(tmp_path / "cache")
+        run_campaign(tiny_campaign(), str(tmp_path / "cold"), cache_dir=cache_dir)
+
+        def walk(self):
+            raise AssertionError("ResultCache.__len__ walked the cache directory")
+
+        monkeypatch.setattr(ResultCache, "__len__", walk)
+        assert ResultCache(str(tmp_path / "empty"))  # truthy even when empty
+        replay = run_campaign(tiny_campaign(), str(tmp_path / "replay"), cache_dir=cache_dir)
+        assert replay.from_cache == replay.total_cells
+        assert "empty" in repr(ResultCache(str(tmp_path / "empty")))
+
+    def test_cold_run_serializes_each_row_once_and_scans_once(self, tmp_path, monkeypatch):
+        calls = {"to_dict": 0, "iter_rows": 0}
+        to_dict, iter_rows = CellResult.to_dict, ResultStore.iter_rows
+
+        def counting_to_dict(self):
+            calls["to_dict"] += 1
+            return to_dict(self)
+
+        def counting_iter_rows(self, *args, **kwargs):
+            calls["iter_rows"] += 1
+            return iter_rows(self, *args, **kwargs)
+
+        monkeypatch.setattr(CellResult, "to_dict", counting_to_dict)
+        monkeypatch.setattr(ResultStore, "iter_rows", counting_iter_rows)
+        run = run_campaign(tiny_campaign(), str(tmp_path / "out"), cache_dir=str(tmp_path / "c"))
+        assert run.executed == 9
+        assert calls == {"to_dict": 9, "iter_rows": 1}
+        assert len(ResultCache(str(tmp_path / "c"))) == 9
+
+    def test_resume_after_torn_final_row_completes_exactly_once(self, tmp_path):
+        campaign = Campaign(
+            name="torn",
+            specs=["minimum"],
+            inputs=SweepGrid.parse("0:3,0:2"),
+            engines=("python",),
+            configs=(RunConfig(trials=2),),
+            seed=5,
+        )
+        out = str(tmp_path / "out")
+        full = run_campaign(campaign, out, cache_dir=None)
+        assert full.total_cells == 6
+        store_path = tmp_path / "out" / "results.jsonl"
+        text = store_path.read_text()
+        store_path.write_text(text[:-25])  # kill -9 mid-append of the last row
+
+        first = run_campaign(campaign, out, cache_dir=None)
+        assert first.executed == 1
+        assert len(first.results) == 6
+        second = run_campaign(campaign, out, cache_dir=None)
+        assert second.executed == 0 and second.already_done == 6
+        assert [r.deterministic_dict() for r in second.results] == [
+            r.deterministic_dict() for r in full.results
         ]
 
     def test_rerun_into_same_dir_skips_done_cells(self, tmp_path):

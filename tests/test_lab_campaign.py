@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api.config import RunConfig
+from repro.lab import campaign as lab_campaign
 from repro.lab.campaign import (
     Campaign,
     SweepGrid,
@@ -53,8 +54,14 @@ class TestSpecRegistry:
         register_spec_factory(
             "lab-test-dup", lambda: resolve_spec("minimum"), replace=True
         )
-        with pytest.raises(ValueError, match="already registered"):
-            register_spec_factory("lab-test-dup", lambda: resolve_spec("minimum"))
+        try:
+            with pytest.raises(ValueError, match="already registered"):
+                register_spec_factory("lab-test-dup", lambda: resolve_spec("minimum"))
+        finally:
+            # a leftover alias of "minimum" would change the name
+            # registered_name_for() reports for it in later tests
+            lab_campaign._SPEC_FACTORIES.pop("lab-test-dup", None)
+            lab_campaign._SPEC_INSTANCES.pop("lab-test-dup", None)
 
     def test_resolve_memoizes_per_process(self):
         assert resolve_spec("minimum") is resolve_spec("minimum")
