@@ -31,7 +31,7 @@ campaign = Campaign(
     name="minimum-and-add",
     specs=["minimum", "add"],                      # catalog names; FunctionSpec works too
     inputs=SweepGrid.parse("0:8", dimension=2),    # 64 inputs, shared by both specs
-    engines=("auto",),                             # registry metadata picks per cell
+    engines=("auto",),                             # registry cost rule picks per cell
     configs=(RunConfig(trials=4),),
     seed=7,                                        # master seed -> derived per-cell seeds
 )

@@ -26,8 +26,9 @@ def main() -> None:
     wb = Workbench(RunConfig(trials=8, seed=7))
     print(f"=== {wb!r} ===")
     for info in wb.engines():
-        population = info.max_recommended_population or "unbounded"
-        print(f"  engine {info.name!r}: pop<={population} — {info.description}")
+        cost = info.cost(wb.config.trials)  # what engine="auto" minimises
+        cost = "uncalibrated" if cost is None else f"{cost * 1e6:.3g} us/step"
+        print(f"  engine {info.name!r}: {cost} — {info.description}")
     print()
 
     print("=== compile -> simulate -> verify, one object per function ===")
@@ -69,7 +70,6 @@ def main() -> None:
 
     @register_engine(
         "traced-python",
-        max_recommended_population=2_000,
         description="python engine + call tracing",
     )
     class TracedEngine(PythonEngine):

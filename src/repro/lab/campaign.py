@@ -151,45 +151,46 @@ def resolve_engine(
 ) -> str:
     """Resolve an engine selector for one input, honouring ``"auto"``.
 
-    ``"auto"`` consults the engine registry's capability metadata: among
-    fair-scheduler-capable engines (in registration order, so the scalar
-    reference engine is preferred while it is practical), pick the first whose
-    ``max_recommended_population`` admits this input's population.  In the
-    default registry that means ``python`` for small inputs and
-    ``vectorized`` beyond ~2000 molecules.
+    ``"auto"`` picks, among the eligible calibrated engines, the one whose
+    registry cost rule ``step_cost + trials * trial_step_cost`` is lowest at
+    ``config.trials`` (ties go to the earlier registration).  The eligible
+    engines are one class:
 
-    When the config opts in with ``allow_approximate=True``, huge populations
-    resolve to an *approximate* engine first: among approximate engines whose
-    ``min_recommended_population`` floor (and ``max_recommended_population``
-    ceiling, if any) admits the population, batch-capable ones are preferred
-    — in the default registry that picks ``tau-vec`` (falling back to
-    ``tau``) at populations of 10^4 and above, while small inputs still get
-    the exact resolution.  Explicit selectors are returned unchanged in all
-    cases; the opt-in only affects ``"auto"``.
+    * exact (the default): fair-capable, non-approximate engines.  In the
+      default registry that is ``python`` below about 32 trials and
+      ``vectorized`` from there on, at any population.
+    * approximate, only when the config opts in with
+      ``allow_approximate=True`` and the population reaches the engine's
+      ``min_recommended_population`` floor (10^4 for the built-ins): ``tau``
+      below about 19 trials, ``tau-vec`` from there on.  Under the floor,
+      leaping degrades to exact stepping, so the exact class is used.
+
+    Engines of one class fire the same reaction events per trial, so the
+    population cancels out of the comparison and only ``trials`` decides.
+    Explicit selectors are returned unchanged; the opt-in only affects
+    ``"auto"``.
     """
     if selector != "auto":
         return selector
+    config = config or RunConfig()
     population = sum(int(v) for v in x)
-    if config is not None and config.allow_approximate:
-        admitted = [
+    calibrated = [
+        info for info in registered_engines() if info.trial_step_cost is not None
+    ]
+    candidates = []
+    if config.allow_approximate:
+        candidates = [
             info
-            for info in registered_engines()
-            if info.approximate
-            and (info.min_recommended_population or 0) <= population
-            and (
-                info.max_recommended_population is None
-                or population <= info.max_recommended_population
-            )
+            for info in calibrated
+            if info.approximate and (info.min_recommended_population or 0) <= population
         ]
-        if admitted:
-            batch_native = [info for info in admitted if info.batch_capable]
-            return (batch_native[0] if batch_native else admitted[0]).name
-    fair_capable = [info for info in registered_engines() if info.supports_fair]
-    for info in fair_capable:
-        bound = info.max_recommended_population
-        if bound is None or population <= bound:
-            return info.name
-    return fair_capable[0].name if fair_capable else "python"
+    if not candidates:
+        candidates = [
+            info for info in calibrated if info.supports_fair and not info.approximate
+        ]
+    if not candidates:
+        return "python"
+    return min(candidates, key=lambda info: info.cost(config.trials)).name
 
 
 # ---------------------------------------------------------------------------

@@ -632,18 +632,18 @@ def _command_engines(args) -> int:
         )
         return 0
     for info in registered_engines():
-        if info.min_recommended_population and info.max_recommended_population:
-            bound = f"{info.min_recommended_population}..{info.max_recommended_population}"
-        elif info.min_recommended_population:
-            bound = f">= {info.min_recommended_population}"
-        elif info.max_recommended_population:
-            bound = f"<= {info.max_recommended_population}"
-        else:
-            bound = "unbounded"
         kind = "approximate" if info.approximate else "exact"
         shape = "batch" if info.batch_capable else "scalar"
+        floor = info.min_recommended_population
+        floor = f">= {floor}" if floor else "any"
+        if info.trial_step_cost is None:
+            cost = "uncalibrated"
+        else:
+            step, trial_step = info.step_cost * 1e6, info.trial_step_cost * 1e6
+            cost = f"{step:.3g} + T*{trial_step:.3g} us/step"
         print(
-            f"{info.name:<12} {kind:<12} {shape:<7} pop {bound:<12} {info.description}"
+            f"{info.name:<12} {kind:<12} {shape:<7} pop {floor:<8} "
+            f"cost {cost:<27} {info.description}"
         )
     return 0
 

@@ -17,7 +17,6 @@ and is registered under a name with capability metadata::
         "my-backend",
         supports_gillespie=True,
         supports_fair=False,
-        max_recommended_population=10**6,
         description="FFI bridge to ...",
     )
     class MyBackend:
@@ -55,15 +54,15 @@ class EngineInfo:
         but contract-sensitive callers consult them:
         :func:`repro.verify.stable.verify_stable_computation` rejects
         ``supports_fair=False`` engines for its randomized path, and campaign
-        ``"auto"`` resolution only considers fair-capable engines.
+        ``"auto"`` resolution only considers fair-capable exact engines.
     max_recommended_population:
-        Soft guidance on the population size beyond which the engine becomes
-        impractical (``None`` = no practical limit).
+        Advisory population ceiling for callers (``None`` = no practical
+        limit).  No built-in engine sets one, and ``"auto"`` ignores it.
     min_recommended_population:
-        Soft guidance on the population size *below* which the engine buys
-        nothing over the exact reference (``None`` = useful at any size).
-        Approximate engines such as ``"tau"`` publish a floor: under it they
-        degrade to exact stepping and a caller may as well use ``"python"``.
+        The population size *below* which the engine buys nothing over the
+        exact reference (``None`` = useful at any size).  Approximate engines
+        such as ``"tau"`` publish a floor: under it they degrade to exact
+        stepping, so ``"auto"`` admits them only at or above it.
     approximate:
         True when the engine samples the kinetics approximately rather than
         exactly (results are statistically, not bit-for-bit, equivalent to
@@ -71,9 +70,17 @@ class EngineInfo:
     batch_capable:
         True when the engine advances all trials simultaneously through a
         dense batch representation (numpy rows) rather than one trajectory
-        at a time — the throughput shape serve clients and the lab's
-        ``"auto"`` resolution prefer at scale, published as metadata so they
-        never have to string-match engine names.
+        at a time, published as metadata so callers never have to
+        string-match engine names.
+    step_cost / trial_step_cost:
+        The calibrated cost rule ``"auto"`` minimises: seconds per reaction
+        step of one ``run_many`` call, ``step_cost + trials *
+        trial_step_cost``.  ``step_cost`` is paid once per lockstep step
+        (a batch engine's fixed per-round overhead; near zero for scalar
+        engines), ``trial_step_cost`` once per trial-step.  Fitted from
+        the ``auto-cost/*`` records in ``BENCH_results.json``.  An engine
+        without a ``trial_step_cost`` is uncalibrated and never picked by
+        ``"auto"``.
     description:
         One-line human-readable summary.
     """
@@ -86,7 +93,15 @@ class EngineInfo:
     min_recommended_population: Optional[int] = None
     approximate: bool = False
     batch_capable: bool = False
+    step_cost: float = 0.0
+    trial_step_cost: Optional[float] = None
     description: str = ""
+
+    def cost(self, trials: int) -> Optional[float]:
+        """Predicted seconds per reaction step at ``trials`` (``None``: uncalibrated)."""
+        if self.trial_step_cost is None:
+            return None
+        return self.step_cost + trials * self.trial_step_cost
 
     def to_dict(self) -> Dict[str, Any]:
         """Capability metadata as a JSON-serializable dict (no implementation).
@@ -103,6 +118,8 @@ class EngineInfo:
             "min_recommended_population": self.min_recommended_population,
             "approximate": self.approximate,
             "batch_capable": self.batch_capable,
+            "step_cost": self.step_cost,
+            "trial_step_cost": self.trial_step_cost,
             "description": self.description,
         }
 
@@ -139,6 +156,8 @@ def register_engine(
     min_recommended_population: Optional[int] = None,
     approximate: bool = False,
     batch_capable: bool = False,
+    step_cost: float = 0.0,
+    trial_step_cost: Optional[float] = None,
     description: str = "",
     replace: bool = False,
 ):
@@ -174,6 +193,8 @@ def register_engine(
             min_recommended_population=min_recommended_population,
             approximate=approximate,
             batch_capable=batch_capable,
+            step_cost=step_cost,
+            trial_step_cost=trial_step_cost,
             description=description,
         )
         return cls

@@ -399,6 +399,12 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
     Idempotent (``replace=True``), so module re-execution under
     ``importlib.reload`` / IPython autoreload is safe, and the registry can
     restore a built-in that a test unregistered without touching the others.
+
+    The ``step_cost`` / ``trial_step_cost`` constants are the two-point fits
+    of the ``auto-cost/*`` records in ``BENCH_results.json`` (measured on a
+    2-vCPU Xeon VM; ``tests/test_registry.py`` refits and checks them).
+    ``"nrm"`` is neither fair-capable nor approximate, so ``"auto"`` never
+    considers it and it carries no cost constants.
     """
     names = (
         {"python", "vectorized", "nrm", "tau", "tau-vec"}
@@ -410,7 +416,8 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
             "python",
             supports_gillespie=True,
             supports_fair=True,
-            max_recommended_population=20_000,
+            step_cost=2.33e-7,
+            trial_step_cost=2.54e-6,
             description=(
                 "Scalar kernel (shared CompiledCRN IR, sparse incremental "
                 "propensities); historical seeded behaviour, bit for bit"
@@ -422,8 +429,9 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
             "vectorized",
             supports_gillespie=True,
             supports_fair=True,
-            max_recommended_population=None,
             batch_capable=True,
+            step_cost=7.45e-5,
+            trial_step_cost=2.18e-7,
             description=(
                 "numpy batch engines advancing all trials per step; "
                 "reproducible but on a numpy random stream"
@@ -435,7 +443,6 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
             "nrm",
             supports_gillespie=True,
             supports_fair=False,
-            max_recommended_population=20_000,
             description=(
                 "Gibson-Bruck next-reaction method (indexed priority queue of "
                 "putative firing times, dependency-graph clock repair); exact, "
@@ -448,9 +455,9 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
             "tau",
             supports_gillespie=True,
             supports_fair=False,
-            max_recommended_population=None,
             min_recommended_population=10_000,
             approximate=True,
+            trial_step_cost=3.98e-8,
             description=(
                 "tau-leaping approximate SSA (Cao-Gillespie tau selection, "
                 "Poisson firing batches, exact fallback); error knob "
@@ -463,10 +470,11 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
             "tau-vec",
             supports_gillespie=True,
             supports_fair=False,
-            max_recommended_population=None,
             min_recommended_population=10_000,
             approximate=True,
             batch_capable=True,
+            step_cost=6.17e-7,
+            trial_step_cost=6.73e-9,
             description=(
                 "batched tau-leaping: the whole trial batch advances one "
                 "Cao-Gillespie leap per round (dense numpy kinetics, batched "

@@ -1,12 +1,16 @@
 """Cache keys, the content-addressed cache, the JSONL store, and resume."""
 
 import dataclasses
+import errno
 import json
+import os
 
 import pytest
 
 from repro.api.config import RunConfig
 from repro.core.specs import FunctionSpec
+from repro.lab import cache as cache_module
+from repro.lab import store as store_module
 from repro.lab.cache import ResultCache, cell_cache_key, spec_fingerprint
 from repro.lab.campaign import Campaign, SweepGrid, run_campaign
 from repro.lab.store import CellResult, ResultStore
@@ -605,3 +609,115 @@ class TestCampaignCacheAndResume:
         on_disk = json.loads((out / "summary.json").read_text())
         assert on_disk == run.summary.to_dict()
         assert on_disk["correct_rate"] == 1.0
+
+
+def disk_full(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device (injected)")
+
+
+class _OsWithFaultyFsync:
+    """The ``os`` module as one module sees it, with ``fsync`` replaced."""
+
+    def __init__(self, fsync):
+        self.fsync = fsync
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
+class _TornWriteFile:
+    """A file whose ``write`` lands half its bytes, then fails with ENOSPC."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, data):
+        self._handle.write(data[: len(data) // 2])
+        self._handle.flush()
+        disk_full()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+class TestDiskFullFaults:
+    """ENOSPC in the durable writes must never leave a wrong row or cache hit."""
+
+    @pytest.mark.parametrize("point", ["write", "fsync"])
+    def test_cache_put_leaves_no_temp_file_and_no_hit(
+        self, tmp_path, monkeypatch, point
+    ):
+        def torn_dump(payload, handle, **kwargs):
+            text = json.dumps(payload, **kwargs)
+            handle.write(text[: len(text) // 2])
+            disk_full()
+
+        cache = ResultCache(str(tmp_path / "cache"))
+        key = "e" * 64
+        if point == "write":
+            monkeypatch.setattr(json, "dump", torn_dump)
+        else:
+            monkeypatch.setattr(cache_module, "os", _OsWithFaultyFsync(disk_full))
+        with pytest.raises(OSError) as excinfo:
+            cache.put(key, {"cell_id": "x", "status": "ok"})
+        monkeypatch.undo()
+
+        assert excinfo.value.errno == errno.ENOSPC
+        shard = tmp_path / "cache" / key[:2]
+        assert [p.name for p in shard.iterdir()] == []  # no .tmp- leftover
+        assert cache.get(key) is None and key not in cache
+
+    @pytest.mark.parametrize("point", ["write", "fsync"])
+    def test_store_append_fault_mid_campaign_resumes_to_the_clean_rows(
+        self, tmp_path, monkeypatch, point
+    ):
+        clean = run_campaign(tiny_campaign(), str(tmp_path / "clean"), cache_dir=None)
+        out, cache_dir = str(tmp_path / "out"), str(tmp_path / "cache")
+        appends = {"n": 0}
+        real_open, real_fsync = open, os.fsync
+
+        def faulty_open(path, mode="r", *args, **kwargs):
+            handle = real_open(path, mode, *args, **kwargs)
+            if mode != "a+b":
+                return handle
+            appends["n"] += 1
+            return _TornWriteFile(handle) if appends["n"] == 5 else handle
+
+        def faulty_fsync(fd):
+            appends["n"] += 1
+            if appends["n"] == 5:
+                disk_full()
+            real_fsync(fd)
+
+        if point == "write":
+            monkeypatch.setattr(store_module, "open", faulty_open, raising=False)
+        else:
+            monkeypatch.setattr(store_module, "os", _OsWithFaultyFsync(faulty_fsync))
+        with pytest.raises(OSError) as excinfo:
+            run_campaign(tiny_campaign(), out, cache_dir=cache_dir)
+        monkeypatch.undo()  # the disk has room again
+        assert excinfo.value.errno == errno.ENOSPC
+        assert appends["n"] == 5
+        with open(os.path.join(out, "results.jsonl")) as handle:
+            tail_complete = handle.read().endswith("\n")
+        # a torn half row, or a complete row whose fsync failed
+        assert tail_complete == (point == "fsync")
+
+        def canonical(rows):
+            return [
+                json.dumps(r.deterministic_dict(), sort_keys=True, separators=(",", ":"))
+                for r in rows
+            ]
+
+        resumed = run_campaign(tiny_campaign(), out, cache_dir=cache_dir)
+        assert canonical(resumed.results) == canonical(clean.results)
+        on_disk = ResultStore(os.path.join(out, "results.jsonl")).load()
+        assert canonical(on_disk) == canonical(clean.results)
+        again = run_campaign(tiny_campaign(), out, cache_dir=cache_dir)
+        assert again.executed == 0 and again.from_cache == 0

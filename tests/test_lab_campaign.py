@@ -13,6 +13,7 @@ from repro.lab.campaign import (
     spec_factory_names,
 )
 from repro.core.specs import FunctionSpec
+from repro.sim.registry import get_engine, register_engine, unregister_engine
 
 
 class TestSweepGrid:
@@ -67,51 +68,77 @@ class TestSpecRegistry:
         assert resolve_spec("minimum") is resolve_spec("minimum")
 
 
+LARGE_INPUTS = ((1_800, 1_700), (20_100, 100), (50_000, 50_000))
+
+
 class TestEngineResolution:
+    # "auto" minimises the registry cost rule step_cost + trials *
+    # trial_step_cost within one engine class, so trials decide and the
+    # population does not.
+
     def test_explicit_selector_passes_through(self):
         assert resolve_engine("python", (10**6, 10**6)) == "python"
 
     def test_auto_small_population_prefers_reference_engine(self):
         assert resolve_engine("auto", (3, 4)) == "python"
 
-    def test_auto_with_allow_approximate_picks_tau_vec_at_scale(self):
-        from repro.api.config import RunConfig
+    def test_auto_few_trials_picks_python_at_any_population(self):
+        for x in LARGE_INPUTS:
+            assert resolve_engine("auto", x, RunConfig(trials=4)) == "python"
+            assert resolve_engine("auto", x, RunConfig(trials=10)) == "python"
+            assert resolve_engine("auto", x) == "python"  # RunConfig().trials == 10
 
-        # With the opt-in, populations past the approximate engines'
-        # min_recommended_population floor resolve to the batch-capable
-        # approximate engine.
-        config = RunConfig(allow_approximate=True)
-        assert resolve_engine("auto", (50_000, 50_000), config) == "tau-vec"
-        assert resolve_engine("auto", (10_000,), config) == "tau-vec"
+    def test_auto_many_trials_picks_vectorized_at_any_population(self):
+        for x in ((3, 4),) + LARGE_INPUTS:
+            assert resolve_engine("auto", x, RunConfig(trials=128)) == "vectorized"
+
+    def test_auto_with_allow_approximate_picks_by_trials(self):
+        # With the opt-in, populations at or past the approximate engines'
+        # min_recommended_population floor resolve to the cheaper
+        # approximate engine: scalar tau for few trials, batched tau-vec
+        # for many.
+        for x in ((50_000, 50_000), (10_000,)):
+            for trials, engine in ((4, "tau"), (10, "tau"), (128, "tau-vec")):
+                config = RunConfig(trials=trials, allow_approximate=True)
+                assert resolve_engine("auto", x, config) == engine
 
     def test_auto_without_opt_in_stays_exact(self):
-        from repro.api.config import RunConfig
-
-        # The default config never resolves "auto" to an approximate engine,
-        # with or without a config object.
-        assert resolve_engine("auto", (50_000, 50_000), RunConfig()) == "vectorized"
-        assert resolve_engine("auto", (50_000, 50_000)) == "vectorized"
+        # The default config never resolves "auto" to an approximate engine.
+        for trials in (1, 4, 16, 64, 128, 1024):
+            engine = resolve_engine("auto", (50_000, 50_000), RunConfig(trials=trials))
+            assert not get_engine(engine).approximate
+        assert resolve_engine("auto", (50_000, 50_000)) == "python"
 
     def test_auto_with_opt_in_small_population_stays_exact(self):
-        from repro.api.config import RunConfig
-
         # Under the floor, leaping degrades to exact stepping, so the opt-in
-        # changes nothing and the exact resolution wins.
-        config = RunConfig(allow_approximate=True)
-        assert resolve_engine("auto", (3, 4), config) == "python"
-        assert resolve_engine("auto", (9_999,), config) == "python"
+        # changes nothing and the exact resolution (by trials) wins.
+        for trials, engine in ((4, "python"), (10, "python"), (128, "vectorized")):
+            config = RunConfig(trials=trials, allow_approximate=True)
+            assert resolve_engine("auto", (3, 4), config) == engine
+            assert resolve_engine("auto", (9_999,), config) == engine
 
     def test_explicit_selector_ignores_allow_approximate(self):
-        from repro.api.config import RunConfig
-
         config = RunConfig(allow_approximate=True)
         assert resolve_engine("python", (10**6, 10**6), config) == "python"
         assert resolve_engine("nrm", (50_000, 50_000), config) == "nrm"
 
-    def test_auto_large_population_picks_vectorized(self):
-        # beyond the python engine's max_recommended_population of 20_000
-        # (raised from 2_000 when the scalar kernel replaced the dict loops)
-        assert resolve_engine("auto", (50_000, 50_000)) == "vectorized"
+    def test_auto_reads_costs_not_population_ceilings(self):
+        # A registered engine competes on its cost constants alone: a cheap
+        # one wins even far past its advisory population ceiling, and an
+        # uncalibrated one is never picked.
+        implementation = get_engine("python").implementation
+        register_engine(
+            "lab-test-cheap", max_recommended_population=10, trial_step_cost=1e-12
+        )(implementation)
+        register_engine("lab-test-uncalibrated")(implementation)
+        config = RunConfig(trials=4)
+        try:
+            assert resolve_engine("auto", (50_000, 50_000), config) == "lab-test-cheap"
+            unregister_engine("lab-test-cheap")
+            assert resolve_engine("auto", (50_000, 50_000), config) == "python"
+        finally:
+            unregister_engine("lab-test-cheap")
+            unregister_engine("lab-test-uncalibrated")
 
 
 class TestCampaignExpansion:
@@ -129,20 +156,27 @@ class TestCampaignExpansion:
 
     def test_auto_resolution_is_per_config_variant(self):
         # "auto" is resolved inside the config-variant loop, so one campaign
-        # can mix an exact baseline with an approximate opt-in variant and
-        # each cell records the engine its own config resolved to.
+        # can mix exact baselines with approximate opt-in variants, and each
+        # cell records the engine its own config (trials, opt-in) resolved to.
         campaign = self.campaign(
             inputs=((30_000, 30_000),),
             engines=("auto",),
-            configs=(
-                RunConfig(trials=2),
-                RunConfig(trials=2, allow_approximate=True),
+            configs=tuple(
+                RunConfig(trials=trials, allow_approximate=opt_in)
+                for trials in (2, 128)
+                for opt_in in (False, True)
             ),
         )
         engines = {
-            cell.config.allow_approximate: cell.engine for cell in campaign.expand()
+            (cell.config.trials, cell.config.allow_approximate): cell.engine
+            for cell in campaign.expand()
         }
-        assert engines == {False: "vectorized", True: "tau-vec"}
+        assert engines == {
+            (2, False): "python",
+            (2, True): "tau",
+            (128, False): "vectorized",
+            (128, True): "tau-vec",
+        }
 
     def test_grid_is_normalized_to_points(self):
         campaign = self.campaign()

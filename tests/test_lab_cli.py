@@ -97,6 +97,12 @@ class TestCliSmoke:
         assert "approximate" in engines.stdout  # capability surfaced
         assert ">= 10000" in engines.stdout  # tau's population floor
         assert "batch" in engines.stdout and "scalar" in engines.stdout
+        # the "auto" cost rule, not a population ceiling, per engine
+        rows = {line.split()[0]: line for line in engines.stdout.splitlines()}
+        for name in ("python", "vectorized", "tau", "tau-vec"):
+            assert " + T*" in rows[name] and "us/step" in rows[name]
+        assert "cost uncalibrated" in rows["nrm"]
+        assert "<=" not in engines.stdout
 
     def test_engines_json_matches_the_registry(self, tmp_path):
         result = repro_cli("engines", "--json", cwd=tmp_path)
@@ -117,6 +123,10 @@ class TestCliSmoke:
         assert by_name["tau-vec"]["batch_capable"] is True
         assert by_name["vectorized"]["batch_capable"] is True
         assert by_name["python"]["batch_capable"] is False
+        python, vectorized = by_name["python"], by_name["vectorized"]
+        assert python["trial_step_cost"] > vectorized["trial_step_cost"]
+        assert vectorized["step_cost"] > python["step_cost"]
+        assert by_name["nrm"]["trial_step_cost"] is None
 
     def test_unknown_spec_is_a_clean_error(self, tmp_path):
         run = repro_cli(

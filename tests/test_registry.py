@@ -1,9 +1,14 @@
 """Engine registry: registration, capability metadata, and dynamic dispatch."""
 
+import itertools
+import os
+
 import pytest
 
 from repro.api.config import RunConfig
 from repro.functions.catalog import minimum_spec
+from repro.lab.aggregate import load_bench_json
+from repro.lab.campaign import resolve_engine
 from repro.sim import registry
 from repro.sim.registry import (
     EngineInfo,
@@ -71,10 +76,14 @@ class TestRegistryBasics:
         python = get_engine("python")
         assert isinstance(python, EngineInfo)
         assert python.supports_gillespie and python.supports_fair
-        # raised from 2_000 when the scalar kernel replaced the dict loops
-        assert python.max_recommended_population == 20_000
+        # no built-in publishes a population ceiling: "auto" decides by cost
+        assert python.max_recommended_population is None
         vectorized = get_engine("vectorized")
         assert vectorized.max_recommended_population is None
+        # the batch engine pays a per-lockstep-step overhead and is cheaper
+        # per trial-step; the scalar one is the reverse
+        assert vectorized.step_cost > python.step_cost
+        assert vectorized.trial_step_cost < python.trial_step_cost
         assert {info.name for info in registered_engines()} >= {"python", "vectorized"}
 
     def test_nrm_capability_metadata(self):
@@ -105,8 +114,12 @@ class TestRegistryBasics:
         payload = get_engine("tau-vec").to_dict()
         assert payload["batch_capable"] is True
         assert payload["approximate"] is True
+        assert payload["step_cost"] == get_engine("tau-vec").step_cost
+        assert payload["trial_step_cost"] == get_engine("tau-vec").trial_step_cost
         default = EngineInfo(name="x", implementation=None)
         assert default.to_dict()["batch_capable"] is False
+        assert default.to_dict()["trial_step_cost"] is None  # uncalibrated
+        assert default.cost(4) is None
 
     def test_unknown_engine_error_lists_registered_names(self):
         with pytest.raises(ValueError) as excinfo:
@@ -134,6 +147,84 @@ class TestRegistryBasics:
         with pytest.raises(TypeError, match="estimate_expected_output"):
             register_engine("incomplete")(Incomplete)
         assert "incomplete" not in engine_names()
+
+
+BENCH_JSON = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_results.json"
+)
+
+
+def auto_cost_points():
+    """``{engine: {trials: (population, seconds per step)}}`` from auto-cost/*."""
+    payload = load_bench_json(BENCH_JSON)
+    points = {}
+    for record in payload["results"]:
+        if record["name"].startswith("auto-cost/"):
+            engine = record["name"].split("/")[1]
+            trials = record["trials"]
+            per_step = record["wall_time_s"] / (record["steps"] / trials)
+            points.setdefault(engine, {})[trials] = (record["population"], per_step)
+    return points
+
+
+def fit_costs(points):
+    """Two-point fit of ``per-step wall = step_cost + trials * trial_step_cost``.
+
+    A negative intercept (noise on a scalar engine) is clamped to zero.
+    """
+    fits = {}
+    for engine, by_trials in points.items():
+        (t0, (_, w0)), (t1, (_, w1)) = sorted(by_trials.items())
+        slope = (w1 - w0) / (t1 - t0)
+        fits[engine] = (max(0.0, w0 - t0 * slope), slope)
+    return fits
+
+
+class TestAutoCostCalibration:
+    """The built-in cost constants are the fit of the ``auto-cost/*`` records.
+
+    Re-running ``benchmarks/test_bench_auto_cost.py`` on other hardware
+    rewrites those records; paste the fitted constants this class reports
+    into ``repro.sim.runner.register_builtin_engines``.
+    """
+
+    def test_every_auto_eligible_builtin_is_measured_at_two_trial_counts(self):
+        points = auto_cost_points()
+        assert set(points) == {"python", "vectorized", "tau", "tau-vec"}
+        for engine, by_trials in points.items():
+            assert sorted(by_trials) == [4, 128], engine
+
+    def test_registry_constants_reproduce_the_fit(self):
+        # compared through the predicted cost at each measured trial count,
+        # so rounding the constants to three digits stays inside tolerance
+        fits = fit_costs(auto_cost_points())
+        for engine, (step_cost, trial_step_cost) in fits.items():
+            info = get_engine(engine)
+            for trials in (4, 128):
+                fitted = step_cost + trials * trial_step_cost
+                assert info.cost(trials) == pytest.approx(fitted, rel=0.02), (
+                    f"{engine}: refit constants step_cost={step_cost:.3g}, "
+                    f"trial_step_cost={trial_step_cost:.3g}"
+                )
+
+    def test_auto_picks_the_faster_engine_of_every_measured_pair(self):
+        # Engines measured at one population belong to one class; wherever
+        # one side of a pair is >= 1.5x faster, "auto" must pick it.
+        points = auto_cost_points()
+        decided = 0
+        for a, b in itertools.combinations(sorted(points), 2):
+            for trials in set(points[a]) & set(points[b]):
+                (pop_a, wall_a), (pop_b, wall_b) = points[a][trials], points[b][trials]
+                if pop_a != pop_b or max(wall_a, wall_b) < 1.5 * min(wall_a, wall_b):
+                    continue
+                faster = a if wall_a < wall_b else b
+                config = RunConfig(
+                    trials=trials, allow_approximate=get_engine(a).approximate
+                )
+                resolved = resolve_engine("auto", (pop_a,), config)
+                assert resolved == faster, (a, b, trials)
+                decided += 1
+        assert decided == 4  # both classes, at both trial counts
 
 
 class TestRegistryDispatch:

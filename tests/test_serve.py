@@ -69,6 +69,9 @@ class TestBasicEndpoints:
         assert by_name["tau-vec"]["batch_capable"] is True
         assert by_name["tau-vec"]["approximate"] is True
         assert by_name["python"]["batch_capable"] is False
+        # ... and so does the "auto" cost rule
+        assert by_name["python"]["trial_step_cost"] > 0
+        assert by_name["vectorized"]["step_cost"] > 0
 
     def test_compile_reports_crn_shape(self, client):
         payload = client.compile("minimum")
