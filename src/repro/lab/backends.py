@@ -60,7 +60,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Set
 from repro.api.config import RunConfig
 from repro.lab.campaign import Cell
 from repro.lab.executor import PoolExecutor, run_cell_with_timeout
-from repro.lab.store import CellResult, ResultStore
+from repro.lab.store import CellResult, JsonlLog, ResultStore
 
 #: Schema tag of the queue seal file.
 QUEUE_SCHEMA = "repro-queue-v1"
@@ -69,6 +69,14 @@ QUEUE_MANIFEST_NAME = "queue.json"
 
 #: Default seconds a claim stays exclusive without renewal.
 DEFAULT_LEASE_TTL = 60.0
+
+
+def now() -> float:
+    """The wall clock lease deadlines are set and checked against.
+
+    Module-level so tests can replace it and advance time instead of sleeping.
+    """
+    return time.time()
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +298,7 @@ class SharedDirQueue(WorkQueue):
                     pass
                 continue
             lease_path = self._entry("leases", cell_id)
-            now = time.time()
+            claimed = now()
             try:
                 fd = os.open(lease_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
             except FileExistsError:
@@ -302,8 +310,8 @@ class SharedDirQueue(WorkQueue):
                     {
                         "cell_id": cell_id,
                         "worker": worker_id,
-                        "claimed_unix": now,
-                        "deadline": now + self.lease_ttl,
+                        "claimed_unix": claimed,
+                        "deadline": claimed + self.lease_ttl,
                         "pid": os.getpid(),
                         "host": socket.gethostname(),
                     },
@@ -329,7 +337,7 @@ class SharedDirQueue(WorkQueue):
 
     def _reclaim_expired(self) -> int:
         """Re-issue claim tokens for leases whose deadline has passed."""
-        now = time.time()
+        checked = now()
         reclaimed = 0
         for cell_id in self._list("leases"):
             lease_path = self._entry("leases", cell_id)
@@ -348,7 +356,7 @@ class SharedDirQueue(WorkQueue):
                     deadline = os.path.getmtime(lease_path) + self.lease_ttl
                 except OSError:
                     continue
-            if now < deadline:
+            if checked < deadline:
                 continue
             token = self._entry("pending", cell_id)
             try:
@@ -368,7 +376,7 @@ class SharedDirQueue(WorkQueue):
         meta = _read_json(lease_path)
         if meta is None or meta.get("worker") != worker_id:
             return False
-        meta["deadline"] = time.time() + (ttl if ttl is not None else self.lease_ttl)
+        meta["deadline"] = now() + (ttl if ttl is not None else self.lease_ttl)
         _atomic_write_json(lease_path, meta)
         return True
 
@@ -381,10 +389,14 @@ class SharedDirQueue(WorkQueue):
     def complete(self, cell_id: str, worker_id: str, result: CellResult) -> None:
         """Durably record ``result`` and release the lease.
 
-        Order matters: the row is appended (flushed + fsync'd) *before* the
-        done marker appears, so a done marker always has a row behind it.
+        Order matters: the row is appended and committed (fsync'd) *before*
+        the done marker appears, so a done marker always has a row behind it.
         """
-        self.worker_store(worker_id).append(result)
+        store = self.worker_store(worker_id)
+        try:
+            store.append(result)
+        finally:
+            store.close()
         _atomic_write_json(
             self._entry("done", cell_id),
             {"cell_id": cell_id, "worker": worker_id, "finished_unix": time.time()},
@@ -411,19 +423,27 @@ class SharedDirQueue(WorkQueue):
     def merged_rows(self, wanted: Optional[Set[str]] = None) -> Dict[str, CellResult]:
         """The union of every worker shard, deduplicated by ``cell_id``.
 
-        Within a shard the store's own last-write-wins dedupe applies; across
-        shards the newest row (by append order over shards sorted by name)
-        wins — sound because any two rows for one id agree on the
-        deterministic view.
+        Each shard gets the store's last-write-wins index scan, and only the
+        wanted rows are read back and parsed; across shards the newest row
+        (by append order over shards sorted by name) wins — sound because any
+        two rows for one id agree on the deterministic view.
         """
         rows: Dict[str, CellResult] = {}
         for name in self._list("results"):
             if not name.endswith(".jsonl"):
                 continue
-            store = ResultStore(self._entry("results", name))
-            for row in store.iter_rows():
-                if wanted is not None and row.cell_id not in wanted:
-                    continue
+            shard = JsonlLog(self._entry("results", name), "cell_id")
+            last, _stats = shard.index()
+            offsets = [
+                offset
+                for cell_id, offset in last.items()
+                if wanted is None or cell_id in wanted
+            ]
+            for line in shard.read_lines(offsets):
+                try:
+                    row = CellResult.from_dict(json.loads(line))
+                except (ValueError, TypeError):
+                    continue  # accepted by the fast scan, rejected by a parse
                 rows[row.cell_id] = row
         return rows
 

@@ -16,10 +16,9 @@ A cell's cache key is a SHA-256 over the *content* that determines its result:
 
 Only seeded, successful cells are cached: an unseeded run is *meant* to be
 fresh entropy, and an error may be environmental.  Values are the
-:meth:`~repro.lab.store.CellResult.deterministic_dict` payload, stored one
-JSON file per key, sharded by the first two hex digits.  Writes are atomic
-(temp file + ``os.replace``), so a concurrent or killed writer can never
-publish a torn entry; corrupted entries read as misses.
+:meth:`~repro.lab.store.CellResult.deterministic_dict` payload, appended as
+one JSONL line per put to the writer's own segment file under the cache
+root (see :class:`ResultCache`); a torn or corrupted line reads as a miss.
 """
 
 from __future__ import annotations
@@ -27,11 +26,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import secrets
+import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.core.specs import FunctionSpec
+from repro.lab.store import JsonlLog
 from repro.obs.metrics import MetricsRegistry, global_registry
 
 #: Bump when a change to the simulators / constructions invalidates old results.
@@ -46,6 +47,14 @@ FINGERPRINT_BOUND = 5
 
 #: Default cache root (relative to the working directory; see .gitignore).
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: File-name prefix of the cache's JSONL segments (see :class:`ResultCache`).
+SEGMENT_PREFIX = "seg-"
+
+#: An index entry packs a line's offset and its segment's number into one
+#: int, ``offset << _SEGMENT_BITS | segment``.
+_SEGMENT_BITS = 24
+_SEGMENT_MASK = (1 << _SEGMENT_BITS) - 1
 
 
 def _canonical_json(data: Any) -> str:
@@ -89,7 +98,35 @@ def cell_cache_key(
 
 
 class ResultCache:
-    """Content-addressed key -> JSON-payload store under a root directory.
+    """Content-addressed key -> JSON-payload memo under a root directory.
+
+    **Layout.**  The root holds per-writer append-only JSONL *segments*,
+    ``seg-<creation time>-<pid>-<random token>.jsonl``, one line
+    ``{"k": key, "v": payload}`` per :meth:`put`.  An instance opens its own
+    segment lazily, on its first put, and is that segment's only writer; the
+    line handling (torn-tail repair, group-committed fsync, reading from an
+    offset) is :class:`~repro.lab.store.JsonlLog`'s.  Anything else under the
+    root — notably the one-file-per-key shard directories of earlier versions
+    — is ignored, never read or migrated, so the first replay after that
+    upgrade runs cold once.
+
+    **Index.**  Each instance keeps a ``key -> (segment number, offset)``
+    map: no payloads, no per-entry paths, not even the keys — it is keyed by
+    ``hash(key)``, and a hit's line carries its key, which must match, so a
+    hash collision can cost a miss but never return a foreign payload.  The
+    first lookup builds it by reading every segment once; every later miss
+    extends it by tailing each segment from where the last read stopped —
+    one ``listdir`` plus one ``stat`` per segment, and a read only of
+    segments that grew — so a second server process, or a campaign sharing
+    the root, sees other writers' entries without a restart.  A hit reads its one line back.  Last write
+    wins (segments are read in creation order, then as they grow); a torn or
+    garbage line, or one still being written, reads as a miss.
+
+    **Crash contract.**  A put is written and flushed at once (other
+    processes see it immediately) and fsync'd by group commit, always on
+    :meth:`close`, which campaigns and the server call when they finish.  A
+    crash loses at most the entries since the last commit; they read as
+    misses and are recomputed.  The memo never returns a torn entry.
 
     Every instance reports into a :class:`repro.obs.metrics.MetricsRegistry`
     (the shared default unless one is passed — the server passes its own so
@@ -98,13 +135,14 @@ class ResultCache:
     * ``repro_result_cache_requests_total{result="hit"|"miss"}`` — ``get``
       outcomes;
     * ``repro_result_cache_get_seconds`` / ``repro_result_cache_put_seconds``
-      — lookup and publish (write + fsync + rename) latency histograms, the
-      numbers that expose a cache root on slow storage.
+      — lookup and publish latency histograms, the numbers that expose a
+      cache root on slow storage.
 
     A cache is always truthy, empty or not: ``if cache:`` asks whether there
-    is a cache, never how full it is.  ``len(cache)`` is an O(entries) walk
-    of the whole directory tree, kept off every per-cell and per-request
-    path; ``repr`` does not walk.
+    is a cache, never how full it is.  ``len(cache)`` counts distinct keys
+    after bringing the index up to date, which reads every segment that grew;
+    it stays off every per-cell and per-request path, and ``repr`` reads
+    nothing.
     """
 
     def __init__(
@@ -124,79 +162,131 @@ class ResultCache:
         )
         self._put_seconds = self.registry.histogram(
             "repro_result_cache_put_seconds",
-            "ResultCache.put latency (write + fsync + atomic rename).",
+            "ResultCache.put latency (segment append; fsync by group commit).",
         )
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key + ".json")
+        self._lock = threading.Lock()
+        self._index: Dict[int, int] = {}  # see _SEGMENT_BITS
+        self._segments: List[JsonlLog] = []
+        self._names: Set[str] = set()
+        self._read_to: List[int] = []  # per segment: bytes the index covers
+        self._sizes: List[int] = []  # per segment: size at the last read
+        self._own: Optional[int] = None  # this instance's segment number
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached payload for ``key``, or ``None`` (corruption reads as a miss)."""
         start = time.perf_counter()
         try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            data = None
+            data = self._lookup(key)
         finally:
             self._get_seconds.observe(time.perf_counter() - start)
-        if not isinstance(data, dict):
+        if data is None:
             self._misses.inc()
             return None
         self._hits.inc()
         return data
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
-        """Atomically and durably publish ``payload`` under ``key``.
+        """Append ``payload`` under ``key`` to this instance's segment.
 
-        Write-to-temp + ``fsync`` + ``os.replace``: a reader (including a
-        *second server process* sharing this root as its memo) can only ever
-        observe the old entry, the complete new entry, or a miss — never a
-        torn write — and a crash between the fsync and the rename leaves the
-        published entry intact.  Last writer wins, which is sound because
-        entries are content-addressed: two writers racing on one key are
-        writing the same payload.
+        The line is flushed before ``put`` returns, so a reader in another
+        process (a second server sharing this root as its memo) finds it on
+        its next miss; it can only ever observe the old entry, the complete
+        new entry, or a miss — never a torn write.  Last writer wins, which
+        is sound because entries are content-addressed: two writers racing on
+        one key are writing the same payload.
         """
         start = time.perf_counter()
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            "w",
-            encoding="utf-8",
-            dir=os.path.dirname(path),
-            prefix=".tmp-",
-            delete=False,
-        )
-        try:
-            with handle:
-                json.dump(payload, handle, sort_keys=True)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        line = _canonical_json({"k": key, "v": payload}) + "\n"
+        with self._lock:
+            if self._own is None:
+                os.makedirs(self.root, exist_ok=True)
+                self._own = self._add_segment(
+                    f"{SEGMENT_PREFIX}{time.time_ns():016x}-{os.getpid()}-"
+                    f"{secrets.token_hex(4)}.jsonl"
+                )
+            offset = self._segments[self._own].append(line.encode("utf-8"))
+            self._index[hash(key)] = offset << _SEGMENT_BITS | self._own
         self._put_seconds.observe(time.perf_counter() - start)
 
+    def close(self) -> None:
+        """Commit this instance's segment (the final group commit) and release it."""
+        with self._lock:
+            if self._own is not None:
+                self._segments[self._own].close()
+
+    def _lookup(self, key: str) -> Optional[Dict[str, Any]]:
+        with self._lock:
+            where = self._index.get(hash(key))
+            if where is None:
+                self._refresh()
+                where = self._index.get(hash(key))
+            if where is None:
+                return None
+            segment = self._segments[where & _SEGMENT_MASK]
+        try:
+            line = segment.read_line(where >> _SEGMENT_BITS)
+        except OSError:
+            return None
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            return None
+        if not isinstance(entry, dict) or entry.get("k") != key:
+            return None
+        payload = entry.get("v")
+        return payload if isinstance(payload, dict) else None
+
+    def _refresh(self) -> None:
+        """Index every complete line written to other segments since the last read."""
+        try:
+            names = sorted(
+                name
+                for name in os.listdir(self.root)
+                if name.startswith(SEGMENT_PREFIX) and name.endswith(".jsonl")
+            )
+        except OSError:
+            names = []
+        for name in names:
+            if name not in self._names:
+                self._add_segment(name)
+        for number, log in enumerate(self._segments):
+            if number == self._own:
+                continue  # our own puts index themselves
+            try:
+                size = os.stat(log.path).st_size
+            except OSError:
+                continue
+            if size == self._sizes[number]:
+                continue
+            self._sizes[number] = size
+            read_to = self._read_to[number]
+            for offset, raw in log.lines(read_to):
+                if not raw.endswith(b"\n"):
+                    break  # torn, or still being written: a miss for now
+                read_to = offset + len(raw)
+                key = log.fast_key(raw.strip())
+                if key is not None:
+                    self._index[hash(key)] = offset << _SEGMENT_BITS | number
+            self._read_to[number] = read_to
+
+    def _add_segment(self, name: str) -> int:
+        self._names.add(name)
+        self._segments.append(JsonlLog(os.path.join(self.root, name), "k"))
+        self._read_to.append(0)
+        self._sizes.append(-1)
+        return len(self._segments) - 1
+
     def __contains__(self, key: str) -> bool:
-        return os.path.exists(self._path(key))
+        return self._lookup(key) is not None
 
     def __bool__(self) -> bool:
         return True
 
     def __len__(self) -> int:
-        """Number of entries: an O(entries) directory walk, for reports only."""
-        if not os.path.isdir(self.root):
-            return 0
-        count = 0
-        for shard in os.listdir(self.root):
-            shard_dir = os.path.join(self.root, shard)
-            if os.path.isdir(shard_dir):
-                count += sum(1 for name in os.listdir(shard_dir) if name.endswith(".json"))
-        return count
+        """Number of distinct keys: reads every segment that grew, for reports only."""
+        with self._lock:
+            self._refresh()
+            return len(self._index)
 
     def __repr__(self) -> str:
         return f"ResultCache({self.root!r})"

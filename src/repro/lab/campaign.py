@@ -590,6 +590,7 @@ def run_campaign(
     campaign_span = tracer.span(
         "campaign.run", campaign=campaign.name, cells=len(cells), workers=workers
     )
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
     campaign_span.__enter__()
     try:
         # The one scan of the store: every later row is added here as it is
@@ -608,7 +609,6 @@ def run_campaign(
             else:
                 pending.append(cell)
 
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
         from_cache = 0
         to_run: List[Cell] = []
         for cell in pending:
@@ -679,6 +679,12 @@ def run_campaign(
             install_tracer(previous_tracer)
         if sink is not None:
             sink.close()
+        # The final group commit of the store and the cache segment.
+        try:
+            store.close()
+        finally:
+            if cache is not None:
+                cache.close()
 
     shards_hook = getattr(executor, "trace_shards", None)
     if sink is not None and callable(shards_hook):

@@ -3,7 +3,10 @@
 One campaign produces one ``results.jsonl`` file — one JSON object per line,
 one line per cell.  Append-only and flushed per row, so a campaign killed
 mid-run leaves a valid store behind; resume reads the completed cell ids back
-and schedules only the remainder.
+and schedules only the remainder.  The line handling — torn-tail repair,
+group-committed fsync, the last-write-wins index scan, reading from an
+offset — is :class:`JsonlLog`, which the result cache's segments and the
+shared-dir shard merge use too.
 
 The **determinism contract**: everything in :meth:`CellResult.deterministic_dict`
 is a pure function of the cell descriptor (spec fingerprint, input, config,
@@ -18,9 +21,10 @@ from __future__ import annotations
 import json
 import os
 import re
+import time
 import warnings
 from dataclasses import dataclass, fields
-from typing import Any, BinaryIO, Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 #: Fields describing how a row was produced rather than what was computed.
 #: Excluded from the deterministic view (and therefore from cache payloads).
@@ -116,15 +120,14 @@ def deterministic_view(row: Mapping[str, Any]) -> Dict[str, Any]:
     return {key: value for key, value in row.items() if key not in PROVENANCE_FIELDS}
 
 
-#: Fast path for pulling the ``cell_id`` out of a row without parsing the
-#: whole line.  Rows are written by :meth:`ResultStore.append` with sorted
-#: keys and compact separators, so the *first* occurrence of the pattern is
-#: always the real key (``cached`` and ``cell_id`` sort before every field
-#: whose value could embed the pattern as text).
-_CELL_ID_RE = re.compile(r'"cell_id":"([^"]+)"')
-
 #: Read size when searching backwards for the start of a torn final line.
 _TAIL_BLOCK = 4096
+
+#: Group commit: a :class:`JsonlLog` fsyncs once this many appended lines are
+#: unsynced, or at the first append at least :data:`COMMIT_SECONDS` after its
+#: last fsync, whichever comes first; :meth:`JsonlLog.close` always commits.
+COMMIT_ROWS = 64
+COMMIT_SECONDS = 0.2
 
 
 @dataclass
@@ -152,53 +155,219 @@ class StoreScanStats:
         return self.corrupt_interior + self.corrupt_tail
 
 
-class ResultStore:
-    """Append-only JSONL store for :class:`CellResult` rows.
+class JsonlLog:
+    """One append-only JSONL file whose lines are keyed by a string field.
 
-    Rows are flushed (and fsync'd) as they are appended, so the store is
-    always a valid prefix of the campaign — the property resume depends on.
-    A trailing partial line (the one a ``kill -9`` can leave behind) is
-    ignored on read, and the next :meth:`append` never writes onto it.
+    The line-log primitives shared by :class:`ResultStore`, the
+    :class:`~repro.lab.cache.ResultCache` segments and
+    :meth:`~repro.lab.backends.SharedDirQueue.merged_rows`:
 
-    Readers deduplicate by ``cell_id`` with last-write-wins semantics: a store
-    may legitimately hold several rows for one cell (resume re-ran a cell whose
-    earlier row was corrupted, ``--retry-errors`` superseded an error row, or a
-    distributed worker duplicated work after a lease expiry), and the newest
-    row is the canonical one.  Every read path records what it saw on
-    :attr:`last_scan` so callers can surface corruption counts.
+    * **Append.**  :meth:`append` writes and flushes one line through a handle
+      kept open between appends, so other processes see the line at once.
+      Opening the handle repairs a torn tail first
+      (:meth:`_end_at_line_boundary`), and so does an append that finds the
+      file no longer ending where this handle left it (another writer touched
+      it).  The fsync is *group-committed* (:data:`COMMIT_ROWS`,
+      :data:`COMMIT_SECONDS`), and :meth:`close` forces it.
+      A failed write or fsync drops the handle, so the next append re-opens
+      the file and repairs its tail.  A crash therefore loses at most the
+      lines appended since the last commit, and never leaves a torn line for
+      a later append to glue onto.
+    * **Indexed scan.**  :meth:`index` maps each key to the offset of its last
+      line (last write wins) in one streaming pass that pulls only the key
+      out of each interior line; :meth:`read_lines` then reads the chosen
+      lines back.
+    * **Tail.**  :meth:`lines` reads from any byte offset, which is how a
+      reader follows a log another process is still appending to.
     """
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, key: str) -> None:
         self.path = str(path)
-        self.last_scan: StoreScanStats = StoreScanStats()
+        self.key = key
+        # Lines are written with sorted keys and compact separators, so the
+        # *first* match is the real key as long as the key field sorts before
+        # every field whose value could embed the pattern as text (true of
+        # ``cell_id`` in a row and of ``k`` in a cache line).
+        self._key_re = re.compile(b'"' + re.escape(key.encode("utf-8")) + b'":"([^"]+)"')
+        self._handle: Optional[BinaryIO] = None
+        self._size = 0
+        self._unsynced = 0
+        self._synced_at = 0.0
 
-    def exists(self) -> bool:
-        return os.path.exists(self.path)
+    # -- keys ---------------------------------------------------------------
 
-    def append(self, result: CellResult) -> Dict[str, Any]:
-        """Durably append one row; returns the :meth:`CellResult.to_dict` it wrote.
+    def fast_key(self, line: bytes) -> Optional[str]:
+        """The key of a complete-looking line, without a full JSON parse.
 
-        Callers that need the row's dict form too (the cache payload) reuse
-        the returned dict instead of serializing the row a second time.
+        The regex alone would also match a line truncated *after* the key, so
+        a cheap completeness check (object lines end with ``}``) guards it;
+        the one line where truncation is actually expected — a file's final
+        one — gets :meth:`strict_key` instead.
         """
-        data = result.to_dict()
-        line = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-        with open(self.path, "a+b") as handle:
-            self._end_at_line_boundary(handle)
-            handle.write(line.encode("utf-8"))
+        if not line.endswith(b"}"):
+            return None
+        match = self._key_re.search(line)
+        if match is not None:
+            return match.group(1).decode("utf-8", "replace")
+        return self.strict_key(line)  # hand-written / re-ordered line
+
+    def strict_key(self, line: bytes) -> Optional[str]:
+        try:
+            data = json.loads(line)
+        except ValueError:
+            return None
+        value = data.get(self.key) if isinstance(data, dict) else None
+        return value if isinstance(value, str) else None
+
+    # -- reading ------------------------------------------------------------
+
+    def lines(self, start: int = 0) -> Iterator[Tuple[int, bytes]]:
+        """``(offset, line)`` for each line from byte ``start`` on, newline kept.
+
+        A final line without its newline is torn, or still being written by
+        another process.  A missing file has no lines.
+        """
+        try:
+            handle = open(self.path, "rb")
+        except FileNotFoundError:
+            return
+        with handle:
+            handle.seek(start)
+            offset = start
+            for line in handle:
+                yield offset, line
+                offset += len(line)
+
+    def read_line(self, offset: int) -> bytes:
+        """The line starting at byte ``offset``."""
+        with open(self.path, "rb") as handle:
+            handle.seek(offset)
+            return handle.readline()
+
+    def read_lines(self, offsets: Iterable[int]) -> Iterator[bytes]:
+        """The lines starting at ``offsets``, in file order."""
+        offsets = sorted(offsets)
+        if not offsets:
+            return
+        with open(self.path, "rb") as handle:
+            for offset in offsets:
+                handle.seek(offset)
+                yield handle.readline()
+
+    def index(self) -> Tuple[Dict[str, int], StoreScanStats]:
+        """Map each key to the offset of its *last* line, in one streaming pass.
+
+        Interior lines use :meth:`fast_key` — this is what makes million-row
+        resume scans cheap; the final line (the only one an interrupted
+        append can tear) gets :meth:`strict_key`, so a torn tail never
+        masquerades as a complete entry.  Unreadable interior lines are
+        counted and reported with a :class:`UserWarning`.
+        """
+        last: Dict[str, int] = {}
+        stats = StoreScanStats()
+        unreadable = 0
+
+        def take(offset: int, key: Optional[str]) -> None:
+            nonlocal unreadable
+            stats.lines += 1
+            if key is None:
+                unreadable += 1
+                return
+            if key in last:
+                stats.duplicates += 1
+            last[key] = offset
+
+        pending: Optional[Tuple[int, bytes]] = None
+        for offset, raw in self.lines():
+            line = raw.strip()
+            if not line:
+                continue
+            if pending is not None:
+                take(pending[0], self.fast_key(pending[1]))
+            pending = (offset, line)
+        if pending is not None:
+            tail_key = self.strict_key(pending[1])
+            take(pending[0], tail_key)
+            if tail_key is None:
+                unreadable -= 1
+                stats.corrupt_tail = 1
+        stats.corrupt_interior = unreadable
+        stats.rows = len(last)
+        if unreadable:
+            warnings.warn(
+                f"{self.path}: skipped {unreadable} corrupt interior "
+                "line(s); the affected cells read as incomplete and will be "
+                "re-run on resume",
+                UserWarning,
+                stacklevel=3,
+            )
+        return last, stats
+
+    # -- writing ------------------------------------------------------------
+
+    def append(self, line: bytes) -> int:
+        """Write and flush one newline-terminated line; returns its offset."""
+        try:
+            handle = self._open()
+            offset = self._size
+            handle.write(line)
             handle.flush()
-            os.fsync(handle.fileno())
-        return data
+            self._size = offset + len(line)
+            self._unsynced += 1
+            if (
+                self._unsynced >= COMMIT_ROWS
+                or time.monotonic() - self._synced_at >= COMMIT_SECONDS
+            ):
+                self._fsync(handle)
+        except BaseException:
+            self._drop()
+            raise
+        return offset
+
+    def close(self) -> None:
+        """Commit (fsync) every appended line, then release the handle.
+
+        A later :meth:`append` re-opens the file.
+        """
+        try:
+            if self._handle is not None and self._unsynced:
+                self._fsync(self._handle)
+        finally:
+            self._drop()
+
+    def _fsync(self, handle: BinaryIO) -> None:
+        os.fsync(handle.fileno())
+        self._unsynced = 0
+        self._synced_at = time.monotonic()
+
+    def _open(self) -> BinaryIO:
+        handle = self._handle
+        if handle is None:
+            handle = self._handle = open(self.path, "a+b")
+            self._synced_at = time.monotonic()
+        elif os.fstat(handle.fileno()).st_size == self._size:
+            return handle
+        self._end_at_line_boundary(handle)
+        self._size = handle.seek(0, os.SEEK_END)
+        return handle
+
+    def _drop(self) -> None:
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            try:
+                handle.close()
+            except OSError:
+                pass
 
     def _end_at_line_boundary(self, handle: BinaryIO) -> None:
-        """Make the file end with a newline before a row is appended to it.
+        """Make the file end with a newline before a line is appended to it.
 
         An append interrupted mid-write leaves a final line with no newline;
-        writing the next row after it would glue the two into one line that
-        the resume scan and :meth:`iter_rows` read differently.  A complete
-        row that lost only its newline is terminated; a torn row, which no
-        reader counts as done (so its cell runs again), is truncated away.
-        Costs a one-byte read per append unless the tail is actually torn.
+        writing the next line after it would glue the two into one line that
+        :meth:`index` and :meth:`read_lines` read differently.  A complete
+        line that lost only its newline is terminated; a torn one, which no
+        reader counts (so its cell runs again, or its cache key misses), is
+        truncated away.
         """
         end = handle.seek(0, os.SEEK_END)
         if end == 0:
@@ -216,90 +385,62 @@ class ResultStore:
                 break
             start -= step
         handle.seek(start)
-        fragment = handle.read(end - start).decode("utf-8", errors="replace")
-        if self._strict_cell_id(fragment) is not None:
+        if self.strict_key(handle.read(end - start)) is not None:
             handle.write(b"\n")
         else:
             handle.truncate(start)
 
-    @staticmethod
-    def _fast_cell_id(line: str) -> Optional[str]:
-        """``cell_id`` of a complete-looking row, without a full JSON parse.
 
-        The regex alone would also match a line truncated *after* the id, so a
-        cheap completeness check (object lines end with ``}``) guards it; the
-        one line where truncation is actually expected — the final one — gets
-        a strict parse in :meth:`_index` instead.
+class ResultStore:
+    """Append-only JSONL store for :class:`CellResult` rows.
+
+    The store is one :class:`JsonlLog` keyed by ``cell_id``.  Its append
+    handle stays open for the run: every row is written and flushed as it is
+    appended, so the file is always a valid prefix of the campaign — the
+    property resume depends on — and other processes see each row at once.
+    The fsync is group-committed (:data:`COMMIT_ROWS` rows or
+    :data:`COMMIT_SECONDS`); :meth:`close` commits and releases the handle,
+    which :func:`~repro.lab.campaign.run_campaign` does in a ``finally``.
+    A crash loses at most the rows appended since the last commit; resume
+    re-runs those cells, and since cells are deterministic their rows come
+    out identical.  A trailing partial line (the one a ``kill -9`` can leave
+    behind) is ignored on read, and the next :meth:`append` never writes onto
+    it.
+
+    Readers deduplicate by ``cell_id`` with last-write-wins semantics: a store
+    may legitimately hold several rows for one cell (resume re-ran a cell whose
+    earlier row was corrupted, ``--retry-errors`` superseded an error row, or a
+    distributed worker duplicated work after a lease expiry), and the newest
+    row is the canonical one.  Every read path records what it saw on
+    :attr:`last_scan` so callers can surface corruption counts.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = str(path)
+        self.last_scan: StoreScanStats = StoreScanStats()
+        self._log = JsonlLog(self.path, "cell_id")
+
+    def exists(self) -> bool:
+        return os.path.exists(self.path)
+
+    def append(self, result: CellResult) -> Dict[str, Any]:
+        """Append and flush one row; returns the :meth:`CellResult.to_dict` it wrote.
+
+        Callers that need the row's dict form too (the cache payload) reuse
+        the returned dict instead of serializing the row a second time.
         """
-        if not line.endswith("}"):
-            return None
-        match = _CELL_ID_RE.search(line)
-        if match is not None:
-            return match.group(1)
-        try:  # hand-written / re-ordered row: fall back to a real parse
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        cell_id = data.get("cell_id") if isinstance(data, dict) else None
-        return cell_id if isinstance(cell_id, str) else None
+        data = result.to_dict()
+        line = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+        self._log.append(line.encode("utf-8"))
+        return data
 
-    @staticmethod
-    def _strict_cell_id(line: str) -> Optional[str]:
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        cell_id = data.get("cell_id") if isinstance(data, dict) else None
-        return cell_id if isinstance(cell_id, str) else None
+    def close(self) -> None:
+        """Commit (fsync) every appended row, then release the append handle."""
+        self._log.close()
 
-    def _index(self) -> Tuple[Dict[str, int], StoreScanStats]:
-        """Map each ``cell_id`` to the line number of its *last* occurrence.
-
-        Single streaming pass, parsing only the ``cell_id`` key — this is what
-        makes million-row resume scans cheap.  Interior lines use the fast
-        scan; the final line (the only one an interrupted append can tear) is
-        fully parsed so a torn tail never masquerades as a completed cell.
-        """
-        last: Dict[str, int] = {}
-        stats = StoreScanStats()
-        corrupt_lines = 0
-
-        def take(index: int, line: str, cell_id: Optional[str]) -> None:
-            nonlocal corrupt_lines
-            stats.lines += 1
-            if cell_id is None:
-                corrupt_lines += 1
-                return
-            if cell_id in last:
-                stats.duplicates += 1
-            last[cell_id] = index
-
-        pending: Optional[Tuple[int, str]] = None
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for index, raw in enumerate(handle):
-                line = raw.strip()
-                if not line:
-                    continue
-                if pending is not None:
-                    take(pending[0], pending[1], self._fast_cell_id(pending[1]))
-                pending = (index, line)
-        if pending is not None:
-            tail_id = self._strict_cell_id(pending[1])
-            take(pending[0], pending[1], tail_id)
-            if tail_id is None and corrupt_lines:
-                corrupt_lines -= 1
-                stats.corrupt_tail = 1
-        stats.corrupt_interior = corrupt_lines
-        stats.rows = len(last)
-        if stats.corrupt_interior:
-            warnings.warn(
-                f"{self.path}: skipped {stats.corrupt_interior} corrupt interior "
-                "line(s); the affected cells read as incomplete and will be "
-                "re-run on resume",
-                UserWarning,
-                stacklevel=3,
-            )
-        return last, stats
+    def _index(self) -> Dict[str, int]:
+        last, self.last_scan = self._log.index()
+        return last
 
     def iter_rows(self, dedupe: bool = True) -> Iterator[CellResult]:
         """Stream rows in file order, one canonical row per ``cell_id``.
@@ -310,37 +451,27 @@ class ResultStore:
         restores the raw historical view (every parseable row, duplicates
         included) for forensics.
         """
-        if not os.path.exists(self.path):
-            self.last_scan = StoreScanStats()
-            return
         if dedupe:
-            last, stats = self._index()
-            self.last_scan = stats
-            keep = set(last.values())
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for index, raw in enumerate(handle):
-                    if index not in keep:
-                        continue
-                    try:
-                        yield CellResult.from_dict(json.loads(raw))
-                    except (ValueError, TypeError):
-                        # a line the fast scan accepted but a strict parse
-                        # rejects: treat it like any other interior damage
-                        self.last_scan.corrupt_interior += 1
+            for line in self._log.read_lines(self._index().values()):
+                try:
+                    yield CellResult.from_dict(json.loads(line))
+                except (ValueError, TypeError):
+                    # a line the fast scan accepted but a strict parse
+                    # rejects: treat it like any other interior damage
+                    self.last_scan.corrupt_interior += 1
             return
         self.last_scan = StoreScanStats()
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                line = raw.strip()
-                if not line:
-                    continue
-                self.last_scan.lines += 1
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                self.last_scan.rows += 1
-                yield CellResult.from_dict(data)
+        for _offset, raw in self._log.lines():
+            line = raw.strip()
+            if not line:
+                continue
+            self.last_scan.lines += 1
+            try:
+                data = json.loads(line)
+            except ValueError:
+                continue
+            self.last_scan.rows += 1
+            yield CellResult.from_dict(data)
 
     def load(self) -> List[CellResult]:
         return list(self.iter_rows())
@@ -352,21 +483,11 @@ class ResultStore:
         :class:`CellResult` — so resuming a million-cell sweep costs one pass
         of regex scans, not a million dataclass constructions.
         """
-        if not os.path.exists(self.path):
-            self.last_scan = StoreScanStats()
-            return set()
-        last, stats = self._index()
-        self.last_scan = stats
-        return set(last)
+        return set(self._index())
 
     def __len__(self) -> int:
         """Number of distinct completed cells (the deduplicated row count)."""
-        if not os.path.exists(self.path):
-            self.last_scan = StoreScanStats()
-            return 0
-        last, stats = self._index()
-        self.last_scan = stats
-        return len(last)
+        return len(self._index())
 
     def __repr__(self) -> str:
         return f"ResultStore({self.path!r})"

@@ -88,7 +88,7 @@ class ReproServer:
         self._pool = ProcessPoolExecutor(max_workers=self.workers) if self.workers else None
         metrics = ServerMetrics(version=__version__)
         # The cache reports into the server's registry, so its hit/miss and
-        # fsync-latency series show up on GET /v1/metrics alongside the
+        # latency series show up on GET /v1/metrics alongside the
         # request counters.
         cache = (
             ResultCache(self.cache_dir, registry=metrics.registry)
@@ -109,7 +109,10 @@ class ReproServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Graceful drain: stop accepting, cancel jobs, shut the pool down."""
+        """Graceful drain: stop accepting, cancel jobs, shut the pool down.
+
+        Closing the cache last runs its final group commit.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -124,6 +127,8 @@ class ReproServer:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
+        if self.state is not None and self.state.cache is not None:
+            self.state.cache.close()
 
     async def __aenter__(self) -> "ReproServer":
         await self.start()

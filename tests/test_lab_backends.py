@@ -18,7 +18,10 @@ import time
 import pytest
 
 from repro.api.config import RunConfig
+from repro.lab import backends
+from repro.lab import store as store_module
 from repro.lab.backends import (
+    DEFAULT_LEASE_TTL,
     LocalPoolBackend,
     SharedDirBackend,
     SharedDirQueue,
@@ -42,6 +45,26 @@ def tiny_campaign(seed=7, grid="0:3", name="backend-test"):
         configs=(RunConfig(trials=2),),
         seed=seed,
     )
+
+
+class FakeClock:
+    """Stands in for :func:`repro.lab.backends.now`: time moves only on demand."""
+
+    def __init__(self):
+        self.t = time.time()
+
+    def __call__(self):
+        return self.t
+
+    def advance(self, seconds):
+        self.t += seconds
+
+
+@pytest.fixture()
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(backends, "now", fake)
+    return fake
 
 
 def canonical(rows):
@@ -83,29 +106,32 @@ class TestSharedDirQueue:
         assert sorted(claimed) == sorted(c.cell_id for c in cells)
         assert len(set(claimed)) == len(claimed)
 
-    def test_expired_lease_is_reclaimable(self, tmp_path):
-        queue = SharedDirQueue(str(tmp_path / "q"), lease_ttl=0.2)
+    def test_expired_lease_is_reclaimable(self, tmp_path, clock):
+        queue = SharedDirQueue(str(tmp_path / "q"))
         cells = tiny_campaign(grid="0:1").expand()
         queue.enqueue(cells)
         first = queue.claim("dying-worker")
         assert first is not None
         # the holder "dies": never renews, never completes
+        clock.advance(DEFAULT_LEASE_TTL - 1)
         assert queue.claim("other-worker") is None  # lease still live
-        time.sleep(0.3)
+        clock.advance(2)
         second = queue.claim("other-worker")
         assert second is not None
         assert second.cell_id == first.cell_id
 
-    def test_renew_extends_only_the_holders_lease(self, tmp_path):
-        queue = SharedDirQueue(str(tmp_path / "q"), lease_ttl=0.2)
+    def test_renew_extends_only_the_holders_lease(self, tmp_path, clock):
+        queue = SharedDirQueue(str(tmp_path / "q"))
         (cell,) = tiny_campaign(grid="0:1").expand()[:1]
         queue.enqueue([cell])
         assert queue.claim("holder") is not None
-        assert queue.renew(cell.cell_id, "holder", ttl=30.0) is True
+        assert queue.renew(cell.cell_id, "holder", ttl=3 * DEFAULT_LEASE_TTL) is True
         assert queue.renew(cell.cell_id, "impostor") is False
-        time.sleep(0.3)
+        clock.advance(2 * DEFAULT_LEASE_TTL)
         # renewed past the ttl, so nobody else can steal it
         assert queue.claim("impostor") is None
+        clock.advance(2 * DEFAULT_LEASE_TTL)
+        assert queue.claim("impostor") is not None  # the renewal ran out too
 
     def test_merged_rows_dedupe_across_shards(self, tmp_path):
         queue = SharedDirQueue(str(tmp_path / "q"))
@@ -133,6 +159,28 @@ class TestSharedDirQueue:
         assert cell.cell_id in queue.merged_rows()
         # lease and token are gone: nothing is claimable
         assert queue.claim("other") is None
+
+    def test_row_is_committed_before_the_done_marker_exists(self, tmp_path, monkeypatch):
+        queue = SharedDirQueue(str(tmp_path / "q"))
+        (cell,) = tiny_campaign(grid="0:1").expand()[:1]
+        queue.enqueue([cell])
+        assert queue.claim("w") is not None
+        (row,) = SerialExecutor().map([cell])
+        marker = os.path.join(queue.root, "done", cell.cell_id)
+        shard = os.path.join(queue.root, "results", "w.jsonl")
+        fsyncs = []
+        real_fsync = store_module.JsonlLog._fsync
+
+        def recording_fsync(log, handle):
+            real_fsync(log, handle)
+            with open(log.path, "rb") as synced:
+                fsyncs.append((log.path, synced.read().count(b"\n"), os.path.exists(marker)))
+
+        monkeypatch.setattr(store_module.JsonlLog, "_fsync", recording_fsync)
+        queue.complete(cell.cell_id, "w", row)
+        # the row was on disk and fsync'd while the marker did not exist yet
+        assert fsyncs and fsyncs[-1] == (shard, 1, False)
+        assert os.path.exists(marker)
 
 
 class TestLocalPoolBackend:
@@ -211,17 +259,15 @@ class TestWorkerLoop:
         assert set(reported) == {"busy", "starved"}
         assert reported["starved"]["claimed"] == 0
 
-    def test_reclaims_a_dead_workers_cells(self, tmp_path):
+    def test_reclaims_a_dead_workers_cells(self, tmp_path, clock):
         # a worker claims two cells' worth of leases and dies without completing
-        queue = SharedDirQueue(str(tmp_path / "q"), lease_ttl=0.2)
+        queue = SharedDirQueue(str(tmp_path / "q"))
         cells = tiny_campaign(grid="0:2").expand()
         queue.enqueue(cells)
         assert queue.claim("dead-worker") is not None
         assert queue.claim("dead-worker") is not None
-        time.sleep(0.3)
-        worker_loop(
-            str(tmp_path / "q"), worker_id="survivor", lease_ttl=0.2, max_idle=10.0
-        )
+        clock.advance(DEFAULT_LEASE_TTL + 1)
+        worker_loop(str(tmp_path / "q"), worker_id="survivor", max_idle=10.0)
         merged = queue.merged_rows()
         assert set(merged) == {c.cell_id for c in cells}
         serial = list(SerialExecutor().map(cells))

@@ -100,63 +100,153 @@ class TestResultCache:
         assert len(cache) == 1
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
+        """A garbage line in a segment reads as a miss, never as a payload."""
+        root = tmp_path / "cache"
+        cache = ResultCache(str(root))
         cache.put("b" * 64, {"status": "ok"})
-        with open(cache._path("b" * 64), "w") as handle:
-            handle.write("{not json")
-        assert cache.get("b" * 64) is None
+        cache.close()
+        (segment,) = segments(root)
+        garbage = [
+            '{"k":"' + "b" * 64 + '","v":{not json}',  # passes the fast key scan
+            '{"k":"' + "b" * 64 + '","v":{"status":"o',  # cut short, newline kept
+            "\x00\x00\x00\x00",
+        ]
+        for line in garbage:
+            segment.write_text(line + "\n")
+            assert ResultCache(str(root)).get("b" * 64) is None
+
+    def test_last_write_wins_within_and_across_segments(self, tmp_path):
+        root = str(tmp_path / "cache")
+        key = "f" * 64
+        first, second = ResultCache(root), ResultCache(root)
+        first.put(key, {"v": 1})
+        first.put(key, {"v": 2})
+        assert ResultCache(root).get(key) == {"v": 2}
+        second.put(key, {"v": 3})  # a later writer's segment
+        assert ResultCache(root).get(key) == {"v": 3}
+        assert len(segments(tmp_path / "cache")) == 2
+
+    def test_a_line_still_being_written_is_picked_up_once_complete(self, tmp_path):
+        root = tmp_path / "cache"
+        reader = ResultCache(str(root))
+        assert reader.get("a" * 64) is None  # the index exists before the write
+        root.mkdir()
+        segment = root / (cache_module.SEGMENT_PREFIX + "0-1-writer.jsonl")
+        line = json.dumps({"k": "a" * 64, "v": {"status": "ok"}}) + "\n"
+        segment.write_text(line[:20])  # another process, mid-write
+        assert reader.get("a" * 64) is None
+        with open(segment, "a") as handle:
+            handle.write(line[20:])
+        assert reader.get("a" * 64) == {"status": "ok"}
+
+    def test_hash_collision_costs_a_miss_never_a_foreign_payload(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cache_module, "hash", lambda key: 0, raising=False)
+        cache = ResultCache(str(tmp_path / "cache"))
+        cache.put("a" * 64, {"cell_id": "a"})
+        cache.put("b" * 64, {"cell_id": "b"})  # same index slot
+        assert cache.get("a" * 64) is None
+        assert cache.get("b" * 64) == {"cell_id": "b"}
+
+    def test_threads_sharing_one_instance_never_lose_or_mix_entries(self, tmp_path):
+        import sys
+        import threading
+
+        cache = ResultCache(str(tmp_path / "cache"))
+        errors = []
+
+        def work(worker):
+            for k in range(50):
+                key = format(worker * 1000 + k, "x").rjust(64, "0")
+                cache.put(key, {"worker": worker, "k": k})
+                if cache.get(key) != {"worker": worker, "k": k}:
+                    errors.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        cache.close()
+        assert len(ResultCache(str(tmp_path / "cache"))) == 200
+
+    def test_old_per_key_file_layout_is_ignored(self, tmp_path):
+        root = tmp_path / "cache"
+        (root / "ab").mkdir(parents=True)
+        (root / "ab" / ("ab" * 32 + ".json")).write_text('{"status": "ok"}')
+        cache = ResultCache(str(root))
+        assert cache.get("ab" * 32) is None and len(cache) == 0
+
+
+def segments(root):
+    """The cache's segment files under ``root``, in creation order."""
+    return sorted(root.glob(cache_module.SEGMENT_PREFIX + "*.jsonl"))
+
+
+def fail_nth_write(monkeypatch, n, path_suffix=".jsonl"):
+    """Make the ``n``-th line written to a matching log land half, then ENOSPC."""
+    real_open = open
+    writes = {"n": 0}
+
+    def faulty_open(path, mode="r", *args, **kwargs):
+        handle = real_open(path, mode, *args, **kwargs)
+        if mode != "a+b" or not str(path).endswith(path_suffix):
+            return handle
+        return _CountingWriteFile(handle, writes, n)
+
+    monkeypatch.setattr(store_module, "open", faulty_open, raising=False)
+    return writes
 
 
 class TestResultCacheCrashSafety:
-    """put() is temp-file + os.replace: a crash can never publish a torn entry."""
+    """A torn append can never publish a torn entry or hide the old one."""
 
     def test_interrupted_write_leaves_the_old_entry_intact(self, tmp_path, monkeypatch):
-        """A writer killed mid-write (before the rename) must change nothing."""
-        import json as json_module
-
-        cache = ResultCache(str(tmp_path / "cache"))
+        root = tmp_path / "cache"
+        cache = ResultCache(str(root))
         key = "c" * 64
         cache.put(key, {"cell_id": "old", "status": "ok"})
+        cache.close()  # the next put re-opens the segment
 
-        original_dump = json_module.dump
-        written = {"bytes": 0}
-
-        def partial_dump(payload, handle, **kwargs):
-            # simulate the process dying after half the payload is on disk
-            text = json_module.dumps(payload, **kwargs)
-            handle.write(text[: len(text) // 2])
-            written["bytes"] = len(text) // 2
-            raise OSError("simulated crash mid-write")
-
-        monkeypatch.setattr(json_module, "dump", partial_dump)
-        with pytest.raises(OSError, match="simulated crash"):
+        fail_nth_write(monkeypatch, 1)
+        with pytest.raises(OSError):
             cache.put(key, {"cell_id": "new", "status": "ok"})
-        monkeypatch.setattr(json_module, "dump", original_dump)
+        monkeypatch.undo()
 
-        assert written["bytes"] > 0  # the injection really wrote a partial payload
-        # the published entry is the complete old payload, not the torn new one
+        (segment,) = segments(root)
+        assert not segment.read_bytes().endswith(b"\n")  # a torn line is on disk
+        # the old entry still answers, in the writer and in a fresh reader
         assert cache.get(key) == {"cell_id": "old", "status": "ok"}
-        # and the aborted temp file was cleaned up
-        shard = tmp_path / "cache" / key[:2]
-        assert [p.name for p in shard.iterdir()] == [key + ".json"]
+        assert ResultCache(str(root)).get(key) == {"cell_id": "old", "status": "ok"}
+        assert [p.name for p in root.iterdir()] == [segment.name]  # no stray file
+        # the next put repairs the torn tail before it appends
+        cache.put(key, {"cell_id": "new", "status": "ok"})
+        cache.close()
+        lines = segment.read_text().splitlines()
+        assert [json.loads(line)["v"]["cell_id"] for line in lines] == ["old", "new"]
+        assert ResultCache(str(root)).get(key) == {"cell_id": "new", "status": "ok"}
 
     def test_interrupted_first_write_reads_as_miss(self, tmp_path, monkeypatch):
-        import json as json_module
-
-        cache = ResultCache(str(tmp_path / "cache"))
+        root = tmp_path / "cache"
+        cache = ResultCache(str(root))
         key = "d" * 64
-
-        def exploding_dump(payload, handle, **kwargs):
-            handle.write('{"cell_id": "tor')  # a torn prefix
-            raise OSError("simulated crash mid-write")
-
-        monkeypatch.setattr(json_module, "dump", exploding_dump)
+        fail_nth_write(monkeypatch, 1)
         with pytest.raises(OSError):
             cache.put(key, {"cell_id": "x", "status": "ok"})
-        monkeypatch.setattr(json_module, "dump", json_module.dump)
+        monkeypatch.undo()
 
         assert cache.get(key) is None
         assert key not in cache
+        assert ResultCache(str(root)).get(key) is None
+        assert len(segments(root)) == 1 and len(list(root.iterdir())) == 1
 
 
 class TestResultCacheConcurrency:
@@ -615,35 +705,48 @@ def disk_full(*args, **kwargs):
     raise OSError(errno.ENOSPC, "No space left on device (injected)")
 
 
-class _OsWithFaultyFsync:
-    """The ``os`` module as one module sees it, with ``fsync`` replaced."""
+class _CountingWriteFile:
+    """A log handle whose ``n``-th write (counted across handles) lands half
+    its bytes, then fails with ENOSPC."""
 
-    def __init__(self, fsync):
-        self.fsync = fsync
-
-    def __getattr__(self, name):
-        return getattr(os, name)
-
-
-class _TornWriteFile:
-    """A file whose ``write`` lands half its bytes, then fails with ENOSPC."""
-
-    def __init__(self, handle):
+    def __init__(self, handle, writes, n):
         self._handle = handle
+        self._writes = writes
+        self._n = n
 
     def write(self, data):
+        self._writes["n"] += 1
+        if self._writes["n"] != self._n:
+            return self._handle.write(data)
         self._handle.write(data[: len(data) // 2])
         self._handle.flush()
         disk_full()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._handle.close()
-
     def __getattr__(self, name):
         return getattr(self._handle, name)
+
+
+def fail_fsync(monkeypatch, n, path_suffix=".jsonl"):
+    """Make the ``n``-th commit of a matching log fail with ENOSPC."""
+    real = store_module.JsonlLog._fsync
+    calls = {"n": 0}
+
+    def faulty(log, handle):
+        if log.path.endswith(path_suffix):
+            calls["n"] += 1
+            if calls["n"] == n:
+                disk_full()
+        real(log, handle)
+
+    monkeypatch.setattr(store_module.JsonlLog, "_fsync", faulty)
+    return calls
+
+
+def deterministic_rows(rows):
+    return [
+        json.dumps(r.deterministic_dict(), sort_keys=True, separators=(",", ":"))
+        for r in rows
+    ]
 
 
 class TestDiskFullFaults:
@@ -653,71 +756,256 @@ class TestDiskFullFaults:
     def test_cache_put_leaves_no_temp_file_and_no_hit(
         self, tmp_path, monkeypatch, point
     ):
-        def torn_dump(payload, handle, **kwargs):
-            text = json.dumps(payload, **kwargs)
-            handle.write(text[: len(text) // 2])
-            disk_full()
-
-        cache = ResultCache(str(tmp_path / "cache"))
+        root = tmp_path / "cache"
+        cache = ResultCache(str(root))
         key = "e" * 64
         if point == "write":
-            monkeypatch.setattr(json, "dump", torn_dump)
+            fail_nth_write(monkeypatch, 1)
         else:
-            monkeypatch.setattr(cache_module, "os", _OsWithFaultyFsync(disk_full))
+            monkeypatch.setattr(store_module, "COMMIT_ROWS", 1)
+            fail_fsync(monkeypatch, 1)
         with pytest.raises(OSError) as excinfo:
             cache.put(key, {"cell_id": "x", "status": "ok"})
         monkeypatch.undo()
 
         assert excinfo.value.errno == errno.ENOSPC
-        shard = tmp_path / "cache" / key[:2]
-        assert [p.name for p in shard.iterdir()] == []  # no .tmp- leftover
-        assert cache.get(key) is None and key not in cache
+        assert [p.name for p in root.iterdir()] == [segments(root)[0].name]
+        assert cache.get(key) is None and key not in cache  # the put failed
+        # another reader sees a miss (torn write) or the complete line whose
+        # fsync failed — never a torn payload
+        fresh = ResultCache(str(root)).get(key)
+        assert fresh == ({"cell_id": "x", "status": "ok"} if point == "fsync" else None)
+        # the failure dropped the handle: the next put re-opens and repairs
+        cache.put(key, {"cell_id": "x", "status": "ok"})
+        cache.close()
+        assert ResultCache(str(root)).get(key) == {"cell_id": "x", "status": "ok"}
+        for line in segments(root)[0].read_text().splitlines():
+            assert json.loads(line)["v"] == {"cell_id": "x", "status": "ok"}
 
-    @pytest.mark.parametrize("point", ["write", "fsync"])
+    @pytest.mark.parametrize("point", ["write", "fsync", "close"])
     def test_store_append_fault_mid_campaign_resumes_to_the_clean_rows(
         self, tmp_path, monkeypatch, point
     ):
+        """ENOSPC at the 5th row write, at a group-commit fsync, or at the
+        final close fsync: resume yields the clean rows, then nothing runs."""
         clean = run_campaign(tiny_campaign(), str(tmp_path / "clean"), cache_dir=None)
         out, cache_dir = str(tmp_path / "out"), str(tmp_path / "cache")
-        appends = {"n": 0}
-        real_open, real_fsync = open, os.fsync
-
-        def faulty_open(path, mode="r", *args, **kwargs):
-            handle = real_open(path, mode, *args, **kwargs)
-            if mode != "a+b":
-                return handle
-            appends["n"] += 1
-            return _TornWriteFile(handle) if appends["n"] == 5 else handle
-
-        def faulty_fsync(fd):
-            appends["n"] += 1
-            if appends["n"] == 5:
-                disk_full()
-            real_fsync(fd)
-
+        monkeypatch.setattr(store_module, "COMMIT_SECONDS", float("inf"))
         if point == "write":
-            monkeypatch.setattr(store_module, "open", faulty_open, raising=False)
+            fault = fail_nth_write(monkeypatch, 5, path_suffix="results.jsonl")
+        elif point == "fsync":
+            monkeypatch.setattr(store_module, "COMMIT_ROWS", 3)
+            fault = fail_fsync(monkeypatch, 2, path_suffix="results.jsonl")
         else:
-            monkeypatch.setattr(store_module, "os", _OsWithFaultyFsync(faulty_fsync))
+            fault = fail_fsync(monkeypatch, 1, path_suffix="results.jsonl")
         with pytest.raises(OSError) as excinfo:
             run_campaign(tiny_campaign(), out, cache_dir=cache_dir)
         monkeypatch.undo()  # the disk has room again
         assert excinfo.value.errno == errno.ENOSPC
-        assert appends["n"] == 5
+        assert fault["n"] == {"write": 5, "fsync": 2, "close": 1}[point]
         with open(os.path.join(out, "results.jsonl")) as handle:
-            tail_complete = handle.read().endswith("\n")
-        # a torn half row, or a complete row whose fsync failed
-        assert tail_complete == (point == "fsync")
-
-        def canonical(rows):
-            return [
-                json.dumps(r.deterministic_dict(), sort_keys=True, separators=(",", ":"))
-                for r in rows
-            ]
+            text = handle.read()
+        # a torn half row, or complete rows whose fsync failed
+        assert text.endswith("\n") == (point != "write")
+        rows_on_disk = {"write": 4, "fsync": 6, "close": 9}[point]
+        assert text.count("\n") == rows_on_disk
 
         resumed = run_campaign(tiny_campaign(), out, cache_dir=cache_dir)
-        assert canonical(resumed.results) == canonical(clean.results)
-        on_disk = ResultStore(os.path.join(out, "results.jsonl")).load()
-        assert canonical(on_disk) == canonical(clean.results)
+        assert resumed.already_done == rows_on_disk
+        assert deterministic_rows(resumed.results) == deterministic_rows(clean.results)
+        store = ResultStore(os.path.join(out, "results.jsonl"))
+        assert deterministic_rows(store.load()) == deterministic_rows(clean.results)
+        assert store.last_scan.corrupt_total == 0
         again = run_campaign(tiny_campaign(), out, cache_dir=cache_dir)
         assert again.executed == 0 and again.from_cache == 0
+
+    @pytest.mark.parametrize("point", ["write", "fsync"])
+    def test_failed_append_drops_the_handle_and_the_next_one_repairs(
+        self, tmp_path, monkeypatch, point
+    ):
+        store = ResultStore(str(tmp_path / "r.jsonl"))
+        row = TestResultStore().row
+        store.append(row("c1"))
+        opens = {"n": 0}
+        real_open = open
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if mode == "a+b":
+                opens["n"] += 1
+            return real_open(path, mode, *args, **kwargs)
+
+        if point == "write":
+            fail_nth_write(monkeypatch, 1)
+            store.close()
+            with pytest.raises(OSError):
+                store.append(row("c2"))
+        else:
+            fail_fsync(monkeypatch, 1)
+            store.append(row("c2"))
+            with pytest.raises(OSError):
+                store.close()
+        monkeypatch.undo()
+        monkeypatch.setattr(store_module, "open", counting_open, raising=False)
+        store.append(row("c3"))
+        store.close()
+        assert opens["n"] == 1  # the failure dropped the handle
+        expected = ["c1", "c3"] if point == "write" else ["c1", "c2", "c3"]
+        assert [r.cell_id for r in store.load()] == expected
+        assert store.last_scan.corrupt_total == 0
+
+
+class _Crash(BaseException):
+    """A simulated power cut: stops the writer wherever it is."""
+
+
+class CrashPoints:
+    """Crash-point injection over :class:`~repro.lab.store.JsonlLog` commits.
+
+    Every fsync records the committed length of its file.  With ``crash_at=k``
+    the ``k``-th fsync (counted from 0) raises :class:`_Crash` instead of
+    syncing, and so does every later one: the writer stops there.
+    :meth:`power_cut` then truncates every log to its last committed length
+    — or, ``torn``, keeps half of the first uncommitted line as well, the
+    mid-line state a crash can leave behind.  Commits happen every 2 lines
+    and on close, so a small campaign crosses several commit boundaries.
+    """
+
+    def __init__(self, monkeypatch, crash_at=None):
+        self.committed = {}
+        self.calls = 0
+        self.crash_at = crash_at
+        real = store_module.JsonlLog._fsync
+
+        def fsync(log, handle):
+            if self.crash_at is not None and self.calls >= self.crash_at:
+                raise _Crash()
+            self.calls += 1
+            real(log, handle)
+            self.committed[log.path] = os.fstat(handle.fileno()).st_size
+
+        monkeypatch.setattr(store_module.JsonlLog, "_fsync", fsync)
+        monkeypatch.setattr(store_module, "COMMIT_ROWS", 2)
+        monkeypatch.setattr(store_module, "COMMIT_SECONDS", float("inf"))
+
+    def power_cut(self, root, torn):
+        for path in root.rglob("*.jsonl"):
+            data = path.read_bytes()
+            keep = self.committed.get(str(path), 0)
+            if torn and keep < len(data):
+                newline = data.find(b"\n", keep)
+                line_end = newline + 1 if newline >= 0 else len(data)
+                keep += max(1, (line_end - keep) // 2)
+            path.write_bytes(data[:keep])
+
+
+def cache_payloads(cells, rows):
+    return {
+        cell.cache_key(): row.deterministic_dict()
+        for cell, row in zip(cells, rows)
+        if cell.cacheable and row.ok
+    }
+
+
+def assert_cache_never_wrong(cache_dir, payloads):
+    reader = ResultCache(cache_dir)
+    for key, payload in payloads.items():
+        assert reader.get(key) in (None, payload)
+
+
+def count_commits(monkeypatch, workload):
+    with monkeypatch.context() as patch:
+        points = CrashPoints(patch)
+        workload()
+    return points.calls
+
+
+class TestCrashPoints:
+    """Simulated crashes at every commit boundary and mid-line (ALICE-style,
+    scoped to the line log): resume always converges on the clean rows, and
+    the cache never answers with a torn or foreign payload."""
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["boundary", "mid-line"])
+    def test_cold_campaign(self, tmp_path, monkeypatch, torn):
+        campaign = tiny_campaign()
+        cells = campaign.expand()
+        clean = run_campaign(campaign, str(tmp_path / "clean"), cache_dir=None)
+        payloads = cache_payloads(cells, clean.results)
+        total = count_commits(
+            monkeypatch,
+            lambda: run_campaign(
+                campaign, str(tmp_path / "dry"), cache_dir=str(tmp_path / "dry-c")
+            ),
+        )
+        assert total >= 8  # store and cache each commit every 2 rows and on close
+        for k in range(total):
+            root = tmp_path / f"crash-{k}"
+            out, cache_dir = str(root / "out"), str(root / "cache")
+            with monkeypatch.context() as patch:
+                points = CrashPoints(patch, crash_at=k)
+                with pytest.raises(_Crash):
+                    run_campaign(campaign, out, cache_dir=cache_dir)
+            points.power_cut(root, torn)
+            assert_cache_never_wrong(cache_dir, payloads)
+
+            resumed = run_campaign(campaign, out, cache_dir=cache_dir)
+            assert deterministic_rows(resumed.results) == deterministic_rows(clean.results)
+            raw = list(ResultStore(os.path.join(out, "results.jsonl")).iter_rows(dedupe=False))
+            assert sorted(r.cell_id for r in raw) == sorted(c.cell_id for c in cells)
+            assert_cache_never_wrong(cache_dir, payloads)
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["boundary", "mid-line"])
+    def test_cache_replay(self, tmp_path, monkeypatch, torn):
+        campaign = tiny_campaign()
+        cache_dir = str(tmp_path / "cache")
+        warm = run_campaign(campaign, str(tmp_path / "warm"), cache_dir=cache_dir)
+        payloads = cache_payloads(campaign.expand(), warm.results)
+        total = count_commits(
+            monkeypatch,
+            lambda: run_campaign(campaign, str(tmp_path / "dry"), cache_dir=cache_dir),
+        )
+        assert total >= 4  # the replayed store commits every 2 rows and on close
+        for k in range(total):
+            out = tmp_path / f"replay-{k}"
+            with monkeypatch.context() as patch:
+                points = CrashPoints(patch, crash_at=k)
+                with pytest.raises(_Crash):
+                    run_campaign(campaign, str(out), cache_dir=cache_dir)
+            points.power_cut(out, torn)
+
+            resumed = run_campaign(campaign, str(out), cache_dir=cache_dir)
+            assert resumed.executed == 0
+            assert deterministic_rows(resumed.results) == deterministic_rows(warm.results)
+            raw = list(ResultStore(str(out / "results.jsonl")).iter_rows(dedupe=False))
+            assert len({r.cell_id for r in raw}) == len(raw) == warm.total_cells
+        assert_cache_never_wrong(cache_dir, payloads)
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["boundary", "mid-line"])
+    def test_interleaved_serve_puts_and_gets(self, tmp_path, monkeypatch, torn):
+        """Two servers sharing one root: miss -> put on one, hit on the other."""
+        keys = [format(k, "x").rjust(64, "0") for k in range(10)]
+        payloads = {key: {"cell_id": key[-4:], "outputs": list(range(k))}
+                    for k, key in enumerate(keys)}
+
+        def serve(root):
+            servers = [ResultCache(root), ResultCache(root)]
+            for k, key in enumerate(keys):
+                mine, other = servers[k % 2], servers[1 - k % 2]
+                if mine.get(key) is None:
+                    mine.put(key, payloads[key])
+                assert other.get(key) == payloads[key]  # live cross-process view
+            for server in servers:
+                server.close()
+
+        total = count_commits(monkeypatch, lambda: serve(str(tmp_path / "dry")))
+        assert total >= 6
+        for k in range(total):
+            root = tmp_path / f"serve-{k}"
+            with monkeypatch.context() as patch:
+                points = CrashPoints(patch, crash_at=k)
+                with pytest.raises(_Crash):
+                    serve(str(root))
+            points.power_cut(root, torn)
+            assert_cache_never_wrong(str(root), payloads)
+            serve(str(root))  # restart: misses recompute, hits replay
+            reader = ResultCache(str(root))
+            assert {key: reader.get(key) for key in keys} == payloads

@@ -26,6 +26,7 @@ import pytest
 
 from repro.api.config import RunConfig
 from repro.api.workbench import Workbench
+from repro.lab.cache import ResultCache
 from repro.lab.store import PROVENANCE_FIELDS
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.metrics import LatencyWindow, ServerMetrics, percentile
@@ -182,6 +183,44 @@ class TestCacheMemo:
         )
         assert headers["x-repro-cache"] == "hit"
         assert json.loads(body)["output_mode"] == 3
+
+    def test_second_server_on_the_root_hits_the_first_servers_miss(
+        self, tmp_path, monkeypatch
+    ):
+        """Two live servers on one cache root see each other's writes, no restart."""
+        from repro.lab import store as store_module
+
+        committed = set()
+        real_fsync = store_module.JsonlLog._fsync
+
+        def recording_fsync(log, handle):
+            real_fsync(log, handle)
+            committed.add(log.path)
+
+        monkeypatch.setattr(store_module.JsonlLog, "_fsync", recording_fsync)
+        root = tmp_path / "shared"
+        request = {"spec": "minimum", "input": [8, 5], "config": FAST_CONFIG}
+        with ServerThread(port=0, workers=0, cache_dir=str(root)) as first, ServerThread(
+            port=0, workers=0, cache_dir=str(root)
+        ) as second:
+            one = ServeClient("127.0.0.1", first.port)
+            two = ServeClient("127.0.0.1", second.port)
+            # the second server indexes the root before the first writes to it
+            _, warm, _ = two.request(
+                "POST", "/v1/simulate", {"spec": "minimum", "input": [2, 9], "config": FAST_CONFIG}
+            )
+            assert warm["x-repro-cache"] == "miss"
+            _, headers1, body1 = one.request("POST", "/v1/simulate", request)
+            _, headers2, body2 = two.request("POST", "/v1/simulate", request)
+            assert headers1["x-repro-cache"] == "miss"
+            assert headers2["x-repro-cache"] == "hit"
+            assert body2 == body1
+            assert two.stats()["engines"]["python"]["executed"] == 1  # its warm-up only
+            assert not committed  # one put each: the group commit is still pending
+        # shutting down closed each server's cache: both segments were committed
+        written = {str(path) for path in root.glob("seg-*.jsonl")}
+        assert len(written) == 2 and committed == written
+        assert len(ResultCache(str(root))) == 2
 
     def test_expected_output_repeat_hits_cache(self, client):
         first = client.expected_output("minimum", [6, 9], config=FAST_CONFIG)
