@@ -40,13 +40,7 @@ from repro.lab.aggregate import (
     summarize,
     write_bench_json,
 )
-from repro.lab.backends import (
-    LocalPoolBackend,
-    SharedDirBackend,
-    SharedDirQueue,
-    WorkQueue,
-    worker_loop,
-)
+from repro.lab.backends import SharedDirBackend, SharedDirQueue, worker_loop
 from repro.lab.cache import (
     CODE_SALT,
     DEFAULT_CACHE_DIR,
@@ -86,7 +80,6 @@ __all__ = [
     "CellResult",
     "CellTimeoutError",
     "EngineStats",
-    "LocalPoolBackend",
     "PoolExecutor",
     "ResultCache",
     "ResultStore",
@@ -94,7 +87,6 @@ __all__ = [
     "SharedDirBackend",
     "SharedDirQueue",
     "SweepGrid",
-    "WorkQueue",
     "cell_cache_key",
     "format_report",
     "register_spec_factory",

@@ -4,17 +4,16 @@ The executor seam (:func:`~repro.lab.campaign.run_campaign` accepts anything
 with ``map(cells) -> iterator of CellResult``) generalizes to a **work
 queue**: campaign cells are deterministic, content-addressed, and resumable
 from the JSONL store, so shards can be *claimed idempotently* by any number
-of hosts and the per-worker results merged by cache key.  Three pieces:
+of hosts and the per-worker results merged by cache key.  Two pieces:
 
-* :class:`WorkQueue` — the claim / lease / renew / complete protocol over
-  content-addressed cell ids;
-* :class:`LocalPoolBackend` — the degenerate backend: wraps today's
-  in-process :class:`~repro.lab.executor.PoolExecutor` bit-for-bit, so
-  ``backend="local"`` is exactly the historical behaviour;
-* :class:`SharedDirBackend` / :class:`SharedDirQueue` — a filesystem-backed
-  queue any number of ``python -m repro worker --queue-dir ...`` processes
-  can serve, coordinated purely by atomic directory-entry operations (no
-  server, no locks, works on any shared POSIX directory).
+* :class:`SharedDirQueue` — the claim / lease / renew / complete protocol
+  over content-addressed cell ids, on a filesystem any number of ``python
+  -m repro worker --queue-dir ...`` processes can serve, coordinated purely
+  by atomic directory-entry operations (no server, no locks, works on any
+  shared POSIX directory);
+* :class:`SharedDirBackend` — the executor-seam adapter ``run_campaign``
+  consumes; the local backend is :class:`~repro.lab.executor.PoolExecutor`
+  itself.
 
 **The lease contract.**  A cell is claimed by atomically creating
 ``leases/<cell_id>`` with ``O_CREAT | O_EXCL`` — exactly one claimant can
@@ -59,7 +58,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.api.config import RunConfig
 from repro.lab.campaign import Cell
-from repro.lab.executor import PoolExecutor, run_cell_with_timeout
+from repro.lab.executor import emit_cell_span, run_cell_with_timeout
 from repro.lab.store import CellResult, JsonlLog, ResultStore
 
 #: Schema tag of the queue seal file.
@@ -156,37 +155,14 @@ def default_worker_id() -> str:
 # ---------------------------------------------------------------------------
 
 
-class WorkQueue:
-    """Claim / lease / renew / complete over content-addressed cell ids.
+class SharedDirQueue:
+    """Claim / lease / renew / complete over a shared POSIX directory.
 
-    The contract every backend honours:
-
-    * :meth:`enqueue` publishes cell descriptors and claim tokens, sealing
-      the work list; enqueueing is idempotent (already-done cells are never
-      re-issued).
-    * :meth:`claim` hands *at most one* worker a given cell at a time while
-      the lease is live; expired leases are re-claimable.
-    * :meth:`renew` extends a held lease (long cells call it before work
-      whose duration may exceed the TTL).
-    * :meth:`complete` durably records the row and releases the lease;
-      completing twice is harmless (last write wins on merge).
-    """
-
-    def enqueue(self, cells: Iterable[Cell]) -> int:
-        raise NotImplementedError
-
-    def claim(self, worker_id: str) -> Optional[Cell]:
-        raise NotImplementedError
-
-    def renew(self, cell_id: str, worker_id: str, ttl: Optional[float] = None) -> bool:
-        raise NotImplementedError
-
-    def complete(self, cell_id: str, worker_id: str, result: CellResult) -> None:
-        raise NotImplementedError
-
-
-class SharedDirQueue(WorkQueue):
-    """A :class:`WorkQueue` over a shared POSIX directory (see module docs).
+    The contract (see module docs): :meth:`enqueue` publishes descriptors and
+    claim tokens idempotently and seals the work list; :meth:`claim` hands
+    *at most one* worker a cell while its lease is live; :meth:`renew`
+    extends a held lease; :meth:`complete` durably records the row and
+    releases the lease (completing twice is harmless).
 
     Every mutation is a single atomic directory operation (``O_EXCL`` create,
     ``rename``, ``replace``), so any number of worker processes — local or on
@@ -478,32 +454,6 @@ class SharedDirQueue(WorkQueue):
 # ---------------------------------------------------------------------------
 
 
-class LocalPoolBackend:
-    """The local backend: today's multiprocessing pool behind the seam.
-
-    ``map`` delegates straight to :class:`~repro.lab.executor.PoolExecutor`
-    (ordered ``imap``), so rows — provenance included — are bit-for-bit what
-    the historical executor produced.  Exists so campaign call sites select
-    backends uniformly (``"local"`` vs ``"shared-dir"``).
-    """
-
-    name = "local"
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> None:
-        self.executor = PoolExecutor(workers=workers, chunksize=chunksize, timeout=timeout)
-
-    def map(self, cells: Iterable[Cell]) -> Iterator[CellResult]:
-        yield from self.executor.map(cells)
-
-    def __repr__(self) -> str:
-        return f"LocalPoolBackend({self.executor!r})"
-
-
 class SharedDirBackend:
     """Executor-seam adapter over a :class:`SharedDirQueue`.
 
@@ -552,27 +502,29 @@ class SharedDirBackend:
         )
         last_done = -1
         last_progress = time.monotonic()
-        while True:
-            done = len(wanted & queue.done_ids())
-            if done > last_done:
-                last_done = done
-                last_progress = time.monotonic()
-            if done >= len(wanted):
-                break
-            claimed = worker.serve_one() if worker is not None else False
-            if claimed:
-                last_progress = time.monotonic()
-                continue
-            if time.monotonic() - last_progress > self.stall_timeout:
-                raise RuntimeError(
-                    f"shared-dir queue stalled: {len(wanted) - done} of "
-                    f"{len(wanted)} cells incomplete after {self.stall_timeout}s "
-                    f"without progress (queue_dir={queue.root!r}; are any "
-                    f"workers running?)"
-                )
-            time.sleep(self.poll)
-        if worker is not None:
-            worker.finish()
+        try:
+            while True:
+                done = len(wanted & queue.done_ids())
+                if done > last_done:
+                    last_done = done
+                    last_progress = time.monotonic()
+                if done >= len(wanted):
+                    break
+                claimed = worker.serve_one() if worker is not None else False
+                if claimed:
+                    last_progress = time.monotonic()
+                    continue
+                if time.monotonic() - last_progress > self.stall_timeout:
+                    raise RuntimeError(
+                        f"shared-dir queue stalled: {len(wanted) - done} of "
+                        f"{len(wanted)} cells incomplete after "
+                        f"{self.stall_timeout}s without progress "
+                        f"(queue_dir={queue.root!r}; are any workers running?)"
+                    )
+                time.sleep(self.poll)
+        finally:
+            if worker is not None:
+                worker.finish()
         rows = queue.merged_rows(wanted)
         for cell in cells:
             row = rows.get(cell.cell_id)
@@ -666,20 +618,7 @@ class _WorkerSession:
         self.stats["updated_unix"] = time.time()
         self.queue.write_worker_stats(self.worker_id, self.stats)
         if self._tracer is not None:
-            self._tracer.emit_span(
-                "lab.cell",
-                time.time() - result.wall_time,
-                result.wall_time,
-                cell=result.cell_id,
-                spec=result.spec,
-                engine=result.engine,
-                status=result.status,
-                worker=result.worker,
-                cpu_s=result.cpu_time,
-            )
-            self._tracer.event(
-                "worker.heartbeat", worker=self.worker_id, cell=result.cell_id
-            )
+            emit_cell_span(self._tracer, result, self.worker_id)
         return True
 
     def finish(self) -> Dict[str, Any]:

@@ -43,7 +43,7 @@ from repro.lab.cache import (
     cell_cache_key,
     spec_fingerprint,
 )
-from repro.lab.store import CellResult, ResultStore, deterministic_view
+from repro.lab.store import CellResult, ResultStore
 from repro.obs.provenance import run_manifest
 from repro.obs.trace import (
     JsonlTraceSink,
@@ -545,6 +545,14 @@ def run_campaign(
     Results are appended to the store in deterministic cell order (the pool
     executor's ordered ``imap`` guarantees this even across workers).
     """
+    # lab.executor imports this module, so its names are bound at call time
+    from repro.lab.executor import (
+        PoolExecutor,
+        SerialExecutor,
+        memo_lookup,
+        memo_publish,
+    )
+
     out_dir = str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
@@ -612,15 +620,8 @@ def run_campaign(
         from_cache = 0
         to_run: List[Cell] = []
         for cell in pending:
-            payload = (
-                cache.get(cell.cache_key())
-                if cache is not None and cell.cacheable
-                else None
-            )
-            if payload is not None and payload.get("cell_id") == cell.cell_id:
-                result = CellResult.from_dict(payload)
-                result.cached = True
-                result.wall_time = 0.0
+            result = memo_lookup(cache, cell)
+            if result is not None:
                 store.append(result)
                 recorded[result.cell_id] = result
                 from_cache += 1
@@ -631,8 +632,6 @@ def run_campaign(
                 to_run.append(cell)
 
         if executor is None:
-            from repro.lab.executor import PoolExecutor, SerialExecutor
-
             executor = (
                 PoolExecutor(workers=workers, chunksize=chunksize, timeout=timeout)
                 if workers > 1
@@ -644,8 +643,7 @@ def run_campaign(
             row = store.append(result)
             recorded[result.cell_id] = result
             executed += 1
-            if cache is not None and cell.cacheable and result.ok:
-                cache.put(cell.cache_key(), deterministic_view(row))
+            memo_publish(cache, cell, result, row)
             if progress:
                 progress(result, "run")
 

@@ -16,6 +16,9 @@ must produce bit-identical deterministic rows to the serial loop (enforced by
   explicit chunking.  Ordered iteration keeps the result stream (and hence
   the JSONL store) in deterministic cell order regardless of which worker
   finishes first.
+* :func:`memo_lookup` / :func:`memo_publish` — the one cache rule shared by
+  campaigns and the HTTP server: which cells consult the cache, what counts
+  as a hit, and which rows are published.
 
 Per-cell wall-clock timeouts use ``SIGALRM`` inside the worker (pool workers
 run tasks on their main thread), so a hung cell becomes a timeout error row
@@ -34,11 +37,11 @@ import os
 import signal
 import threading
 import time
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.crn.network import CRN
 from repro.lab.campaign import Cell, resolve_spec
-from repro.lab.store import CellResult
+from repro.lab.store import CellResult, deterministic_view
 from repro.obs.trace import get_tracer
 from repro.sim.runner import run_many
 
@@ -167,32 +170,24 @@ def _pool_task(payload: Tuple[Cell, Optional[float]]) -> CellResult:
     return run_cell_with_timeout(cell, timeout)
 
 
-def _traced_results(results: Iterable[CellResult]) -> Iterator[CellResult]:
-    """Emit a per-cell span + a worker heartbeat as each result arrives.
+def emit_cell_span(tracer, result: CellResult, worker: Any) -> None:
+    """Record a finished cell as a ``lab.cell`` span plus a worker heartbeat.
 
-    The pool path: results come back to the *parent* process through ordered
-    ``imap``, so the trace file has a single span writer per cell even though
-    the work happened in a forked worker — the span duration is the
-    worker-measured ``wall_time`` carried on the row.
+    For cells that ran out of the tracer's sight (a pool worker, a shared-dir
+    session): the span's duration is the ``wall_time`` carried on the row.
     """
-    tracer = get_tracer()
-    if not tracer.enabled:
-        yield from results
-        return
-    for result in results:
-        tracer.emit_span(
-            "lab.cell",
-            time.time() - result.wall_time,
-            result.wall_time,
-            cell=result.cell_id,
-            spec=result.spec,
-            engine=result.engine,
-            status=result.status,
-            worker=result.worker,
-            cpu_s=result.cpu_time,
-        )
-        tracer.event("worker.heartbeat", worker=result.worker, cell=result.cell_id)
-        yield result
+    tracer.emit_span(
+        "lab.cell",
+        time.time() - result.wall_time,
+        result.wall_time,
+        cell=result.cell_id,
+        spec=result.spec,
+        engine=result.engine,
+        status=result.status,
+        worker=result.worker,
+        cpu_s=result.cpu_time,
+    )
+    tracer.event("worker.heartbeat", worker=worker, cell=result.cell_id)
 
 
 class SerialExecutor:
@@ -258,15 +253,62 @@ class PoolExecutor:
             yield from SerialExecutor(timeout=self.timeout).map(cells)
             return
         payloads = [(cell, self.timeout) for cell in cells]
+        tracer = get_tracer()
         with multiprocessing.Pool(processes=min(self.workers, len(cells))) as pool:
             # imap (not imap_unordered): results come back in cell order, so
             # the store stays deterministic no matter the scheduling.
-            yield from _traced_results(
-                pool.imap(_pool_task, payloads, self._chunksize_for(len(cells)))
-            )
+            chunksize = self._chunksize_for(len(cells))
+            for result in pool.imap(_pool_task, payloads, chunksize):
+                if tracer.enabled:
+                    # the parent is each cell's single span writer
+                    emit_cell_span(tracer, result, result.worker)
+                yield result
 
     def __repr__(self) -> str:
         return (
             f"PoolExecutor(workers={self.workers}, chunksize={self.chunksize}, "
             f"timeout={self.timeout})"
         )
+
+
+# ---------------------------------------------------------------------------
+# The memo rule, shared by run_campaign and the HTTP server
+# ---------------------------------------------------------------------------
+
+
+def memo_lookup(
+    cache, cell: Cell, record: Optional[Callable[[bool], None]] = None
+) -> Optional[CellResult]:
+    """The cached row for ``cell``, or ``None``.
+
+    Only seeded (``cacheable``) cells consult ``cache``.  A payload is a hit
+    only if it carries the cell's own ``cell_id``; the returned row is marked
+    ``cached=True`` with ``wall_time=0.0``.  ``record``, when given, is told
+    the outcome of every consult (``True`` for a hit).
+    """
+    if cache is None or not cell.cacheable:
+        return None
+    payload = cache.get(cell.cache_key())
+    if payload is not None and payload.get("cell_id") != cell.cell_id:
+        payload = None  # another cell's entry under this key
+    if record is not None:
+        record(payload is not None)
+    if payload is None:
+        return None
+    row = CellResult.from_dict(payload)
+    row.cached = True
+    row.wall_time = 0.0
+    return row
+
+
+def memo_publish(
+    cache, cell: Cell, row: CellResult, data: Optional[Mapping[str, Any]] = None
+) -> None:
+    """Publish an executed row's deterministic view; error rows never are.
+
+    ``data`` is ``row.to_dict()`` when the caller already holds it (a campaign
+    reuses the dict ``ResultStore.append`` returns), so a row is serialized once.
+    """
+    if cache is not None and cell.cacheable and row.ok:
+        data = row.to_dict() if data is None else data
+        cache.put(cell.cache_key(), deterministic_view(data))

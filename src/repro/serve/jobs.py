@@ -7,18 +7,17 @@ job cell and a local campaign cell with the same descriptor share a cache
 key, per-cell derived seed, and cell id, so their results are interchangeable
 and mutually memoizing.
 
-Lifecycle per job (one asyncio task, cells fanned out to the pool):
+Lifecycle per job (one asyncio task):
 
-1. cells whose seeded cache key hits the shared
-   :class:`~repro.lab.cache.ResultCache` are resolved without touching the
-   pool;
-2. the misses are all submitted to the ``ProcessPoolExecutor`` at once (the
-   pool provides the parallelism; the task just awaits completions);
-3. completions are folded in as they land; successful seeded rows are
-   published back to the cache;
-4. cancellation sets an event the task races against: pending pool futures
-   are cancelled, in-flight cells are abandoned (their results discarded),
-   and the job settles as ``"cancelled"`` with its partial results intact.
+1. every cell is looked up once in the shared
+   :class:`~repro.lab.cache.ResultCache` by the memo rule of
+   :mod:`repro.lab.executor`; hits are resolved without touching the pool;
+2. each miss takes the simulate endpoint's own miss path — run on the pool,
+   then published back to the cache — and is folded in as it lands; a
+   ``shared-dir`` job enqueues its misses for external workers instead;
+3. cancellation cancels the awaited work: pending pool calls are cancelled,
+   in-flight cells are abandoned (their results discarded), and the job
+   settles as ``"cancelled"`` with its partial results intact.
 
 **Backpressure** is cell-granular: the manager tracks the number of cells not
 yet finished across all live jobs, and a submission that would push the total
@@ -31,18 +30,21 @@ from __future__ import annotations
 import asyncio
 import time
 import uuid
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Awaitable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api.config import RunConfig
 from repro.lab.backends import SharedDirQueue
 from repro.lab.cache import ResultCache
 from repro.lab.campaign import Campaign, Cell
-from repro.lab.executor import run_cell
+from repro.lab.executor import memo_lookup, memo_publish, run_cell
 from repro.lab.store import CellResult
 from repro.serve.metrics import ServerMetrics
 
 #: Terminal job states.
 DONE_STATES = ("done", "cancelled", "failed")
+
+#: Seconds between polls of a shared-dir job's queue (workers signal via files).
+SHARED_DIR_POLL = 0.2
 
 
 class QueueFullError(Exception):
@@ -180,8 +182,6 @@ class JobManager:
         self.cache = cache
         self.metrics = metrics
         self.queue_limit = queue_limit
-        #: Poll interval for shared-dir jobs (workers signal via the filesystem).
-        self.shared_dir_poll = 0.2
         self.jobs: Dict[str, Job] = {}
         self._tasks: Dict[str, asyncio.Task] = {}
 
@@ -191,41 +191,33 @@ class JobManager:
     def pending_cells(self) -> int:
         return sum(job.remaining for job in self.jobs.values() if job.active)
 
-    # -- the cache memo, shared with the simulate endpoint -------------------------
+    # -- the one cell path, shared by the simulate endpoint and jobs ---------------
 
     def cache_lookup(self, cell: Cell) -> Optional[CellResult]:
         """The cached row for a cell, or ``None``; records hit/miss metrics."""
-        if self.cache is None or not cell.cacheable:
-            return None
-        payload = self.cache.get(cell.cache_key())
-        if payload is None or payload.get("cell_id") != cell.cell_id:
-            self.metrics.record_cache(False)
-            return None
-        self.metrics.record_cache(True)
-        row = CellResult.from_dict(payload)
-        row.cached = True
-        row.wall_time = 0.0
-        return row
+        return memo_lookup(self.cache, cell, self.metrics.record_cache)
 
     def cache_publish(self, cell: Cell, row: CellResult) -> None:
-        if self.cache is not None and cell.cacheable and row.ok:
-            self.cache.put(cell.cache_key(), row.deterministic_dict())
+        memo_publish(self.cache, cell, row)
 
     async def execute_cell(self, cell: Cell) -> Tuple[CellResult, bool]:
-        """Run one cell through the memo: ``(row, was_cache_hit)``.
-
-        The simulate endpoint calls this directly; job tasks use the same
-        lookup/publish pair around their fan-out.
-        """
+        """Run one cell through the memo: ``(row, was_cache_hit)``."""
         self.metrics.record_engine_request(cell.engine)
         row = self.cache_lookup(cell)
         if row is not None:
             return row, True
+        return await self._execute_miss(cell), False
+
+    async def _execute_miss(self, cell: Cell) -> CellResult:
+        """The miss half of :meth:`execute_cell`; every pool-job miss takes it."""
         loop = asyncio.get_running_loop()
         row = await loop.run_in_executor(self.pool, run_cell, cell)
+        self._executed(cell, row)
+        return row
+
+    def _executed(self, cell: Cell, row: CellResult) -> None:
         self.metrics.record_engine_executed(cell.engine)
         self.cache_publish(cell, row)
-        return row, False
 
     # -- job lifecycle --------------------------------------------------------------
 
@@ -272,56 +264,7 @@ class JobManager:
     async def _run(self, job: Job) -> None:
         try:
             job.state = "running"
-            loop = asyncio.get_running_loop()
-
-            to_run: List[Cell] = []
-            for cell in job.cells:
-                if job.cancel_event.is_set():
-                    break
-                self.metrics.record_engine_request(cell.engine)
-                row = self.cache_lookup(cell)
-                if row is not None:
-                    job.record(cell, row, from_cache=True)
-                    self.metrics.record_job_event("cells_from_cache")
-                else:
-                    to_run.append(cell)
-
-            if job.queue_dir is not None:
-                if not job.cancel_event.is_set():
-                    await self._run_shared_dir(job, to_run)
-            else:
-                by_future: Dict[asyncio.Future, Cell] = {}
-                if not job.cancel_event.is_set():
-                    for cell in to_run:
-                        by_future[loop.run_in_executor(self.pool, run_cell, cell)] = cell
-
-                pending = set(by_future)
-                waiter = asyncio.ensure_future(job.cancel_event.wait())
-                try:
-                    while pending:
-                        done, still_pending = await asyncio.wait(
-                            pending | {waiter}, return_when=asyncio.FIRST_COMPLETED
-                        )
-                        pending = still_pending - {waiter}
-                        for future in done - {waiter}:
-                            if future.cancelled():
-                                continue
-                            cell = by_future[future]
-                            row = future.result()  # run_cell never raises
-                            job.record(cell, row, from_cache=False)
-                            self.metrics.record_engine_executed(cell.engine)
-                            self.metrics.record_job_event("cells_executed")
-                            self.cache_publish(cell, row)
-                        if job.cancel_event.is_set():
-                            for future in pending:
-                                future.cancel()
-                            if pending:
-                                await asyncio.gather(*pending, return_exceptions=True)
-                            pending = set()
-                finally:
-                    waiter.cancel()
-
-            if job.cancel_event.is_set():
+            if await self._until_cancelled(job, self._run_cells(job)):
                 job.state = "cancelled"
                 self.metrics.record_job_event("cancelled")
             else:
@@ -334,46 +277,87 @@ class JobManager:
         finally:
             job.finished = time.time()
 
-    async def _run_shared_dir(self, job: Job, to_run: List[Cell]) -> None:
+    @staticmethod
+    async def _until_cancelled(job: Job, work: Awaitable[None]) -> bool:
+        """Await ``work`` unless the job is cancelled first; ``True`` if it was.
+
+        Cancellation cancels the awaited work: whatever it waits on (a pool
+        call, a queue poll) raises ``CancelledError`` there, so no row is
+        recorded once the job settles.  An exception from ``work`` propagates.
+        """
+        task = asyncio.ensure_future(work)
+        cancelled = asyncio.ensure_future(job.cancel_event.wait())
+        try:
+            await asyncio.wait((task, cancelled), return_when=asyncio.FIRST_COMPLETED)
+        finally:
+            cancelled.cancel()
+            task.cancel()
+        await asyncio.wait((task,))
+        if not task.cancelled():
+            task.result()
+        return job.cancel_event.is_set()
+
+    async def _run_cells(self, job: Job) -> None:
+        misses: List[Cell] = []
+        for cell in job.cells:
+            self.metrics.record_engine_request(cell.engine)
+            row = self.cache_lookup(cell)
+            if row is None:
+                misses.append(cell)
+            else:
+                job.record(cell, row, from_cache=True)
+                self.metrics.record_job_event("cells_from_cache")
+        if job.queue_dir is not None:
+            await self._run_shared_dir(job, misses)
+        else:
+            await self._run_pool(job, misses)
+
+    def _record_executed(self, job: Job, cell: Cell, row: CellResult) -> None:
+        job.record(cell, row, from_cache=False)
+        self.metrics.record_job_event("cells_executed")
+
+    async def _run_pool(self, job: Job, cells: List[Cell]) -> None:
+        """Start every miss on :meth:`_execute_miss`; a failing cell cancels the rest."""
+
+        async def run(cell: Cell) -> None:
+            self._record_executed(job, cell, await self._execute_miss(cell))
+
+        tasks = [asyncio.ensure_future(run(cell)) for cell in cells]
+        try:
+            await asyncio.gather(*tasks)
+        finally:
+            for task in tasks:
+                task.cancel()
+
+    async def _run_shared_dir(self, job: Job, cells: List[Cell]) -> None:
         """Drive a job's cache misses through a shared-dir work queue.
 
         The server never executes these cells itself: it enqueues them and
         polls the queue's ``done/`` markers, folding merged rows in as
         external workers complete shards.  All filesystem traffic runs on the
         loop's thread executor so the event loop stays responsive.  Rows
-        stream into ``job._rows`` incrementally, so ``GET .../results``
-        observes partial progress exactly as it does for pool jobs.
+        stream into the job incrementally, so ``GET .../results`` observes
+        partial progress exactly as it does for pool jobs.
         """
         loop = asyncio.get_running_loop()
         queue = SharedDirQueue(job.queue_dir)
-        by_id = {cell.cell_id: cell for cell in to_run}
-        await loop.run_in_executor(None, queue.enqueue, to_run)
-        folded: Set[str] = set()
-        while folded != set(by_id):
-            if job.cancel_event.is_set():
-                break
+        waiting = {cell.cell_id: cell for cell in cells}
+        await loop.run_in_executor(None, queue.enqueue, cells)
+        while waiting:
+            rows: Dict[str, CellResult] = {}
             done = await loop.run_in_executor(None, queue.done_ids)
-            fresh = (done & set(by_id)) - folded
+            fresh = done & waiting.keys()
             if fresh:
                 rows = await loop.run_in_executor(None, queue.merged_rows, fresh)
-                for cell_id in sorted(fresh):
-                    row = rows.get(cell_id)
-                    if row is None:
-                        continue  # done marker ahead of the row flush; next poll
-                    cell = by_id[cell_id]
-                    job.record(cell, row, from_cache=False)
-                    self.metrics.record_engine_executed(cell.engine)
-                    self.metrics.record_job_event("cells_executed")
-                    self.cache_publish(cell, row)
-                    folded.add(cell_id)
+            # a done marker can land ahead of its row's flush: next poll
+            for cell_id in sorted(rows):
+                cell = waiting.pop(cell_id)
+                self._executed(cell, rows[cell_id])
+                self._record_executed(job, cell, rows[cell_id])
+            if rows:
                 job.worker_stats = await loop.run_in_executor(None, queue.worker_stats)
-                continue  # something landed; re-poll immediately
-            try:
-                await asyncio.wait_for(
-                    job.cancel_event.wait(), timeout=self.shared_dir_poll
-                )
-            except asyncio.TimeoutError:
-                pass
+            else:
+                await asyncio.sleep(SHARED_DIR_POLL)
         job.worker_stats = await loop.run_in_executor(None, queue.worker_stats)
 
     async def shutdown(self) -> None:

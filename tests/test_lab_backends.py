@@ -22,7 +22,6 @@ from repro.lab import backends
 from repro.lab import store as store_module
 from repro.lab.backends import (
     DEFAULT_LEASE_TTL,
-    LocalPoolBackend,
     SharedDirBackend,
     SharedDirQueue,
     cell_from_dict,
@@ -30,7 +29,7 @@ from repro.lab.backends import (
     worker_loop,
 )
 from repro.lab.campaign import Campaign, SweepGrid, run_campaign
-from repro.lab.executor import PoolExecutor, SerialExecutor
+from repro.lab.executor import SerialExecutor
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -183,15 +182,6 @@ class TestSharedDirQueue:
         assert os.path.exists(marker)
 
 
-class TestLocalPoolBackend:
-    def test_rows_bit_identical_to_pool_executor(self):
-        cells = tiny_campaign().expand()
-        backend_rows = list(LocalPoolBackend(workers=2).map(cells))
-        pool_rows = list(PoolExecutor(workers=2).map(cells))
-        assert canonical(backend_rows) == canonical(pool_rows)
-        assert [r.cell_id for r in backend_rows] == [c.cell_id for c in cells]
-
-
 class TestSharedDirBackendIdentity:
     def test_participating_run_identical_to_serial(self, tmp_path):
         campaign = tiny_campaign()
@@ -236,6 +226,33 @@ class TestSharedDirBackendIdentity:
         )
         with pytest.raises(RuntimeError, match="stalled"):
             list(backend.map(tiny_campaign(grid="0:1").expand()))
+
+    def test_participating_stall_still_finishes_the_session(self, tmp_path):
+        queue_dir = str(tmp_path / "queue")
+        cells = tiny_campaign().expand()[:2]
+        queue = SharedDirQueue(queue_dir)
+        queue.enqueue(cells)
+        held = queue.claim("foreign")  # a live lease no one will complete
+        backend = SharedDirBackend(
+            queue_dir=queue_dir,
+            poll=0.01,
+            stall_timeout=0.2,
+            worker_id="coordinator",
+            trace=True,
+        )
+        with pytest.raises(RuntimeError, match="stalled"):
+            list(backend.map(cells))
+
+        assert queue.done_ids() == {c.cell_id for c in cells} - {held.cell_id}
+        assert queue.worker_stats()["coordinator"]["executed"] == 1
+        traces = os.path.realpath(os.path.join(queue_dir, "traces"))
+        open_paths = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                open_paths.append(os.readlink(os.path.join("/proc/self/fd", fd)))
+            except OSError:
+                continue  # the listing's own descriptor, already closed
+        assert not [path for path in open_paths if path.startswith(traces)]
 
 
 class TestWorkerLoop:

@@ -6,7 +6,14 @@ import pytest
 
 from repro.api.config import RunConfig
 from repro.lab.campaign import Campaign, SweepGrid, register_spec_factory
-from repro.lab.executor import PoolExecutor, SerialExecutor, run_cell, run_cell_with_timeout
+from repro.lab.executor import (
+    PoolExecutor,
+    SerialExecutor,
+    memo_lookup,
+    memo_publish,
+    run_cell,
+    run_cell_with_timeout,
+)
 from repro.core.specs import FunctionSpec
 
 
@@ -159,3 +166,73 @@ class TestTimeout:
         assert run_cell_with_timeout(cell, timeout=5.0).ok
         remaining, interval = signal_module.setitimer(signal_module.ITIMER_REAL, 0.0)
         assert remaining == 0.0 and interval == 0.0
+
+
+class FakeCache:
+    """A dict behind ``get``/``put`` that remembers every call."""
+
+    def __init__(self, entries=None):
+        self.entries = dict(entries or {})
+        self.gets = []
+        self.puts = []
+
+    def get(self, key):
+        self.gets.append(key)
+        return self.entries.get(key)
+
+    def put(self, key, payload):
+        self.puts.append(key)
+        self.entries[key] = payload
+
+
+class TestMemoRule:
+    def test_hit_is_marked_cached_with_zero_wall_time(self):
+        cell = seeded_cells(grid="0:1")[0]
+        cache = FakeCache()
+        row = run_cell(cell)
+        memo_publish(cache, cell, row)
+        outcomes = []
+        hit = memo_lookup(cache, cell, outcomes.append)
+        assert hit.cached is True and hit.wall_time == 0.0
+        assert hit.deterministic_dict() == row.deterministic_dict()
+        assert outcomes == [True]
+
+    def test_foreign_cell_id_is_a_miss(self):
+        cell = seeded_cells(grid="0:1")[0]
+        payload = run_cell(cell).deterministic_dict()
+        payload["cell_id"] = "someone-else"
+        cache = FakeCache({cell.cache_key(): payload})
+        outcomes = []
+        assert memo_lookup(cache, cell, outcomes.append) is None
+        assert outcomes == [False]
+
+    def test_unseeded_cell_never_consults_the_cache(self):
+        (cell,) = Campaign(
+            name="unseeded",
+            specs=["minimum"],
+            inputs=[(1, 2)],
+            engines=("python",),
+            configs=(RunConfig(trials=2),),
+            seed=None,
+        ).expand()
+        assert not cell.cacheable
+        cache = FakeCache()
+        outcomes = []
+        assert memo_lookup(cache, cell, outcomes.append) is None
+        memo_publish(cache, cell, run_cell(cell))
+        assert cache.gets == [] and cache.puts == [] and outcomes == []
+
+    def test_error_rows_are_never_published(self):
+        (cell,) = Campaign(
+            name="err",
+            specs=[("minimum", "no-such-strategy")],
+            inputs=[(1, 1)],
+            engines=("python",),
+            seed=1,
+        ).expand()
+        row = run_cell(cell)
+        assert cell.cacheable and row.status == "error"
+        cache = FakeCache()
+        memo_publish(cache, cell, row)
+        memo_publish(cache, cell, row, row.to_dict())
+        assert cache.puts == []

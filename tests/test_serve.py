@@ -345,6 +345,37 @@ class TestJobs:
         assert final["progress"]["done"] < final["progress"]["total"]
         # cancelling a settled job is a no-op, not an error
         assert client.cancel_job(job["id"])["state"] == "cancelled"
+        # an abandoned in-flight cell records nothing after the job settles
+        settled = client.job(job["id"])["progress"]
+        time.sleep(0.5)
+        assert client.job(job["id"])["progress"] == settled
+
+    def test_each_cell_is_looked_up_once(self, client):
+        fields = dict(
+            name="lookups", specs=["minimum"], grid="0:2", engines=["python"],
+            config=FAST_CONFIG, seed=3,
+        )
+
+        def counters():
+            stats = client.stats()
+            return (
+                stats["cache"]["hits"],
+                stats["cache"]["misses"],
+                stats["engines"].get("python", {}).get("executed", 0),
+            )
+
+        hits0, misses0, executed0 = counters()
+        first = client.wait_for_job(client.submit_job(**fields)["id"])
+        cells = first["progress"]["total"]
+        hits1, misses1, executed1 = counters()
+        assert (hits1 - hits0) + (misses1 - misses0) == cells
+        assert executed1 - executed0 == cells
+
+        second = client.wait_for_job(client.submit_job(**fields)["id"])
+        assert second["progress"]["from_cache"] == cells
+        hits2, misses2, executed2 = counters()
+        assert (hits2 - hits1, misses2 - misses1) == (cells, 0)
+        assert executed2 == executed1
 
     def test_queue_backpressure_is_429_with_retry_after(self, tmp_path):
         with ServerThread(
@@ -520,6 +551,34 @@ class TestSharedDirJobs:
         assert [canonical_json(row) for row in streamed] == [
             canonical_json(r.deterministic_dict()) for r in local.results
         ]
+
+    def test_cancelled_shared_dir_job_ignores_later_rows(self, tmp_path):
+        from repro.lab.backends import worker_loop
+        from repro.serve.jobs import SHARED_DIR_POLL
+
+        queue_dir = str(tmp_path / "queue")
+        srv = ServerThread(port=0, workers=0, cache_dir=str(tmp_path / "cache"))
+        with srv:
+            client = ServeClient("127.0.0.1", srv.port)
+            job = client.submit_job(
+                name="abandoned", specs=["minimum"], grid="0:3",
+                engines=["python"], config=FAST_CONFIG, seed=5,
+                backend="shared-dir", queue_dir=queue_dir,
+            )
+            # no worker serves the queue, so only the cancel can settle it
+            cancelled_at = time.monotonic()
+            client.cancel_job(job["id"])
+            final = client.wait_for_job(job["id"], timeout=10)
+            assert final["state"] == "cancelled"
+            assert time.monotonic() - cancelled_at < 1.0
+            assert final["progress"]["done"] == 0
+
+            stats = worker_loop(queue_dir, worker_id="late", poll=0.02, max_idle=5.0)
+            assert stats["executed"] == final["progress"]["total"]
+            time.sleep(2 * SHARED_DIR_POLL)  # two polls, had the job kept polling
+            assert client.job(job["id"])["progress"] == final["progress"]
+            exiting_at = time.monotonic()
+        assert time.monotonic() - exiting_at < 5.0
 
     @pytest.mark.parametrize(
         "payload, fragment",
