@@ -16,10 +16,12 @@ import time
 import pytest
 
 from conftest import mean_seconds
+from repro.api.config import RunConfig
 from repro.core.characterization import build_crn_for
 from repro.crn.reachability import check_stable_computation_at
 from repro.functions.catalog import minimum_spec
 from repro.functions.extended import weighted_floor_spec
+from repro.lab.campaign import resolve_spec
 from repro.sim._reference import ReferenceGillespieSimulator
 from repro.sim.engine import BatchFairEngine, BatchGillespieEngine, BatchTauLeapEngine
 from repro.sim.fair import FairScheduler
@@ -30,12 +32,27 @@ from repro.sim.kernel import (
     SimulatorCore,
     TauLeapPolicy,
 )
+from repro.sim.runner import PythonEngine
 from repro.verify.stable import verify_stable_computation
 
 
 SCALAR_POPULATIONS = [10, 100, 1000, 10_000]
 BATCH_POPULATIONS = [1000, 10_000, 100_000]
 BATCH = 64
+#: The ``perfbench`` campaign's cells: four specs on a 10x10 grid of even inputs.
+PAPER_SPECS = ("minimum", "weighted_floor", "fig7", "quilt_2d_fig3b")
+PAPER_AXIS = range(0, 20, 2)
+
+
+def best_of(runs, run_once):
+    """Best wall time over ``runs`` calls of ``run_once``, with the last result."""
+    best = float("inf")
+    result = None
+    for _ in range(runs):
+        start = time.perf_counter()
+        result = run_once()
+        best = min(best, time.perf_counter() - start)
+    return best, result
 
 
 @pytest.mark.parametrize("population", SCALAR_POPULATIONS)
@@ -74,6 +91,48 @@ def test_fair_scheduler_throughput(benchmark, bench_record, population):
         mean_seconds(benchmark),
         result.steps,
     )
+
+
+def test_fair_scheduler_paper_cells(bench_record):
+    """Steps/sec of the fair kernel on paper-sized cells, through ``PythonEngine``.
+
+    The ``scalar/fair/pop*`` records run ``minimum`` at populations where an
+    applicability flag rarely flips.  Campaign cells are the other regime:
+    the ``perfbench`` campaign's 400 cells (inputs below 20, trials 4), where
+    about one flag flips per step and per-step overhead dominates.  One
+    sample runs the whole grid, several hundred milliseconds.
+    """
+    specs = [resolve_spec(name) for name in PAPER_SPECS]
+    crns = [build_crn_for(spec, name=spec.name) for spec in specs]
+    for crn in crns:
+        crn.compiled()  # compile outside the timed region, as a campaign does
+    cells = [
+        (spec, crn, (a, b))
+        for spec, crn in zip(specs, crns)
+        for a in PAPER_AXIS
+        for b in PAPER_AXIS
+    ]
+    config = RunConfig(trials=4, seed=1)
+    engine = PythonEngine()
+
+    def run_grid():
+        return [engine.run_many(crn, x, config) for _, crn, x in cells]
+
+    run_grid()  # warm-up
+    wall, reports = best_of(3, run_grid)
+    for (spec, _, x), report in zip(cells, reports):
+        assert report.all_silent_or_converged
+        assert report.outputs == [spec(x)] * config.trials, (spec.name, x)
+    steps = sum(sum(report.steps) for report in reports)
+    bench_record(
+        "scalar/fair/paper-cells",
+        max(sum(x) for _, _, x in cells),
+        wall,
+        steps,
+        cells=len(reports),
+        trials=config.trials,
+    )
+    print(f"\n[paper-cells] {len(reports)} cells, {steps:,} steps -> {steps / wall:,.0f} steps/s")
 
 
 @pytest.mark.parametrize("population", BATCH_POPULATIONS)
@@ -136,15 +195,6 @@ def test_vectorized_speedup_at_population_1e4(bench_record):
     crn = minimum_spec().known_crn
     compiled = crn.compiled()
 
-    def best_of(runs, run_once):
-        best = float("inf")
-        result = None
-        for _ in range(runs):
-            start = time.perf_counter()
-            result = run_once()
-            best = min(best, time.perf_counter() - start)
-        return best, result
-
     ReferenceGillespieSimulator(crn, rng=random.Random(1)).run_on_input(
         (population // 10, population // 10)
     )  # warm-up
@@ -198,15 +248,6 @@ def test_scalar_kernel_speedup_at_population_1e4(bench_record):
     population = 10_000
     crn = minimum_spec().known_crn
     crn.compiled()  # compile outside the timed region, as a caller would
-
-    def best_of(runs, run_once):
-        best = float("inf")
-        result = None
-        for _ in range(runs):
-            start = time.perf_counter()
-            result = run_once()
-            best = min(best, time.perf_counter() - start)
-        return best, result
 
     ReferenceGillespieSimulator(crn, rng=random.Random(1)).run_on_input(
         (population // 10, population // 10)
@@ -266,15 +307,6 @@ def test_tau_leap_step_collapse_at_population_1e5(bench_record):
     population = 100_000
     crn = minimum_spec().known_crn
     crn.compiled()  # compile outside the timed region
-
-    def best_of(runs, run_once):
-        best = float("inf")
-        result = None
-        for _ in range(runs):
-            start = time.perf_counter()
-            result = run_once()
-            best = min(best, time.perf_counter() - start)
-        return best, result
 
     def run_exact():
         core = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(1))
@@ -350,15 +382,6 @@ def test_batch_tau_throughput_compounds_scalar_tau(bench_record):
     batch = 512
     crn = minimum_spec().known_crn
     compiled = crn.compiled()  # compile outside the timed region
-
-    def best_of(runs, run_once):
-        best = float("inf")
-        result = None
-        for _ in range(runs):
-            start = time.perf_counter()
-            result = run_once()
-            best = min(best, time.perf_counter() - start)
-        return best, result
 
     def run_scalar():
         core = SimulatorCore(crn, TauLeapPolicy(), rng=random.Random(1))
@@ -511,15 +534,6 @@ def test_nrm_throughput_general_construction(bench_record):
     crn = build_crn_for(spec, strategy="general")
     crn.compiled()  # compile outside the timed region
     x = (3_000, 2_000)
-
-    def best_of(runs, run_once):
-        best = float("inf")
-        result = None
-        for _ in range(runs):
-            start = time.perf_counter()
-            result = run_once()
-            best = min(best, time.perf_counter() - start)
-        return best, result
 
     def run_nrm():
         core = SimulatorCore(crn, NextReactionPolicy(), rng=random.Random(1))

@@ -20,7 +20,10 @@ over the shared :class:`~repro.sim.engine.CompiledCRN` IR:
   ``CompiledCRN.dependency_graph[j]`` (those whose reactants share a species
   with the species ``j`` changed) are refreshed — the Gibson–Bruck dependency
   trick, which makes exact SSA scale with the number of *affected* reactions
-  instead of the number of reactions;
+  instead of the number of reactions.  The fair policy also keeps the
+  ascending list of applicable indices it chooses from, editing it only for
+  the flags that flip (about one per step on the paper's CRNs), so no step
+  rebuilds it;
 * scheduling semantics are pluggable :class:`StepPolicy` strategies —
   :class:`GillespiePolicy` (exponential clocks, propensity-proportional
   choice), :class:`NextReactionPolicy` (Gibson–Bruck next-reaction method:
@@ -43,9 +46,10 @@ while a tau-leap run collapses thousands of events into a handful of leaps.
 Every run also carries a uniform :class:`repro.obs.stats.RunStats` block
 (``result.stats``: events, selections, propensity_ops, rng_draws, wall_s) —
 the counters are plain per-stepper ints incremented at the existing call
-sites, so the random stream and the seeded draw order are untouched, and the
-disabled-tracing overhead stays inside the ≤ 2% bench ceiling
-(``benchmarks/test_bench_obs.py``).
+sites, or, for draws that come at a fixed number per fired event, a class
+constant ``rng_draws_per_event`` folded in once per run.  The random stream
+and the seeded draw order are untouched, and the disabled-tracing overhead
+stays inside the ≤ 2% bench ceiling (``benchmarks/test_bench_obs.py``).
 
 Seeding / reproducibility policy
 --------------------------------
@@ -53,14 +57,15 @@ Seeding / reproducibility policy
 The kernel consumes a :class:`random.Random` generator with *exactly* the
 draw order of the legacy loops: Gillespie draws ``expovariate(total)`` then
 ``random()`` per step; the fair policy draws one ``choice()`` (unbiased) or
-one ``random()`` (biased) per step, and propensities are multiplied in each
-reaction's own term order.  Seeded runs therefore reproduce the historical
-scalar simulators bit for bit — ``tests/test_kernel.py`` locks this against
-the frozen legacy implementation in :mod:`repro.sim._reference`.  The one
-documented divergence: a :class:`FairPolicy` bias function is evaluated once
-per reaction per run (it is static in every in-repo use), not once per step,
-so a *stateful* bias callable would observe fewer calls than under the legacy
-scheduler.
+one ``random()`` (biased) per step over the ascending applicable indices
+(the kept list equals the one the legacy loop rebuilt every step), and
+propensities are multiplied in each reaction's own term order.  Seeded runs
+therefore reproduce the historical scalar simulators bit for bit —
+``tests/test_kernel.py`` locks this against the frozen legacy implementation
+in :mod:`repro.sim._reference`.  The one documented divergence: a
+:class:`FairPolicy` bias function is evaluated once per reaction per run (it
+is static in every in-repo use), not once per step, so a *stateful* bias
+callable would observe fewer calls than under the legacy scheduler.
 
 :class:`NextReactionPolicy` is exact but consumes the stream *differently*
 from :class:`GillespiePolicy` (one exponential per reaction up front, then
@@ -74,6 +79,7 @@ from __future__ import annotations
 import math
 import random
 import time as _time
+from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -564,9 +570,10 @@ class _NRMStepper:
 
 
 class _FairStepper:
-    """Single-run fair-scheduler state: the applicability flags, kept incrementally."""
+    """Single-run fair-scheduler state: the applicability flags and the
+    ascending list of applicable indices, both kept incrementally."""
 
-    __slots__ = ("compiled", "rng", "weights", "app", "last_recomputed", "propensity_ops", "rng_draws")
+    __slots__ = ("compiled", "rng", "weights", "app", "applicable", "last_recomputed", "propensity_ops")
 
     def __init__(
         self,
@@ -578,57 +585,70 @@ class _FairStepper:
         self.rng = rng
         self.weights = weights
         self.app: List[bool] = []
+        #: The indices ``j`` with ``app[j]`` set, ascending: the list the
+        #: legacy loop rebuilt every step, so ``rng.choice`` over it makes
+        #: the same draw.  ``fired`` edits it only when a flag flips.
+        self.applicable: List[int] = []
         #: Reactions refreshed by the most recent ``fired`` call (test hook).
         self.last_recomputed: Tuple[int, ...] = ()
         #: Applicability evaluations — the fair scheduler's analogue of the
         #: kinetic steppers' propensity work, counted under the same name so
         #: :class:`repro.obs.stats.RunStats` is uniform across policies.
         self.propensity_ops: int = 0
-        #: Calls into the ``random.Random`` stream (count, never wrap).
-        self.rng_draws: int = 0
 
-    def _applicable(self, r: int, counts: List[int]) -> bool:
-        for s, k in self.compiled.reactant_terms[r]:
-            if counts[s] < k:
-                return False
-        return True
+    #: RNG draws per fired event: one ``choice()`` (unbiased, or biased with
+    #: every applicable weight zero) or one ``random()`` (biased).  A silent
+    #: select draws nothing, so, unlike the kinetic steppers, this one needs
+    #: no ``rng_draws`` counter; :meth:`SimulatorCore.run` folds the constant.
+    rng_draws_per_event = 1
 
     def start(self, counts: List[int]) -> None:
         self.app = [
-            self._applicable(r, counts) for r in range(self.compiled.n_reactions)
+            all(counts[s] >= k for s, k in terms)
+            for terms in self.compiled.reactant_terms
         ]
+        self.applicable = [j for j, flag in enumerate(self.app) if flag]
         self.propensity_ops += len(self.app)
 
     def select(self, time_now: float, max_time: float) -> Tuple[int, float]:
         """Pick a random applicable reaction (``_SILENT`` when there is none)."""
-        app = self.app
-        applicable = [j for j in range(len(app)) if app[j]]
+        applicable = self.applicable
         if not applicable:
             return _SILENT, time_now
         rng = self.rng
-        self.rng_draws += 1
-        if self.weights is None:
+        weights = self.weights
+        if weights is None:
             return rng.choice(applicable), time_now
-        weights = [self.weights[j] for j in applicable]
-        total = sum(weights)
+        total = sum(weights[j] for j in applicable)
         if total <= 0:
             return rng.choice(applicable), time_now
         pick = rng.random() * total
         cumulative = 0.0
-        for j, weight in zip(applicable, weights):
-            cumulative += weight
+        for j in applicable:
+            cumulative += weights[j]
             if pick <= cumulative:
                 return j, time_now
         return applicable[-1], time_now
 
     def fired(self, j: int, counts: List[int]) -> None:
-        """Refresh exactly the applicability flags firing ``j`` can have changed."""
+        """Recheck the flags firing ``j`` can have changed; edit ``applicable``
+        only for the ones that flip (about one per step on the paper's CRNs)."""
         dependents = self.compiled.dependency_graph[j]
         self.last_recomputed = dependents
         self.propensity_ops += len(dependents)
         app = self.app
+        reactant_terms = self.compiled.reactant_terms
         for r in dependents:
-            app[r] = self._applicable(r, counts)
+            for s, k in reactant_terms[r]:
+                if counts[s] < k:
+                    if app[r]:
+                        app[r] = False
+                        self.applicable.remove(r)
+                    break
+            else:
+                if not app[r]:
+                    app[r] = True
+                    insort(self.applicable, r)
 
     def applicability(self) -> Tuple[bool, ...]:
         """A snapshot of the incrementally-maintained applicability flags."""

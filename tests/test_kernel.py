@@ -31,6 +31,8 @@ from repro.functions.catalog import (
     quilt_2d_fig3b_spec,
     threshold_capped_spec,
 )
+from repro.functions.extended import weighted_floor_spec
+from repro.functions.paper_examples import fig7_spec
 from repro.sim._reference import ReferenceFairScheduler, ReferenceGillespieSimulator
 from repro.sim.fair import FairScheduler, output_consuming_bias, output_producing_bias
 from repro.sim.gillespie import GillespieSimulator
@@ -63,6 +65,15 @@ def build_strategy_cases():
 
 STRATEGY_CASES = build_strategy_cases()
 STRATEGY_IDS = [label for label, _, _ in STRATEGY_CASES]
+
+#: The campaign benchmark's specs, built as a campaign builds them, at tiny
+#: inputs: the regime where about one applicability flag flips per step.
+PAPER_CELL_CASES = [
+    (spec.name, build_crn_for(spec, name=spec.name), x)
+    for spec in (minimum_spec(), weighted_floor_spec(), fig7_spec(), quilt_2d_fig3b_spec())
+    for x in ((4, 6), (8, 2))
+]
+PAPER_CELL_IDS = [f"{label}{x}" for label, _, x in PAPER_CELL_CASES]
 
 
 def assert_same_gillespie(kernel_result, reference_result):
@@ -344,6 +355,78 @@ class TestIncrementalState:
             fresh = FairPolicy().bind(compiled, random.Random(0))
             fresh.start(counts)
             assert stepper.applicability() == fresh.applicability()
+
+
+    @pytest.mark.parametrize("biased", [False, True], ids=["uniform", "biased"])
+    @pytest.mark.parametrize("label,crn,x", PAPER_CELL_CASES, ids=PAPER_CELL_IDS)
+    def test_kept_applicable_list_equals_fresh_start(self, label, crn, x, biased):
+        compiled = crn.compiled()
+        policy = FairPolicy(output_producing_bias(crn) if biased else None)
+        stepper = policy.bind(compiled, random.Random(5))
+        counts = list(compiled.encode(crn.initial_configuration(x)))
+        stepper.start(counts)
+        steps = 0
+        while steps < 300:
+            j, _time = stepper.select(0.0, float("inf"))
+            if j < 0:
+                break
+            for s, delta in compiled.net_terms[j]:
+                counts[s] += delta
+            stepper.fired(j, counts)
+            steps += 1
+            fresh = FairPolicy().bind(compiled, random.Random(0))
+            fresh.start(counts)
+            assert stepper.applicability() == fresh.applicability()
+            assert stepper.applicable == [
+                r for r, flag in enumerate(fresh.applicability()) if flag
+            ]
+        assert steps > 0 and stepper.applicable == []
+
+    @pytest.mark.parametrize("label,crn,x", PAPER_CELL_CASES, ids=PAPER_CELL_IDS)
+    def test_paper_cells_bit_for_bit_with_reference(self, label, crn, x):
+        window = default_quiescence_window(x)
+        for bias_factory in (lambda crn: None, output_producing_bias):
+            for seed in range(4):
+                kernel = FairScheduler(
+                    crn, rng=random.Random(seed), bias=bias_factory(crn)
+                ).run_on_input(x, quiescence_window=window)
+                reference = ReferenceFairScheduler(
+                    crn, rng=random.Random(seed), bias=bias_factory(crn)
+                ).run_on_input(x, quiescence_window=window)
+                assert_same_fair(kernel, reference)
+
+    @pytest.mark.parametrize(
+        "spec_factory,x,biased,seed,expected",
+        [
+            (
+                quilt_2d_fig3b_spec,
+                (4, 6),
+                False,
+                1,
+                {"events": 54, "selections": 54, "propensity_ops": 296, "rng_draws": 54},
+            ),
+            (
+                weighted_floor_spec,
+                (4, 6),
+                True,
+                2,
+                {"events": 34, "selections": 34, "propensity_ops": 417, "rng_draws": 34},
+            ),
+        ],
+        ids=["quilt_2d_fig3b-uniform", "weighted_floor-biased"],
+    )
+    def test_fair_run_stats_are_pinned(self, spec_factory, x, biased, seed, expected):
+        # Literal values recorded from the kernel that rebuilt the applicable
+        # list every step: keeping it incrementally must not move a counter.
+        spec = spec_factory()
+        crn = build_crn_for(spec, name=spec.name)
+        policy = FairPolicy(output_producing_bias(crn) if biased else None)
+        result = SimulatorCore(crn, policy, rng=random.Random(seed)).run_on_input(
+            x, quiescence_window=default_quiescence_window(x)
+        )
+        stats = result.stats.to_dict()
+        del stats["wall_s"]
+        assert stats == expected
 
 
 class TestTauLeapPolicy:
