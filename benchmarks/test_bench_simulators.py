@@ -9,7 +9,6 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks --benchmark`` (the suite
 is skipped without the flag).
 """
 
-import math
 import random
 import time
 
@@ -20,7 +19,6 @@ from repro.api.config import RunConfig
 from repro.core.characterization import build_crn_for
 from repro.crn.reachability import check_stable_computation_at
 from repro.functions.catalog import minimum_spec
-from repro.functions.extended import weighted_floor_spec
 from repro.lab.campaign import resolve_spec
 from repro.sim._reference import ReferenceGillespieSimulator
 from repro.sim.engine import BatchFairEngine, BatchGillespieEngine, BatchTauLeapEngine
@@ -28,11 +26,10 @@ from repro.sim.fair import FairScheduler
 from repro.sim.gillespie import GillespieSimulator
 from repro.sim.kernel import (
     GillespiePolicy,
-    NextReactionPolicy,
     SimulatorCore,
     TauLeapPolicy,
 )
-from repro.sim.runner import PythonEngine
+from repro.sim.registry import get_engine
 from repro.verify.stable import verify_stable_computation
 
 
@@ -94,7 +91,7 @@ def test_fair_scheduler_throughput(benchmark, bench_record, population):
 
 
 def test_fair_scheduler_paper_cells(bench_record):
-    """Steps/sec of the fair kernel on paper-sized cells, through ``PythonEngine``.
+    """Steps/sec of the fair kernel on paper-sized cells, via the ``python`` engine.
 
     The ``scalar/fair/pop*`` records run ``minimum`` at populations where an
     applicability flag rarely flips.  Campaign cells are the other regime:
@@ -113,7 +110,7 @@ def test_fair_scheduler_paper_cells(bench_record):
         for b in PAPER_AXIS
     ]
     config = RunConfig(trials=4, seed=1)
-    engine = PythonEngine()
+    engine = get_engine("python")
 
     def run_grid():
         return [engine.run_many(crn, x, config) for _, crn, x in cells]
@@ -445,113 +442,6 @@ def test_batch_tau_throughput_compounds_scalar_tau(bench_record):
     assert replay.final_configuration == scalar_result.final_configuration
     assert replay.steps == scalar_result.steps
     assert replay.selections == scalar_result.selections
-
-
-def test_nrm_propensity_recompute_collapse(bench_record):
-    """Acceptance gate: Gibson-Bruck recomputes >= 2x fewer propensities per
-    step than the direct method on a general-construction network with R >= 30.
-
-    This is the before/after record for the NRM PR on the workload it targets:
-    the Lemma 6.2 general construction for ``floor((2x1+3x2)/4)`` has 38
-    reactions whose dependency graph is sparse, so the direct method's
-    whole-vector sum per select dominates while NRM touches only the fired
-    reaction's dependents.  Both sides count propensity evaluations/reads via
-    the steppers' ``propensity_ops`` counter (the direct side is counted
-    conservatively: only the sum pass, not the selection scan).  Wall time is
-    recorded for the regression guard but the gate is the per-step ratio,
-    which no GC pause can flip.
-    """
-    spec = weighted_floor_spec()
-    crn = build_crn_for(spec, strategy="general")
-    compiled = crn.compiled()
-    assert compiled.n_reactions >= 30, (
-        "the gate is only meaningful on a wide network; the general "
-        f"construction shrank to R={compiled.n_reactions}"
-    )
-    x = (3_000, 2_000)  # ~16k steps to silence
-    max_steps = 20_000
-
-    def drive(policy, seed):
-        stepper = policy.bind(compiled, random.Random(seed))
-        counts = list(compiled.encode(crn.initial_configuration(x)))
-        stepper.start(counts)
-        time_now = 0.0
-        steps = 0
-        start = time.perf_counter()
-        while steps < max_steps:
-            j, time_now = stepper.select(time_now, math.inf)
-            if j < 0:
-                break
-            for s, delta in compiled.net_terms[j]:
-                counts[s] += delta
-            stepper.fired(j, counts)
-            steps += 1
-        elapsed = time.perf_counter() - start
-        return stepper.propensity_ops, steps, elapsed
-
-    drive(NextReactionPolicy(), 1)  # warm-up
-    best = {}
-    for policy_name, policy in (("direct", GillespiePolicy()), ("nrm", NextReactionPolicy())):
-        best[policy_name] = min(
-            (drive(policy, seed) for seed in (1, 2, 3)),
-            key=lambda triple: triple[2] / max(triple[1], 1),
-        )
-
-    direct_ops, direct_steps, direct_time = best["direct"]
-    nrm_ops, nrm_steps, nrm_time = best["nrm"]
-    assert direct_steps > 1_000 and nrm_steps > 1_000
-
-    population = sum(x)
-    bench_record(
-        f"nrm-gate/direct/general-weighted-floor/R{compiled.n_reactions}",
-        population,
-        direct_time,
-        direct_steps,
-        propensity_ops=direct_ops,
-    )
-    bench_record(
-        f"nrm-gate/nrm/general-weighted-floor/R{compiled.n_reactions}",
-        population,
-        nrm_time,
-        nrm_steps,
-        propensity_ops=nrm_ops,
-    )
-    collapse = (direct_ops / direct_steps) / (nrm_ops / nrm_steps)
-    print(
-        f"\n[nrm] direct {direct_ops / direct_steps:.1f} recomputes/step, "
-        f"nrm {nrm_ops / nrm_steps:.1f} recomputes/step -> {collapse:.1f}x collapse "
-        f"on R={compiled.n_reactions} (wall: direct {direct_steps / direct_time:,.0f} ev/s, "
-        f"nrm {nrm_steps / nrm_time:,.0f} ev/s)"
-    )
-    assert collapse >= 2.0
-
-
-def test_nrm_throughput_general_construction(bench_record):
-    """Steps/sec for the full NRM engine loop (SimulatorCore) on the same
-    R=38 general-construction workload, recorded for the bench-regression
-    guard alongside the direct-method counterpart."""
-    spec = weighted_floor_spec()
-    crn = build_crn_for(spec, strategy="general")
-    crn.compiled()  # compile outside the timed region
-    x = (3_000, 2_000)
-
-    def run_nrm():
-        core = SimulatorCore(crn, NextReactionPolicy(), rng=random.Random(1))
-        return core.run_on_input(x, max_steps=200_000)
-
-    run_nrm()  # warm-up
-    nrm_time, nrm_result = best_of(3, run_nrm)
-    assert nrm_result.steps > 0
-    bench_record(
-        f"nrm/general-weighted-floor/pop{sum(x)}",
-        sum(x),
-        nrm_time,
-        nrm_result.steps,
-    )
-    print(
-        f"\n[nrm-throughput] {nrm_result.steps:,} steps in {nrm_time:.3f}s "
-        f"-> {nrm_result.steps / nrm_time:,.0f} ev/s"
-    )
 
 
 def test_exhaustive_vs_simulation_verification(benchmark):

@@ -18,8 +18,12 @@ from repro.functions.catalog import (
     quilt_2d_fig3b_spec,
     threshold_capped_spec,
 )
-from repro.sim.registry import register_engine, registered_engines, unregister_engine
-from repro.sim.runner import PythonEngine
+from repro.sim.registry import (
+    get_engine,
+    register_engine,
+    registered_engines,
+    unregister_engine,
+)
 
 
 def main() -> None:
@@ -72,10 +76,16 @@ def main() -> None:
         "traced-python",
         description="python engine + call tracing",
     )
-    class TracedEngine(PythonEngine):
+    class TracedEngine:
+        # Delegates to the registered "python" engine, printing each call.
+        python = get_engine("python")
+
         def run_many(self, crn, x, config):
             print(f"  [traced-python] run_many {crn.name} on {tuple(x)}: {config.describe()}")
-            return super().run_many(crn, x, config)
+            return self.python.run_many(crn, x, config)
+
+        def estimate_expected_output(self, crn, x, config):
+            return self.python.estimate_expected_output(crn, x, config)
 
     try:
         report = compiled.simulate((5, 8), engine="traced-python", trials=3)

@@ -73,7 +73,7 @@ class CompiledFunction:
         # Explicit per-call requests are checked against the resolved engine's
         # capability metadata: ``fair=True`` (an assertion of fair-scheduler
         # semantics, not a RunConfig field) rejects kinetic-only engines such
-        # as "nrm"/"tau", and an explicit ``epsilon=`` override rejects exact
+        # as "tau"/"tau-vec", and an explicit ``epsilon=`` override rejects exact
         # engines, which would silently ignore the error knob.
         fair = bool(overrides.pop("fair", False))
         explicit_epsilon = overrides.get("epsilon")

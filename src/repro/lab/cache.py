@@ -35,11 +35,11 @@ from repro.core.specs import FunctionSpec
 from repro.lab.store import JsonlLog
 from repro.obs.metrics import MetricsRegistry, global_registry
 
-#: Bump when a change to the simulators / constructions invalidates old results.
-#: "repro-lab-4": the "nrm" next-reaction engine landed.  Existing engines'
-#: seeded streams are locked bit for bit (tests/test_kernel.py), but the
-#: engine axis gained a value; the salt keeps any pre-NRM cache from ever
-#: answering for (or colliding with) a run that could now resolve to "nrm".
+#: Bump when a change to the simulators / constructions changes the row some
+#: existing cache key would produce: a seeded stream, an engine's semantics,
+#: or a construction.  Adding or removing an engine, or changing what
+#: ``"auto"`` resolves to, needs no bump: a cell's key hashes its resolved
+#: engine *name*, so every other entry stays valid.
 CODE_SALT = "repro-lab-5"
 
 #: Side length of the grid a spec is tabulated on for fingerprinting.

@@ -534,7 +534,7 @@ def _command_bench(args) -> int:
         name="bench-minimum",
         specs=[("minimum", "known")],
         inputs=[(p, p) for p in populations],
-        engines=("python", "vectorized", "nrm", "tau"),
+        engines=("python", "vectorized", "tau"),
         configs=(RunConfig(trials=args.trials, max_steps=10_000_000),),
         seed=1,
     )

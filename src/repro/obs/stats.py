@@ -1,18 +1,18 @@
 """`RunStats` — the uniform per-run counter block shared by every engine.
 
 Before this module existed each stepper hand-rolled its own counters
-(``propensity_ops`` on the Gillespie and NRM steppers, ``selections`` on the
-kernel result, nothing at all for propensity work under tau-leaping).
+(``propensity_ops`` on the Gillespie stepper, ``selections`` on the kernel
+result, nothing at all for propensity work under tau-leaping).
 ``RunStats`` is the one shape they all fill in now:
 
 * ``events`` — reaction firings applied to the configuration (equals the
   kernel ``steps`` count: one leap that fires 10^4 reactions is 10^4 events
   under exact semantics but one *selection*);
-* ``selections`` — scheduler iterations (draws/leaps/queue pops).  For exact
+* ``selections`` — scheduler iterations (draws/leaps).  For exact
   engines ``selections == events``; tau-leaping collapses many events into
   one selection, which is exactly the 293× win the benchmarks track;
 * ``propensity_ops`` — individual propensity (or applicability) evaluations,
-  the dependency-graph currency the NRM gate is measured in;
+  the currency the dependency-graph incremental updates save;
 * ``rng_draws`` — calls into the underlying ``random.Random`` stream.
   Counted by incrementing plain integers at the draw sites — the stream
   itself is **never** wrapped or touched, so seeded runs stay bit-identical;

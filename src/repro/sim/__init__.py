@@ -36,10 +36,7 @@ Symbol                                  Purpose
 ``output_consuming_bias``               Adversarial bias: prefer output-consuming reactions.
 ``SimulatorCore``                       The scalar step loop over the compiled IR.
 ``StepPolicy``                          Base class for pluggable scheduling strategies.
-``GillespiePolicy`` / ``FairPolicy``    The two original exact built-in step policies.
-``NextReactionPolicy``                  Exact SSA, Gibson–Bruck next-reaction method:
-                                        putative times in an indexed heap (``engine="nrm"``).
-``IndexedPriorityQueue``                Binary min-heap with O(log n) key updates (NRM core).
+``GillespiePolicy`` / ``FairPolicy``    The two exact built-in step policies.
 ``TauLeapPolicy``                       Approximate SSA: Poisson firing batches per leap
                                         (``engine="tau"``, ``RunConfig.epsilon`` knob).
 ``KernelRunResult``                     Raw result of one ``SimulatorCore.run``.
@@ -54,7 +51,7 @@ Symbol                                  Purpose
 ``ConvergenceReport``                   Aggregate statistics over repeated runs.
 ``run_to_convergence``                  One fair run until silence / quiescence.
 ``run_many``                            Repeated runs
-                                        (``engine="python"|"vectorized"|"nrm"|"tau"|"tau-vec"``).
+                                        (``engine="python"|"vectorized"|"tau"|"tau-vec"``).
 ``estimate_expected_output``            Monte-Carlo mean output under Gillespie kinetics.
 ``sweep_inputs``                        ``run_many`` over a collection of inputs (per-input seeds).
 ``default_quiescence_window``           Population-scaled convergence-detection window.
@@ -82,9 +79,7 @@ from repro.sim.engine import (
 from repro.sim.kernel import (
     FairPolicy,
     GillespiePolicy,
-    IndexedPriorityQueue,
     KernelRunResult,
-    NextReactionPolicy,
     SimulatorCore,
     StepPolicy,
     TauLeapPolicy,
@@ -133,8 +128,6 @@ __all__ = [
     "StepPolicy",
     "GillespiePolicy",
     "FairPolicy",
-    "NextReactionPolicy",
-    "IndexedPriorityQueue",
     "TauLeapPolicy",
     "KernelRunResult",
     "Trajectory",

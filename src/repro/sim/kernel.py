@@ -26,10 +26,7 @@ over the shared :class:`~repro.sim.engine.CompiledCRN` IR:
   rebuilds it;
 * scheduling semantics are pluggable :class:`StepPolicy` strategies —
   :class:`GillespiePolicy` (exponential clocks, propensity-proportional
-  choice), :class:`NextReactionPolicy` (Gibson–Bruck next-reaction method:
-  per-reaction putative firing times in an :class:`IndexedPriorityQueue`,
-  exact like the direct method but with no per-step O(R) propensity scan),
-  :class:`FairPolicy` (uniform or statically biased choice among
+  choice), :class:`FairPolicy` (uniform or statically biased choice among
   applicable reactions), and :class:`TauLeapPolicy` (approximate SSA firing
   Poisson batches of reactions per leap) — while the quiescence-window
   convergence detector, step/time bounds, trajectory recording, and
@@ -66,12 +63,6 @@ in :mod:`repro.sim._reference`.  The one documented divergence: a
 :class:`FairPolicy` bias function is evaluated once per reaction per run (it
 is static in every in-repo use), not once per step, so a *stateful* bias
 callable would observe fewer calls than under the legacy scheduler.
-
-:class:`NextReactionPolicy` is exact but consumes the stream *differently*
-from :class:`GillespiePolicy` (one exponential per reaction up front, then
-roughly one draw per step instead of two), so seeded NRM runs are not
-bit-comparable to direct-method runs; cross-engine agreement is gated
-statistically instead (``tests/test_statistical_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -81,7 +72,7 @@ import random
 import time as _time
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.crn.configuration import Configuration
 from repro.crn.species import Species
@@ -219,7 +210,7 @@ class _GillespieStepper:
         #: benchmarks/test_bench_simulators.py): the full vector at ``start``,
         #: then the whole vector per select (the total-rate sum; the choice
         #: scan prefix is not counted, which undercounts) plus ``|deps(j)|``
-        #: recomputes per fired; NRM pays only the start plus the recomputes.
+        #: recomputes per fired.
         self.propensity_ops: int = 0
         #: Calls into the ``random.Random`` stream *not* covered by the
         #: per-event constant below — i.e. the lone expovariate consumed by a
@@ -302,271 +293,6 @@ class _GillespieStepper:
     def propensities(self) -> Tuple[float, ...]:
         """A snapshot of the incrementally-maintained propensity vector."""
         return tuple(self.props)
-
-
-class IndexedPriorityQueue:
-    """A binary min-heap over ``(item, key)`` pairs with O(log n) key updates.
-
-    Items are dense nonnegative integers assigned at construction /
-    :meth:`push` time; a position map (item -> heap slot) makes
-    :meth:`update` — Gibson–Bruck's decrease/increase-key — O(log n) instead
-    of the O(n) search a plain ``heapq`` would need.  Keys are ordinarily
-    floats (putative firing times, ``math.inf`` for a disabled reaction) but
-    any mutually comparable keys work.  Ties are broken arbitrarily.
-
-    Dependency-free on purpose: the heap is small (one entry per reaction)
-    and the hot operation is ``update`` on an interior entry, which the
-    standard library's ``heapq`` does not support.
-    """
-
-    __slots__ = ("_keys", "_heap", "_pos")
-
-    def __init__(self, keys: Iterable[float] = ()) -> None:
-        self._keys: List[float] = list(keys)
-        n = len(self._keys)
-        self._heap: List[int] = list(range(n))
-        self._pos: List[int] = list(range(n))
-        for i in reversed(range(n // 2)):
-            self._sift_down(i)
-
-    # -- heap plumbing ---------------------------------------------------------
-
-    def _sift_up(self, i: int) -> None:
-        heap, keys, pos = self._heap, self._keys, self._pos
-        item = heap[i]
-        key = keys[item]
-        while i > 0:
-            parent = (i - 1) >> 1
-            other = heap[parent]
-            if keys[other] <= key:
-                break
-            heap[i] = other
-            pos[other] = i
-            i = parent
-        heap[i] = item
-        pos[item] = i
-
-    def _sift_down(self, i: int) -> None:
-        heap, keys, pos = self._heap, self._keys, self._pos
-        n = len(heap)
-        item = heap[i]
-        key = keys[item]
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
-            right = child + 1
-            if right < n and keys[heap[right]] < keys[heap[child]]:
-                child = right
-            other = heap[child]
-            if key <= keys[other]:
-                break
-            heap[i] = other
-            pos[other] = i
-            i = child
-        heap[i] = item
-        pos[item] = i
-
-    # -- the public contract ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __contains__(self, item: int) -> bool:
-        return 0 <= item < len(self._pos) and self._pos[item] >= 0
-
-    def key(self, item: int) -> float:
-        """The current key of ``item`` (KeyError if absent or popped)."""
-        if item not in self:
-            raise KeyError(f"item {item!r} is not in the queue")
-        return self._keys[item]
-
-    def top(self) -> Tuple[int, float]:
-        """The ``(item, key)`` pair with the minimum key, without removing it."""
-        if not self._heap:
-            raise IndexError("top of an empty IndexedPriorityQueue")
-        item = self._heap[0]
-        return item, self._keys[item]
-
-    def push(self, key: float) -> int:
-        """Insert a new entry; returns the item id assigned to it."""
-        item = len(self._keys)
-        self._keys.append(key)
-        self._pos.append(len(self._heap))
-        self._heap.append(item)
-        self._sift_up(len(self._heap) - 1)
-        return item
-
-    def pop(self) -> Tuple[int, float]:
-        """Remove and return the minimum ``(item, key)`` pair.
-
-        The item id is retired: ``item in queue`` becomes False and
-        :meth:`update` on it raises.  Ids are never reused.
-        """
-        heap, pos = self._heap, self._pos
-        if not heap:
-            raise IndexError("pop from an empty IndexedPriorityQueue")
-        item = heap[0]
-        pos[item] = -1
-        last = heap.pop()
-        if heap:
-            heap[0] = last
-            pos[last] = 0
-            self._sift_down(0)
-        return item, self._keys[item]
-
-    def update(self, item: int, key: float) -> None:
-        """Set ``item``'s key and restore the heap order (O(log n))."""
-        if item not in self:
-            raise KeyError(f"item {item!r} is not in the queue")
-        self._keys[item] = key
-        i = self._pos[item]
-        self._sift_up(i)
-        self._sift_down(self._pos[item])
-
-    def __repr__(self) -> str:
-        entries = ", ".join(
-            f"{item}: {self._keys[item]!r}" for item in self._heap[:8]
-        )
-        more = "" if len(self._heap) <= 8 else ", ..."
-        return f"IndexedPriorityQueue({{{entries}{more}}})"
-
-
-class NextReactionPolicy(StepPolicy):
-    """Exact SSA via the Gibson–Bruck next-reaction method (2000).
-
-    Every reaction keeps a *putative firing time* — the absolute time at
-    which it would fire next if no other reaction interfered — in an
-    :class:`IndexedPriorityQueue`; each step pops the minimum, fires it, and
-    repairs only the dependency-graph neighbours:
-
-    * the fired reaction's clock is consumed, so it gets a fresh exponential
-      draw at its new propensity;
-    * an affected reaction that stays enabled *reuses* its pending draw,
-      rescaled as ``t_new = t + (a_old / a_new) * (t_old - t)`` — valid
-      because the remaining waiting time is exponential (memoryless) and an
-      Exp(a_old) excess scales into an Exp(a_new) one;
-    * a reaction whose propensity drops to zero parks at ``math.inf``
-      (invariant: key is finite iff the propensity is positive) and gets a
-      fresh draw when re-enabled.
-
-    Statistically identical to :class:`GillespiePolicy` — both sample the
-    same CTMC — but each step costs O(|deps(j)| log R) instead of the direct
-    method's O(R) propensity scan, which wins for the dozens-of-reactions
-    networks the general construction emits.  Seeded runs are *not*
-    bit-comparable across the two (different stream consumption); the KS
-    gates in ``tests/test_statistical_equivalence.py`` are the equivalence
-    contract.
-    """
-
-    uses_time = True
-
-    def bind(self, compiled: CompiledCRN, rng: random.Random) -> "_NRMStepper":
-        return _NRMStepper(compiled, rng)
-
-
-class _NRMStepper:
-    """Single-run next-reaction state: propensities plus the putative-time queue."""
-
-    __slots__ = (
-        "compiled",
-        "rng",
-        "props",
-        "queue",
-        "time_now",
-        "last_recomputed",
-        "propensity_ops",
-        "rng_draws",
-    )
-
-    def __init__(self, compiled: CompiledCRN, rng: random.Random) -> None:
-        self.compiled = compiled
-        self.rng = rng
-        self.props: List[float] = []
-        self.queue = IndexedPriorityQueue()
-        #: The firing time returned by the most recent ``select`` — the
-        #: stepper protocol's ``fired(j, counts)`` does not receive the
-        #: clock, and the rescaling rule needs "now".
-        self.time_now = 0.0
-        #: Reactions refreshed by the most recent ``fired`` call (test hook).
-        self.last_recomputed: Tuple[int, ...] = ()
-        #: Propensity values computed or read while scheduling — comparable
-        #: with the :class:`_GillespieStepper` counter of the same name.
-        self.propensity_ops: int = 0
-        #: Calls into the ``random.Random`` stream (same contract as the
-        #: direct-method stepper: count, never wrap).
-        self.rng_draws: int = 0
-
-    # Bit-identical propensity evaluation, shared with the direct method.
-    _propensity = _GillespieStepper._propensity
-
-    def start(self, counts: List[int]) -> None:
-        rng = self.rng
-        self.time_now = 0.0
-        self.props = [
-            self._propensity(r, counts) for r in range(self.compiled.n_reactions)
-        ]
-        self.propensity_ops += len(self.props)
-        self.rng_draws += sum(1 for a in self.props if a > 0.0)
-        self.queue = IndexedPriorityQueue(
-            rng.expovariate(a) if a > 0.0 else math.inf for a in self.props
-        )
-
-    def select(self, time_now: float, max_time: float) -> Tuple[int, float]:
-        """The reaction with the earliest putative time; sentinels as usual.
-
-        ``math.inf`` at the top means every reaction is disabled
-        (``_SILENT``); a finite top past ``max_time`` clamps the clock
-        (``_TIMED_OUT``).  No randomness is consumed here — the winning time
-        was drawn when the reaction's clock was last set.
-        """
-        if not self.queue:
-            return _SILENT, time_now
-        j, t = self.queue.top()
-        if t == math.inf:
-            return _SILENT, time_now
-        if t > max_time:
-            return _TIMED_OUT, max_time
-        self.time_now = t
-        return j, t
-
-    def fired(self, j: int, counts: List[int]) -> None:
-        """Gibson–Bruck repair: fresh clock for ``j``, rescaled clocks for deps."""
-        t = self.time_now
-        dependents = self.compiled.dependency_graph[j]
-        self.last_recomputed = dependents
-        self.propensity_ops += len(dependents)
-        props = self.props
-        queue = self.queue
-        rng = self.rng
-        for r in dependents:
-            old = props[r]
-            new = self._propensity(r, counts)
-            props[r] = new
-            if r == j:
-                continue  # its clock is consumed; redrawn below regardless
-            if new <= 0.0:
-                queue.update(r, math.inf)
-            elif old > 0.0:
-                if new != old:
-                    queue.update(r, t + (old / new) * (queue.key(r) - t))
-            else:
-                queue.update(r, t + rng.expovariate(new))
-                self.rng_draws += 1
-        a = props[j]
-        if a > 0.0:
-            queue.update(j, t + rng.expovariate(a))
-            self.rng_draws += 1
-        else:
-            queue.update(j, math.inf)
-
-    def propensities(self) -> Tuple[float, ...]:
-        """A snapshot of the incrementally-maintained propensity vector."""
-        return tuple(self.props)
-
-    def putative_times(self) -> Tuple[float, ...]:
-        """A snapshot of the per-reaction putative firing times (test hook)."""
-        return tuple(self.queue.key(r) for r in range(self.compiled.n_reactions))
 
 
 class _FairStepper:

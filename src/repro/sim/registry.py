@@ -25,8 +25,13 @@ and is registered under a name with capability metadata::
 
 After registration, ``engine="my-backend"`` works everywhere an ``engine=``
 selector or :class:`~repro.api.config.RunConfig` is accepted — no dispatch
-code needs to change.  The built-in ``"python"`` and ``"vectorized"`` engines
-are registered the same way in :mod:`repro.sim.runner`.
+code needs to change.  The built-in engines (``"python"``, ``"vectorized"``,
+``"tau"``, ``"tau-vec"``) are registered the same way, from the
+``BUILTIN_ENGINES`` table of :mod:`repro.sim.runner`; a built-in's
+implementation is a :class:`~repro.sim.runner.ScalarEngine` or
+:class:`~repro.sim.runner.BatchEngine`, whose kinetic half
+(``kinetic_policy`` / ``kinetic_engine``) also serves
+:func:`repro.verify.statistical.sample_kinetic_distribution`.
 """
 
 from __future__ import annotations
@@ -142,7 +147,7 @@ def _ensure_builtin_engines() -> None:
     # caller (e.g. a test) unregistered, so the defaults are always
     # restorable.  Only the missing names are touched — a deliberate
     # replace=True override of the other built-ins must survive.
-    missing = {"python", "vectorized", "nrm", "tau", "tau-vec"} - set(_REGISTRY)
+    missing = set(runner.BUILTIN_ENGINES) - set(_REGISTRY)
     if missing:
         runner.register_builtin_engines(missing)
 
@@ -250,7 +255,7 @@ def validate_engine_request(
     * ``epsilon=`` on an exact engine — the error knob only tunes approximate
       samplers, so an exact engine would silently ignore it;
     * ``fair=True`` on a kinetic-only engine (``supports_fair=False``) —
-      e.g. ``"nrm"`` and ``"tau"`` implement Gillespie scheduling only.
+      e.g. ``"tau"`` and ``"tau-vec"`` implement Gillespie scheduling only.
 
     Returns the :class:`EngineInfo` on success.  This guards *explicit*
     requests (e.g. per-call Workbench overrides); a plain

@@ -6,40 +6,39 @@ or a single :class:`repro.api.config.RunConfig`; the keywords are forwarded
 into a ``RunConfig`` internally, so both spellings hit the same code path.
 
 Engines are resolved through the pluggable registry of
-:mod:`repro.sim.registry`.  The two built-ins are registered here:
+:mod:`repro.sim.registry`.  The built-ins are registry data:
+:data:`BUILTIN_ENGINES` maps each name to an instance of one of two generic
+adapters plus its capability metadata.
 
-* ``"python"`` (default) — the scalar simulators, now backed by the shared
-  kernel (:mod:`repro.sim.kernel`): one trajectory at a time over the
+* :class:`ScalarEngine` runs one :class:`~repro.sim.kernel.SimulatorCore`
+  trajectory per trial seed under a :class:`~repro.sim.kernel.StepPolicy`.
+* :class:`BatchEngine` advances all trials at once through one of the numpy
+  batch engines of :mod:`repro.sim.engine`, seeded from ``config.seed``.
+
+Each adapter holds two factories: the sampler ``run_many`` uses and the
+kinetic one ``estimate_expected_output`` (and
+:func:`repro.verify.statistical.sample_kinetic_distribution`) uses.  The
+four built-ins:
+
+* ``"python"`` (default) — scalar, :class:`~repro.sim.kernel.FairPolicy` /
+  :class:`~repro.sim.kernel.GillespiePolicy`: the scalar kernel over the
   ``CompiledCRN`` IR with dependency-graph propensity updates.  Seeded runs
-  reproduce the historical dict-backed behaviour bit for bit.
-* ``"vectorized"`` — the numpy batch engines of :mod:`repro.sim.engine`, which
-  advance all trials simultaneously and remain the best option for very large
-  populations or trial counts.  Seeded runs are reproducible, but draw from a
-  numpy random stream distinct from the python engine's (see DESIGN.md).
-* ``"nrm"`` — exact SSA via the Gibson–Bruck next-reaction method
-  (:class:`repro.sim.kernel.NextReactionPolicy`): per-reaction putative firing
-  times in an indexed priority queue, so each step costs O(|deps| log R)
-  instead of the direct method's O(R) propensity scan — the engine of choice
-  for the dozens-of-reactions networks the general construction emits.
-  Scheduling is *kinetic only* (``supports_fair=False``); results are
-  statistically — not bit-for-bit — equivalent to the other exact engines.
-* ``"tau"`` — approximate SSA via tau-leaping
-  (:class:`repro.sim.kernel.TauLeapPolicy`): many reactions fire per
-  scheduler iteration when propensities are quasi-constant, controlled by the
-  ``epsilon`` error knob on :class:`~repro.api.config.RunConfig`.  Scheduling
-  is *kinetic* (Gillespie rates, not the fair scheduler), and results are
-  statistically — not bit-for-bit — equivalent to the exact engines
-  (``tests/test_statistical_equivalence.py`` gates this).  Intended for
-  populations around 10^4 and above; under its recommended floor it degrades
-  gracefully to exact stepping.
-* ``"tau-vec"`` — batched tau-leaping
-  (:class:`repro.sim.engine.BatchTauLeapEngine`): the whole trial batch
-  advances one Cao–Gillespie–Petzold leap per round through dense numpy
-  kinetics, compounding the batch engines' vectorization with tau's
-  scheduler-iteration collapse.  Same ``epsilon`` knob, same kinetic-only
-  scheduling and statistical (KS-gated) equivalence contract as ``"tau"``,
-  same exact-fallback rule per trial — but on the numpy random stream, an
-  order of magnitude faster at populations of 10^5 and above.
+  reproduce the historical dict-backed simulators bit for bit.
+* ``"vectorized"`` — batch, :class:`~repro.sim.engine.BatchFairEngine` /
+  :class:`~repro.sim.engine.BatchGillespieEngine`.  Seeded runs are
+  reproducible, but draw from a numpy random stream distinct from the
+  python engine's (see DESIGN.md).
+* ``"tau"`` — scalar, :class:`~repro.sim.kernel.TauLeapPolicy` for both:
+  approximate SSA via tau-leaping, many reactions per scheduler iteration,
+  with ``RunConfig.epsilon`` as the error knob.  Scheduling is *kinetic*
+  (``supports_fair=False``), and results are statistically — not bit for
+  bit — equivalent to the exact engines
+  (``tests/test_statistical_equivalence.py`` gates this).  Under its
+  recommended population floor it degrades gracefully to exact stepping.
+* ``"tau-vec"`` — batch, :class:`~repro.sim.engine.BatchTauLeapEngine` for
+  both: one Cao–Gillespie–Petzold leap per round for the whole trial batch.
+  Same ``epsilon`` knob, kinetic-only scheduling and KS-gated contract as
+  ``"tau"``, but on the numpy random stream.
 
 Third-party backends plug in via
 :func:`repro.sim.registry.register_engine` and become addressable as
@@ -51,15 +50,22 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.config import RunConfig
 from repro.crn.network import CRN
+from repro.sim.engine import (
+    BatchFairEngine,
+    BatchGillespieEngine,
+    BatchTauLeapEngine,
+    CompiledCRN,
+)
 from repro.sim.fair import FairRunResult, FairScheduler
-from repro.sim.gillespie import GillespieSimulator
 from repro.sim.kernel import (
-    NextReactionPolicy,
+    FairPolicy,
+    GillespiePolicy,
     SimulatorCore,
+    StepPolicy,
     TauLeapPolicy,
     default_quiescence_window,
 )
@@ -73,11 +79,9 @@ __all__ = [
     "estimate_expected_output",
     "sweep_inputs",
     "register_builtin_engines",
-    "PythonEngine",
-    "VectorizedEngine",
-    "NextReactionEngine",
-    "TauLeapEngine",
-    "TauVecEngine",
+    "BUILTIN_ENGINES",
+    "ScalarEngine",
+    "BatchEngine",
 ]
 
 
@@ -155,86 +159,95 @@ def run_to_convergence(
 
 
 # ---------------------------------------------------------------------------
-# The built-in engines, registered through repro.sim.registry
+# The built-in engines: two generic adapters, registered from one table
 # ---------------------------------------------------------------------------
 
 
-def _aggregate_scalar_trials(crn: CRN, x: Sequence[int], config: RunConfig, run_one) -> ConvergenceReport:
-    """Fold one scalar run per trial seed into a :class:`ConvergenceReport`.
+def _quiescence_window(config: RunConfig, x: Sequence[int]) -> int:
+    if config.quiescence_window is None:
+        return default_quiescence_window(x)
+    return config.quiescence_window
 
-    ``run_one(trial_seed)`` returns any result exposing
-    ``final_configuration`` / ``max_output_seen`` / ``steps`` / ``silent`` /
-    ``converged`` — the shared aggregation of the per-trajectory engines.
+
+class ScalarEngine:
+    """One :class:`~repro.sim.kernel.SimulatorCore` trajectory per trial seed.
+
+    ``run_policy(config)`` builds the step policy ``run_many`` samples with,
+    under the config's quiescence window (default: population-scaled);
+    ``kinetic_policy(config)`` builds the one ``estimate_expected_output``
+    samples with, with no window.  Trial ``i`` draws from
+    ``random.Random(config.trial_seeds()[i])``.
     """
-    outputs: List[int] = []
-    max_outputs: List[int] = []
-    steps: List[int] = []
-    all_done = True
-    for trial_seed in config.trial_seeds():
-        result = run_one(trial_seed)
-        outputs.append(crn.output_count(result.final_configuration))
-        max_outputs.append(result.max_output_seen)
-        steps.append(result.steps)
-        if not (result.silent or result.converged):
-            all_done = False
-    return ConvergenceReport(
-        input_value=tuple(x),
-        outputs=outputs,
-        max_outputs=max_outputs,
-        steps=steps,
-        all_silent_or_converged=all_done,
-    )
 
-
-class PythonEngine:
-    """The scalar reference engine: one trajectory at a time, ``random.Random``.
-
-    Backed by the shared scalar kernel (:mod:`repro.sim.kernel`) through the
-    :class:`~repro.sim.fair.FairScheduler` /
-    :class:`~repro.sim.gillespie.GillespieSimulator` shims, so seeded runs
-    stay bit-for-bit reproducible while populations of 10^4+ remain practical.
-    """
+    def __init__(
+        self,
+        run_policy: Callable[[RunConfig], StepPolicy],
+        kinetic_policy: Callable[[RunConfig], StepPolicy],
+    ) -> None:
+        self.run_policy = run_policy
+        self.kinetic_policy = kinetic_policy
 
     def run_many(self, crn: CRN, x: Sequence[int], config: RunConfig) -> ConvergenceReport:
-        return _aggregate_scalar_trials(
-            crn,
-            x,
-            config,
-            lambda trial_seed: run_to_convergence(
-                crn,
-                x,
-                max_steps=config.max_steps,
-                quiescence_window=config.quiescence_window,
-                rng=random.Random(trial_seed),
-            ),
+        policy = self.run_policy(config)
+        quiescence_window = _quiescence_window(config, x)
+        outputs: List[int] = []
+        max_outputs: List[int] = []
+        steps: List[int] = []
+        all_done = True
+        for trial_seed in config.trial_seeds():
+            core = SimulatorCore(crn, policy, rng=random.Random(trial_seed))
+            result = core.run_on_input(
+                x, max_steps=config.max_steps, quiescence_window=quiescence_window
+            )
+            outputs.append(crn.output_count(result.final_configuration))
+            max_outputs.append(result.max_output_seen)
+            steps.append(result.steps)
+            if not (result.silent or result.converged):
+                all_done = False
+        return ConvergenceReport(
+            input_value=tuple(x),
+            outputs=outputs,
+            max_outputs=max_outputs,
+            steps=steps,
+            all_silent_or_converged=all_done,
         )
 
     def estimate_expected_output(
         self, crn: CRN, x: Sequence[int], config: RunConfig
     ) -> float:
+        policy = self.kinetic_policy(config)
         total = 0.0
         for trial_seed in config.trial_seeds():
-            simulator = GillespieSimulator(crn, rng=random.Random(trial_seed))
-            result = simulator.run_on_input(x, max_steps=config.max_steps)
+            core = SimulatorCore(crn, policy, rng=random.Random(trial_seed))
+            result = core.run_on_input(x, max_steps=config.max_steps)
             total += crn.output_count(result.final_configuration)
         return total / config.trials
 
 
-class VectorizedEngine:
-    """The numpy batch engine (all trials advance simultaneously, one row each)."""
+class BatchEngine:
+    """All trials advance simultaneously, one numpy row each.
+
+    ``run_engine(compiled, config)`` builds the batch engine ``run_many``
+    runs, under the config's quiescence window (default: population-scaled);
+    ``kinetic_engine(compiled, config)`` builds the one
+    ``estimate_expected_output`` runs, with no window.  One batch of
+    ``config.trials`` rows is seeded with ``config.seed``.
+    """
+
+    def __init__(
+        self,
+        run_engine: Callable[[CompiledCRN, RunConfig], Any],
+        kinetic_engine: Callable[[CompiledCRN, RunConfig], Any],
+    ) -> None:
+        self.run_engine = run_engine
+        self.kinetic_engine = kinetic_engine
 
     def run_many(self, crn: CRN, x: Sequence[int], config: RunConfig) -> ConvergenceReport:
-        from repro.sim.engine import BatchFairEngine
-
-        quiescence_window = config.quiescence_window
-        if quiescence_window is None:
-            quiescence_window = default_quiescence_window(x)
-        batch_engine = BatchFairEngine(crn.compiled(), seed=config.seed)
-        result = batch_engine.run_on_input(
+        result = self.run_engine(crn.compiled(), config).run_on_input(
             x,
             batch=config.trials,
             max_steps=config.max_steps,
-            quiescence_window=quiescence_window,
+            quiescence_window=_quiescence_window(config, x),
         )
         return ConvergenceReport(
             input_value=tuple(int(v) for v in x),
@@ -247,174 +260,29 @@ class VectorizedEngine:
     def estimate_expected_output(
         self, crn: CRN, x: Sequence[int], config: RunConfig
     ) -> float:
-        from repro.sim.engine import BatchGillespieEngine
-
-        batch_engine = BatchGillespieEngine(crn.compiled(), seed=config.seed)
-        result = batch_engine.run_on_input(
+        result = self.kinetic_engine(crn.compiled(), config).run_on_input(
             x, batch=config.trials, max_steps=config.max_steps
         )
         return float(result.output_counts().mean())
 
 
-class NextReactionEngine:
-    """Exact kinetic engine: Gibson–Bruck next-reaction method.
-
-    One :class:`~repro.sim.kernel.SimulatorCore` trajectory per trial under
-    :class:`~repro.sim.kernel.NextReactionPolicy`.  Samples the same CTMC as
-    exact Gillespie, but each step repairs only the dependency-graph
-    neighbours of the fired reaction (O(|deps| log R) against the direct
-    method's O(R) scan).  Like ``"tau"``, ``run_many`` samples the *kinetic*
-    process (``supports_fair=False``), and seeded runs are reproducible but
-    on a differently-consumed stream than ``"python"`` — cross-engine
-    agreement is gated by ``tests/test_statistical_equivalence.py``.
-    """
-
-    def run_many(self, crn: CRN, x: Sequence[int], config: RunConfig) -> ConvergenceReport:
-        quiescence_window = config.quiescence_window
-        if quiescence_window is None:
-            quiescence_window = default_quiescence_window(x)
-        policy = NextReactionPolicy()
-        return _aggregate_scalar_trials(
-            crn,
-            x,
-            config,
-            lambda trial_seed: SimulatorCore(
-                crn, policy, rng=random.Random(trial_seed)
-            ).run_on_input(
-                x,
-                max_steps=config.max_steps,
-                quiescence_window=quiescence_window,
-            ),
-        )
-
-    def estimate_expected_output(
-        self, crn: CRN, x: Sequence[int], config: RunConfig
-    ) -> float:
-        policy = NextReactionPolicy()
-        total = 0.0
-        for trial_seed in config.trial_seeds():
-            core = SimulatorCore(crn, policy, rng=random.Random(trial_seed))
-            result = core.run_on_input(x, max_steps=config.max_steps)
-            total += crn.output_count(result.final_configuration)
-        return total / config.trials
+def _tau_policy(config: RunConfig) -> StepPolicy:
+    return TauLeapPolicy(epsilon=config.epsilon)
 
 
-class TauLeapEngine:
-    """Approximate kinetic engine: tau-leaping over the scalar kernel.
-
-    One :class:`~repro.sim.kernel.SimulatorCore` trajectory per trial under
-    :class:`~repro.sim.kernel.TauLeapPolicy`, with ``config.epsilon`` as the
-    error knob.  Unlike the ``"python"`` / ``"vectorized"`` fair-scheduler
-    paths, ``run_many`` here samples the *kinetic* process (quiescence is
-    still detected through the shared window mechanism, at leap granularity);
-    both entry points are statistically equivalent to exact Gillespie
-    sampling, which the KS suite in ``tests/test_statistical_equivalence.py``
-    enforces.
-    """
-
-    def run_many(self, crn: CRN, x: Sequence[int], config: RunConfig) -> ConvergenceReport:
-        quiescence_window = config.quiescence_window
-        if quiescence_window is None:
-            quiescence_window = default_quiescence_window(x)
-        policy = TauLeapPolicy(epsilon=config.epsilon)
-        return _aggregate_scalar_trials(
-            crn,
-            x,
-            config,
-            lambda trial_seed: SimulatorCore(
-                crn, policy, rng=random.Random(trial_seed)
-            ).run_on_input(
-                x,
-                max_steps=config.max_steps,
-                quiescence_window=quiescence_window,
-            ),
-        )
-
-    def estimate_expected_output(
-        self, crn: CRN, x: Sequence[int], config: RunConfig
-    ) -> float:
-        policy = TauLeapPolicy(epsilon=config.epsilon)
-        total = 0.0
-        for trial_seed in config.trial_seeds():
-            core = SimulatorCore(crn, policy, rng=random.Random(trial_seed))
-            result = core.run_on_input(x, max_steps=config.max_steps)
-            total += crn.output_count(result.final_configuration)
-        return total / config.trials
+def _tau_vec_engine(compiled: CompiledCRN, config: RunConfig) -> BatchTauLeapEngine:
+    return BatchTauLeapEngine(compiled, seed=config.seed, epsilon=config.epsilon)
 
 
-class TauVecEngine:
-    """Approximate kinetic engine: batched tau-leaping over dense numpy rows.
-
-    One :class:`~repro.sim.engine.BatchTauLeapEngine` run advances all trials
-    simultaneously, one Cao–Gillespie–Petzold leap per round, with
-    ``config.epsilon`` as the error knob — the same shared tau-selection
-    math as the scalar ``"tau"`` engine (:mod:`repro.sim.tau`), so the two
-    cannot disagree on the bound.  Like ``"tau"``, ``run_many`` samples the
-    *kinetic* process with quiescence detected at leap granularity; like
-    ``"vectorized"``, trials live on one numpy random stream seeded from
-    ``config.seed``.  Statistical (KS-gated) equivalence to the exact
-    engines is enforced by ``tests/test_statistical_equivalence.py``.
-    """
-
-    def run_many(self, crn: CRN, x: Sequence[int], config: RunConfig) -> ConvergenceReport:
-        from repro.sim.engine import BatchTauLeapEngine
-
-        quiescence_window = config.quiescence_window
-        if quiescence_window is None:
-            quiescence_window = default_quiescence_window(x)
-        batch_engine = BatchTauLeapEngine(
-            crn.compiled(), seed=config.seed, epsilon=config.epsilon
-        )
-        result = batch_engine.run_on_input(
-            x,
-            batch=config.trials,
-            max_steps=config.max_steps,
-            quiescence_window=quiescence_window,
-        )
-        return ConvergenceReport(
-            input_value=tuple(int(v) for v in x),
-            outputs=[int(v) for v in result.output_counts()],
-            max_outputs=[int(v) for v in result.max_output_seen],
-            steps=[int(v) for v in result.steps],
-            all_silent_or_converged=result.all_silent_or_converged(),
-        )
-
-    def estimate_expected_output(
-        self, crn: CRN, x: Sequence[int], config: RunConfig
-    ) -> float:
-        from repro.sim.engine import BatchTauLeapEngine
-
-        batch_engine = BatchTauLeapEngine(
-            crn.compiled(), seed=config.seed, epsilon=config.epsilon
-        )
-        result = batch_engine.run_on_input(
-            x, batch=config.trials, max_steps=config.max_steps
-        )
-        return float(result.output_counts().mean())
-
-
-def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
-    """(Re-)register the built-in engines (all of them, or just ``names``).
-
-    Idempotent (``replace=True``), so module re-execution under
-    ``importlib.reload`` / IPython autoreload is safe, and the registry can
-    restore a built-in that a test unregistered without touching the others.
-
-    The ``step_cost`` / ``trial_step_cost`` constants are the two-point fits
-    of the ``auto-cost/*`` records in ``BENCH_results.json`` (measured on a
-    2-vCPU Xeon VM; ``tests/test_registry.py`` refits and checks them).
-    ``"nrm"`` is neither fair-capable nor approximate, so ``"auto"`` never
-    considers it and it carries no cost constants.
-    """
-    names = (
-        {"python", "vectorized", "nrm", "tau", "tau-vec"}
-        if names is None
-        else set(names)
-    )
-    if "python" in names:
-        register_engine(
-            "python",
-            supports_gillespie=True,
+#: The built-in engines, in registration order: name -> (adapter, the
+#: capability metadata passed to :func:`~repro.sim.registry.register_engine`).
+#: The ``step_cost`` / ``trial_step_cost`` constants are the two-point fits
+#: of the ``auto-cost/*`` records in ``BENCH_results.json`` (measured on a
+#: 2-vCPU Xeon VM; ``tests/test_registry.py`` refits and checks them).
+BUILTIN_ENGINES: Dict[str, Tuple[Any, Dict[str, Any]]] = {
+    "python": (
+        ScalarEngine(lambda config: FairPolicy(), lambda config: GillespiePolicy()),
+        dict(
             supports_fair=True,
             step_cost=2.33e-7,
             trial_step_cost=2.54e-6,
@@ -422,12 +290,14 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
                 "Scalar kernel (shared CompiledCRN IR, sparse incremental "
                 "propensities); historical seeded behaviour, bit for bit"
             ),
-            replace=True,
-        )(PythonEngine)
-    if "vectorized" in names:
-        register_engine(
-            "vectorized",
-            supports_gillespie=True,
+        ),
+    ),
+    "vectorized": (
+        BatchEngine(
+            lambda compiled, config: BatchFairEngine(compiled, seed=config.seed),
+            lambda compiled, config: BatchGillespieEngine(compiled, seed=config.seed),
+        ),
+        dict(
             supports_fair=True,
             batch_capable=True,
             step_cost=7.45e-5,
@@ -436,24 +306,11 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
                 "numpy batch engines advancing all trials per step; "
                 "reproducible but on a numpy random stream"
             ),
-            replace=True,
-        )(VectorizedEngine)
-    if "nrm" in names:
-        register_engine(
-            "nrm",
-            supports_gillespie=True,
-            supports_fair=False,
-            description=(
-                "Gibson-Bruck next-reaction method (indexed priority queue of "
-                "putative firing times, dependency-graph clock repair); exact, "
-                "O(|deps| log R) per step, kinetic scheduling only"
-            ),
-            replace=True,
-        )(NextReactionEngine)
-    if "tau" in names:
-        register_engine(
-            "tau",
-            supports_gillespie=True,
+        ),
+    ),
+    "tau": (
+        ScalarEngine(_tau_policy, _tau_policy),
+        dict(
             supports_fair=False,
             min_recommended_population=10_000,
             approximate=True,
@@ -463,12 +320,11 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
                 "Poisson firing batches, exact fallback); error knob "
                 "RunConfig.epsilon, statistically equivalent to exact engines"
             ),
-            replace=True,
-        )(TauLeapEngine)
-    if "tau-vec" in names:
-        register_engine(
-            "tau-vec",
-            supports_gillespie=True,
+        ),
+    ),
+    "tau-vec": (
+        BatchEngine(_tau_vec_engine, _tau_vec_engine),
+        dict(
             supports_fair=False,
             min_recommended_population=10_000,
             approximate=True,
@@ -481,8 +337,22 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
                 "Poisson firings, per-trial exact fallback); error knob "
                 "RunConfig.epsilon, statistically equivalent to exact engines"
             ),
-            replace=True,
-        )(TauVecEngine)
+        ),
+    ),
+}
+
+
+def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
+    """(Re-)register the built-in engines (all of them, or just ``names``).
+
+    Idempotent (``replace=True``), so module re-execution under
+    ``importlib.reload`` / IPython autoreload is safe, and the registry can
+    restore a built-in that a test unregistered without touching the others.
+    """
+    names = set(BUILTIN_ENGINES if names is None else names)
+    for name, (adapter, metadata) in BUILTIN_ENGINES.items():
+        if name in names:
+            register_engine(name, replace=True, **metadata)(adapter)
 
 
 register_builtin_engines()

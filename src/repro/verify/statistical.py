@@ -18,24 +18,22 @@ contract's toolkit:
   ``tests/test_statistical_equivalence.py`` show the power that remains.
 * :func:`sample_kinetic_distribution` — one seeded sample of per-trajectory
   completion step counts and final output counts for a CRN under a named
-  kinetic sampler (``"python"`` exact scalar, ``"vectorized"`` exact batch,
-  ``"nrm"`` exact next-reaction method, ``"tau"`` tau-leaping, ``"tau-vec"``
-  batched tau-leaping, or any bound
-  :class:`~repro.sim.kernel.StepPolicy`).
+  kinetic sampler: a registered engine's kinetic half (``"python"`` exact
+  scalar, ``"vectorized"`` exact batch, ``"tau"`` tau-leaping, ``"tau-vec"``
+  batched tau-leaping), or any :class:`~repro.sim.kernel.StepPolicy`.
   All samplers target the same CTMC, so their step/output distributions must
   agree up to sampling noise.
 * :func:`assert_distributions_match` — the gate: KS-test a metric between two
   samples and fail with a readable report when the p-value drops under alpha.
 
 The test suite (``tests/test_statistical_equivalence.py``, ``-m
-statistical``) runs these gates python-vs-vectorized-vs-nrm-vs-tau across
-every construction strategy family on a fixed seed matrix, so the gates are
-deterministic in CI while still rejecting a subtly rate-biased backend.
-The same machinery admits an exact-but-stream-divergent engine such as
-``"nrm"``: bit-for-bit comparison against ``"python"`` is impossible by
-construction (different draw order), but distributional identity is exactly
-what "samples the same CTMC" means, so passing these gates is the admission
-contract.
+statistical``) runs these gates python-vs-vectorized-vs-tau-vs-tau-vec
+across every construction strategy family on a fixed seed matrix, so the
+gates are deterministic in CI while still rejecting a subtly rate-biased
+backend.  The same machinery admits any new engine with its own random
+stream: bit-for-bit comparison against ``"python"`` is impossible by
+construction, but distributional identity is exactly what "samples the same
+CTMC" means, so passing these gates is the admission contract.
 """
 
 from __future__ import annotations
@@ -43,16 +41,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
+from repro.api.config import RunConfig
 from repro.crn.network import CRN
-from repro.sim.kernel import (
-    GillespiePolicy,
-    NextReactionPolicy,
-    SimulatorCore,
-    StepPolicy,
-    TauLeapPolicy,
-)
+from repro.sim.kernel import SimulatorCore, StepPolicy
+from repro.sim.registry import get_engine
 
 __all__ = [
     "KSResult",
@@ -187,17 +181,19 @@ def sample_kinetic_distribution(
     Parameters
     ----------
     engine:
-        ``"python"`` (exact scalar kernel), ``"nrm"`` (exact Gibson–Bruck
-        next-reaction method), ``"tau"`` (tau-leaping with ``epsilon``),
-        ``"vectorized"`` (exact numpy batch engine), ``"tau-vec"`` (batched
-        tau-leaping with ``epsilon``), or a
+        A registered engine name, sampled through the kinetic half of its
+        adapter (:mod:`repro.sim.runner`): a scalar engine's
+        ``kinetic_policy`` (``"python"``: exact Gillespie; ``"tau"``:
+        tau-leaping with ``epsilon``) or a batch engine's ``kinetic_engine``
+        (``"vectorized"``: exact numpy batch; ``"tau-vec"``: batched
+        tau-leaping with ``epsilon``).  Or a
         :class:`~repro.sim.kernel.StepPolicy` instance to sample an arbitrary
         — e.g. deliberately biased — scalar policy.
     n_seeds / base_seed:
         The fixed seed matrix: scalar trajectories use seeds ``base_seed + i``
-        for ``i < n_seeds``; the vectorized engine runs one ``n_seeds``-row
-        batch seeded with ``base_seed``.  Fixed seeds make the gates
-        deterministic in CI.
+        for ``i < n_seeds``; a batch engine runs one ``n_seeds``-row batch
+        seeded with ``base_seed``.  Fixed seeds make the gates deterministic
+        in CI.
     quiescence_window:
         Optional kinetic quiescence detection for CRNs that never fall
         silent (scalar samplers only — the batch engines are sampled on a
@@ -206,32 +202,31 @@ def sample_kinetic_distribution(
     """
     if n_seeds < 2:
         raise ValueError(f"n_seeds must be >= 2 for a distribution, got {n_seeds}")
+    batch_engine = None
     if isinstance(engine, StepPolicy):
-        policy: Optional[StepPolicy] = engine
+        policy = engine
         label = type(engine).__name__
-    elif engine == "python":
-        policy = GillespiePolicy()
-        label = "python"
-    elif engine == "nrm":
-        policy = NextReactionPolicy()
-        label = "nrm"
-    elif engine == "tau":
-        policy = TauLeapPolicy(epsilon=epsilon)
-        label = "tau"
-    elif engine == "vectorized":
-        policy = None
-        label = "vectorized"
-    elif engine == "tau-vec":
-        policy = None
-        label = "tau-vec"
     else:
-        raise ValueError(
-            f"unknown kinetic sampler {engine!r}; expected 'python', "
-            f"'vectorized', 'nrm', 'tau', 'tau-vec', or a StepPolicy instance"
+        # The registered engine's kinetic half: a scalar adapter's
+        # ``kinetic_policy`` or a batch adapter's ``kinetic_engine``.
+        adapter = get_engine(engine).implementation
+        config = RunConfig(
+            trials=n_seeds, max_steps=max_steps, seed=base_seed, epsilon=epsilon
         )
+        label = engine
+        if hasattr(adapter, "kinetic_policy"):
+            policy = adapter.kinetic_policy(config)
+        elif hasattr(adapter, "kinetic_engine"):
+            batch_engine = adapter.kinetic_engine(crn.compiled(), config)
+        else:
+            raise ValueError(
+                f"engine {engine!r} has no kinetic sampler (neither "
+                f"kinetic_policy nor kinetic_engine); pass a StepPolicy "
+                f"instance instead"
+            )
 
     sample = DistributionSample(engine=label)
-    if policy is None:
+    if batch_engine is not None:
         if quiescence_window:
             raise ValueError(
                 "batch engines are sampled on a max_steps budget here "
@@ -239,16 +234,6 @@ def sample_kinetic_distribution(
                 "stopping rule; drop quiescence_window for cross-engine "
                 "sampling"
             )
-        if label == "tau-vec":
-            from repro.sim.engine import BatchTauLeapEngine
-
-            batch_engine = BatchTauLeapEngine(
-                crn.compiled(), seed=base_seed, epsilon=epsilon
-            )
-        else:
-            from repro.sim.engine import BatchGillespieEngine
-
-            batch_engine = BatchGillespieEngine(crn.compiled(), seed=base_seed)
         result = batch_engine.run_on_input(x, batch=n_seeds, max_steps=max_steps)
         sample.steps = [int(v) for v in result.steps]
         sample.outputs = [int(v) for v in result.output_counts()]

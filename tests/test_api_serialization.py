@@ -22,7 +22,7 @@ from repro.lab.campaign import resolve_spec
 
 class TestRunConfigRoundTrip:
     def test_round_trip_is_identity(self):
-        config = RunConfig(trials=7, max_steps=123, seed=42, engine="nrm", epsilon=0.05)
+        config = RunConfig(trials=7, max_steps=123, seed=42, engine="tau", epsilon=0.05)
         assert RunConfig.from_json_dict(config.to_json_dict()) == config
         # and via the module-level spellings
         assert run_config_from_json_dict(run_config_to_json_dict(config)) == config

@@ -247,7 +247,7 @@ class TestWorkbenchCompile:
 
 
 class TestWorkbenchRoundTrip:
-    @pytest.mark.parametrize("engine", ["python", "vectorized", "nrm", "tau"])
+    @pytest.mark.parametrize("engine", ["python", "vectorized", "tau", "tau-vec"])
     @pytest.mark.parametrize(
         "factory", [minimum_spec, double_spec, maximum_spec], ids=["min", "2x", "max"]
     )
@@ -258,11 +258,10 @@ class TestWorkbenchRoundTrip:
         x = (3,) * spec.dimension
         report = compiled.simulate(x)
         assert report.output_mode == spec(x)
-        if engine in ("nrm", "tau"):
+        if engine in ("tau", "tau-vec"):
             # Kinetic-only engines are excluded from the stable-computation
-            # verification contract (supports_fair=False) — NRM because it
-            # schedules by Gillespie rates even though it is exact, tau
-            # additionally because it is approximate; verify through a
+            # verification contract (supports_fair=False): they schedule by
+            # Gillespie rates, not the fair scheduler; verify through a
             # fair-capable engine instead.
             with pytest.raises(ValueError, match="supports_fair"):
                 compiled.verify(inputs=[x])
@@ -324,13 +323,13 @@ class TestWorkbenchEngineCapabilityGuards:
 
     def test_epsilon_override_on_exact_engine_rejected(self):
         compiled = Workbench(RunConfig(trials=2, seed=1)).compile(minimum_spec())
-        for engine in ("python", "vectorized", "nrm"):
+        for engine in ("python", "vectorized"):
             with pytest.raises(ValueError, match="exact"):
                 compiled.simulate((2, 2), engine=engine, epsilon=0.1)
 
     def test_fair_request_on_kinetic_only_engine_rejected(self):
         compiled = Workbench(RunConfig(trials=2, seed=1)).compile(minimum_spec())
-        for engine in ("nrm", "tau"):
+        for engine in ("tau", "tau-vec"):
             with pytest.raises(ValueError, match="supports_fair"):
                 compiled.simulate((2, 2), engine=engine, fair=True)
 
@@ -339,8 +338,8 @@ class TestWorkbenchEngineCapabilityGuards:
         report = compiled.simulate((3, 5), fair=True)  # default engine: python
         assert report.output_mode == 3
 
-    def test_nrm_simulate_and_expected_output_flow_through(self):
-        wb = Workbench(RunConfig(trials=5, seed=11, engine="nrm"))
+    def test_kinetic_only_simulate_and_expected_output_flow_through(self):
+        wb = Workbench(RunConfig(trials=5, seed=11, engine="tau-vec"))
         compiled = wb.compile(minimum_spec())
         report = compiled.simulate((6, 10))
         assert report.output_mode == 6
@@ -354,7 +353,7 @@ class TestWorkbenchEngineCapabilityGuards:
         wb = Workbench(RunConfig(trials=2, seed=1, epsilon=0.2))
         compiled = wb.compile(minimum_spec())
         assert compiled.simulate((2, 2)).output_mode == 2
-        assert compiled.simulate((2, 2), engine="nrm").output_mode == 2
+        assert compiled.simulate((2, 2), engine="vectorized").output_mode == 2
 
 
 class TestPublicSurface:

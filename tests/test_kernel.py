@@ -39,7 +39,6 @@ from repro.sim.gillespie import GillespieSimulator
 from repro.sim.kernel import (
     FairPolicy,
     GillespiePolicy,
-    NextReactionPolicy,
     SimulatorCore,
     TauLeapPolicy,
     default_quiescence_window,
@@ -592,178 +591,16 @@ def branching_crn():
     return CRN([(X >> Y), (X >> Z).with_rate(3.0)], (X,), Y, name="branching")
 
 
-class TestNextReactionPolicy:
-    """Unit behaviour of the Gibson–Bruck policy (the distributional gates
-    against the other engines live in ``tests/test_statistical_equivalence.py``)."""
-
-    @pytest.mark.parametrize("label,crn,x", STRATEGY_CASES, ids=STRATEGY_IDS)
-    def test_stable_computations_reach_the_stable_output(self, label, crn, x):
-        # Stable computation means a unique achievable final output; the
-        # kinetic scheduler reaches it with probability 1, so NRM and the
-        # direct method must land on the same value.
-        window = default_quiescence_window(x)
-        nrm = SimulatorCore(crn, NextReactionPolicy(), rng=random.Random(3)).run_on_input(
-            x, max_steps=200_000, quiescence_window=window
-        )
-        direct = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(3)).run_on_input(
-            x, max_steps=200_000, quiescence_window=window
-        )
-        assert nrm.silent or nrm.converged, label
-        assert crn.output_count(nrm.final_configuration) == crn.output_count(
-            direct.final_configuration
-        ), label
-
-    def test_selections_equal_steps(self):
-        crn = minimum_spec().known_crn
-        result = SimulatorCore(
-            crn, NextReactionPolicy(), rng=random.Random(3)
-        ).run_on_input((20, 30))
-        assert result.selections == result.steps == 20
-
-    def test_silent_at_step_zero(self):
-        crn = CRN([X1 >> Y], (X1,), Y)
-        result = SimulatorCore(
-            crn, NextReactionPolicy(), rng=random.Random(1)
-        ).run_on_input((0,))
-        assert result.silent and result.steps == 0
-        assert result.final_time == 0.0
-
-    def test_max_time_clamps_the_clock(self):
-        crn = branching_crn()
-        result = SimulatorCore(
-            crn, NextReactionPolicy(), rng=random.Random(3)
-        ).run_on_input((40,), max_time=0.01)
-        assert result.final_time <= 0.01
-        assert not result.silent
-
-    def test_seeded_runs_are_deterministic(self):
-        crn = branching_crn()
-        first = SimulatorCore(
-            crn, NextReactionPolicy(), rng=random.Random(7)
-        ).run_on_input((40,))
-        second = SimulatorCore(
-            crn, NextReactionPolicy(), rng=random.Random(7)
-        ).run_on_input((40,))
-        assert first.final_configuration == second.final_configuration
-        assert first.final_time == second.final_time
-        assert first.steps == second.steps
-
-    def test_putative_time_finite_iff_propensity_positive(self):
-        # The max CRN's intermediates toggle between zero and nonzero, so
-        # reactions are repeatedly disabled (parked at inf) and re-enabled
-        # (fresh exponential) along a run — the invariant must hold throughout.
-        import math
-
-        crn = maximum_spec().known_crn
-        compiled = crn.compiled()
-        stepper = NextReactionPolicy().bind(compiled, random.Random(6))
-        counts = list(compiled.encode(crn.initial_configuration((5, 4))))
-        stepper.start(counts)
-        time_now = 0.0
-        for _ in range(500):
-            for a, t in zip(stepper.propensities(), stepper.putative_times()):
-                assert (a > 0.0) == (t != math.inf)
-                if t != math.inf:
-                    assert t >= time_now
-            j, time_now = stepper.select(time_now, math.inf)
-            if j < 0:
-                break
-            for s, delta in compiled.net_terms[j]:
-                counts[s] += delta
-            stepper.fired(j, counts)
-        assert stepper.propensity_ops > 0
-
-    def test_incremental_propensities_equal_full_recompute(self):
-        import math
-
-        crn = build_crn_for(minimum_spec(), strategy="general")
-        compiled = crn.compiled()
-        stepper = NextReactionPolicy().bind(compiled, random.Random(11))
-        counts = list(compiled.encode(crn.initial_configuration((4, 5))))
-        stepper.start(counts)
-        time_now = 0.0
-        for _ in range(200):
-            j, time_now = stepper.select(time_now, math.inf)
-            if j < 0:
-                break
-            for s, delta in compiled.net_terms[j]:
-                counts[s] += delta
-            stepper.fired(j, counts)
-            assert stepper.last_recomputed == compiled.dependency_graph[j]
-            fresh = GillespiePolicy().bind(compiled, random.Random(0))
-            fresh.start(counts)
-            assert stepper.propensities() == fresh.propensities()
-
-    def test_distribution_matches_direct_method(self):
-        # A coarse in-suite distributional check on the rate-sensitive
-        # branching CRN: 200 seeded trajectories per policy, KS on the final
-        # output counts.  (The full cross-engine matrix runs under -m
-        # statistical.)
-        from repro.verify.statistical import ks_two_sample
-
-        crn = branching_crn()
-        nrm_outputs = []
-        direct_outputs = []
-        for seed in range(200):
-            nrm = SimulatorCore(
-                crn, NextReactionPolicy(), rng=random.Random(seed)
-            ).run_on_input((40,))
-            direct = SimulatorCore(
-                crn, GillespiePolicy(), rng=random.Random(10_000 + seed)
-            ).run_on_input((40,))
-            assert nrm.silent and nrm.steps == 40
-            nrm_outputs.append(crn.output_count(nrm.final_configuration))
-            direct_outputs.append(crn.output_count(direct.final_configuration))
-        ks = ks_two_sample(nrm_outputs, direct_outputs)
-        assert not ks.rejects(1e-3), ks.describe()
-
-    def test_fewer_propensity_ops_than_direct_method(self):
-        # The point of the engine: the direct method reads the whole vector
-        # every select, NRM touches only the fired reaction's dependents.
-        # (The >= 2x CI gate on an R >= 30 network lives in benchmarks/.)
-        import math
-
-        crn = build_crn_for(minimum_spec(), strategy="general")
-        compiled = crn.compiled()
-
-        def drive(policy, seed):
-            stepper = policy.bind(compiled, random.Random(seed))
-            counts = list(compiled.encode(crn.initial_configuration((6, 9))))
-            stepper.start(counts)
-            time_now = 0.0
-            steps = 0
-            while steps < 2_000:
-                j, time_now = stepper.select(time_now, math.inf)
-                if j < 0:
-                    break
-                for s, delta in compiled.net_terms[j]:
-                    counts[s] += delta
-                stepper.fired(j, counts)
-                steps += 1
-            return stepper.propensity_ops, steps
-
-        nrm_ops, nrm_steps = drive(NextReactionPolicy(), 5)
-        direct_ops, direct_steps = drive(GillespiePolicy(), 5)
-        assert nrm_steps > 0 and direct_steps > 0
-        assert nrm_ops / nrm_steps < direct_ops / direct_steps
-
-    def test_nrm_registry_metadata(self):
-        from repro.sim.registry import get_engine
-
-        info = get_engine("nrm")
-        assert not info.approximate  # exact sampler
-        assert info.supports_gillespie
-        assert not info.supports_fair  # kinetic scheduling only
-
-
 class TestSeedStreamLockNRM:
-    """The pre-existing engines are bit-for-bit unchanged by the NRM PR.
+    """Replay fixtures pinning the seeded streams of ``python``,
+    ``vectorized`` and ``tau``.
 
-    NRM consumes the ``random.Random`` stream differently (one exponential
-    per reaction up front, ~one draw per step) — these replay fixtures were
-    captured *before* the engine landed and pin every existing engine's
-    seeded stream, so NRM's different consumption cannot silently leak into
-    them through shared code paths.
+    Each literal was recorded from an earlier commit and is never re-recorded:
+    ``run_many`` outputs on the rate-sensitive branching CRN and on the
+    general construction, ``estimate_expected_output`` means, and the scalar
+    Gillespie clock down to the float.  Code shared between engines (the
+    kernel, the runner adapters, the IR) cannot change one of these streams
+    without failing here.
     """
 
     def test_python_run_many_replays_pre_nrm_fixture(self):
@@ -837,36 +674,17 @@ class TestSeedStreamLockNRM:
 
 
 class TestSeedStreamLockTauVec:
-    """The pre-existing engines are bit-for-bit unchanged by the tau-vec PR.
+    """Replay fixtures pinning the scalar ``tau`` bound and stream.
 
-    That PR moved the tau-selection math out of ``_TauLeapStepper`` into the
-    shared :mod:`repro.sim.tau` helpers (now also consumed by the batched
-    ``tau-vec`` engine, which draws from its own numpy Generator).  These
-    fixtures were captured *before* the refactor and pin every scalar
-    engine's seeded stream — and the shared tau bound itself, down to the
-    float — so neither the helper move nor the new engine can perturb them.
+    The tau-selection math lives in the shared :mod:`repro.sim.tau` helpers,
+    used by both ``_TauLeapStepper`` and the batched ``tau-vec`` engine.
+    These literals, recorded before the helpers were shared, pin the general
+    construction's ``run_many`` on ``python``, ``vectorized`` and ``tau``, the
+    scalar tau clock and leap count to the float, and the shared tau bound
+    itself.
     """
 
-    def test_nrm_run_many_replays_pre_tau_vec_fixture(self):
-        from repro.api.config import RunConfig
-
-        report = run_many(
-            branching_crn(),
-            (40,),
-            config=RunConfig(trials=6, seed=424242, engine="nrm"),
-        )
-        assert report.outputs == [12, 12, 9, 10, 9, 6]
-
-    def test_nrm_estimate_replays_pre_tau_vec_fixture(self):
-        from repro.api.config import RunConfig
-        from repro.sim.runner import estimate_expected_output
-
-        estimate = estimate_expected_output(
-            branching_crn(), (40,), config=RunConfig(trials=5, seed=99, engine="nrm")
-        )
-        assert estimate == pytest.approx(13.6, abs=1e-12)
-
-    @pytest.mark.parametrize("engine", ["python", "vectorized", "tau", "nrm"])
+    @pytest.mark.parametrize("engine", ["python", "vectorized", "tau"])
     def test_general_construction_replays_pre_tau_vec_fixture(self, engine):
         from repro.api.config import RunConfig
 
@@ -897,17 +715,6 @@ class TestSeedStreamLockTauVec:
         assert result.selections == selections
 
     @pytest.mark.parametrize(
-        "seed,final_time,output",
-        [(5, 1.7633406230519273, 10), (6, 1.2634142499274723, 8)],
-    )
-    def test_nrm_clock_replays_pre_tau_vec_fixture(self, seed, final_time, output):
-        result = SimulatorCore(
-            branching_crn(), NextReactionPolicy(), rng=random.Random(seed)
-        ).run_on_input((40,))
-        assert result.final_time == final_time
-        assert result.final_configuration[Y] == output
-
-    @pytest.mark.parametrize(
         "x,epsilon,expected",
         [((5_000, 5_000), 0.03, 3e-06), ((123, 77), 0.07, 0.00028455284552845534)],
     )
@@ -923,6 +730,368 @@ class TestSeedStreamLockTauVec:
         )]
         stepper.exact.start(counts)
         assert stepper.select_tau(counts) == expected
+
+
+class TestStepPolicyContract:
+    """The :class:`~repro.sim.kernel.StepPolicy` contract, held by every
+    built-in policy: exact and approximate, rate-aware and fair."""
+
+    @pytest.mark.parametrize(
+        "policy_cls", [FairPolicy, TauLeapPolicy], ids=["fair", "tau"]
+    )
+    @pytest.mark.parametrize("label,crn,x", STRATEGY_CASES, ids=STRATEGY_IDS)
+    def test_stable_computations_reach_the_stable_output(
+        self, label, crn, x, policy_cls
+    ):
+        # Stable computation means a unique achievable final output, reached
+        # with probability 1 under any fair or kinetic schedule: every policy
+        # must land where the direct method does.
+        window = default_quiescence_window(x)
+        candidate = SimulatorCore(crn, policy_cls(), rng=random.Random(3)).run_on_input(
+            x, max_steps=200_000, quiescence_window=window
+        )
+        direct = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(3)).run_on_input(
+            x, max_steps=200_000, quiescence_window=window
+        )
+        assert candidate.silent or candidate.converged, label
+        assert crn.output_count(candidate.final_configuration) == crn.output_count(
+            direct.final_configuration
+        ), label
+
+    @pytest.mark.parametrize(
+        "policy_cls",
+        [FairPolicy, GillespiePolicy, TauLeapPolicy],
+        ids=["fair", "gillespie", "tau"],
+    )
+    def test_silent_at_step_zero(self, policy_cls):
+        crn = CRN([X1 >> Y], (X1,), Y)
+        result = SimulatorCore(crn, policy_cls(), rng=random.Random(1)).run_on_input(
+            (0,)
+        )
+        assert result.silent and result.steps == 0
+        assert result.final_time == 0.0
+
+    @pytest.mark.parametrize(
+        "policy_cls",
+        [FairPolicy, GillespiePolicy, TauLeapPolicy],
+        ids=["fair", "gillespie", "tau"],
+    )
+    def test_seeded_runs_are_deterministic(self, policy_cls):
+        crn = branching_crn()
+        first, second = (
+            SimulatorCore(crn, policy_cls(), rng=random.Random(7)).run_on_input((40,))
+            for _ in range(2)
+        )
+        assert first.final_configuration == second.final_configuration
+        assert first.final_time == second.final_time
+        assert first.steps == second.steps
+        assert first.selections == second.selections
+
+    def test_gillespie_max_time_clamps_the_clock(self):
+        result = SimulatorCore(
+            branching_crn(), GillespiePolicy(), rng=random.Random(3)
+        ).run_on_input((40,), max_time=0.01)
+        assert result.final_time <= 0.01
+        assert not result.silent
+
+    def test_tau_distribution_matches_direct_method(self):
+        # A coarse in-suite distributional check on the rate-sensitive
+        # branching CRN: 200 seeded trajectories per policy, KS on the final
+        # output counts.  (The full cross-engine matrix lives in
+        # tests/test_statistical_equivalence.py.)
+        from repro.verify.statistical import ks_two_sample
+
+        crn = branching_crn()
+        tau_outputs = []
+        direct_outputs = []
+        for seed in range(200):
+            tau = SimulatorCore(
+                crn, TauLeapPolicy(), rng=random.Random(seed)
+            ).run_on_input((40,))
+            direct = SimulatorCore(
+                crn, GillespiePolicy(), rng=random.Random(10_000 + seed)
+            ).run_on_input((40,))
+            assert tau.silent and tau.steps == 40
+            tau_outputs.append(crn.output_count(tau.final_configuration))
+            direct_outputs.append(crn.output_count(direct.final_configuration))
+        ks = ks_two_sample(tau_outputs, direct_outputs)
+        assert not ks.rejects(1e-3), ks.describe()
+
+
+#: Each built-in engine's ``EngineInfo.to_dict()``, recorded before the
+#: built-ins became registry data: the ``GET /v1/engines`` and
+#: ``python -m repro engines --json`` entries must not change by a byte.
+BUILTIN_ENGINE_INFO = {
+    "python": (
+        '{"name": "python", "supports_gillespie": true, "supports_fair": true, '
+        '"max_recommended_population": null, "min_recommended_population": null, '
+        '"approximate": false, "batch_capable": false, "step_cost": 2.33e-07, '
+        '"trial_step_cost": 2.54e-06, "description": "Scalar kernel (shared '
+        'CompiledCRN IR, sparse incremental propensities); historical seeded '
+        'behaviour, bit for bit"}'
+    ),
+    "vectorized": (
+        '{"name": "vectorized", "supports_gillespie": true, "supports_fair": '
+        'true, "max_recommended_population": null, "min_recommended_population": '
+        'null, "approximate": false, "batch_capable": true, "step_cost": '
+        '7.45e-05, "trial_step_cost": 2.18e-07, "description": "numpy batch '
+        'engines advancing all trials per step; reproducible but on a numpy '
+        'random stream"}'
+    ),
+    "tau": (
+        '{"name": "tau", "supports_gillespie": true, "supports_fair": false, '
+        '"max_recommended_population": null, "min_recommended_population": '
+        '10000, "approximate": true, "batch_capable": false, "step_cost": 0.0, '
+        '"trial_step_cost": 3.98e-08, "description": "tau-leaping approximate '
+        'SSA (Cao-Gillespie tau selection, Poisson firing batches, exact '
+        'fallback); error knob RunConfig.epsilon, statistically equivalent to '
+        'exact engines"}'
+    ),
+    "tau-vec": (
+        '{"name": "tau-vec", "supports_gillespie": true, "supports_fair": false, '
+        '"max_recommended_population": null, "min_recommended_population": '
+        '10000, "approximate": true, "batch_capable": true, "step_cost": '
+        '6.17e-07, "trial_step_cost": 6.73e-09, "description": "batched '
+        'tau-leaping: the whole trial batch advances one Cao-Gillespie leap per '
+        'round (dense numpy kinetics, batched Poisson firings, per-trial exact '
+        'fallback); error knob RunConfig.epsilon, statistically equivalent to '
+        'exact engines"}'
+    ),
+}
+
+
+#: Seeded results of each built-in engine, recorded before the built-ins
+#: became registry data.  Reports are ``(outputs, max_outputs, steps,
+#: all_silent_or_converged)``.
+BUILTIN_ENGINE_RESULTS = {
+    "python": {
+        "max": ([5, 5, 5, 5, 5], [5, 6, 7, 6, 8], [14, 14, 14, 14, 14], True),
+        "branching": ([14, 14, 15, 15], [14, 14, 15, 15], [30, 30, 30, 30], False),
+        "catalytic": ([4, 4, 4], [4, 4, 4], [605, 606, 606], True),
+        "branching_estimate": 7.6,
+        "catalytic_estimate": 3.5,
+    },
+    "vectorized": {
+        "max": ([5, 5, 5, 5, 5], [6, 6, 7, 6, 5], [14, 14, 14, 14, 14], True),
+        "branching": ([14, 16, 17, 15], [14, 16, 17, 15], [30, 30, 30, 30], False),
+        "catalytic": ([4, 4, 4], [4, 4, 4], [611, 610, 607], True),
+        "branching_estimate": 8.6,
+        "catalytic_estimate": 4.0,
+    },
+    "tau": {
+        "max": ([5, 5, 5, 5, 5], [5, 5, 5, 5, 5], [14, 14, 14, 14, 14], True),
+        "branching": ([7, 6, 6, 9], [7, 6, 6, 9], [40, 40, 40, 40], False),
+        "catalytic": ([4, 4, 4], [4, 4, 4], [1915, 2256, 2785], True),
+        "branching_estimate": 7.6,
+        "catalytic_estimate": 4.0,
+    },
+    "tau-vec": {
+        "max": ([5, 5, 5, 5, 5], [5, 5, 5, 5, 5], [14, 14, 14, 14, 14], True),
+        "branching": ([9, 10, 9, 7], [9, 10, 9, 7], [40, 40, 40, 40], True),
+        "catalytic": ([3, 4, 3], [3, 4, 3], [1096, 2110, 1434], True),
+        "branching_estimate": 8.6,
+        "catalytic_estimate": 4.0,
+    },
+}
+
+
+def catalytic_crn():
+    """X1 + X2 -> Y plus a fast no-op Y -> Y: it never falls silent, so a run
+    ends by the quiescence window or by ``max_steps``."""
+    return CRN([X1 + X2 >> Y, (Y >> Y).with_rate(1000.0)], (X1, X2), Y, name="catalytic")
+
+
+class TestBuiltinEngineLock:
+    """Every built-in engine, end to end through the registry, pinned to
+    literals recorded before the engines became two generic adapters.
+
+    A seeded ``run_many`` pins the whole :class:`ConvergenceReport` on three
+    CRNs: the overshooting max CRN run to silence, the branching CRN cut off
+    by ``max_steps``, and the catalytic CRN stopped by the default
+    quiescence window.  A seeded ``estimate_expected_output`` (no window)
+    pins the kinetic half, and ``EngineInfo.to_dict()`` the metadata.
+    """
+
+    @pytest.mark.parametrize("engine", list(BUILTIN_ENGINE_RESULTS))
+    def test_seeded_results_and_metadata_are_unchanged(self, engine):
+        import json
+
+        from repro.api.config import RunConfig
+        from repro.sim.registry import get_engine
+        from repro.sim.runner import estimate_expected_output
+
+        expected = BUILTIN_ENGINE_RESULTS[engine]
+
+        def report(crn, x, **config):
+            result = run_many(crn, x, config=RunConfig(engine=engine, **config))
+            return (
+                result.outputs,
+                result.max_outputs,
+                result.steps,
+                result.all_silent_or_converged,
+            )
+
+        def estimate(crn, x, **config):
+            return estimate_expected_output(
+                crn, x, config=RunConfig(engine=engine, **config)
+            )
+
+        max_crn = maximum_spec().known_crn
+        assert report(max_crn, (5, 3), trials=5, seed=2024) == expected["max"]
+        assert report(
+            branching_crn(), (40,), trials=4, seed=31, max_steps=30
+        ) == expected["branching"]
+        assert report(
+            catalytic_crn(), (6, 4), trials=3, seed=8, max_steps=3000
+        ) == expected["catalytic"]
+        assert estimate(
+            branching_crn(), (40,), trials=5, seed=31
+        ) == expected["branching_estimate"]
+        assert estimate(
+            catalytic_crn(), (6, 4), trials=4, seed=8, max_steps=3000
+        ) == expected["catalytic_estimate"]
+        info = get_engine(engine).to_dict()
+        assert json.dumps(info) == BUILTIN_ENGINE_INFO[engine]
+
+
+def _scalar_reference(run_policy, kinetic_policy):
+    """Hand-rolled ``(run_many, estimate)`` of a scalar engine: one
+    :class:`SimulatorCore` per trial seed of the config."""
+
+    def run(crn, x, config, window):
+        results = [
+            SimulatorCore(crn, run_policy(config), rng=random.Random(seed)).run_on_input(
+                x, max_steps=config.max_steps, quiescence_window=window
+            )
+            for seed in config.trial_seeds()
+        ]
+        return (
+            [crn.output_count(r.final_configuration) for r in results],
+            [r.max_output_seen for r in results],
+            [r.steps for r in results],
+            all(r.silent or r.converged for r in results),
+        )
+
+    def estimate(crn, x, config):
+        total = 0
+        for seed in config.trial_seeds():
+            result = SimulatorCore(
+                crn, kinetic_policy(config), rng=random.Random(seed)
+            ).run_on_input(x, max_steps=config.max_steps)
+            total += crn.output_count(result.final_configuration)
+        return total / config.trials
+
+    return run, estimate
+
+
+def _batch_reference(run_engine, kinetic_engine):
+    """Hand-rolled ``(run_many, estimate)`` of a batch engine: one batch of
+    ``trials`` rows seeded with the config's seed."""
+
+    def run(crn, x, config, window):
+        result = run_engine(crn.compiled(), config).run_on_input(
+            x, batch=config.trials, max_steps=config.max_steps, quiescence_window=window
+        )
+        return (
+            [int(v) for v in result.output_counts()],
+            [int(v) for v in result.max_output_seen],
+            [int(v) for v in result.steps],
+            result.all_silent_or_converged(),
+        )
+
+    def estimate(crn, x, config):
+        result = kinetic_engine(crn.compiled(), config).run_on_input(
+            x, batch=config.trials, max_steps=config.max_steps
+        )
+        return float(result.output_counts().mean())
+
+    return run, estimate
+
+
+def _builtin_references():
+    from repro.sim.engine import (
+        BatchFairEngine,
+        BatchGillespieEngine,
+        BatchTauLeapEngine,
+    )
+
+    def tau(config):
+        return TauLeapPolicy(epsilon=config.epsilon)
+
+    def tau_vec(compiled, config):
+        return BatchTauLeapEngine(compiled, seed=config.seed, epsilon=config.epsilon)
+
+    return {
+        "python": _scalar_reference(
+            lambda config: FairPolicy(), lambda config: GillespiePolicy()
+        ),
+        "vectorized": _batch_reference(
+            lambda compiled, config: BatchFairEngine(compiled, seed=config.seed),
+            lambda compiled, config: BatchGillespieEngine(compiled, seed=config.seed),
+        ),
+        "tau": _scalar_reference(tau, tau),
+        "tau-vec": _batch_reference(tau_vec, tau_vec),
+    }
+
+
+BUILTIN_REFERENCES = _builtin_references()
+
+
+class TestBuiltinAdapters:
+    """Each registered built-in replays its underlying sampler, driven by hand.
+
+    ``run_many`` must sample the fair half (the kinetic half for the
+    kinetic-only engines) under the config's quiescence window, defaulting
+    to the population-scaled one; ``estimate_expected_output`` must sample
+    the kinetic half with no window; ``epsilon`` must reach the tau engines.
+    """
+
+    @pytest.mark.parametrize("engine", list(BUILTIN_REFERENCES))
+    def test_run_many_replays_the_sampler_under_the_default_window(self, engine):
+        from repro.api.config import RunConfig
+
+        config = RunConfig(engine=engine, trials=3, seed=12, max_steps=3000, epsilon=0.05)
+        report = run_many(catalytic_crn(), (6, 4), config=config)
+        run, _ = BUILTIN_REFERENCES[engine]
+        expected = run(catalytic_crn(), (6, 4), config, default_quiescence_window((6, 4)))
+        assert (
+            report.outputs,
+            report.max_outputs,
+            report.steps,
+            report.all_silent_or_converged,
+        ) == expected
+
+    @pytest.mark.parametrize("engine", list(BUILTIN_REFERENCES))
+    def test_run_many_honours_a_configured_window(self, engine):
+        from repro.api.config import RunConfig
+
+        config = RunConfig(engine=engine, trials=3, seed=12, quiescence_window=40)
+        report = run_many(catalytic_crn(), (6, 4), config=config)
+        run, _ = BUILTIN_REFERENCES[engine]
+        expected = run(catalytic_crn(), (6, 4), config, 40)
+        assert (
+            report.outputs,
+            report.max_outputs,
+            report.steps,
+            report.all_silent_or_converged,
+        ) == expected
+        assert report.all_silent_or_converged
+        # the catalytic no-op never lets a run fall silent, so the shorter
+        # window ends it sooner than the default one does
+        default = run_many(
+            catalytic_crn(), (6, 4), config=RunConfig(engine=engine, trials=3, seed=12)
+        )
+        assert sum(report.steps) < sum(default.steps)
+
+    @pytest.mark.parametrize("engine", list(BUILTIN_REFERENCES))
+    def test_estimate_replays_the_kinetic_sampler(self, engine):
+        from repro.api.config import RunConfig
+        from repro.sim.runner import estimate_expected_output
+
+        config = RunConfig(engine=engine, trials=6, seed=5, epsilon=0.05)
+        estimate = estimate_expected_output(branching_crn(), (40,), config=config)
+        _, reference = BUILTIN_REFERENCES[engine]
+        assert estimate == reference(branching_crn(), (40,), config)
 
 
 class TestSimulatorCore:

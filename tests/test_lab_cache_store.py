@@ -90,6 +90,51 @@ class TestSpecFingerprint:
         assert cell_cache_key(**base, salt="other-code-version") != key
 
 
+class TestCellKeyPins:
+    """One seeded cell per built-in engine, its ``cell_id`` and
+    ``cache_key()`` pinned to literals recorded before the built-ins became
+    registry data.  While these hold, a cache warmed by that code replays
+    with zero executions."""
+
+    @pytest.mark.parametrize(
+        "engine,cell_id,cache_key",
+        [
+            (
+                "python",
+                "6a98e6648c8f5ffb",
+                "48a05483a1ec2ce7294e669171ecad6c778baae8828f1f50c91b2bb44fd20b28",
+            ),
+            (
+                "vectorized",
+                "62b68504f294a53f",
+                "4ed03d65060812df327b3af34093d65e11fdf96513b1543d75c7d6e8413ffeb8",
+            ),
+            (
+                "tau",
+                "5b12a92acc132e4a",
+                "72c042ec920b3730707b50de91266979c36a15fce766bb71aa80e427669a0bb2",
+            ),
+            (
+                "tau-vec",
+                "5891a8562bac6118",
+                "130a897c551cbe3c4e90e99d8eb659a5182ec3591b604ddce9d77f61123ac30b",
+            ),
+        ],
+        ids=["python", "vectorized", "tau", "tau-vec"],
+    )
+    def test_cell_id_and_cache_key_are_unchanged(self, engine, cell_id, cache_key):
+        (cell,) = Campaign(
+            "pin",
+            specs=["minimum"],
+            inputs=[(3, 4)],
+            engines=[engine],
+            configs=[RunConfig(trials=4)],
+            seed=7,
+        ).expand()
+        assert cell.cell_id == cell_id
+        assert cell.cache_key() == cache_key
+
+
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))

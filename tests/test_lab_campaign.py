@@ -120,7 +120,7 @@ class TestEngineResolution:
     def test_explicit_selector_ignores_allow_approximate(self):
         config = RunConfig(allow_approximate=True)
         assert resolve_engine("python", (10**6, 10**6), config) == "python"
-        assert resolve_engine("nrm", (50_000, 50_000), config) == "nrm"
+        assert resolve_engine("vectorized", (50_000, 50_000), config) == "vectorized"
 
     def test_auto_reads_costs_not_population_ceilings(self):
         # A registered engine competes on its cost constants alone: a cheap

@@ -101,8 +101,28 @@ class TestCliSmoke:
         rows = {line.split()[0]: line for line in engines.stdout.splitlines()}
         for name in ("python", "vectorized", "tau", "tau-vec"):
             assert " + T*" in rows[name] and "us/step" in rows[name]
-        assert "cost uncalibrated" in rows["nrm"]
+        assert "uncalibrated" not in engines.stdout  # every built-in has costs
         assert "<=" not in engines.stdout
+
+    def test_engines_lists_an_uncalibrated_engine_as_such(self, capsys):
+        # No built-in lacks cost constants, so register one that does.
+        from repro.lab import cli
+        from repro.sim.registry import register_engine, unregister_engine
+
+        class Uncalibrated:
+            def run_many(self, crn, x, config):
+                raise NotImplementedError
+
+            def estimate_expected_output(self, crn, x, config):
+                raise NotImplementedError
+
+        register_engine("cli-uncalibrated", supports_fair=False)(Uncalibrated)
+        try:
+            assert cli.main(["engines"]) == 0
+        finally:
+            unregister_engine("cli-uncalibrated")
+        rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+        assert "cost uncalibrated" in rows["cli-uncalibrated"]
 
     def test_engines_json_matches_the_registry(self, tmp_path):
         result = repro_cli("engines", "--json", cwd=tmp_path)
@@ -115,7 +135,7 @@ class TestCliSmoke:
 
         assert payload == {"engines": [info.to_dict() for info in registered_engines()]}
         by_name = {entry["name"]: entry for entry in payload["engines"]}
-        assert set(by_name) == {"python", "vectorized", "nrm", "tau", "tau-vec"}
+        assert set(by_name) == {"python", "vectorized", "tau", "tau-vec"}
         assert by_name["tau"]["approximate"] is True
         assert by_name["tau"]["min_recommended_population"] == 10000
         assert by_name["python"]["supports_fair"] is True
@@ -126,7 +146,6 @@ class TestCliSmoke:
         python, vectorized = by_name["python"], by_name["vectorized"]
         assert python["trial_step_cost"] > vectorized["trial_step_cost"]
         assert vectorized["step_cost"] > python["step_cost"]
-        assert by_name["nrm"]["trial_step_cost"] is None
 
     def test_unknown_spec_is_a_clean_error(self, tmp_path):
         run = repro_cli(

@@ -10,7 +10,7 @@ The contracts pinned down here:
   ``read_trace`` and passes ``validate_trace``; malformed files are loud;
 * **registry exposition** — ``/v1/stats``-style JSON reads and the
   Prometheus text rendering are two views of the same series;
-* **RunStats invariants** — every policy (Gillespie, NRM, fair, tau) over
+* **RunStats invariants** — every policy (Gillespie, fair, tau) over
   every construction strategy (known / 1d / leaderless / quilt / general)
   reports events/selections/propensity_ops/rng_draws that satisfy the
   cross-engine algebra, and seeded stats are reproducible bit for bit;
@@ -57,10 +57,10 @@ from repro.obs.trace import (
     read_trace,
     validate_trace,
 )
+from repro.sim.fair import output_producing_bias
 from repro.sim.kernel import (
     FairPolicy,
     GillespiePolicy,
-    NextReactionPolicy,
     SimulatorCore,
     TauLeapPolicy,
 )
@@ -317,7 +317,6 @@ _STRATEGY_CRNS = _strategy_crns()
 
 _POLICIES = [
     ("gillespie", GillespiePolicy),
-    ("nrm", NextReactionPolicy),
     ("fair", FairPolicy),
     ("tau", TauLeapPolicy),
 ]
@@ -344,6 +343,23 @@ class TestRunStatsInvariants:
             assert stats.selections <= stats.events or stats.events == 0
         else:
             assert stats.selections == stats.events
+        if stats.events > 0:
+            assert stats.rng_draws > 0
+
+    @pytest.mark.parametrize(
+        "strategy,crn,x", _STRATEGY_CRNS, ids=[s for s, _, _ in _STRATEGY_CRNS]
+    )
+    def test_biased_fair_policy_reports_consistent_stats(self, strategy, crn, x):
+        # The weighted choice is its own selection path: it must account
+        # for its work exactly as the uniform one does.
+        policy = FairPolicy(bias=output_producing_bias(crn))
+        core = SimulatorCore(crn, policy, rng=random.Random(11))
+        result = core.run(crn.initial_configuration(x), max_steps=5_000)
+        stats = result.stats
+        assert stats is not None
+        assert stats.events == result.steps
+        assert stats.selections == stats.events
+        assert stats.propensity_ops >= len(crn.reactions)
         if stats.events > 0:
             assert stats.rng_draws > 0
 

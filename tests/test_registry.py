@@ -86,12 +86,24 @@ class TestRegistryBasics:
         assert vectorized.trial_step_cost < python.trial_step_cost
         assert {info.name for info in registered_engines()} >= {"python", "vectorized"}
 
-    def test_nrm_capability_metadata(self):
-        nrm = get_engine("nrm")
-        assert nrm.supports_gillespie
-        assert not nrm.supports_fair  # kinetic scheduling only
-        assert not nrm.approximate  # exact sampler, unlike tau
-        assert "nrm" in engine_names()
+    def test_builtin_names_are_the_table_keys(self):
+        # The registry restores built-ins from the runner's table, so the
+        # name set is kept once: in BUILTIN_ENGINES.
+        from repro.sim.runner import BUILTIN_ENGINES
+
+        assert list(BUILTIN_ENGINES) == ["python", "vectorized", "tau", "tau-vec"]
+        assert set(engine_names()) >= set(BUILTIN_ENGINES)
+
+    @pytest.mark.parametrize("name", ["python", "vectorized", "tau", "tau-vec"])
+    def test_builtin_registration_is_the_table_entry(self, name):
+        from repro.sim.runner import BUILTIN_ENGINES
+
+        adapter, metadata = BUILTIN_ENGINES[name]
+        info = get_engine(name)
+        assert info.implementation is adapter
+        assert info.supports_gillespie
+        for field, value in metadata.items():
+            assert getattr(info, field) == value, field
 
     def test_tau_vec_capability_metadata(self):
         tau_vec = get_engine("tau-vec")
@@ -106,7 +118,7 @@ class TestRegistryBasics:
         # dense-batch engines carry it, the scalar ones do not.
         flags = {info.name: info.batch_capable for info in registered_engines()}
         assert flags["vectorized"] and flags["tau-vec"]
-        assert not flags["python"] and not flags["nrm"] and not flags["tau"]
+        assert not flags["python"] and not flags["tau"]
 
     def test_batch_capable_in_to_dict(self):
         # to_dict is the single serialization behind both `engines --json`
@@ -279,18 +291,18 @@ class TestRegistryDispatch:
                 engine="tau",
             )
 
-    def test_verification_rejects_nrm(self):
-        # Regression for the new exact kinetic-only engine: exactness is not
-        # the question — NRM samples Gillespie kinetics, not the fair
-        # scheduler the verification evidence assumes — so it must be routed
-        # away from the randomized path with the same clear error as tau.
+    def test_verification_rejects_tau_vec(self):
+        # The batched kinetic-only engine samples Gillespie kinetics, not the
+        # fair scheduler the verification evidence assumes, so it must be
+        # routed away from the randomized path with the same clear error as
+        # tau.
         from repro.verify import verify_stable_computation
 
         crn = minimum_spec().known_crn
         with pytest.raises(ValueError, match="supports_fair"):
             verify_stable_computation(
                 crn, lambda x: min(x), inputs=[(2, 2)], method="simulation",
-                engine="nrm",
+                engine="tau-vec",
             )
 
 
@@ -298,7 +310,7 @@ class TestValidateEngineRequest:
     """Explicit per-call requests are checked against capability metadata."""
 
     def test_epsilon_on_exact_engines_rejected(self):
-        for engine in ("python", "vectorized", "nrm"):
+        for engine in ("python", "vectorized"):
             with pytest.raises(ValueError) as excinfo:
                 validate_engine_request(engine, epsilon=0.05)
             message = str(excinfo.value)
@@ -306,7 +318,7 @@ class TestValidateEngineRequest:
             assert "'tau'" in message  # the actionable part: what to use instead
 
     def test_fair_on_kinetic_only_engines_rejected(self):
-        for engine in ("nrm", "tau"):
+        for engine in ("tau", "tau-vec"):
             with pytest.raises(ValueError) as excinfo:
                 validate_engine_request(engine, fair=True)
             message = str(excinfo.value)
@@ -316,7 +328,7 @@ class TestValidateEngineRequest:
     def test_valid_requests_return_the_engine_info(self):
         assert validate_engine_request("tau", epsilon=0.1).name == "tau"
         assert validate_engine_request("python", fair=True).name == "python"
-        assert validate_engine_request("nrm").name == "nrm"
+        assert validate_engine_request("tau-vec").name == "tau-vec"
 
     def test_unknown_engine_still_reported_first(self):
         with pytest.raises(ValueError, match="registered engines"):

@@ -3,26 +3,26 @@
 The exact engines are locked bit-for-bit elsewhere (``tests/test_kernel.py``,
 ``tests/test_engine.py``).  This suite guards the property those locks cannot
 express: every kinetic sampler — the exact scalar kernel (``python``), the
-exact numpy batch engine (``vectorized``), the exact Gibson–Bruck
-next-reaction engine (``nrm``, exact but on a differently-consumed stream,
-so bit-for-bit locks are impossible by construction), the approximate
-tau-leaping policy (``tau``), and the batched tau-leaping engine
-(``tau-vec``, approximate *and* on the numpy Generator stream) — samples the
-*same* continuous-time Markov chain, so their per-trajectory
-completion-step and final-output
-distributions must agree up to sampling noise.  Each gate is a two-sample Kolmogorov–Smirnov test
+exact numpy batch engine (``vectorized``), the approximate tau-leaping
+policy (``tau``), and the batched tau-leaping engine (``tau-vec``,
+approximate *and* on the numpy Generator stream) — samples the *same*
+continuous-time Markov chain, so their per-trajectory completion-step and
+final-output distributions must agree up to sampling noise.  Each gate is a two-sample Kolmogorov–Smirnov test
 (:mod:`repro.verify.statistical`) at ``ALPHA``, run on a fixed seed matrix so
 the verdicts are deterministic in CI.
 
 Coverage:
 
 * the five construction strategy families (known / 1d / leaderless / quilt /
-  general), python-vs-vectorized-vs-nrm-vs-tau-vs-tau-vec;
+  general), python-vs-vectorized-vs-tau-vs-tau-vec;
 * a branching CRN whose output is genuinely stochastic
   (``X -> Y`` at rate 1 vs ``X -> Z`` at rate 3, output ~ Binomial(n, 1/4)),
-  so the gates compare non-degenerate distributions;
-* *power*: deliberately rate-biased Gillespie, next-reaction, *and* batched
-  tau-leap samplers must be **rejected** by the same gates — a subtly biased
+  and a dimerization CRN (``X + X -> Y`` competing with ``X -> Z``) whose
+  output and step count hinge on a bimolecular propensity at a population
+  where ``tau`` really leaps, so the gates compare non-degenerate
+  distributions;
+* *power*: deliberately rate-biased Gillespie *and* batched tau-leap
+  samplers must be **rejected** by the same gates — a subtly biased
   backend (present or future numba/C) cannot pass by being merely plausible.
 
 Methodology knobs (documented in DESIGN.md section 6): ``ALPHA = 1e-3`` per
@@ -51,13 +51,7 @@ from repro.functions.catalog import (
     quilt_2d_fig3b_spec,
     threshold_capped_spec,
 )
-from repro.sim.kernel import (
-    GillespiePolicy,
-    NextReactionPolicy,
-    TauLeapPolicy,
-    _GillespieStepper,
-    _NRMStepper,
-)
+from repro.sim.kernel import GillespiePolicy, TauLeapPolicy, _GillespieStepper
 from repro.verify.statistical import (
     DistributionSample,
     assert_distributions_match,
@@ -88,8 +82,20 @@ def _branching_crn() -> CRN:
     return CRN([(X >> Y), (X >> Z).with_rate(3.0)], (X,), Y, name="branching")
 
 
+def _dimerization_crn() -> CRN:
+    """Competing X + X -> Y (rate 0.005) / X -> Z (rate 3): a stochastic
+    output and completion-step count driven by a bimolecular propensity."""
+    return CRN(
+        [(X + X >> Y).with_rate(0.005), (X >> Z).with_rate(3.0)],
+        (X,),
+        Y,
+        name="dimerization",
+    )
+
+
 def build_family_cases():
-    """(label, CRN, input) for every construction strategy plus the branching CRN.
+    """(label, CRN, input) for every construction strategy plus the two
+    rate-sensitive CRNs (unimolecular branching, bimolecular dimerization).
 
     Inputs are sized so every family falls silent under Gillespie kinetics
     within the step budget (verified by the gates' ``all_completed`` check)
@@ -103,11 +109,13 @@ def build_family_cases():
         ("quilt/fig3b", build_crn_for(quilt_2d_fig3b_spec(), strategy="quilt"), (12, 9)),
         ("general/min", build_crn_for(minimum_spec(), strategy="general"), (20, 30)),
         ("branching/binomial", _branching_crn(), (400,)),
+        ("dimerization/competing", _dimerization_crn(), (2000,)),
     ]
 
 
 FAMILY_CASES = build_family_cases()
 FAMILY_IDS = [label for label, _, _ in FAMILY_CASES]
+STOCHASTIC_OUTPUT_FAMILIES = {"branching/binomial", "dimerization/competing"}
 
 #: Gate outcomes archived to $REPRO_KS_OUT (CI artifact); see _write_records.
 _GATE_RECORDS = []
@@ -220,8 +228,75 @@ class TestKSMachinery:
             ks_statistic([], [1, 2])
 
 
+#: Each built-in's ``sample_kinetic_distribution`` on the dimerization CRN
+#: at ``(2000,)``, 4 seeds from ``BASE_SEED``: ``(steps, outputs)``,
+#: recorded while the sampler still dispatched on engine names itself.
+SEED_MATRIX_PINS = {
+    "python": ([1426, 1434, 1423, 1433], [574, 566, 577, 567]),
+    "vectorized": ([1431, 1432, 1460, 1435], [569, 568, 540, 565]),
+    "tau": ([1431, 1419, 1424, 1430], [569, 581, 576, 570]),
+    "tau-vec": ([1424, 1451, 1436, 1449], [576, 549, 564, 551]),
+}
+
+
+class TestSamplerDispatch:
+    """Engine names resolve through the registry's kinetic half."""
+
+    @pytest.mark.parametrize("engine", list(SEED_MATRIX_PINS))
+    def test_builtin_seed_matrix_is_pinned(self, engine):
+        # Scalar samplers draw trajectory i from BASE_SEED + i, batch ones
+        # one batch seeded with BASE_SEED; neither may drift.
+        sample = sample_kinetic_distribution(
+            _dimerization_crn(), (2000,), engine=engine, n_seeds=4, base_seed=BASE_SEED
+        )
+        assert (sample.steps, sample.outputs) == SEED_MATRIX_PINS[engine]
+        assert sample.all_completed and sample.engine == engine
+
+    def test_unknown_engine_names_the_registered_ones(self):
+        with pytest.raises(ValueError, match="registered engines"):
+            sample_kinetic_distribution(_branching_crn(), (10,), engine="no-such-engine")
+
+    def test_engine_without_a_kinetic_half_is_rejected(self):
+        from repro.sim.registry import register_engine, unregister_engine
+
+        class RunOnly:
+            def run_many(self, crn, x, config):
+                raise NotImplementedError
+
+            def estimate_expected_output(self, crn, x, config):
+                raise NotImplementedError
+
+        register_engine("stat-run-only")(RunOnly)
+        try:
+            with pytest.raises(ValueError, match="kinetic_policy"):
+                sample_kinetic_distribution(
+                    _branching_crn(), (10,), engine="stat-run-only"
+                )
+        finally:
+            unregister_engine("stat-run-only")
+
+    def test_a_registered_scalar_adapter_samples_like_the_builtin(self):
+        # Registry data, not a name ladder: a third-party engine built from
+        # the same adapter and policies draws the very same sample.
+        from repro.sim.kernel import FairPolicy
+        from repro.sim.registry import register_engine, unregister_engine
+        from repro.sim.runner import ScalarEngine
+
+        adapter = ScalarEngine(lambda config: FairPolicy(), lambda config: GillespiePolicy())
+        register_engine("stat-scalar")(adapter)
+        try:
+            custom = sample_kinetic_distribution(
+                _branching_crn(), (40,), engine="stat-scalar", n_seeds=8
+            )
+        finally:
+            unregister_engine("stat-scalar")
+        builtin = sample_kinetic_distribution(_branching_crn(), (40,), n_seeds=8)
+        assert (custom.steps, custom.outputs) == (builtin.steps, builtin.outputs)
+        assert custom.engine == "stat-scalar"
+
+
 class TestCrossEngineGates:
-    """python vs vectorized vs nrm vs tau across every family, steps + outputs."""
+    """python vs vectorized vs tau vs tau-vec across every family, steps + outputs."""
 
     @pytest.mark.parametrize("label,crn,x", FAMILY_CASES, ids=FAMILY_IDS)
     def test_vectorized_matches_python(self, sample_distribution, label, crn, x):
@@ -244,27 +319,6 @@ class TestCrossEngineGates:
         _gate(label, reference, candidate)
 
     @pytest.mark.parametrize("label,crn,x", FAMILY_CASES, ids=FAMILY_IDS)
-    def test_nrm_matches_python(self, sample_distribution, label, crn, x):
-        # The admission gate for the exact-but-stream-divergent NRM engine:
-        # same CTMC as the direct method, checked distributionally.
-        reference = sample_distribution(label, crn, x, "python")
-        candidate = sample_distribution(label, crn, x, "nrm")
-        assert reference.all_completed and candidate.all_completed
-        _gate(label, reference, candidate)
-
-    @pytest.mark.parametrize("label,crn,x", FAMILY_CASES, ids=FAMILY_IDS)
-    def test_nrm_matches_vectorized(self, sample_distribution, label, crn, x):
-        reference = sample_distribution(label, crn, x, "vectorized")
-        candidate = sample_distribution(label, crn, x, "nrm")
-        _gate(label, reference, candidate)
-
-    @pytest.mark.parametrize("label,crn,x", FAMILY_CASES, ids=FAMILY_IDS)
-    def test_nrm_matches_tau(self, sample_distribution, label, crn, x):
-        reference = sample_distribution(label, crn, x, "nrm")
-        candidate = sample_distribution(label, crn, x, "tau")
-        _gate(label, reference, candidate)
-
-    @pytest.mark.parametrize("label,crn,x", FAMILY_CASES, ids=FAMILY_IDS)
     def test_tau_vec_matches_python(self, sample_distribution, label, crn, x):
         # The admission gate for the batched tau-leap engine: approximate
         # sampler on the numpy Generator stream, so distributional identity
@@ -281,12 +335,6 @@ class TestCrossEngineGates:
         _gate(label, reference, candidate)
 
     @pytest.mark.parametrize("label,crn,x", FAMILY_CASES, ids=FAMILY_IDS)
-    def test_tau_vec_matches_nrm(self, sample_distribution, label, crn, x):
-        reference = sample_distribution(label, crn, x, "nrm")
-        candidate = sample_distribution(label, crn, x, "tau-vec")
-        _gate(label, reference, candidate)
-
-    @pytest.mark.parametrize("label,crn,x", FAMILY_CASES, ids=FAMILY_IDS)
     def test_tau_vec_matches_tau(self, sample_distribution, label, crn, x):
         # Both tau variants approximate the same CTMC with the same CGP
         # bound; agreeing with each other *and* with the exact engines pins
@@ -299,10 +347,10 @@ class TestCrossEngineGates:
         # Beyond distributional agreement: on a stable computation every
         # engine must converge to the same (deterministic) output.
         for label, crn, x in FAMILY_CASES:
-            if label == "branching/binomial":
+            if label in STOCHASTIC_OUTPUT_FAMILIES:
                 continue  # genuinely stochastic output by construction
             expected = sample_distribution(label, crn, x, "python").outputs[0]
-            for engine in ("python", "vectorized", "nrm", "tau", "tau-vec"):
+            for engine in ("python", "vectorized", "tau", "tau-vec"):
                 sample = sample_distribution(label, crn, x, engine)
                 assert set(sample.outputs) == {expected}, (label, engine)
 
@@ -332,33 +380,6 @@ class _RateBiasedGillespiePolicy(GillespiePolicy):
                 return base * factor if produces_output else base
 
         return _BiasedStepper(compiled, rng)
-
-
-class _RateBiasedNRMPolicy(NextReactionPolicy):
-    """The same injected bias, through the next-reaction machinery.
-
-    Every propensity evaluation — the initial putative-time draws and every
-    Gibson–Bruck clock repair — sees the inflated output pathway, so a port
-    of the NRM engine with mis-scaled rates is modeled faithfully.
-    """
-
-    def __init__(self, factor: float = 3.0) -> None:
-        self.factor = factor
-
-    def bind(self, compiled, rng):
-        factor = self.factor
-        output_index = compiled.output_index
-
-        class _BiasedNRMStepper(_NRMStepper):
-            def _propensity(self, r, counts):
-                base = _NRMStepper._propensity(self, r, counts)
-                produces_output = any(
-                    s == output_index and delta > 0
-                    for s, delta in self.compiled.net_terms[r]
-                )
-                return base * factor if produces_output else base
-
-        return _BiasedNRMStepper(compiled, rng)
 
 
 class _RateBiasedBatchTauEngine:
@@ -444,24 +465,6 @@ class TestGatePower:
         with pytest.raises(AssertionError, match="steps distribution"):
             assert_distributions_match(
                 reference, biased, metrics=("steps",), alpha=ALPHA
-            )
-
-    def test_biased_nrm_policy_rejected_on_outputs(self, sample_distribution):
-        # The next-reaction machinery earns no exemption: the same injected
-        # rate bias routed through putative-time draws and clock rescaling
-        # must be flagged by the same gate the honest NRM sampler passes.
-        label, crn, x = "branching/binomial", _branching_crn(), (400,)
-        reference = sample_distribution(label, crn, x, "python")
-        biased = sample_kinetic_distribution(
-            crn,
-            x,
-            engine=_RateBiasedNRMPolicy(factor=3.0),
-            n_seeds=N_SEEDS,
-            base_seed=BASE_SEED + 20_000,
-        )
-        with pytest.raises(AssertionError, match="outputs distribution"):
-            assert_distributions_match(
-                reference, biased, metrics=("outputs",), alpha=ALPHA
             )
 
     def test_biased_batch_tau_engine_rejected_on_outputs(self, sample_distribution):
