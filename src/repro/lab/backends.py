@@ -35,20 +35,29 @@ addresses of the descriptor), so N workers, duplicated executions, and
 resumed runs all collapse to one canonical row per cell, byte-identical in
 the deterministic view to a serial run.
 
-Queue directory layout::
+Queue directory layout, with each entry's durability::
 
-    queue.json            seal: the campaign's full cell-id list
-    cells/<id>.json       serialized Cell descriptors (atomic publish)
-    pending/<id>          claim tokens (zero-byte)
-    leases/<id>           held claims: {worker, deadline, ...}
-    done/<id>             completion markers: {worker, finished_unix}
-    results/<w>.jsonl     per-worker CellResult shards (ResultStore format)
-    stats/<w>.json        per-worker counters (claimed/executed/errors/...)
-    traces/<w>.jsonl      optional per-worker repro-trace-v1 shards
+    queue.json          seal: the full cell-id list (fsync'd replace)
+    cells/seg-*.jsonl   Cell descriptors: a ResultCache keyed by cell id
+                        (fsync'd by enqueue before it creates any token)
+    pending/<id>        claim tokens (zero-byte O_EXCL create, unsynced)
+    leases/<id>         held claims: {worker, deadline, ...} (O_EXCL create)
+    done/<id>           completion markers (O_EXCL create after the row's
+                        fsync, unsynced; only the name is ever read)
+    results/<w>.jsonl   per-worker CellResult shards (ResultStore format)
+    stats/<w>.json      per-worker counters (fsync'd replace at start, at
+                        most once per COMMIT_SECONDS, on the first empty
+                        claim after new work, and at finish)
+    traces/<w>.jsonl    optional per-worker repro-trace-v1 shards
+
+A lost unsynced entry only costs work: a re-issued token, a re-run cell.
+Queue dirs holding per-cell ``cells/<id>.json`` files are not migrated; a
+re-enqueue republishes every descriptor the memo lacks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
@@ -57,9 +66,11 @@ import time
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.api.config import RunConfig
+from repro.lab.cache import ResultCache
 from repro.lab.campaign import Cell
 from repro.lab.executor import emit_cell_span, run_cell_with_timeout
-from repro.lab.store import CellResult, JsonlLog, ResultStore
+from repro.lab.store import COMMIT_SECONDS, CellResult, JsonlLog, ResultStore
+from repro.obs.metrics import MetricsRegistry
 
 #: Schema tag of the queue seal file.
 QUEUE_SCHEMA = "repro-queue-v1"
@@ -129,11 +140,29 @@ def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
             os.fsync(handle.fileno())
         os.replace(handle.name, path)
     except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
+        _unlink(handle.name)
         raise
+
+
+def _create_exclusive(path: str, payload: Optional[Dict[str, Any]] = None) -> bool:
+    """``O_EXCL``-create ``path`` holding ``payload``; ``False`` if it exists.
+
+    Exactly one caller wins.  Unsynced: every caller tolerates its loss.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+    except FileExistsError:
+        return False
+    with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        if payload is not None:
+            json.dump(payload, handle, sort_keys=True)
+    return True
+
+
+def _unlink(path: str) -> None:
+    """Remove ``path`` if it is still there (another process may have won)."""
+    with contextlib.suppress(OSError):
+        os.unlink(path)
 
 
 def _read_json(path: str) -> Optional[Dict[str, Any]]:
@@ -164,9 +193,9 @@ class SharedDirQueue:
     extends a held lease; :meth:`complete` durably records the row and
     releases the lease (completing twice is harmless).
 
-    Every mutation is a single atomic directory operation (``O_EXCL`` create,
-    ``rename``, ``replace``), so any number of worker processes — local or on
-    hosts sharing the filesystem — can serve one queue without coordination.
+    Every mutation is an atomic directory operation (``O_EXCL`` create,
+    ``rename``, ``replace``) or an append to the producer's own segment, so
+    any number of workers, on any hosts sharing the directory, can serve it.
     """
 
     def __init__(self, root: str, lease_ttl: float = DEFAULT_LEASE_TTL) -> None:
@@ -176,6 +205,8 @@ class SharedDirQueue:
         self.lease_ttl = float(lease_ttl)
         for name in ("cells", "pending", "leases", "done", "results", "stats", "traces"):
             os.makedirs(self._dir(name), exist_ok=True)
+        # A registry of its own: descriptor lookups are not result-cache traffic.
+        self.descriptors = ResultCache(self._dir("cells"), registry=MetricsRegistry())
 
     def _dir(self, name: str) -> str:
         return os.path.join(self.root, name)
@@ -204,35 +235,27 @@ class SharedDirQueue:
     def enqueue(self, cells: Iterable[Cell]) -> int:
         """Publish descriptors + claim tokens for every not-yet-done cell.
 
-        Idempotent: done cells are skipped, already-pending/leased cells keep
-        their existing token, and re-enqueueing after a crash simply re-issues
-        tokens for whatever never completed.  Seals the queue by writing
-        ``queue.json`` (the full id list) last, so workers only treat the
-        queue as complete once every token is in place.
+        Idempotent: only descriptors the memo lacks are written (and
+        committed before any token appears), done cells are skipped,
+        already-pending/leased cells keep their existing token, and
+        re-enqueueing after a crash re-issues tokens for whatever never
+        completed.  Seals the queue by writing ``queue.json`` (the full id
+        list) last, so workers only treat it as complete once every token is
+        in place.
         """
-        cells = list(cells)
+        by_id = {cell.cell_id: cell for cell in cells}
+        for cell_id in self.descriptors.missing(by_id):
+            self.descriptors.put(cell_id, cell_to_dict(by_id[cell_id]))
+        self.descriptors.close()
         done = set(self._list("done"))
         issued = 0
-        for cell in cells:
-            cell_id = cell.cell_id
-            cell_path = self._entry("cells", cell_id + ".json")
-            if not os.path.exists(cell_path):
-                _atomic_write_json(cell_path, cell_to_dict(cell))
-            if cell_id in done:
+        for cell_id in by_id:
+            if cell_id in done or os.path.exists(self._entry("leases", cell_id)):
                 continue
-            if os.path.exists(self._entry("leases", cell_id)):
-                continue
-            token = self._entry("pending", cell_id)
-            try:
-                os.close(os.open(token, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644))
-            except FileExistsError:
-                continue
-            issued += 1
+            if _create_exclusive(self._entry("pending", cell_id)):
+                issued += 1
         existing = self.manifest()
-        ids = sorted(
-            set(cell.cell_id for cell in cells)
-            | set((existing or {}).get("cell_ids", []))
-        )
+        ids = sorted(set(by_id) | set((existing or {}).get("cell_ids", [])))
         _atomic_write_json(
             self.manifest_path,
             {
@@ -267,46 +290,30 @@ class SharedDirQueue:
         for cell_id in self._list("pending"):
             token = self._entry("pending", cell_id)
             if os.path.exists(self._entry("done", cell_id)):
-                # stale token from a reclaim race; the work is already done
-                try:
-                    os.unlink(token)
-                except OSError:
-                    pass
+                _unlink(token)  # stale token from a reclaim race; already done
                 continue
             lease_path = self._entry("leases", cell_id)
             claimed = now()
+            lease = {
+                "cell_id": cell_id,
+                "worker": worker_id,
+                "claimed_unix": claimed,
+                "deadline": claimed + self.lease_ttl,
+                "pid": os.getpid(),
+                "host": socket.gethostname(),
+            }
             try:
-                fd = os.open(lease_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            except FileExistsError:
-                continue  # someone else holds (or just won) this cell
+                if not _create_exclusive(lease_path, lease):
+                    continue  # someone else holds (or just won) this cell
             except OSError:
                 continue
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(
-                    {
-                        "cell_id": cell_id,
-                        "worker": worker_id,
-                        "claimed_unix": claimed,
-                        "deadline": claimed + self.lease_ttl,
-                        "pid": os.getpid(),
-                        "host": socket.gethostname(),
-                    },
-                    handle,
-                    sort_keys=True,
-                )
-            try:
-                os.unlink(token)
-            except OSError:
-                pass
-            cell_data = _read_json(self._entry("cells", cell_id + ".json"))
+            _unlink(token)
+            cell_data = self.descriptors.get(cell_id)
             if cell_data is None:
                 # unreadable descriptor: nothing can ever run this id; drop
                 # the lease so the damage is visible as an unfinished queue
                 # rather than silently marked done
-                try:
-                    os.unlink(lease_path)
-                except OSError:
-                    pass
+                _unlink(lease_path)
                 continue
             return cell_from_dict(cell_data)
         return None
@@ -318,10 +325,7 @@ class SharedDirQueue:
         for cell_id in self._list("leases"):
             lease_path = self._entry("leases", cell_id)
             if os.path.exists(self._entry("done", cell_id)):
-                try:
-                    os.unlink(lease_path)
-                except OSError:
-                    pass
+                _unlink(lease_path)
                 continue
             meta = _read_json(lease_path)
             deadline = meta.get("deadline") if meta else None
@@ -334,15 +338,9 @@ class SharedDirQueue:
                     continue
             if checked < deadline:
                 continue
-            token = self._entry("pending", cell_id)
-            try:
-                os.close(os.open(token, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644))
-            except OSError:
-                pass
-            try:
-                os.unlink(lease_path)
-            except OSError:
-                pass
+            with contextlib.suppress(OSError):
+                _create_exclusive(self._entry("pending", cell_id))
+            _unlink(lease_path)
             reclaimed += 1
         return reclaimed
 
@@ -367,21 +365,19 @@ class SharedDirQueue:
 
         Order matters: the row is appended and committed (fsync'd) *before*
         the done marker appears, so a done marker always has a row behind it.
+        A marker that already exists means an earlier completion: harmless.
         """
         store = self.worker_store(worker_id)
         try:
             store.append(result)
         finally:
             store.close()
-        _atomic_write_json(
+        _create_exclusive(
             self._entry("done", cell_id),
             {"cell_id": cell_id, "worker": worker_id, "finished_unix": time.time()},
         )
         for kind in ("leases", "pending"):
-            try:
-                os.unlink(self._entry(kind, cell_id))
-            except OSError:
-                pass
+            _unlink(self._entry(kind, cell_id))
 
     # -- coordinator / merge side ------------------------------------------
 
@@ -558,7 +554,12 @@ class _WorkerSession:
 
     The session publishes its ``stats/<worker_id>.json`` as soon as it
     starts, so a worker that joins and never gets a cell still shows up in
-    :meth:`SharedDirQueue.worker_stats`, with ``claimed: 0``.
+    :meth:`SharedDirQueue.worker_stats`, with ``claimed: 0``.  While it
+    runs cells it republishes at most once per
+    :data:`~repro.lab.store.COMMIT_SECONDS` of the module clock :func:`now`;
+    the first claim that finds nothing publishes any counts still unpublished,
+    so a live worker's stats are final within one poll of its last cell, and
+    :meth:`finish` publishes the final counts.
     """
 
     def __init__(
@@ -581,7 +582,6 @@ class _WorkerSession:
             "wall_s": 0.0,
             "cpu_s": 0.0,
             "started_unix": time.time(),
-            "updated_unix": time.time(),
         }
         self._tracer = None
         self._sink = None
@@ -593,12 +593,22 @@ class _WorkerSession:
                 manifest={"worker": worker_id, "queue_dir": queue.root},
             )
             self._tracer = Tracer(self._sink)
-        queue.write_worker_stats(worker_id, self.stats)
+        self._published = 0.0
+        self._dirty = True
+        self._publish(force=True)
+
+    def _publish(self, force: bool = False) -> None:
+        if self._dirty and (force or now() - self._published >= COMMIT_SECONDS):
+            self._published = now()
+            self._dirty = False
+            self.stats["updated_unix"] = time.time()
+            self.queue.write_worker_stats(self.worker_id, self.stats)
 
     def serve_one(self) -> bool:
         """Claim and execute one cell; ``False`` when nothing was claimable."""
         cell = self.queue.claim(self.worker_id)
         if cell is None:
+            self._publish(force=True)
             return False
         self.stats["claimed"] += 1
         if self.timeout is not None and self.timeout > 0:
@@ -615,15 +625,14 @@ class _WorkerSession:
             self.stats["errors"] += 1
         self.stats["wall_s"] += result.wall_time
         self.stats["cpu_s"] += result.cpu_time or 0.0
-        self.stats["updated_unix"] = time.time()
-        self.queue.write_worker_stats(self.worker_id, self.stats)
+        self._dirty = True
+        self._publish()
         if self._tracer is not None:
             emit_cell_span(self._tracer, result, self.worker_id)
         return True
 
     def finish(self) -> Dict[str, Any]:
-        self.stats["updated_unix"] = time.time()
-        self.queue.write_worker_stats(self.worker_id, self.stats)
+        self._publish(force=True)
         if self._sink is not None:
             self._sink.close()
         return self.stats

@@ -29,7 +29,7 @@ import os
 import secrets
 import threading
 import time
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from repro.core.specs import FunctionSpec
 from repro.lab.store import JsonlLog
@@ -214,10 +214,20 @@ class ResultCache:
             if self._own is not None:
                 self._segments[self._own].close()
 
-    def _lookup(self, key: str) -> Optional[Dict[str, Any]]:
+    def missing(self, keys: Iterable[str]) -> List[str]:
+        """The ``keys`` with no readable entry, after one index refresh.
+
+        For bulk producers: one refresh per call instead of one per missing
+        key, and no hit/miss counts.
+        """
+        with self._lock:
+            self._refresh()
+        return [key for key in keys if self._lookup(key, refresh=False) is None]
+
+    def _lookup(self, key: str, refresh: bool = True) -> Optional[Dict[str, Any]]:
         with self._lock:
             where = self._index.get(hash(key))
-            if where is None:
+            if where is None and refresh:
                 self._refresh()
                 where = self._index.get(hash(key))
             if where is None:

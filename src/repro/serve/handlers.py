@@ -343,7 +343,13 @@ async def handle_get_job(state: ServerState, request: HttpRequest, job_id: str) 
     if job is None:
         raise ApiError(404, f"no job {job_id!r}")
     include_results = request.headers.get("x-repro-results", "1") != "0"
-    return Response(payload=job.to_dict(include_results=include_results))
+    workers = None
+    if job.queue is not None:
+        # Workers publish their stats by group commit and when idle, so read
+        # them per request instead of freezing them when the last row lands.
+        loop = asyncio.get_running_loop()
+        workers = await loop.run_in_executor(None, job.queue.worker_stats)
+    return Response(payload=job.to_dict(include_results=include_results, workers=workers))
 
 
 async def handle_cancel_job(state: ServerState, request: HttpRequest, job_id: str) -> Response:

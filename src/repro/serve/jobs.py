@@ -88,7 +88,7 @@ class Job:
         self.name = name
         self.cells = cells
         self.queue_dir = queue_dir
-        self.worker_stats: Dict[str, Dict[str, Any]] = {}
+        self.queue: Optional[SharedDirQueue] = None  # opened by _run_shared_dir
         self.state = "queued"
         self.error: Optional[str] = None
         self.created = time.time()
@@ -141,7 +141,12 @@ class Job:
             if row is not None:
                 yield row
 
-    def to_dict(self, include_results: bool = True) -> Dict[str, Any]:
+    def to_dict(
+        self,
+        include_results: bool = True,
+        workers: Optional[Dict[str, Dict[str, Any]]] = None,
+    ) -> Dict[str, Any]:
+        """The job's JSON view; ``workers`` is the queue's current worker stats."""
         payload: Dict[str, Any] = {
             "id": self.id,
             "name": self.name,
@@ -159,7 +164,7 @@ class Job:
             payload["backend"] = {
                 "name": "shared-dir",
                 "queue_dir": self.queue_dir,
-                "workers": self.worker_stats,
+                "workers": workers or {},
             }
         if include_results:
             payload["results"] = [row.to_dict() for row in self.results()]
@@ -340,7 +345,7 @@ class JobManager:
         partial progress exactly as it does for pool jobs.
         """
         loop = asyncio.get_running_loop()
-        queue = SharedDirQueue(job.queue_dir)
+        queue = job.queue = SharedDirQueue(job.queue_dir)
         waiting = {cell.cell_id: cell for cell in cells}
         await loop.run_in_executor(None, queue.enqueue, cells)
         while waiting:
@@ -354,11 +359,8 @@ class JobManager:
                 cell = waiting.pop(cell_id)
                 self._executed(cell, rows[cell_id])
                 self._record_executed(job, cell, rows[cell_id])
-            if rows:
-                job.worker_stats = await loop.run_in_executor(None, queue.worker_stats)
-            else:
+            if not rows:
                 await asyncio.sleep(SHARED_DIR_POLL)
-        job.worker_stats = await loop.run_in_executor(None, queue.worker_stats)
 
     async def shutdown(self) -> None:
         """Cancel every live job and wait for their tasks to settle."""

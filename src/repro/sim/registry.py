@@ -144,12 +144,15 @@ def _ensure_builtin_engines() -> None:
     import repro.sim.runner as runner
 
     # Importing the runner registers the built-ins; re-register any that a
-    # caller (e.g. a test) unregistered, so the defaults are always
-    # restorable.  Only the missing names are touched — a deliberate
-    # replace=True override of the other built-ins must survive.
+    # caller (e.g. a test) unregistered, back in its BUILTIN_ENGINES slot
+    # ahead of third-party engines.  Only the missing names are touched — a
+    # deliberate replace=True override of the other built-ins must survive.
     missing = set(runner.BUILTIN_ENGINES) - set(_REGISTRY)
     if missing:
         runner.register_builtin_engines(missing)
+        builtins = list(runner.BUILTIN_ENGINES)
+        for name in builtins + [n for n in _REGISTRY if n not in builtins]:
+            _REGISTRY[name] = _REGISTRY.pop(name)
 
 
 def register_engine(

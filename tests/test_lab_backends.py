@@ -15,6 +15,8 @@ import sys
 import threading
 import time
 
+import glob
+
 import pytest
 
 from repro.api.config import RunConfig
@@ -29,7 +31,9 @@ from repro.lab.backends import (
     worker_loop,
 )
 from repro.lab.campaign import Campaign, SweepGrid, run_campaign
+from repro.lab.cache import ResultCache
 from repro.lab.executor import SerialExecutor
+from repro.obs.metrics import global_registry
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -66,6 +70,20 @@ def clock(monkeypatch):
     return fake
 
 
+def descriptor_lines(root):
+    """Every line of the queue's descriptor segments, parsed."""
+    lines = []
+    for path in sorted(glob.glob(os.path.join(str(root), "cells", "seg-*.jsonl"))):
+        with open(path, "rb") as handle:
+            lines.extend(json.loads(line) for line in handle)
+    return lines
+
+
+def run_one(cell):
+    (row,) = SerialExecutor().map([cell])
+    return row
+
+
 def canonical(rows):
     return [
         json.dumps(r.deterministic_dict(), sort_keys=True, separators=(",", ":"))
@@ -90,6 +108,102 @@ class TestSharedDirQueue:
         assert queue.enqueue(cells) == 0  # tokens already issued
         assert queue.sealed()
         assert set(queue.manifest()["cell_ids"]) == {c.cell_id for c in cells}
+
+    def test_enqueue_twice_writes_each_descriptor_once(self, tmp_path):
+        root = tmp_path / "q"
+        queue = SharedDirQueue(str(root))
+        cells = tiny_campaign().expand()
+        assert queue.enqueue(cells) == len(cells)
+        tokens = sorted(os.listdir(root / "pending"))
+        # the same producer, and a fresh one with an empty index
+        assert queue.enqueue(cells) == 0
+        assert SharedDirQueue(str(root)).enqueue(cells) == 0
+        assert sorted(os.listdir(root / "pending")) == tokens
+        keys = [entry["k"] for entry in descriptor_lines(root)]
+        assert sorted(keys) == sorted(c.cell_id for c in cells)
+        assert [entry["v"] for entry in descriptor_lines(root)] == [
+            cell_to_dict(c) for c in cells
+        ]
+        # descriptors live only in the memo: no per-cell files
+        assert not [name for name in os.listdir(root / "cells") if name.endswith(".json")]
+
+    def test_enqueue_refreshes_the_descriptor_index_once(self, tmp_path, monkeypatch):
+        # a long-lived queue dir holds one segment per producer; enqueue must
+        # not rescan them once per missing descriptor
+        root = str(tmp_path / "q")
+        cells = tiny_campaign(grid="0:4").expand()
+        for start in range(0, 8, 2):
+            SharedDirQueue(root).enqueue(cells[start : start + 2])
+        refreshes = []
+        real_refresh = ResultCache._refresh
+        monkeypatch.setattr(
+            ResultCache, "_refresh", lambda self: refreshes.append(1) or real_refresh(self)
+        )
+        assert SharedDirQueue(root).enqueue(cells) == len(cells) - 8
+        assert len(refreshes) == 1
+        assert len(descriptor_lines(root)) == len(cells)
+
+    def test_overlapping_producers_share_one_queue(self, tmp_path):
+        root = str(tmp_path / "q")
+        cells = tiny_campaign(grid="0:4").expand()
+        first, second = SharedDirQueue(root), SharedDirQueue(root)
+        first.enqueue(cells[:10])
+        second.enqueue(cells[6:])
+        # the second producer finds the overlap in the first one's segment
+        assert len(descriptor_lines(root)) == len(cells)
+        assert set(first.manifest()["cell_ids"]) == {c.cell_id for c in cells}
+        worker = SharedDirQueue(root)
+        claimed = []
+        while True:
+            cell = worker.claim("w")
+            if cell is None:
+                break
+            claimed.append(cell.cell_id)
+            worker.complete(cell.cell_id, "w", run_one(cell))
+        assert sorted(claimed) == sorted(c.cell_id for c in cells)
+        merged = worker.merged_rows()
+        serial = list(SerialExecutor().map(cells))
+        assert canonical(merged[c.cell_id] for c in cells) == canonical(serial)
+
+    @pytest.mark.parametrize("damage", ["garbage", "torn"])
+    def test_unreadable_descriptor_drops_the_lease(self, tmp_path, damage):
+        root = tmp_path / "q"
+        (cell,) = tiny_campaign(grid="0:1").expand()[:1]
+        SharedDirQueue(str(root)).enqueue([cell])
+        (segment,) = glob.glob(str(root / "cells" / "seg-*.jsonl"))
+        with open(segment, "rb") as handle:
+            line = handle.read()
+        with open(segment, "wb") as handle:
+            if damage == "garbage":
+                handle.write(b'{"k":"%s","v":[}\n' % cell.cell_id.encode())
+            else:
+                handle.write(line[: len(line) // 2])
+        queue = SharedDirQueue(str(root))
+        assert queue.claim("w") is None
+        for kind in ("pending", "leases", "done"):
+            assert os.listdir(root / kind) == []
+        assert not queue.all_done()
+        # a re-enqueue republishes the descriptor and re-issues the token
+        assert SharedDirQueue(str(root)).enqueue([cell]) == 1
+        assert SharedDirQueue(str(root)).claim("w") == cell
+
+    def test_descriptor_traffic_is_not_result_cache_traffic(self, tmp_path):
+        requests = global_registry().counter(
+            "repro_result_cache_requests_total",
+            "ResultCache.get outcomes by result (hit/miss).",
+            labels=("result",),
+        )
+
+        def counts():
+            return tuple(requests.labels(result=r).value for r in ("hit", "miss"))
+
+        before = counts()
+        queue = SharedDirQueue(str(tmp_path / "q"))
+        cells = tiny_campaign().expand()
+        queue.enqueue(cells)
+        queue.enqueue(cells)
+        assert queue.claim("w") is not None
+        assert counts() == before
 
     def test_claim_is_exclusive_and_exhaustive(self, tmp_path):
         queue = SharedDirQueue(str(tmp_path / "q"))
@@ -180,6 +294,88 @@ class TestSharedDirQueue:
         # the row was on disk and fsync'd while the marker did not exist yet
         assert fsyncs and fsyncs[-1] == (shard, 1, False)
         assert os.path.exists(marker)
+
+
+    def test_second_complete_keeps_one_marker(self, tmp_path):
+        queue = SharedDirQueue(str(tmp_path / "q"))
+        (cell,) = tiny_campaign(grid="0:1").expand()[:1]
+        queue.enqueue([cell])
+        assert queue.claim("a") is not None
+        row = run_one(cell)
+        queue.complete(cell.cell_id, "a", row)
+        queue.complete(cell.cell_id, "b", row)  # the reclaim race, lost by "b"
+        assert os.listdir(os.path.join(queue.root, "done")) == [cell.cell_id]
+        with open(os.path.join(queue.root, "done", cell.cell_id)) as handle:
+            assert json.load(handle)["worker"] == "a"
+        assert canonical(queue.merged_rows().values()) == canonical([row])
+
+    def test_failed_shard_fsync_leaves_no_done_marker(self, tmp_path, monkeypatch):
+        queue = SharedDirQueue(str(tmp_path / "q"))
+        (cell,) = tiny_campaign(grid="0:1").expand()[:1]
+        queue.enqueue([cell])
+        assert queue.claim("w") is not None
+        row = run_one(cell)
+
+        def failing_fsync(log, handle):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_module.JsonlLog, "_fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            queue.complete(cell.cell_id, "w", row)
+        assert not os.path.exists(os.path.join(queue.root, "done", cell.cell_id))
+        assert queue.done_ids() == set()
+
+
+def record_stats_writes(queue):
+    """Wrap ``queue.write_worker_stats``; returns the list of published ``executed``."""
+    writes = []
+    real_write = queue.write_worker_stats
+
+    def recording_write(worker_id, stats):
+        writes.append(stats["executed"])
+        real_write(worker_id, stats)
+
+    queue.write_worker_stats = recording_write
+    return writes
+
+
+class TestWorkerStatsCadence:
+    def test_stats_published_at_start_by_group_commit_and_at_finish(self, tmp_path, clock):
+        queue = SharedDirQueue(str(tmp_path / "q"))
+        queue.enqueue(tiny_campaign(grid="0:2").expand())
+        session = backends._WorkerSession(queue, "w")
+        assert queue.worker_stats()["w"]["claimed"] == 0  # before any cell runs
+        writes = record_stats_writes(queue)
+        assert session.serve_one() and session.serve_one()
+        # within one commit window: not rewritten per cell
+        assert writes == []
+        assert queue.worker_stats()["w"]["claimed"] == 0
+        clock.advance(store_module.COMMIT_SECONDS)
+        assert session.serve_one() and session.serve_one()
+        assert writes == [3]
+        assert queue.worker_stats()["w"]["executed"] == 3
+        final = session.finish()
+        assert writes == [3, 4]
+        assert final["executed"] == final["claimed"] == 4
+        assert queue.worker_stats()["w"] == final
+
+    def test_first_empty_claim_publishes_the_unpublished_counts(self, tmp_path, clock):
+        # a live, idle worker's stats are final within one poll of its last
+        # cell, not only when it exits
+        queue = SharedDirQueue(str(tmp_path / "q"))
+        queue.enqueue(tiny_campaign(grid="0:2").expand())
+        session = backends._WorkerSession(queue, "w")
+        writes = record_stats_writes(queue)
+        for _ in range(4):
+            assert session.serve_one()
+        assert writes == []  # all four cells inside one commit window
+        assert not session.serve_one()  # drained
+        assert writes == [4]
+        assert queue.worker_stats()["w"]["executed"] == 4
+        assert not session.serve_one()
+        assert writes == [4]  # an idle poll with nothing new writes nothing
+        assert session.finish()["executed"] == 4
+        assert queue.worker_stats()["w"]["executed"] == 4
 
 
 class TestSharedDirBackendIdentity:

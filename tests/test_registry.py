@@ -375,3 +375,22 @@ class TestBackCompat:
             register_builtin_engines()
         assert get_engine("vectorized").implementation is not dummy_engine
         assert type(get_engine("vectorized").implementation) is type(original_vectorized)
+
+    def test_restored_builtin_returns_to_its_slot(self, dummy_engine):
+        # Built-ins sit in BUILTIN_ENGINES order ahead of third-party engines,
+        # even after a middle one is unregistered and restored; an override
+        # of another built-in survives the restore.
+        from repro.sim.runner import BUILTIN_ENGINES, register_builtin_engines
+
+        builtins = tuple(BUILTIN_ENGINES)
+        middle = builtins[len(builtins) // 2]
+        override = builtins[-1]
+        register_engine(override, replace=True, description="override")(dummy_engine)
+        unregister_engine(middle)
+        try:
+            assert engine_names() == builtins + ("dummy",)
+            assert get_engine(override).implementation is dummy_engine
+            assert [info.name for info in registered_engines()] == list(engine_names())
+        finally:
+            register_builtin_engines()
+        assert engine_names() == builtins + ("dummy",)

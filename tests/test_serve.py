@@ -503,6 +503,7 @@ class TestSharedDirJobs:
         # executed by the external worker serving the queue directory
         with ServerThread(port=0, workers=0, cache_dir=str(tmp_path / "cache")) as srv:
             client = ServeClient("127.0.0.1", srv.port)
+            before = client.stats()["cache"]
             job = client.submit_job(
                 name="sharded",
                 specs=["minimum"],
@@ -521,13 +522,25 @@ class TestSharedDirJobs:
             )
             worker.start()
             done = client.wait_for_job(job["id"], timeout=120)
+            # worker stats are read per request and published by the worker's
+            # first empty claim after its last cell: they become final
+            # without waiting for the worker to exit
+            deadline = time.monotonic() + 60
+            while client.job(job["id"])["backend"]["workers"]["ext"]["executed"] < 9:
+                assert time.monotonic() < deadline, "worker stats never caught up"
+                time.sleep(0.02)
             worker.join(timeout=120)
             streamed = list(client.job_results(job["id"], deterministic=True))
+            after = client.stats()["cache"]
 
         assert done["state"] == "done"
         assert done["progress"]["executed"] == 9
+        # one memo lookup per job cell; the queue's descriptor lookups (the
+        # coordinator's enqueue, the in-process worker's claims) are not
+        # result-cache traffic
+        assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (0, 9)
         assert done["backend"]["queue_dir"] == queue_dir
-        assert done["backend"]["workers"]["ext"]["executed"] == 9
+        assert "ext" in done["backend"]["workers"]  # published at session start
         assert len(streamed) == 9
 
         # deterministic identity with an in-process run of the same grid
