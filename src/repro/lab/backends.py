@@ -15,17 +15,20 @@ of hosts and the per-worker results merged by cache key.  Two pieces:
   consumes; the local backend is :class:`~repro.lab.executor.PoolExecutor`
   itself.
 
-**The lease contract.**  A cell is claimed by atomically creating
-``leases/<cell_id>`` with ``O_CREAT | O_EXCL`` — exactly one claimant can
-win — after which the claim token ``pending/<cell_id>`` is removed.  A lease
-carries a deadline; a worker that dies (SIGKILL, host loss) simply stops
-renewing, and once the deadline passes any other worker re-issues the claim
-token and drops the stale lease.  The race this allows — the presumed-dead
-worker finishing after its cell was reclaimed — is *harmless by
-construction*: cells are deterministic, rows are merged by ``cell_id`` with
-last-write-wins, and both writers produce canonical-JSON-identical
-deterministic rows.  Leases are therefore an optimization against duplicate
-*work*, never a correctness mechanism; correctness rests on idempotence.
+**The lease contract.**  The work list is the descriptor memo.  Each queue
+instance walks its keys with a cursor, skipping ids it knows are done and
+ids with a done marker; a cell is claimed by creating ``leases/<cell_id>``
+with ``O_CREAT | O_EXCL`` — exactly one claimant can win, and a loser moves
+on.  At the end of the walk the instance tails the memo segments for keys
+written since, so any number of producers may enqueue at once.  A lease carries a deadline; a worker that dies (SIGKILL,
+host loss) simply stops renewing, and once the deadline passes any other
+worker with nothing left to walk replaces the lease with its own, found by
+listing ``leases/`` (cells in flight, never the whole queue).  The races
+this allows — two reclaimers, or the presumed-dead worker finishing after
+its cell was reclaimed — are *harmless by construction*: cells are
+deterministic, rows are merged by ``cell_id`` with last-write-wins, and both
+writers produce canonical-JSON-identical deterministic rows.  Leases are an
+optimization against duplicate *work*, never a correctness mechanism.
 
 **Merge-by-cache-key.**  Each worker appends to its own
 ``results/<worker_id>.jsonl`` (single-writer, so the store's torn-tail
@@ -37,11 +40,13 @@ the deterministic view to a serial run.
 
 Queue directory layout, with each entry's durability::
 
-    queue.json          seal: the full cell-id list (fsync'd replace)
-    cells/seg-*.jsonl   Cell descriptors: a ResultCache keyed by cell id
-                        (fsync'd by enqueue before it creates any token)
-    pending/<id>        claim tokens (zero-byte O_EXCL create, unsynced)
-    leases/<id>         held claims: {worker, deadline, ...} (O_EXCL create)
+    queue.json          seal: the sorted cell ids enqueued (fsync'd replace;
+                        racing producers may drop each other's ids here)
+    cells/seg-*.jsonl   Cell descriptors: a ResultCache keyed by cell id, one
+                        segment per producer (fsync'd by enqueue before it
+                        writes the seal)
+    leases/<id>         held claims: {worker, deadline, ...} (O_EXCL create;
+                        renew and reclaim replace it, fsync'd)
     done/<id>           completion markers (O_EXCL create after the row's
                         fsync, unsynced; only the name is ever read)
     results/<w>.jsonl   per-worker CellResult shards (ResultStore format)
@@ -50,9 +55,10 @@ Queue directory layout, with each entry's durability::
                         claim after new work, and at finish)
     traces/<w>.jsonl    optional per-worker repro-trace-v1 shards
 
-A lost unsynced entry only costs work: a re-issued token, a re-run cell.
-Queue dirs holding per-cell ``cells/<id>.json`` files are not migrated; a
-re-enqueue republishes every descriptor the memo lacks.
+A lost unsynced entry only costs work: a re-run cell.  Queue dirs from
+earlier layouts (``pending/`` claim tokens, per-cell ``cells/<id>.json``
+files) are not migrated; a re-enqueue re-seals them and republishes every
+descriptor the memo lacks.
 """
 
 from __future__ import annotations
@@ -63,10 +69,10 @@ import os
 import socket
 import tempfile
 import time
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.api.config import RunConfig
-from repro.lab.cache import ResultCache
+from repro.lab.cache import SEGMENT_PREFIX, ResultCache
 from repro.lab.campaign import Cell
 from repro.lab.executor import emit_cell_span, run_cell_with_timeout
 from repro.lab.store import COMMIT_SECONDS, CellResult, JsonlLog, ResultStore
@@ -144,7 +150,7 @@ def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
         raise
 
 
-def _create_exclusive(path: str, payload: Optional[Dict[str, Any]] = None) -> bool:
+def _create_exclusive(path: str, payload: Dict[str, Any]) -> bool:
     """``O_EXCL``-create ``path`` holding ``payload``; ``False`` if it exists.
 
     Exactly one caller wins.  Unsynced: every caller tolerates its loss.
@@ -154,8 +160,7 @@ def _create_exclusive(path: str, payload: Optional[Dict[str, Any]] = None) -> bo
     except FileExistsError:
         return False
     with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        if payload is not None:
-            json.dump(payload, handle, sort_keys=True)
+        json.dump(payload, handle, sort_keys=True)
     return True
 
 
@@ -187,15 +192,16 @@ def default_worker_id() -> str:
 class SharedDirQueue:
     """Claim / lease / renew / complete over a shared POSIX directory.
 
-    The contract (see module docs): :meth:`enqueue` publishes descriptors and
-    claim tokens idempotently and seals the work list; :meth:`claim` hands
-    *at most one* worker a cell while its lease is live; :meth:`renew`
-    extends a held lease; :meth:`complete` durably records the row and
-    releases the lease (completing twice is harmless).
-
-    Every mutation is an atomic directory operation (``O_EXCL`` create,
-    ``rename``, ``replace``) or an append to the producer's own segment, so
-    any number of workers, on any hosts sharing the directory, can serve it.
+    The contract (see module docs): :meth:`enqueue` publishes descriptors
+    idempotently and seals the work list; :meth:`claim` hands *at most one*
+    worker a cell while its lease is live; :meth:`renew` extends a held
+    lease; :meth:`complete` durably records the row and releases the lease
+    (completing twice is harmless); :meth:`follow` waits for cells to finish.
+    Every mutation is an atomic directory operation or an append to the
+    writer's own file, so any number of producers and workers on any hosts
+    can share it.  An instance keeps its walk over the descriptor memo's
+    keys, the ids it has seen done (markers never disappear), and how far
+    it has read each memo segment and result shard.
     """
 
     def __init__(self, root: str, lease_ttl: float = DEFAULT_LEASE_TTL) -> None:
@@ -203,10 +209,15 @@ class SharedDirQueue:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
         self.root = str(root)
         self.lease_ttl = float(lease_ttl)
-        for name in ("cells", "pending", "leases", "done", "results", "stats", "traces"):
+        for name in ("cells", "leases", "done", "results", "stats", "traces"):
             os.makedirs(self._dir(name), exist_ok=True)
         # A registry of its own: descriptor lookups are not result-cache traffic.
         self.descriptors = ResultCache(self._dir("cells"), registry=MetricsRegistry())
+        self._ids: List[str] = []  # the claim walk: memo keys in the order read
+        self._cursor = 0  # claim's position in _ids
+        self._done: Set[str] = set()
+        self._scanned: Dict[str, int] = {}  # memo segment / result shard -> bytes read
+        self._rows: Dict[str, Tuple[str, int]] = {}  # cell id -> (shard, offset) of its last row
 
     def _dir(self, name: str) -> str:
         return os.path.join(self.root, name)
@@ -230,32 +241,50 @@ class SharedDirQueue:
     def sealed(self) -> bool:
         return self.manifest() is not None
 
+    def _tail(self, kind: str, key: str, prefix: str = "") -> Iterator[Tuple[str, str, int]]:
+        """``(file, key, offset)`` of each complete line appended to the
+        ``kind/<prefix>*.jsonl`` logs since the last call."""
+        for name in self._list(kind):
+            if name.startswith(prefix) and name.endswith(".jsonl"):
+                log = JsonlLog(self._entry(kind, name), key)
+                keys, self._scanned[log.path] = log.tail_keys(self._scanned.get(log.path, 0))
+                for found, offset in keys:
+                    yield name, found, offset
+
+    def _extend(self) -> bool:
+        """Append the keys written to the descriptor memo since the last call
+        to the claim walk (a republished descriptor's again); ``True`` if any.
+        """
+        fresh = [cell_id for _, cell_id, _ in self._tail("cells", "k", SEGMENT_PREFIX)]
+        self._ids += fresh
+        return bool(fresh)
+
+    def _published(self, manifest: Optional[Dict[str, Any]]) -> List[str]:
+        """Every id the memo or the seal ``manifest`` lists (the seal can name
+        an id whose descriptor line is torn, the memo one a racing producer
+        dropped from the seal)."""
+        self._extend()
+        return self._ids + (manifest or {}).get("cell_ids", [])
+
     # -- producer side ------------------------------------------------------
 
     def enqueue(self, cells: Iterable[Cell]) -> int:
-        """Publish descriptors + claim tokens for every not-yet-done cell.
+        """Publish the descriptors the memo lacks, then seal every cell id.
 
-        Idempotent: only descriptors the memo lacks are written (and
-        committed before any token appears), done cells are skipped,
-        already-pending/leased cells keep their existing token, and
-        re-enqueueing after a crash re-issues tokens for whatever never
-        completed.  Seals the queue by writing ``queue.json`` (the full id
-        list) last, so workers only treat it as complete once every token is
-        in place.
+        Idempotent, and creates nothing per cell: missing (or unreadable)
+        descriptors are appended to this producer's memo segment and
+        committed, then ``queue.json`` is replaced with the union of the ids
+        it listed and these.  Producers racing on that replace can drop each
+        other's ids from the seal, never from the memo, which workers walk.
+        Returns the number of ids the seal did not list before.
         """
         by_id = {cell.cell_id: cell for cell in cells}
         for cell_id in self.descriptors.missing(by_id):
             self.descriptors.put(cell_id, cell_to_dict(by_id[cell_id]))
         self.descriptors.close()
-        done = set(self._list("done"))
-        issued = 0
-        for cell_id in by_id:
-            if cell_id in done or os.path.exists(self._entry("leases", cell_id)):
-                continue
-            if _create_exclusive(self._entry("pending", cell_id)):
-                issued += 1
-        existing = self.manifest()
-        ids = sorted(set(by_id) | set((existing or {}).get("cell_ids", [])))
+        existing = self.manifest() or {}
+        listed = set(existing.get("cell_ids", []))
+        ids = sorted(listed | set(by_id))
         _atomic_write_json(
             self.manifest_path,
             {
@@ -263,68 +292,81 @@ class SharedDirQueue:
                 "cell_ids": ids,
                 "total": len(ids),
                 "lease_ttl": self.lease_ttl,
-                "created_unix": (existing or {}).get("created_unix") or time.time(),
+                "created_unix": existing.get("created_unix") or time.time(),
                 "updated_unix": time.time(),
             },
         )
-        return issued
+        return len(ids) - len(listed)
 
     # -- worker side --------------------------------------------------------
 
     def claim(self, worker_id: str) -> Optional[Cell]:
         """Atomically claim one cell, or ``None`` if nothing is claimable.
 
-        Sweeps the claim tokens; if none can be won, reclaims expired leases
-        and sweeps once more.  Winning a claim = creating the lease file with
-        ``O_EXCL`` (exactly one winner per token, even across hosts).
+        Walks this instance's cursor through the published ids, skipping
+        done ones, and wins an id by creating its lease with ``O_EXCL``
+        (exactly one winner, even across hosts; a loser moves on).  At the
+        end of the walk it reads what was published since; if nothing was,
+        it takes over an expired lease.  A failed create other than a lost
+        race leaves the cursor on its id, so the next claim retries it.
         """
-        for attempt in (0, 1):
-            cell = self._claim_pending(worker_id)
-            if cell is not None:
-                return cell
-            if attempt == 0 and not self._reclaim_expired():
-                return None
-        return None
+        while True:
+            while self._cursor < len(self._ids):
+                cell_id = self._ids[self._cursor]
+                try:
+                    cell = None if self._is_done(cell_id) else self._lease(cell_id, worker_id)
+                except OSError:
+                    return None
+                self._cursor += 1
+                if cell is not None:
+                    return cell
+            if not self._extend():
+                return self._reclaim_expired(worker_id)
 
-    def _claim_pending(self, worker_id: str) -> Optional[Cell]:
-        for cell_id in self._list("pending"):
-            token = self._entry("pending", cell_id)
-            if os.path.exists(self._entry("done", cell_id)):
-                _unlink(token)  # stale token from a reclaim race; already done
-                continue
-            lease_path = self._entry("leases", cell_id)
-            claimed = now()
-            lease = {
-                "cell_id": cell_id,
-                "worker": worker_id,
-                "claimed_unix": claimed,
-                "deadline": claimed + self.lease_ttl,
-                "pid": os.getpid(),
-                "host": socket.gethostname(),
-            }
-            try:
-                if not _create_exclusive(lease_path, lease):
-                    continue  # someone else holds (or just won) this cell
-            except OSError:
-                continue
-            _unlink(token)
-            cell_data = self.descriptors.get(cell_id)
-            if cell_data is None:
-                # unreadable descriptor: nothing can ever run this id; drop
-                # the lease so the damage is visible as an unfinished queue
-                # rather than silently marked done
-                _unlink(lease_path)
-                continue
-            return cell_from_dict(cell_data)
-        return None
+    def _is_done(self, cell_id: str) -> bool:
+        if cell_id not in self._done and os.path.exists(self._entry("done", cell_id)):
+            self._done.add(cell_id)
+        return cell_id in self._done
 
-    def _reclaim_expired(self) -> int:
-        """Re-issue claim tokens for leases whose deadline has passed."""
+    def _lease(self, cell_id: str, worker_id: str, take_over: bool = False) -> Optional[Cell]:
+        """Hold ``cell_id``'s lease and load its descriptor; ``None`` if
+        another claimant holds the lease or the descriptor is unreadable.
+
+        A claim must win the ``O_EXCL`` create; a reclaim (``take_over``)
+        replaces the expired lease in place, so the cell never goes without one.
+        """
+        lease_path = self._entry("leases", cell_id)
+        claimed = now()
+        lease = {
+            "cell_id": cell_id,
+            "worker": worker_id,
+            "claimed_unix": claimed,
+            "deadline": claimed + self.lease_ttl,
+            "pid": os.getpid(),
+            "host": socket.gethostname(),
+        }
+        if take_over:
+            _atomic_write_json(lease_path, lease)
+        elif not _create_exclusive(lease_path, lease):
+            return None  # someone else holds (or just won) this cell
+        cell_data = self.descriptors.get(cell_id)
+        if cell_data is None:
+            # unreadable descriptor: nothing can ever run this id; drop the
+            # lease so the damage is visible as an unfinished queue rather
+            # than silently marked done (a re-enqueue republishes it)
+            _unlink(lease_path)
+            return None
+        return cell_from_dict(cell_data)
+
+    def _reclaim_expired(self, worker_id: str) -> Optional[Cell]:
+        """Take over an expired lease, listing only ``leases/``; ``None`` if none.
+
+        Two reclaimers racing cost at most one duplicate execution.
+        """
         checked = now()
-        reclaimed = 0
         for cell_id in self._list("leases"):
             lease_path = self._entry("leases", cell_id)
-            if os.path.exists(self._entry("done", cell_id)):
+            if self._is_done(cell_id):
                 _unlink(lease_path)
                 continue
             meta = _read_json(lease_path)
@@ -338,11 +380,13 @@ class SharedDirQueue:
                     continue
             if checked < deadline:
                 continue
-            with contextlib.suppress(OSError):
-                _create_exclusive(self._entry("pending", cell_id))
-            _unlink(lease_path)
-            reclaimed += 1
-        return reclaimed
+            try:
+                cell = self._lease(cell_id, worker_id, take_over=True)
+            except OSError:
+                continue  # the expired lease stays, for the next reclaim
+            if cell is not None:
+                return cell
+        return None
 
     def renew(self, cell_id: str, worker_id: str, ttl: Optional[float] = None) -> bool:
         """Extend a held lease; ``False`` if it is no longer this worker's."""
@@ -376,48 +420,60 @@ class SharedDirQueue:
             self._entry("done", cell_id),
             {"cell_id": cell_id, "worker": worker_id, "finished_unix": time.time()},
         )
-        for kind in ("leases", "pending"):
-            _unlink(self._entry(kind, cell_id))
+        self._done.add(cell_id)
+        _unlink(self._entry("leases", cell_id))
 
     # -- coordinator / merge side ------------------------------------------
 
-    def done_ids(self) -> Set[str]:
-        return set(self._list("done"))
+    def done_ids(self, ids: Optional[Iterable[str]] = None) -> Set[str]:
+        """The done ones among ``ids`` (default: every published id); only
+        ids not yet known done cost a ``stat``."""
+        ids = self._published(self.manifest()) if ids is None else ids
+        return set(filter(self._is_done, ids))
 
-    def all_done(self, wanted: Optional[Set[str]] = None) -> bool:
-        if wanted is None:
-            manifest = self.manifest()
-            if manifest is None:
-                return False
-            wanted = set(manifest.get("cell_ids", []))
-        return wanted <= self.done_ids()
+    def all_done(self) -> bool:
+        """Whether the queue is sealed and every published id is done."""
+        manifest = self.manifest()
+        return manifest is not None and all(map(self._is_done, self._published(manifest)))
 
-    def merged_rows(self, wanted: Optional[Set[str]] = None) -> Dict[str, CellResult]:
+    def merged_rows(self, wanted: Optional[Iterable[str]] = None) -> Dict[str, CellResult]:
         """The union of every worker shard, deduplicated by ``cell_id``.
 
-        Each shard gets the store's last-write-wins index scan, and only the
-        wanted rows are read back and parsed; across shards the newest row
-        (by append order over shards sorted by name) wins — sound because any
+        Incremental per instance: a call scans only the complete lines
+        appended to each shard since the last call, and reads back and parses
+        only the wanted rows.  The row scanned last wins — sound because any
         two rows for one id agree on the deterministic view.
         """
+        for shard, cell_id, offset in self._tail("results", "cell_id"):
+            self._rows[cell_id] = (shard, offset)
+        by_shard: Dict[str, List[int]] = {}
+        for cell_id in self._rows.keys() if wanted is None else self._rows.keys() & wanted:
+            shard, offset = self._rows[cell_id]
+            by_shard.setdefault(shard, []).append(offset)
         rows: Dict[str, CellResult] = {}
-        for name in self._list("results"):
-            if not name.endswith(".jsonl"):
-                continue
-            shard = JsonlLog(self._entry("results", name), "cell_id")
-            last, _stats = shard.index()
-            offsets = [
-                offset
-                for cell_id, offset in last.items()
-                if wanted is None or cell_id in wanted
-            ]
-            for line in shard.read_lines(offsets):
+        for shard, offsets in sorted(by_shard.items()):
+            log = JsonlLog(self._entry("results", shard), "cell_id")
+            for line in log.read_lines(offsets):
                 try:
                     row = CellResult.from_dict(json.loads(line))
                 except (ValueError, TypeError):
                     continue  # accepted by the fast scan, rejected by a parse
                 rows[row.cell_id] = row
         return rows
+
+    def follow(self, wanted: Iterable[str]) -> Iterator[Dict[str, CellResult]]:
+        """Wait for the ``wanted`` cells: each step yields the newly done rows.
+
+        A step with nothing new yields ``{}``, and the caller picks how to
+        wait; the generator ends once every wanted cell is done.  Only wanted
+        ids with a row but no known marker cost a ``stat``.
+        """
+        remaining = set(wanted)
+        while remaining:
+            rows = self.merged_rows(remaining)
+            fresh = {cell_id: rows[cell_id] for cell_id in self.done_ids(rows)}
+            remaining.difference_update(fresh)
+            yield fresh
 
     def write_worker_stats(self, worker_id: str, stats: Dict[str, Any]) -> None:
         _atomic_write_json(self._entry("stats", worker_id + ".json"), stats)
@@ -455,8 +511,9 @@ class SharedDirBackend:
 
     ``map(cells)`` enqueues the cells, optionally participates in serving the
     queue in-process (``participate=True``, the default — a campaign run with
-    no external workers still completes), waits until every wanted cell has a
-    done marker, then yields the merged rows **in the given cell order** so
+    no external workers still completes), follows the queue
+    (:meth:`SharedDirQueue.follow`) until every wanted cell is done, then
+    yields the merged rows **in the given cell order** so
     :func:`~repro.lab.campaign.run_campaign`'s ``zip(to_run, ...)`` append
     loop sees exactly what the pool executor would have produced.
     """
@@ -496,23 +553,17 @@ class SharedDirBackend:
             if self.participate
             else None
         )
-        last_done = -1
+        rows: Dict[str, CellResult] = {}
         last_progress = time.monotonic()
         try:
-            while True:
-                done = len(wanted & queue.done_ids())
-                if done > last_done:
-                    last_done = done
-                    last_progress = time.monotonic()
-                if done >= len(wanted):
-                    break
-                claimed = worker.serve_one() if worker is not None else False
-                if claimed:
+            for fresh in queue.follow(wanted):
+                rows.update(fresh)
+                if fresh or (worker is not None and worker.serve_one()):
                     last_progress = time.monotonic()
                     continue
                 if time.monotonic() - last_progress > self.stall_timeout:
                     raise RuntimeError(
-                        f"shared-dir queue stalled: {len(wanted) - done} of "
+                        f"shared-dir queue stalled: {len(wanted) - len(rows)} of "
                         f"{len(wanted)} cells incomplete after "
                         f"{self.stall_timeout}s without progress "
                         f"(queue_dir={queue.root!r}; are any workers running?)"
@@ -521,15 +572,8 @@ class SharedDirBackend:
         finally:
             if worker is not None:
                 worker.finish()
-        rows = queue.merged_rows(wanted)
         for cell in cells:
-            row = rows.get(cell.cell_id)
-            if row is None:
-                raise RuntimeError(
-                    f"cell {cell.cell_id} is marked done but no worker shard "
-                    f"holds its row (queue_dir={queue.root!r})"
-                )
-            yield row
+            yield rows[cell.cell_id]
 
     def worker_stats(self) -> Dict[str, Dict[str, Any]]:
         return self.queue.worker_stats()
@@ -669,7 +713,7 @@ def worker_loop(
             if session.serve_one():
                 idle_since = None
                 continue
-            if queue.sealed() and queue.all_done():
+            if queue.all_done():
                 break
             now = time.monotonic()
             if idle_since is None:

@@ -118,9 +118,10 @@ class ResultCache:
     extends it by tailing each segment from where the last read stopped —
     one ``listdir`` plus one ``stat`` per segment, and a read only of
     segments that grew — so a second server process, or a campaign sharing
-    the root, sees other writers' entries without a restart.  A hit reads its one line back.  Last write
-    wins (segments are read in creation order, then as they grow); a torn or
-    garbage line, or one still being written, reads as a miss.
+    the root, sees other writers' entries without a restart.  A hit reads
+    its one line back.  Last write wins (segments are read in creation
+    order, then as they grow); a torn or garbage line reads as a miss, and
+    refreshes the index once, so a key republished since is found.
 
     **Crash contract.**  A put is written and flushed at once (other
     processes see it immediately) and fsync'd by group commit, always on
@@ -225,21 +226,24 @@ class ResultCache:
         return [key for key in keys if self._lookup(key, refresh=False) is None]
 
     def _lookup(self, key: str, refresh: bool = True) -> Optional[Dict[str, Any]]:
+        """Read ``key``'s indexed line; a miss, or a line that does not parse
+        or names another key, refreshes the index once and reads again."""
         with self._lock:
             where = self._index.get(hash(key))
-            if where is None and refresh:
+        data = None if where is None else self._read(key, where)
+        if data is None and refresh:
+            with self._lock:
                 self._refresh()
-                where = self._index.get(hash(key))
-            if where is None:
-                return None
-            segment = self._segments[where & _SEGMENT_MASK]
+                fresh = self._index.get(hash(key))
+            if fresh is not None and fresh != where:
+                data = self._read(key, fresh)
+        return data
+
+    def _read(self, key: str, where: int) -> Optional[Dict[str, Any]]:
         try:
-            line = segment.read_line(where >> _SEGMENT_BITS)
-        except OSError:
-            return None
-        try:
+            line = self._segments[where & _SEGMENT_MASK].read_line(where >> _SEGMENT_BITS)
             entry = json.loads(line)
-        except ValueError:
+        except (OSError, ValueError):
             return None
         if not isinstance(entry, dict) or entry.get("k") != key:
             return None
@@ -269,15 +273,9 @@ class ResultCache:
             if size == self._sizes[number]:
                 continue
             self._sizes[number] = size
-            read_to = self._read_to[number]
-            for offset, raw in log.lines(read_to):
-                if not raw.endswith(b"\n"):
-                    break  # torn, or still being written: a miss for now
-                read_to = offset + len(raw)
-                key = log.fast_key(raw.strip())
-                if key is not None:
-                    self._index[hash(key)] = offset << _SEGMENT_BITS | number
-            self._read_to[number] = read_to
+            keys, self._read_to[number] = log.tail_keys(self._read_to[number])
+            for key, offset in keys:
+                self._index[hash(key)] = offset << _SEGMENT_BITS | number
 
     def _add_segment(self, name: str) -> int:
         self._names.add(name)

@@ -177,8 +177,8 @@ class JsonlLog:
       line (last write wins) in one streaming pass that pulls only the key
       out of each interior line; :meth:`read_lines` then reads the chosen
       lines back.
-    * **Tail.**  :meth:`lines` reads from any byte offset, which is how a
-      reader follows a log another process is still appending to.
+    * **Tail.**  :meth:`lines` and :meth:`tail_keys` read from any byte
+      offset: how a reader follows a log another process is appending to.
     """
 
     def __init__(self, path: str, key: str) -> None:
@@ -237,6 +237,19 @@ class JsonlLog:
             for line in handle:
                 yield offset, line
                 offset += len(line)
+
+    def tail_keys(self, start: int) -> Tuple[List[Tuple[str, int]], int]:
+        """``(key, offset)`` of each complete keyed line from byte ``start`` on,
+        and the offset after the last newline, to resume from next time."""
+        keys: List[Tuple[str, int]] = []
+        for offset, raw in self.lines(start):
+            if not raw.endswith(b"\n"):
+                break  # torn, or still being written
+            start = offset + len(raw)
+            key = self.fast_key(raw.strip())
+            if key is not None:
+                keys.append((key, offset))
+        return keys, start
 
     def read_line(self, offset: int) -> bytes:
         """The line starting at byte ``offset``."""

@@ -338,27 +338,24 @@ class JobManager:
         """Drive a job's cache misses through a shared-dir work queue.
 
         The server never executes these cells itself: it enqueues them and
-        polls the queue's ``done/`` markers, folding merged rows in as
-        external workers complete shards.  All filesystem traffic runs on the
-        loop's thread executor so the event loop stays responsive.  Rows
-        stream into the job incrementally, so ``GET .../results`` observes
+        steps :meth:`~repro.lab.backends.SharedDirQueue.follow`, the wait
+        loop the lab's shared-dir backend runs too, on the loop's thread
+        executor, sleeping after steps that find nothing new.  Rows stream
+        into the job as workers finish them, so ``GET .../results`` observes
         partial progress exactly as it does for pool jobs.
         """
         loop = asyncio.get_running_loop()
         queue = job.queue = SharedDirQueue(job.queue_dir)
-        waiting = {cell.cell_id: cell for cell in cells}
+        by_id = {cell.cell_id: cell for cell in cells}
         await loop.run_in_executor(None, queue.enqueue, cells)
-        while waiting:
-            rows: Dict[str, CellResult] = {}
-            done = await loop.run_in_executor(None, queue.done_ids)
-            fresh = done & waiting.keys()
-            if fresh:
-                rows = await loop.run_in_executor(None, queue.merged_rows, fresh)
-            # a done marker can land ahead of its row's flush: next poll
+        follow = queue.follow(by_id)
+        while True:
+            rows = await loop.run_in_executor(None, next, follow, None)
+            if rows is None:
+                return
             for cell_id in sorted(rows):
-                cell = waiting.pop(cell_id)
-                self._executed(cell, rows[cell_id])
-                self._record_executed(job, cell, rows[cell_id])
+                self._executed(by_id[cell_id], rows[cell_id])
+                self._record_executed(job, by_id[cell_id], rows[cell_id])
             if not rows:
                 await asyncio.sleep(SHARED_DIR_POLL)
 

@@ -7,6 +7,8 @@ SIGKILLed mid-run and its cells reclaimed — is canonical-JSON-identical to a
 serial run of the same campaign.
 """
 
+import dataclasses
+import errno
 import json
 import os
 import signal
@@ -105,7 +107,7 @@ class TestSharedDirQueue:
         queue = SharedDirQueue(str(tmp_path / "q"))
         cells = tiny_campaign().expand()
         assert queue.enqueue(cells) == len(cells)
-        assert queue.enqueue(cells) == 0  # tokens already issued
+        assert queue.enqueue(cells) == 0  # the seal already lists every id
         assert queue.sealed()
         assert set(queue.manifest()["cell_ids"]) == {c.cell_id for c in cells}
 
@@ -114,11 +116,17 @@ class TestSharedDirQueue:
         queue = SharedDirQueue(str(root))
         cells = tiny_campaign().expand()
         assert queue.enqueue(cells) == len(cells)
-        tokens = sorted(os.listdir(root / "pending"))
+        sealed = queue.manifest()["cell_ids"]
         # the same producer, and a fresh one with an empty index
         assert queue.enqueue(cells) == 0
         assert SharedDirQueue(str(root)).enqueue(cells) == 0
-        assert sorted(os.listdir(root / "pending")) == tokens
+        assert queue.manifest()["cell_ids"] == sealed
+        # the memo is the work list: enqueue creates no per-cell entry
+        assert sorted(os.listdir(root)) == [
+            "cells", "done", "leases", "queue.json", "results", "stats", "traces"
+        ]
+        for kind in ("leases", "done"):
+            assert os.listdir(root / kind) == []
         keys = [entry["k"] for entry in descriptor_lines(root)]
         assert sorted(keys) == sorted(c.cell_id for c in cells)
         assert [entry["v"] for entry in descriptor_lines(root)] == [
@@ -165,6 +173,65 @@ class TestSharedDirQueue:
         serial = list(SerialExecutor().map(cells))
         assert canonical(merged[c.cell_id] for c in cells) == canonical(serial)
 
+    def test_concurrent_producers_lose_no_cell(self, tmp_path):
+        root = str(tmp_path / "q")
+        cells = tiny_campaign(grid="0:4").expand()
+        halves = [cells[::2], cells[1::2]]
+        producers = [SharedDirQueue(root) for _ in halves]
+        # both producers read the old seal before either replaces it, so the
+        # seal keeps one producer's ids; the memo keeps every descriptor
+        both_read = threading.Barrier(len(producers), timeout=30)
+        for producer in producers:
+
+            def manifest(_read=producer.manifest):
+                seal = _read()
+                both_read.wait()
+                return seal
+
+            producer.manifest = manifest
+        threads = [
+            threading.Thread(target=producer.enqueue, args=(half,))
+            for producer, half in zip(producers, halves)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(descriptor_lines(root)) == len(cells)
+        assert len(SharedDirQueue(root).manifest()["cell_ids"]) < len(cells)
+        worker = SharedDirQueue(root)
+        assert not worker.all_done()
+        claimed = []
+        while True:
+            cell = worker.claim("w")
+            if cell is None:
+                break
+            claimed.append(cell.cell_id)
+            worker.complete(cell.cell_id, "w", run_one(cell))
+        assert sorted(claimed) == sorted(c.cell_id for c in cells)
+        assert worker.all_done()
+
+    @pytest.mark.parametrize("path", ["claim", "reclaim"])
+    def test_failed_lease_write_is_retried_by_the_next_claim(
+        self, tmp_path, monkeypatch, clock, path
+    ):
+        queue = SharedDirQueue(str(tmp_path / "q"))
+        (cell,) = tiny_campaign(grid="0:1").expand()[:1]
+        queue.enqueue([cell])
+        if path == "reclaim":
+            assert queue.claim("dying-worker") == cell
+            clock.advance(DEFAULT_LEASE_TTL + 1)
+        writer = "_create_exclusive" if path == "claim" else "_atomic_write_json"
+
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(backends, writer, disk_full)
+            assert queue.claim("w") is None
+        # the disk has room again: the same instance claims the cell
+        assert queue.claim("w") == cell
+
     @pytest.mark.parametrize("damage", ["garbage", "torn"])
     def test_unreadable_descriptor_drops_the_lease(self, tmp_path, damage):
         root = tmp_path / "q"
@@ -180,12 +247,13 @@ class TestSharedDirQueue:
                 handle.write(line[: len(line) // 2])
         queue = SharedDirQueue(str(root))
         assert queue.claim("w") is None
-        for kind in ("pending", "leases", "done"):
+        for kind in ("leases", "done"):
             assert os.listdir(root / kind) == []
         assert not queue.all_done()
-        # a re-enqueue republishes the descriptor and re-issues the token
-        assert SharedDirQueue(str(root)).enqueue([cell]) == 1
-        assert SharedDirQueue(str(root)).claim("w") == cell
+        # a re-enqueue republishes the descriptor (the seal already lists the
+        # id), and even the worker that failed to load it can claim it now
+        assert SharedDirQueue(str(root)).enqueue([cell]) == 0
+        assert queue.claim("w") == cell
 
     def test_descriptor_traffic_is_not_result_cache_traffic(self, tmp_path):
         requests = global_registry().counter(
@@ -324,6 +392,93 @@ class TestSharedDirQueue:
             queue.complete(cell.cell_id, "w", row)
         assert not os.path.exists(os.path.join(queue.root, "done", cell.cell_id))
         assert queue.done_ids() == set()
+
+
+def count_listings(monkeypatch):
+    """Count ``os.listdir`` / ``os.scandir`` calls; returns the call log."""
+    calls = []
+    for name in ("listdir", "scandir"):
+        real = getattr(os, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(os, name, counting)
+    return calls
+
+
+def sealed_queue(root, size):
+    """A ``size``-cell queue written directly: one descriptor segment, one seal.
+
+    Every descriptor is the first tiny cell's under a synthetic id, so a
+    100k-cell queue costs one file write instead of a campaign expansion.
+    """
+    (template,) = tiny_campaign(grid="0:1").expand()[:1]
+    base = cell_to_dict(template)
+    ids = [f"{i:064x}" for i in range(size)]
+    os.makedirs(os.path.join(root, "cells"))
+    with open(os.path.join(root, "cells", "seg-0-0-test.jsonl"), "w") as handle:
+        for cell_id in ids:
+            line = {"k": cell_id, "v": dict(base, cell_id=cell_id)}
+            handle.write(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
+    with open(os.path.join(root, backends.QUEUE_MANIFEST_NAME), "w") as handle:
+        json.dump({"schema": backends.QUEUE_SCHEMA, "cell_ids": ids, "total": size}, handle)
+    return template
+
+
+class TestProtocolCost:
+    """Counts, not timings: queue work per cell must not grow with the queue."""
+
+    def test_claims_list_the_same_directories_at_1k_and_100k_cells(
+        self, tmp_path, monkeypatch
+    ):
+        calls = count_listings(monkeypatch)
+        listings = {}
+        row = None
+        for size in (1_000, 100_000):
+            root = str(tmp_path / f"q{size}")
+            template = sealed_queue(root, size)
+            row = row or run_one(template)
+            queue = SharedDirQueue(root)
+            del calls[:]
+            for _ in range(200):
+                cell = queue.claim("w")
+                queue.complete(cell.cell_id, "w", dataclasses.replace(row, cell_id=cell.cell_id))
+            listings[size] = len(calls)
+            assert len(os.listdir(os.path.join(root, "done"))) == 200
+        # at either size: the walk's first read of the memo, and the
+        # descriptor index's first build
+        assert listings[1_000] == listings[100_000] <= 2
+
+    def test_follow_reads_each_shard_byte_once(self, tmp_path, monkeypatch):
+        queue = SharedDirQueue(str(tmp_path / "q"))
+        cells = tiny_campaign().expand()
+        queue.enqueue(cells)
+        results = os.path.join(queue.root, "results")
+        scanned = []
+        real_lines = store_module.JsonlLog.lines
+
+        def counting_lines(log, start=0):
+            for offset, line in real_lines(log, start):
+                if os.path.dirname(log.path) == results:
+                    scanned.append(len(line))
+                yield offset, line
+
+        monkeypatch.setattr(store_module.JsonlLog, "lines", counting_lines)
+        follow = SharedDirQueue(queue.root).follow(c.cell_id for c in cells)
+        followed = {}
+        for i, cell in enumerate(cells):
+            assert next(follow) == {}  # an idle poll: nothing new
+            queue.complete(cell.cell_id, f"w{i % 2}", run_one(cell))  # two shards
+            fresh = next(follow)
+            assert list(fresh) == [cell.cell_id]
+            followed.update(fresh)
+        assert next(follow, None) is None  # every wanted cell is done
+        shard_bytes = sum(os.path.getsize(os.path.join(results, n)) for n in os.listdir(results))
+        assert sum(scanned) == shard_bytes
+        serial = list(SerialExecutor().map(cells))
+        assert canonical(followed[c.cell_id] for c in cells) == canonical(serial)
 
 
 def record_stats_writes(queue):

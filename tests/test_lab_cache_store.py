@@ -160,6 +160,20 @@ class TestResultCache:
             segment.write_text(line + "\n")
             assert ResultCache(str(root)).get("b" * 64) is None
 
+    def test_reader_finds_a_key_republished_after_a_garbage_line(self, tmp_path):
+        """An indexed line that does not parse refreshes the index once."""
+        root = tmp_path / "cache"
+        key = "c" * 64
+        writer = ResultCache(str(root))
+        writer.put(key, {"status": "ok"})
+        writer.close()
+        (segment,) = segments(root)
+        segment.write_text('{"k":"' + key + '","v":{not json}\n')  # passes the fast scan
+        reader = ResultCache(str(root))
+        assert reader.get(key) is None  # the index now points at the garbage line
+        ResultCache(str(root)).put(key, {"status": "republished"})  # another writer
+        assert reader.get(key) == {"status": "republished"}
+
     def test_last_write_wins_within_and_across_segments(self, tmp_path):
         root = str(tmp_path / "cache")
         key = "f" * 64

@@ -343,12 +343,10 @@ class TestJobs:
         final = client.wait_for_job(job["id"])
         assert final["state"] == "cancelled"
         assert final["progress"]["done"] < final["progress"]["total"]
-        # cancelling a settled job is a no-op, not an error
+        # cancelling a settled job is a no-op, not an error (that an abandoned
+        # in-flight cell records nothing afterwards is
+        # TestJobManagerCancellation's exact check)
         assert client.cancel_job(job["id"])["state"] == "cancelled"
-        # an abandoned in-flight cell records nothing after the job settles
-        settled = client.job(job["id"])["progress"]
-        time.sleep(0.5)
-        assert client.job(job["id"])["progress"] == settled
 
     def test_each_cell_is_looked_up_once(self, client):
         fields = dict(
@@ -410,6 +408,60 @@ class TestJobs:
         ):
             status, _, _ = client.request(method, path)
             assert status == 404
+
+
+class TestJobManagerCancellation:
+    """Cancellation at the :class:`~repro.serve.jobs.JobManager` level, with no timing."""
+
+    def test_abandoned_in_flight_cell_records_nothing_after_settling(self):
+        import asyncio
+        import threading
+
+        from repro.lab.campaign import Campaign
+        from repro.lab.executor import run_cell
+        from repro.serve.jobs import JobManager
+
+        campaign = Campaign(
+            name="abandoned",
+            specs=["minimum"],
+            inputs=[(1, 2), (3, 4)],
+            engines=("python",),
+            configs=(RunConfig(**FAST_CONFIG),),
+            seed=1,
+        )
+        release = threading.Event()
+
+        async def scenario():
+            manager = JobManager(pool=None, cache=None, metrics=ServerMetrics())
+            entered = asyncio.Event()
+            stubs = []
+
+            async def blocking_miss(cell):
+                # a pool call still running when its job is cancelled
+                stubs.append(asyncio.current_task())
+                entered.set()
+                await asyncio.get_running_loop().run_in_executor(None, release.wait)
+                return run_cell(cell)
+
+            manager._execute_miss = blocking_miss
+            job = manager.submit(campaign)
+            await entered.wait()
+            manager.cancel(job.id)
+            await asyncio.wait_for(manager._tasks[job.id], 60)
+            assert job.state == "cancelled"
+            settled = job.to_dict()
+            release.set()
+            # every stub has run to its end (or its cancellation) before the check
+            await asyncio.wait(stubs)
+            assert job.to_dict() == settled
+            return settled
+
+        try:
+            settled = asyncio.run(scenario())
+        finally:
+            release.set()
+        assert settled["progress"]["done"] == 0
+        assert settled["results"] == []
 
 
 class TestJobResultsStreaming:
