@@ -67,7 +67,7 @@ from repro.lab.executor import (
     run_cell,
     run_cell_with_timeout,
 )
-from repro.lab.store import CellResult, ResultStore
+from repro.lab.store import CellResult, ResultStore, read_json, replace_file, write_json
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -89,7 +89,9 @@ __all__ = [
     "SweepGrid",
     "cell_cache_key",
     "format_report",
+    "read_json",
     "register_spec_factory",
+    "replace_file",
     "resolve_engine",
     "resolve_spec",
     "resume_campaign",
@@ -101,4 +103,5 @@ __all__ = [
     "summarize",
     "worker_loop",
     "write_bench_json",
+    "write_json",
 ]

@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.lab.store import CellResult
+from repro.lab.store import CellResult, read_json, write_json
 
 
 @dataclass
@@ -177,18 +177,6 @@ def default_bench_path(start: Optional[str] = None) -> str:
         probe = parent
 
 
-def load_bench_json(path: str) -> Optional[Dict[str, Any]]:
-    """Load a ``BENCH_results.json`` payload (``None`` if absent or unreadable)."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
 def make_bench_record(
     name: str, population: int, wall_time_s: Optional[float], steps: int, **extra
 ) -> Dict[str, Any]:
@@ -225,10 +213,8 @@ def write_bench_json(
     trajectory *cumulative* — a partial benchmark run (one family, one test)
     no longer wipes every other family's record.
     """
-    import json
-
     if merge:
-        existing = load_bench_json(path)
+        existing = read_json(path)
         if existing is not None:
             by_name = {
                 str(record.get("name", "")): record
@@ -243,9 +229,7 @@ def write_bench_json(
         "source": source,
         "results": sorted(records, key=lambda r: str(r.get("name", ""))),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, payload)
 
 
 def _is_regression(ratio: float, max_regression: float) -> bool:

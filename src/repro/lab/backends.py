@@ -38,22 +38,23 @@ addresses of the descriptor), so N workers, duplicated executions, and
 resumed runs all collapse to one canonical row per cell, byte-identical in
 the deterministic view to a serial run.
 
-Queue directory layout, with each entry's durability::
+Queue directory layout, with how each entry is written (the writers are
+:mod:`repro.lab.store`'s; listings skip the dot-named temp files)::
 
-    queue.json          seal: the sorted cell ids enqueued (fsync'd replace;
+    queue.json          seal: the sorted cell ids enqueued (replace_file;
                         racing producers may drop each other's ids here)
     cells/seg-*.jsonl   Cell descriptors: a ResultCache keyed by cell id, one
-                        segment per producer (fsync'd by enqueue before it
-                        writes the seal)
-    leases/<id>         held claims: {worker, deadline, ...} (O_EXCL create;
-                        renew and reclaim replace it, fsync'd)
+                        segment per producer (group-committed appends, closed
+                        by enqueue before it writes the seal)
+    leases/<id>         held claims: {worker, deadline, ...} (O_EXCL create,
+                        unsynced; renew and reclaim replace_file it)
     done/<id>           completion markers (O_EXCL create after the row's
                         fsync, unsynced; only the name is ever read)
     results/<w>.jsonl   per-worker CellResult shards (ResultStore format)
-    stats/<w>.json      per-worker counters (fsync'd replace at start, at
-                        most once per COMMIT_SECONDS, on the first empty
-                        claim after new work, and at finish)
-    traces/<w>.jsonl    optional per-worker repro-trace-v1 shards
+    stats/<w>.json      per-worker counters (replace_file at start, at most
+                        once per COMMIT_SECONDS, on the first empty claim
+                        after new work, and at finish)
+    traces/<w>.jsonl    optional repro-trace-v1 shards (unsynced O_APPEND)
 
 A lost unsynced entry only costs work: a re-run cell.  Queue dirs from
 earlier layouts (``pending/`` claim tokens, per-cell ``cells/<id>.json``
@@ -63,11 +64,9 @@ descriptor the memo lacks.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import socket
-import tempfile
 import time
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -76,6 +75,7 @@ from repro.lab.cache import SEGMENT_PREFIX, ResultCache
 from repro.lab.campaign import Cell
 from repro.lab.executor import emit_cell_span, run_cell_with_timeout
 from repro.lab.store import COMMIT_SECONDS, CellResult, JsonlLog, ResultStore
+from repro.lab.store import _create_exclusive, _unlink, read_json, write_json
 from repro.obs.metrics import MetricsRegistry
 
 #: Schema tag of the queue seal file.
@@ -134,51 +134,6 @@ def cell_from_dict(data: Dict[str, Any]) -> Cell:
     )
 
 
-def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
-    directory = os.path.dirname(path) or "."
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=directory, prefix=".tmp-", delete=False
-    )
-    try:
-        with handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(handle.name, path)
-    except BaseException:
-        _unlink(handle.name)
-        raise
-
-
-def _create_exclusive(path: str, payload: Dict[str, Any]) -> bool:
-    """``O_EXCL``-create ``path`` holding ``payload``; ``False`` if it exists.
-
-    Exactly one caller wins.  Unsynced: every caller tolerates its loss.
-    """
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-    except FileExistsError:
-        return False
-    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-    return True
-
-
-def _unlink(path: str) -> None:
-    """Remove ``path`` if it is still there (another process may have won)."""
-    with contextlib.suppress(OSError):
-        os.unlink(path)
-
-
-def _read_json(path: str) -> Optional[Dict[str, Any]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    return data if isinstance(data, dict) else None
-
-
 def default_worker_id() -> str:
     """``<host>-<pid>`` — unique per live worker process, stable within one."""
     return f"{socket.gethostname()}-{os.getpid()}"
@@ -226,17 +181,19 @@ class SharedDirQueue:
         return os.path.join(self.root, kind, cell_id)
 
     def _list(self, kind: str) -> List[str]:
+        """``kind/``'s entries, minus the dot-named temp files of crashed replaces."""
         try:
-            return sorted(os.listdir(self._dir(kind)))
+            names = os.listdir(self._dir(kind))
         except FileNotFoundError:
             return []
+        return sorted(name for name in names if not name.startswith("."))
 
     @property
     def manifest_path(self) -> str:
         return os.path.join(self.root, QUEUE_MANIFEST_NAME)
 
     def manifest(self) -> Optional[Dict[str, Any]]:
-        return _read_json(self.manifest_path)
+        return read_json(self.manifest_path)
 
     def sealed(self) -> bool:
         return self.manifest() is not None
@@ -285,7 +242,7 @@ class SharedDirQueue:
         existing = self.manifest() or {}
         listed = set(existing.get("cell_ids", []))
         ids = sorted(listed | set(by_id))
-        _atomic_write_json(
+        write_json(
             self.manifest_path,
             {
                 "schema": QUEUE_SCHEMA,
@@ -346,7 +303,7 @@ class SharedDirQueue:
             "host": socket.gethostname(),
         }
         if take_over:
-            _atomic_write_json(lease_path, lease)
+            write_json(lease_path, lease)
         elif not _create_exclusive(lease_path, lease):
             return None  # someone else holds (or just won) this cell
         cell_data = self.descriptors.get(cell_id)
@@ -369,7 +326,7 @@ class SharedDirQueue:
             if self._is_done(cell_id):
                 _unlink(lease_path)
                 continue
-            meta = _read_json(lease_path)
+            meta = read_json(lease_path)
             deadline = meta.get("deadline") if meta else None
             if not isinstance(deadline, (int, float)):
                 # half-written lease (claimant died between create and write):
@@ -391,11 +348,11 @@ class SharedDirQueue:
     def renew(self, cell_id: str, worker_id: str, ttl: Optional[float] = None) -> bool:
         """Extend a held lease; ``False`` if it is no longer this worker's."""
         lease_path = self._entry("leases", cell_id)
-        meta = _read_json(lease_path)
+        meta = read_json(lease_path)
         if meta is None or meta.get("worker") != worker_id:
             return False
         meta["deadline"] = now() + (ttl if ttl is not None else self.lease_ttl)
-        _atomic_write_json(lease_path, meta)
+        write_json(lease_path, meta)
         return True
 
     def worker_store(self, worker_id: str) -> ResultStore:
@@ -476,7 +433,7 @@ class SharedDirQueue:
             yield fresh
 
     def write_worker_stats(self, worker_id: str, stats: Dict[str, Any]) -> None:
-        _atomic_write_json(self._entry("stats", worker_id + ".json"), stats)
+        write_json(self._entry("stats", worker_id + ".json"), stats)
 
     def worker_stats(self) -> Dict[str, Dict[str, Any]]:
         """Per-worker counters, keyed by worker id (for provenance folding)."""
@@ -484,7 +441,7 @@ class SharedDirQueue:
         for name in self._list("stats"):
             if not name.endswith(".json"):
                 continue
-            payload = _read_json(self._entry("stats", name))
+            payload = read_json(self._entry("stats", name))
             if payload is not None:
                 stats[name[: -len(".json")]] = payload
         return stats

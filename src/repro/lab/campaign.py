@@ -43,7 +43,7 @@ from repro.lab.cache import (
     cell_cache_key,
     spec_fingerprint,
 )
-from repro.lab.store import CellResult, ResultStore
+from repro.lab.store import CellResult, ResultStore, write_json
 from repro.obs.provenance import run_manifest
 from repro.obs.trace import (
     JsonlTraceSink,
@@ -444,9 +444,6 @@ class Campaign:
                         )
         return cells
 
-    def __len__(self) -> int:
-        return len(self.expand())
-
     # -- manifest persistence --------------------------------------------------
 
     def to_dict(self) -> Dict:
@@ -473,9 +470,7 @@ class Campaign:
         )
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str) -> "Campaign":
@@ -585,9 +580,17 @@ def run_campaign(
             "config_cache_keys": sorted(config_keys),
         },
     )
-    with open(os.path.join(out_dir, PROVENANCE_NAME), "w", encoding="utf-8") as handle:
-        json.dump(provenance, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+
+    def publish_provenance() -> None:
+        # Fold in a distributed backend's per-worker counters (duck-typed, so
+        # the seam stays "anything with map()"); an unchanged file is kept.
+        stats_hook = getattr(executor, "worker_stats", None)
+        worker_stats = stats_hook() if callable(stats_hook) else None
+        if worker_stats:
+            provenance["workers"] = worker_stats
+        write_json(os.path.join(out_dir, PROVENANCE_NAME), provenance)
+
+    publish_provenance()
 
     sink = None
     previous_tracer = None
@@ -652,22 +655,8 @@ def run_campaign(
         ]
         summary = summarize(results, campaign=campaign.name)
         summary.corrupt_lines_skipped = corrupt_lines_skipped
-        with open(os.path.join(out_dir, SUMMARY_NAME), "w", encoding="utf-8") as handle:
-            json.dump(summary.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        # Distributed backends expose per-worker counters and per-shard trace
-        # files; fold both into the campaign's artifacts (duck-typed so the
-        # seam stays "anything with map()").
-        stats_hook = getattr(executor, "worker_stats", None)
-        if callable(stats_hook):
-            worker_stats = stats_hook()
-            if worker_stats:
-                provenance["workers"] = worker_stats
-                with open(
-                    os.path.join(out_dir, PROVENANCE_NAME), "w", encoding="utf-8"
-                ) as handle:
-                    json.dump(provenance, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
+        write_json(os.path.join(out_dir, SUMMARY_NAME), summary.to_dict())
+        publish_provenance()
         campaign_span.set(
             executed=executed, from_cache=from_cache, already_done=already_done
         )

@@ -36,7 +36,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from typing import List, Optional, Sequence, Tuple
 
 from repro.api.config import RunConfig
@@ -46,7 +45,6 @@ from repro.lab.aggregate import (
     format_markdown_trend,
     format_profile,
     format_report,
-    load_bench_json,
     make_bench_record,
     summarize,
     write_bench_json,
@@ -62,7 +60,7 @@ from repro.lab.campaign import (
     run_campaign,
     spec_factory_names,
 )
-from repro.lab.store import ResultStore
+from repro.lab.store import ResultStore, read_json, scratch_dir
 from repro.sim.registry import registered_engines
 
 
@@ -538,7 +536,7 @@ def _command_bench(args) -> int:
         configs=(RunConfig(trials=args.trials, max_steps=10_000_000),),
         seed=1,
     )
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as out_dir:
+    with scratch_dir(prefix="repro-bench-") as out_dir:
         # cache off: a benchmark that replays cached results measures nothing
         run = run_campaign(
             campaign, out_dir, workers=args.workers, cache_dir=None
@@ -565,11 +563,11 @@ def _command_bench(args) -> int:
 
 
 def _command_bench_compare(args) -> int:
-    current = load_bench_json(args.current)
+    current = read_json(args.current)
     if current is None:
         print(f"error: cannot read current results {args.current!r}", file=sys.stderr)
         return 2
-    previous = load_bench_json(args.previous)
+    previous = read_json(args.previous)
     if previous is None:
         # First run (or lost artifact): nothing to compare against is not a
         # regression — report and succeed so CI bootstraps cleanly.

@@ -8,6 +8,10 @@ group-committed fsync, the last-write-wins index scan, reading from an
 offset — is :class:`JsonlLog`, which the result cache's segments and the
 shared-dir shard merge use too.
 
+It is also the one module that creates, truncates or replaces a file
+(``tests/test_durable_io.py`` holds the package to that): :func:`replace_file`
+and :func:`write_json` for whole files, :func:`_create_exclusive` for markers.
+
 The **determinism contract**: everything in :meth:`CellResult.deterministic_dict`
 is a pure function of the cell descriptor (spec fingerprint, input, config,
 engine) for seeded cells, so the serial and parallel executors must produce
@@ -18,9 +22,11 @@ execution, not the result, and are the only fields excluded.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass, fields
@@ -118,6 +124,73 @@ class CellResult:
 def deterministic_view(row: Mapping[str, Any]) -> Dict[str, Any]:
     """A :meth:`CellResult.to_dict` row minus :data:`PROVENANCE_FIELDS`."""
     return {key: value for key, value in row.items() if key not in PROVENANCE_FIELDS}
+
+
+def replace_file(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data`` whole: a crash leaves the old file or
+    the new one, never a torn one.
+
+    ``data`` goes to a dot-prefixed temp file in the same directory, is
+    fsync'd, then renamed over ``path``; on any failure the temp file is
+    removed and the error re-raised.  A file already holding ``data`` is
+    left alone.  The rename is not fsync'd: a power cut may restore the old file.
+    """
+    try:
+        with open(path, "rb") as handle:
+            if handle.read(len(data) + 1) == data:
+                return
+    except OSError:
+        pass
+    directory, name = os.path.split(os.path.abspath(path))
+    temp = os.path.join(directory, f".tmp-{name}-{os.urandom(6).hex()}")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(fd)
+        os.replace(temp, path)
+    except BaseException:
+        _unlink(temp)
+        raise
+
+
+def write_json(path: str, payload: Mapping[str, Any]) -> None:
+    """:func:`replace_file` with ``payload`` as JSON: sorted keys, indent 2, newline."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    replace_file(path, text.encode("utf-8"))
+
+
+def read_json(path: str) -> Optional[Dict[str, Any]]:
+    """The JSON object in ``path``; ``None`` if absent, unreadable or not an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    return data if isinstance(data, dict) else None
+
+
+def _create_exclusive(path: str, payload: Mapping[str, Any]) -> bool:
+    """``O_EXCL``-create ``path`` holding ``payload``, unsynced: exactly one
+    caller wins, the rest get ``False``.  Every caller tolerates its loss."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+    except FileExistsError:
+        return False
+    with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True)
+    return True
+
+
+def _unlink(path: str) -> None:
+    """Remove ``path`` if it is still there (another process may have won)."""
+    with contextlib.suppress(OSError):
+        os.unlink(path)
+
+
+#: A temporary directory, removed on exit of the ``with`` it opens.
+scratch_dir = tempfile.TemporaryDirectory
 
 
 #: Read size when searching backwards for the start of a torn final line.

@@ -38,7 +38,6 @@ import io
 import itertools
 import json
 import os
-import tempfile
 import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional
@@ -53,6 +52,9 @@ class JsonlTraceSink:
     """Append-only JSONL writer; one ``os.write`` per record (fork-safe)."""
 
     def __init__(self, path: str, manifest: Optional[Dict[str, Any]] = None) -> None:
+        # lab's package init imports this module: bind the writer at call time
+        from repro.lab.store import replace_file
+
         self.path = str(path)
         self._lock = threading.Lock()
         self._fd: Optional[int] = None
@@ -65,9 +67,9 @@ class JsonlTraceSink:
         }
         if manifest is not None:
             header["manifest"] = manifest
-        # Truncate-then-append: the creating process owns the header line.
-        with io.open(self.path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
+        # Replace-then-append: the creating process owns the header line.
+        line = json.dumps(header, sort_keys=True) + "\n"
+        replace_file(self.path, line.encode("utf-8"))
 
     def _descriptor(self) -> int:
         pid = os.getpid()
@@ -283,6 +285,8 @@ def merge_trace_files(
     header.  ``out_path`` may itself be listed as a shard: records are read
     before the output is replaced atomically.
     """
+    from repro.lab.store import replace_file
+
     by_cell: Dict[str, Dict[str, Any]] = {}
     rest: List[Dict[str, Any]] = []
     for path in shard_paths:
@@ -319,20 +323,9 @@ def merge_trace_files(
     }
     if manifest is not None:
         header["manifest"] = manifest
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-trace-")
-    try:
-        with io.open(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for record in merged:
-                handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-        os.replace(temp_path, out_path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
+    lines = [json.dumps(header, sort_keys=True)]
+    lines += [json.dumps(record, sort_keys=True, default=str) for record in merged]
+    replace_file(out_path, ("\n".join(lines) + "\n").encode("utf-8"))
     return len(merged)
 
 

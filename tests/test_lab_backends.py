@@ -221,7 +221,7 @@ class TestSharedDirQueue:
         if path == "reclaim":
             assert queue.claim("dying-worker") == cell
             clock.advance(DEFAULT_LEASE_TTL + 1)
-        writer = "_create_exclusive" if path == "claim" else "_atomic_write_json"
+        writer = "_create_exclusive" if path == "claim" else "write_json"
 
         def disk_full(*args):
             raise OSError(errno.ENOSPC, "No space left on device")
@@ -300,6 +300,30 @@ class TestSharedDirQueue:
         second = queue.claim("other-worker")
         assert second is not None
         assert second.cell_id == first.cell_id
+
+    def test_listings_skip_the_temp_files_a_crashed_replace_leaves(
+        self, tmp_path, monkeypatch, clock
+    ):
+        root = tmp_path / "q"
+        queue = SharedDirQueue(str(root))
+        (cell,) = tiny_campaign(grid="0:1").expand()[:1]
+        queue.enqueue([cell])
+        queue.write_worker_stats("w", {"claimed": 0})
+        # a renew killed mid-write, and a stats publish killed mid-write
+        (root / "leases" / ".tmp-x").write_text(
+            json.dumps({"worker": "dead", "deadline": clock() - 1})
+        )
+        (root / "stats" / ".tmp-y.json").write_text(json.dumps({"claimed": 7}))
+        looked_up = []
+        real_get = queue.descriptors.get
+        monkeypatch.setattr(
+            queue.descriptors, "get", lambda key: looked_up.append(key) or real_get(key)
+        )
+        assert queue.claim("w") == cell
+        clock.advance(DEFAULT_LEASE_TTL + 1)
+        assert queue.claim("w2") == cell  # the reclaim walks leases/
+        assert ".tmp-x" not in looked_up and looked_up == [cell.cell_id] * 2
+        assert sorted(queue.worker_stats()) == ["w"]
 
     def test_renew_extends_only_the_holders_lease(self, tmp_path, clock):
         queue = SharedDirQueue(str(tmp_path / "q"))

@@ -9,10 +9,14 @@ import pytest
 
 from repro.api.config import RunConfig
 from repro.core.specs import FunctionSpec
+from repro.lab import aggregate as aggregate_module
 from repro.lab import cache as cache_module
+from repro.lab import campaign as campaign_module
+from repro.lab import cli
 from repro.lab import store as store_module
+from repro.lab.aggregate import make_bench_record, write_bench_json
 from repro.lab.cache import ResultCache, cell_cache_key, spec_fingerprint
-from repro.lab.campaign import Campaign, SweepGrid, run_campaign
+from repro.lab.campaign import Campaign, SweepGrid, resume_campaign, run_campaign
 from repro.lab.store import CellResult, ResultStore
 
 
@@ -785,6 +789,42 @@ class _CountingWriteFile:
         return getattr(self._handle, name)
 
 
+class _FullDiskFile(_CountingWriteFile):
+    """A whole-file handle whose first write lands half its bytes, then
+    fails with ENOSPC."""
+
+    def __init__(self, handle):
+        super().__init__(handle, {"n": 0}, 1)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+
+def fail_whole_file_writes(monkeypatch):
+    """Make every file opened for writing fail at its first write (ENOSPC).
+
+    ``open`` is patched in the store and in the modules that produce the
+    campaign and bench files, so the fault lands on the write wherever it is
+    made.  Returns the count of faulted opens.
+    """
+    real_open = open
+    opened = {"n": 0}
+
+    def faulty_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if "w" not in mode:
+            return handle
+        opened["n"] += 1
+        return _FullDiskFile(handle)
+
+    for module in (store_module, campaign_module, aggregate_module):
+        monkeypatch.setattr(module, "open", faulty_open, raising=False)
+    return opened
+
+
 def fail_fsync(monkeypatch, n, path_suffix=".jsonl"):
     """Make the ``n``-th commit of a matching log fail with ENOSPC."""
     real = store_module.JsonlLog._fsync
@@ -806,6 +846,42 @@ def deterministic_rows(rows):
         json.dumps(r.deterministic_dict(), sort_keys=True, separators=(",", ":"))
         for r in rows
     ]
+
+
+class TestWholeFiles:
+    """``replace_file`` / ``write_json`` / ``read_json``: the store's whole-file I/O."""
+
+    def test_write_json_renders_sorted_indented_with_a_newline(self, tmp_path):
+        path = str(tmp_path / "f.json")
+        store_module.write_json(path, {"b": [1, 2], "a": None})
+        with open(path, "rb") as handle:
+            assert handle.read() == b'{\n  "a": null,\n  "b": [\n    1,\n    2\n  ]\n}\n'
+        assert store_module.read_json(path) == {"a": None, "b": [1, 2]}
+
+    @pytest.mark.parametrize("content", [None, b"", b'{"a": ', b"[1, 2]\n"])
+    def test_read_json_is_none_unless_the_file_holds_an_object(self, tmp_path, content):
+        path = tmp_path / "f.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert store_module.read_json(str(path)) is None
+
+    def test_a_failed_replace_keeps_the_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.json"
+        path.write_bytes(b"old")
+        monkeypatch.setattr(store_module.os, "fsync", disk_full)
+        with pytest.raises(OSError):
+            store_module.replace_file(str(path), b"new")
+        assert path.read_bytes() == b"old" and os.listdir(tmp_path) == ["f.json"]
+
+    def test_replacing_with_the_same_bytes_writes_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.json"
+        store_module.replace_file(str(path), b"same")
+        inode = os.stat(path).st_ino
+        monkeypatch.setattr(store_module.os, "fsync", disk_full)
+        store_module.replace_file(str(path), b"same")
+        assert os.stat(path).st_ino == inode
+        with pytest.raises(OSError):  # a longer file is a change
+            store_module.replace_file(str(path), b"same+")
 
 
 class TestDiskFullFaults:
@@ -912,37 +988,106 @@ class TestDiskFullFaults:
         assert [r.cell_id for r in store.load()] == expected
         assert store.last_scan.corrupt_total == 0
 
+    def test_manifest_write_fault_leaves_a_runnable_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """ENOSPC in the first ``manifest.json`` write leaves no torn
+        manifest: the directory reruns, resumes and reports the clean rows."""
+        clean = run_campaign(tiny_campaign(), str(tmp_path / "clean"), cache_dir=None)
+        out = str(tmp_path / "out")
+        with monkeypatch.context() as patch:
+            faults = fail_whole_file_writes(patch)
+            with pytest.raises(OSError) as excinfo:
+                run_campaign(tiny_campaign(), out, cache_dir=None)
+        assert excinfo.value.errno == errno.ENOSPC and faults["n"] == 1
+        assert os.listdir(out) == []  # no torn manifest, no temp file
+
+        rerun = run_campaign(tiny_campaign(), out, cache_dir=None)
+        assert rerun.executed == rerun.total_cells
+        resumed = resume_campaign(out, cache_dir=None)
+        assert resumed.already_done == resumed.total_cells
+        assert cli.main(["report", out]) == 0
+        assert f"(ok {clean.total_cells}, errors 0" in capsys.readouterr().out
+        assert deterministic_rows(resumed.results) == deterministic_rows(clean.results)
+
+    def test_bench_merge_fault_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        """ENOSPC in a ``write_bench_json(merge=True)`` leaves the previous
+        file byte-identical, and the next merge keeps every earlier record."""
+        path = str(tmp_path / "BENCH_results.json")
+        earlier = [make_bench_record(f"campaign/{k}", 10, 0.5, 100) for k in range(3)]
+        write_bench_json(path, earlier, source="test", merge=True)
+        with open(path, "rb") as handle:
+            before = handle.read()
+        with monkeypatch.context() as patch:
+            faults = fail_whole_file_writes(patch)
+            with pytest.raises(OSError) as excinfo:
+                write_bench_json(
+                    path, [make_bench_record("campaign/0", 10, 0.25, 100)],
+                    source="test", merge=True,
+                )
+        assert excinfo.value.errno == errno.ENOSPC and faults["n"] == 1
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert os.listdir(tmp_path) == ["BENCH_results.json"]  # no temp file
+
+        write_bench_json(
+            path, [make_bench_record("kernel/x", 10, 0.5, 100)], source="test", merge=True
+        )
+        with open(path, encoding="utf-8") as handle:
+            names = [record["name"] for record in json.load(handle)["results"]]
+        assert names == ["campaign/0", "campaign/1", "campaign/2", "kernel/x"]
+
 
 class _Crash(BaseException):
     """A simulated power cut: stops the writer wherever it is."""
 
 
 class CrashPoints:
-    """Crash-point injection over :class:`~repro.lab.store.JsonlLog` commits.
+    """Crash-point injection over :class:`~repro.lab.store.JsonlLog` commits
+    and :func:`~repro.lab.store.replace_file` calls.
 
     Every fsync records the committed length of its file.  With ``crash_at=k``
-    the ``k``-th fsync (counted from 0) raises :class:`_Crash` instead of
-    syncing, and so does every later one: the writer stops there.
-    :meth:`power_cut` then truncates every log to its last committed length
-    — or, ``torn``, keeps half of the first uncommitted line as well, the
-    mid-line state a crash can leave behind.  Commits happen every 2 lines
-    and on close, so a small campaign crosses several commit boundaries.
+    the ``k``-th crash point (counted from 0) raises :class:`_Crash` instead
+    of syncing, and so does every later one: the writer stops there.  A
+    whole-file replace stops before its rename: the old file stays, next to
+    the half-written temp file a crash can leave.  :meth:`power_cut` then
+    truncates every log to its last committed length — or, ``torn``, keeps
+    half of the first uncommitted line as well, the mid-line state a crash
+    can leave behind.  Commits happen every 2 lines and on close, so a small
+    campaign crosses several commit boundaries.
     """
 
     def __init__(self, monkeypatch, crash_at=None):
         self.committed = {}
+        self.replaced = []
         self.calls = 0
         self.crash_at = crash_at
-        real = store_module.JsonlLog._fsync
+        real_fsync = store_module.JsonlLog._fsync
+        real_replace = store_module.replace_file
 
-        def fsync(log, handle):
+        def crash_point():
             if self.crash_at is not None and self.calls >= self.crash_at:
                 raise _Crash()
             self.calls += 1
-            real(log, handle)
+
+        def fsync(log, handle):
+            crash_point()
+            real_fsync(log, handle)
             self.committed[log.path] = os.fstat(handle.fileno()).st_size
 
+        def replace_file(path, data):
+            try:
+                crash_point()
+            except _Crash:
+                directory, name = os.path.split(path)
+                with open(os.path.join(directory, ".tmp-" + name + "-crash"), "wb") as temp:
+                    temp.write(data[: len(data) // 2])
+                raise
+            real_replace(path, data)
+            self.replaced.append(os.path.basename(path))
+
         monkeypatch.setattr(store_module.JsonlLog, "_fsync", fsync)
+        monkeypatch.setattr(store_module, "replace_file", replace_file)
         monkeypatch.setattr(store_module, "COMMIT_ROWS", 2)
         monkeypatch.setattr(store_module, "COMMIT_SECONDS", float("inf"))
 
@@ -971,17 +1116,18 @@ def assert_cache_never_wrong(cache_dir, payloads):
         assert reader.get(key) in (None, payload)
 
 
-def count_commits(monkeypatch, workload):
+def dry_run(monkeypatch, workload):
+    """Run ``workload`` once without crashing; the :class:`CrashPoints` it crossed."""
     with monkeypatch.context() as patch:
         points = CrashPoints(patch)
         workload()
-    return points.calls
+    return points
 
 
 class TestCrashPoints:
-    """Simulated crashes at every commit boundary and mid-line (ALICE-style,
-    scoped to the line log): resume always converges on the clean rows, and
-    the cache never answers with a torn or foreign payload."""
+    """Simulated crashes at every commit boundary, mid-line and before every
+    whole-file rename (ALICE-style): resume always converges on the clean
+    rows, and the cache never answers with a torn or foreign payload."""
 
     @pytest.mark.parametrize("torn", [False, True], ids=["boundary", "mid-line"])
     def test_cold_campaign(self, tmp_path, monkeypatch, torn):
@@ -989,13 +1135,18 @@ class TestCrashPoints:
         cells = campaign.expand()
         clean = run_campaign(campaign, str(tmp_path / "clean"), cache_dir=None)
         payloads = cache_payloads(cells, clean.results)
-        total = count_commits(
+        dry = dry_run(
             monkeypatch,
             lambda: run_campaign(
                 campaign, str(tmp_path / "dry"), cache_dir=str(tmp_path / "dry-c")
             ),
         )
-        assert total >= 8  # store and cache each commit every 2 rows and on close
+        # provenance.json is published at the start and at the end
+        assert dry.replaced == [
+            "manifest.json", "provenance.json", "summary.json", "provenance.json"
+        ]
+        total = dry.calls
+        assert total >= 8 + 3  # store and cache each commit every 2 rows and on close
         for k in range(total):
             root = tmp_path / f"crash-{k}"
             out, cache_dir = str(root / "out"), str(root / "cache")
@@ -1011,6 +1162,9 @@ class TestCrashPoints:
             raw = list(ResultStore(os.path.join(out, "results.jsonl")).iter_rows(dedupe=False))
             assert sorted(r.cell_id for r in raw) == sorted(c.cell_id for c in cells)
             assert_cache_never_wrong(cache_dir, payloads)
+            assert Campaign.load(os.path.join(out, "manifest.json")) == campaign
+            for name in ("provenance.json", "summary.json"):
+                assert store_module.read_json(os.path.join(out, name)) is not None
 
     @pytest.mark.parametrize("torn", [False, True], ids=["boundary", "mid-line"])
     def test_cache_replay(self, tmp_path, monkeypatch, torn):
@@ -1018,10 +1172,10 @@ class TestCrashPoints:
         cache_dir = str(tmp_path / "cache")
         warm = run_campaign(campaign, str(tmp_path / "warm"), cache_dir=cache_dir)
         payloads = cache_payloads(campaign.expand(), warm.results)
-        total = count_commits(
+        total = dry_run(
             monkeypatch,
             lambda: run_campaign(campaign, str(tmp_path / "dry"), cache_dir=cache_dir),
-        )
+        ).calls
         assert total >= 4  # the replayed store commits every 2 rows and on close
         for k in range(total):
             out = tmp_path / f"replay-{k}"
@@ -1055,7 +1209,7 @@ class TestCrashPoints:
             for server in servers:
                 server.close()
 
-        total = count_commits(monkeypatch, lambda: serve(str(tmp_path / "dry")))
+        total = dry_run(monkeypatch, lambda: serve(str(tmp_path / "dry"))).calls
         assert total >= 6
         for k in range(total):
             root = tmp_path / f"serve-{k}"

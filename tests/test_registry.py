@@ -7,7 +7,7 @@ import pytest
 
 from repro.api.config import RunConfig
 from repro.functions.catalog import minimum_spec
-from repro.lab.aggregate import load_bench_json
+from repro.lab.store import read_json
 from repro.lab.campaign import resolve_engine
 from repro.sim import registry
 from repro.sim.registry import (
@@ -168,7 +168,7 @@ BENCH_JSON = os.path.join(
 
 def auto_cost_points():
     """``{engine: {trials: (population, seconds per step)}}`` from auto-cost/*."""
-    payload = load_bench_json(BENCH_JSON)
+    payload = read_json(BENCH_JSON)
     points = {}
     for record in payload["results"]:
         if record["name"].startswith("auto-cost/"):
