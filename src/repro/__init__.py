@@ -77,7 +77,7 @@ from repro.lab import (
 
 # Kept in sync with setup.py (tests/test_api_workbench.py enforces it and
 # `python -m repro --version` prints it).
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "CRN",

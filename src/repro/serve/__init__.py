@@ -17,6 +17,8 @@ server exposes the Workbench workflow as JSON endpoints::
     DELETE /v1/jobs/{id}      cancel a running job
     GET  /v1/engines          registry capability metadata (EngineInfo.to_dict)
     GET  /v1/stats            cache hit-rate, per-engine counts, latency
+                              quantiles (all read from the metrics registry)
+    GET  /v1/metrics          the same registry as Prometheus text
     GET  /v1/health           liveness probe
 
 The load-bearing idea is the **cache memo contract**: every simulate request

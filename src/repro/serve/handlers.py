@@ -17,6 +17,7 @@ the provenance carried in the ``X-Repro-Cache`` header instead of the body.
 from __future__ import annotations
 
 import asyncio
+import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.config import RunConfig
@@ -139,6 +140,7 @@ async def handle_engines(state: ServerState, request: HttpRequest) -> Response:
 
 async def handle_stats(state: ServerState, request: HttpRequest) -> Response:
     payload = state.metrics.snapshot()
+    payload["version"] = state.version
     payload["server"] = {
         "version": state.version,
         "workers": state.workers,
@@ -518,42 +520,59 @@ _FIXED_ROUTES = {
     ("POST", "/v1/jobs"): (handle_submit_job, "POST /v1/jobs"),
 }
 
+#: ``/v1/jobs/{id}`` routes: (method, path suffix after the id, handler, label).
+_JOB_ROUTES = (
+    ("GET", "/results", handle_job_results, "GET /v1/jobs/{id}/results"),
+    ("GET", "", handle_get_job, "GET /v1/jobs/{id}"),
+    ("DELETE", "", handle_cancel_job, "DELETE /v1/jobs/{id}"),
+    ("POST", "/cancel", handle_cancel_job, "POST /v1/jobs/{id}/cancel"),
+)
+
 _KNOWN_PATHS = {path for _method, path in _FIXED_ROUTES}
 
+#: The metrics label of every request no route matches: a client's raw path
+#: never becomes a label value, so the number of series stays bounded.
+UNMATCHED = "unmatched"
 
-async def dispatch(state: ServerState, request: HttpRequest) -> Response:
-    """Route one request; every failure mode is an :class:`ApiError`."""
+
+def _route(request: HttpRequest):
+    """``(label, handler, extra handler args)``; raises the 404/405 otherwise."""
     route = _FIXED_ROUTES.get((request.method, request.path))
     if route is not None:
         handler, endpoint = route
-        response = await handler(state, request)
-        response.endpoint = endpoint
-        return response
+        return endpoint, handler, ()
 
     if request.path.startswith("/v1/jobs/"):
         tail = request.path[len("/v1/jobs/"):]
-        if request.method == "GET" and tail.endswith("/results"):
-            job_id = tail[: -len("/results")]
-            if job_id and "/" not in job_id:
-                response = await handle_job_results(state, request, job_id)
-                response.endpoint = "GET /v1/jobs/{id}/results"
-                return response
-        if request.method == "GET" and tail and "/" not in tail:
-            response = await handle_get_job(state, request, tail)
-            response.endpoint = "GET /v1/jobs/{id}"
-            return response
-        if request.method == "DELETE" and tail and "/" not in tail:
-            response = await handle_cancel_job(state, request, tail)
-            response.endpoint = "DELETE /v1/jobs/{id}"
-            return response
-        if request.method == "POST" and tail.endswith("/cancel"):
-            job_id = tail[: -len("/cancel")]
-            if job_id and "/" not in job_id:
-                response = await handle_cancel_job(state, request, job_id)
-                response.endpoint = "POST /v1/jobs/{id}/cancel"
-                return response
+        for method, suffix, handler, endpoint in _JOB_ROUTES:
+            job_id = tail[: len(tail) - len(suffix)] if tail.endswith(suffix) else ""
+            if request.method == method and job_id and "/" not in job_id:
+                return endpoint, handler, (job_id,)
         raise ApiError(405 if tail else 404, f"unsupported {request.method} on {request.path}")
 
     if request.path in _KNOWN_PATHS:
         raise ApiError(405, f"method {request.method} not allowed on {request.path}")
     raise ApiError(404, f"no route for {request.method} {request.path}")
+
+
+async def dispatch(state: ServerState, request: HttpRequest) -> Response:
+    """Answer one request and record it under its route template.
+
+    Never raises: an :class:`ApiError` becomes its error response and any
+    other exception a 500.  The label is fixed before the handler runs, so a
+    handler's error is counted under its route, and every unmatched request
+    under :data:`UNMATCHED`.
+    """
+    started = time.perf_counter()
+    endpoint = UNMATCHED
+    try:
+        endpoint, handler, args = _route(request)
+        response = await handler(state, request, *args)
+    except ApiError as exc:
+        response = Response.from_error(exc)
+    except Exception as exc:  # noqa: BLE001 — a handler bug must not kill the server
+        response = Response.from_error(
+            ApiError(500, f"internal error: {type(exc).__name__}: {exc}")
+        )
+    state.metrics.record_request(endpoint, response.status, time.perf_counter() - started)
+    return response

@@ -1,14 +1,13 @@
 """Server-side observability for :mod:`repro.serve`.
 
 One :class:`ServerMetrics` instance lives on the server state and is mutated
-only from the event-loop thread.  Since PR 8 it is a *view* over a shared
-:class:`repro.obs.metrics.MetricsRegistry` rather than a pile of ad-hoc dict
-counters: every ``record_*`` call increments a named registry series, the
-``GET /v1/stats`` JSON snapshot reads those series back, and
-``GET /v1/metrics`` renders the very same registry as Prometheus text — the
-two endpoints cannot drift apart.  The server passes its registry to its
-:class:`~repro.lab.cache.ResultCache`, so cache get/put latency histograms
-land in the same exposition.
+only from the event-loop thread.  It is a *view* over a
+:class:`repro.obs.metrics.MetricsRegistry` and keeps no state of its own:
+every ``record_*`` call updates a named registry series, ``GET /v1/stats``
+reads every number of its JSON snapshot back from those series, and
+``GET /v1/metrics`` renders the very same registry as Prometheus text.  The
+server passes its registry to its :class:`~repro.lab.cache.ResultCache`, so
+cache get/put latency histograms land in the same exposition.
 
 What the ``/v1/stats`` contract promises:
 
@@ -19,12 +18,12 @@ What the ``/v1/stats`` contract promises:
 * **per-engine demand** — how many requests *named* each engine vs. how many
   actually *executed* on it (requests minus executed = requests the cache
   absorbed);
-* **latency percentiles** — p50/p90/p99 and mean per endpoint over a bounded
-  sliding window (:class:`LatencyWindow`, which also reports its lifetime
-  ``total_count`` so long-running servers don't under-report traffic), so a
-  hot cache path and a cold simulate path are visible as separate
-  distributions.  Percentile windows are not a Prometheus-native shape; the
-  registry carries a parallel latency *histogram* for scraping;
+* **latency quantiles** — p50/p90/p99 and mean per endpoint template over
+  the server's lifetime, read from the ``repro_http_request_seconds``
+  histogram with :meth:`~repro.obs.metrics.Histogram.quantile` (the
+  Prometheus ``histogram_quantile`` rule, so a scrape computes the same
+  numbers), and so a hot cache path and a cold simulate path are visible as
+  separate distributions;
 * **job lifecycle counters** — submitted / completed / cancelled / failed /
   rejected (backpressure 429s), and cell-level executed vs. from-cache.
 """
@@ -32,8 +31,7 @@ What the ``/v1/stats`` contract promises:
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -48,51 +46,8 @@ JOB_EVENTS = (
     "cells_from_cache",
 )
 
-
-def percentile(sorted_values, fraction: float) -> float:
-    """Nearest-rank percentile of an already-sorted nonempty sequence."""
-    if not sorted_values:
-        raise ValueError("percentile of an empty sequence is undefined")
-    rank = max(0, min(len(sorted_values) - 1, round(fraction * (len(sorted_values) - 1))))
-    return float(sorted_values[rank])
-
-
-class LatencyWindow:
-    """A bounded sliding window of request durations (seconds).
-
-    ``count``/``total`` are lifetime aggregates; the deque keeps only the
-    last ``size`` samples for the percentile view, so after wrap-around
-    ``snapshot_ms()['window'] < snapshot_ms()['total_count']``.
-    """
-
-    def __init__(self, size: int = 512) -> None:
-        self._samples: Deque[float] = deque(maxlen=size)
-        self.count = 0
-        self.total = 0.0
-
-    def record(self, seconds: float) -> None:
-        self._samples.append(float(seconds))
-        self.count += 1
-        self.total += float(seconds)
-
-    def snapshot_ms(self) -> Dict[str, float]:
-        """Percentiles (in milliseconds) over the current window.
-
-        ``window`` is the number of samples the percentiles were computed
-        from; ``total_count`` is the lifetime number of recordings (they
-        diverge once the window wraps).  Empty windows return ``{}``.
-        """
-        window = sorted(self._samples)
-        if not window:
-            return {}
-        return {
-            "p50_ms": round(percentile(window, 0.50) * 1000, 3),
-            "p90_ms": round(percentile(window, 0.90) * 1000, 3),
-            "p99_ms": round(percentile(window, 0.99) * 1000, 3),
-            "mean_ms": round(sum(window) / len(window) * 1000, 3),
-            "window": len(window),
-            "total_count": self.count,
-        }
+#: The latency quantiles /v1/stats reports per endpoint.
+QUANTILES = {"p50_ms": 0.50, "p90_ms": 0.90, "p99_ms": 0.99}
 
 
 class ServerMetrics:
@@ -104,17 +59,9 @@ class ServerMetrics:
     passed in, so parallel test servers never cross-count.
     """
 
-    def __init__(
-        self,
-        latency_window: int = 512,
-        registry: Optional[MetricsRegistry] = None,
-        version: str = "",
-    ) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.started_at = time.time()
-        self.version = version
-        self._latency_window = latency_window
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.latencies: Dict[str, LatencyWindow] = {}
 
         self._requests = self.registry.counter(
             "repro_http_requests_total",
@@ -162,20 +109,14 @@ class ServerMetrics:
     def record_request(self, endpoint: str, status: int, seconds: float) -> None:
         self._requests.labels(endpoint=endpoint, status=str(int(status))).inc()
         self._request_seconds.labels(endpoint=endpoint).observe(seconds)
-        self.latencies.setdefault(
-            endpoint, LatencyWindow(self._latency_window)
-        ).record(seconds)
 
     def record_cache(self, hit: bool) -> None:
         self._cache.labels(result="hit" if hit else "miss").inc()
 
     def record_engine_request(self, engine: str) -> None:
         self._engine_requests.labels(engine=str(engine)).inc()
-        self._engine_executed.labels(engine=str(engine)).inc(0)
 
     def record_engine_executed(self, engine: str) -> None:
-        self._engine_requests.labels(engine=str(engine)).inc(0)
-        self._engine_executed.labels(engine=str(engine)).inc(0)
         self._engine_executed.labels(engine=str(engine)).inc()
 
     def record_job_event(self, event: str, count: int = 1) -> None:
@@ -183,62 +124,54 @@ class ServerMetrics:
 
     # -- reporting --------------------------------------------------------------
 
-    @property
-    def cache_hits(self) -> int:
-        return int(self._cache.value_of(("hit",)))
-
-    @property
-    def cache_misses(self) -> int:
-        return int(self._cache.value_of(("miss",)))
-
-    @property
-    def cache_hit_rate(self) -> Optional[float]:
-        total = self.cache_hits + self.cache_misses
-        return (self.cache_hits / total) if total else None
-
     def touch(self) -> None:
         """Refresh derived gauges (uptime) before a registry render."""
         self._uptime.set(round(time.time() - self.started_at, 3))
 
+    def _latency_ms(self, endpoint: str) -> Dict[str, float]:
+        snap = self._request_seconds.snapshot_of((endpoint,))
+        if not snap["count"]:
+            return {}
+        latency = {
+            key: round(self._request_seconds.quantile((endpoint,), q) * 1000, 3)
+            for key, q in QUANTILES.items()
+        }
+        latency["mean_ms"] = round(snap["sum"] / snap["count"] * 1000, 3)
+        return latency
+
     def snapshot(self) -> Dict[str, Any]:
         """The ``/v1/stats`` payload body (JSON-serializable, stable keys).
 
-        Everything here is read back *from the registry*, so this JSON view
-        and the Prometheus text of ``GET /v1/metrics`` can never disagree.
+        Every number here is read back *from the registry*, so this JSON view
+        and the Prometheus text of ``GET /v1/metrics`` cannot disagree.
         """
         requests: Dict[str, Dict[str, Any]] = {}
         for (endpoint, status), value in sorted(self._requests.series().items()):
             entry = requests.setdefault(endpoint, {"count": 0, "by_status": {}})
             entry["count"] += int(value)
-            entry["by_status"][status] = entry["by_status"].get(status, 0) + int(value)
+            entry["by_status"][status] = int(value)
         for endpoint, entry in requests.items():
-            window = self.latencies.get(endpoint)
-            entry["latency"] = window.snapshot_ms() if window is not None else {}
+            entry["latency"] = self._latency_ms(endpoint)
 
         engines: Dict[str, Dict[str, int]] = {}
-        for (engine,), value in self._engine_requests.series().items():
-            engines.setdefault(engine, {"requests": 0, "executed": 0})["requests"] = int(value)
-        for (engine,), value in self._engine_executed.series().items():
-            engines.setdefault(engine, {"requests": 0, "executed": 0})["executed"] = int(value)
+        for key, metric in (
+            ("requests", self._engine_requests),
+            ("executed", self._engine_executed),
+        ):
+            for (engine,), value in metric.series().items():
+                engines.setdefault(engine, {"requests": 0, "executed": 0})[key] = int(value)
 
-        jobs = {event: int(self._jobs.value_of((event,))) for event in JOB_EVENTS}
-        for (event,), value in self._jobs.series().items():
-            jobs[event] = int(value)
-
-        uptime = round(time.time() - self.started_at, 3)
-        hit_rate = self.cache_hit_rate
-        snapshot: Dict[str, Any] = {
-            "uptime_seconds": uptime,
-            "uptime_s": uptime,
+        hits = int(self._cache.value_of(("hit",)))
+        misses = int(self._cache.value_of(("miss",)))
+        self.touch()
+        return {
+            "uptime_s": self._uptime.value,
             "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "hit_rate": round(hit_rate, 6) if hit_rate is not None else None,
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": round(hits / (hits + misses), 6) if hits + misses else None,
             },
             "engines": engines,
             "requests": requests,
-            "jobs": jobs,
+            "jobs": {event: int(value) for (event,), value in self._jobs.series().items()},
         }
-        if self.version:
-            snapshot["version"] = self.version
-        return snapshot

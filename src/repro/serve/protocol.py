@@ -165,8 +165,6 @@ class Response:
     body: Optional[bytes] = None
     #: Byte-chunk iterator for close-delimited streaming (see class docs).
     stream: Optional[Any] = None
-    #: Route template label (e.g. ``"GET /v1/jobs/{id}"``) for metrics.
-    endpoint: str = ""
 
     def encode_stream_head(self) -> bytes:
         """The header block for a streaming response (no body bytes)."""
@@ -197,14 +195,12 @@ class Response:
         return head + body
 
     @staticmethod
-    def from_error(exc: ApiError, endpoint: str = "") -> "Response":
+    def from_error(exc: ApiError) -> "Response":
         headers = {}
         retry_after = exc.extra.get("retry_after")
         if retry_after is not None:
             headers["Retry-After"] = str(retry_after)
-        return Response(
-            status=exc.status, payload=exc.to_payload(), headers=headers, endpoint=endpoint
-        )
+        return Response(status=exc.status, payload=exc.to_payload(), headers=headers)
 
 
 # ---------------------------------------------------------------------------

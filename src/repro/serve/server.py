@@ -23,7 +23,6 @@ import asyncio
 import signal
 import sys
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
@@ -86,7 +85,7 @@ class ReproServer:
         from repro import __version__
 
         self._pool = ProcessPoolExecutor(max_workers=self.workers) if self.workers else None
-        metrics = ServerMetrics(version=__version__)
+        metrics = ServerMetrics()
         # The cache reports into the server's registry, so its hit/miss and
         # latency series show up on GET /v1/metrics alongside the
         # request counters.
@@ -161,22 +160,7 @@ class ReproServer:
                 if request is None:
                     return
 
-                endpoint = f"{request.method} {request.path}"
-                started = time.perf_counter()
-                try:
-                    response = await dispatch(self.state, request)
-                except ApiError as exc:
-                    response = Response.from_error(exc)
-                except Exception as exc:  # noqa: BLE001 — a handler bug must not kill the server
-                    response = Response.from_error(
-                        ApiError(500, f"internal error: {type(exc).__name__}: {exc}")
-                    )
-                if response.endpoint:
-                    endpoint = response.endpoint
-                if self.state is not None:
-                    self.state.metrics.record_request(
-                        endpoint, response.status, time.perf_counter() - started
-                    )
+                response = await dispatch(self.state, request)
                 if response.stream is not None:
                     # Close-delimited streaming: headers first, then chunks as
                     # they are produced, draining per chunk so a slow client

@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import json
 import os
+from contextlib import closing
 
 import pytest
 
@@ -141,12 +142,12 @@ class TestCellKeyPins:
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        assert cache.get("a" * 64) is None
-        cache.put("a" * 64, {"cell_id": "x", "status": "ok"})
-        assert cache.get("a" * 64) == {"cell_id": "x", "status": "ok"}
-        assert ("a" * 64) in cache
-        assert len(cache) == 1
+        with closing(ResultCache(str(tmp_path / "cache"))) as cache:
+            assert cache.get("a" * 64) is None
+            cache.put("a" * 64, {"cell_id": "x", "status": "ok"})
+            assert cache.get("a" * 64) == {"cell_id": "x", "status": "ok"}
+            assert ("a" * 64) in cache
+            assert len(cache) == 1
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         """A garbage line in a segment reads as a miss, never as a payload."""
@@ -175,19 +176,20 @@ class TestResultCache:
         segment.write_text('{"k":"' + key + '","v":{not json}\n')  # passes the fast scan
         reader = ResultCache(str(root))
         assert reader.get(key) is None  # the index now points at the garbage line
-        ResultCache(str(root)).put(key, {"status": "republished"})  # another writer
+        with closing(ResultCache(str(root))) as other:  # another writer
+            other.put(key, {"status": "republished"})
         assert reader.get(key) == {"status": "republished"}
 
     def test_last_write_wins_within_and_across_segments(self, tmp_path):
         root = str(tmp_path / "cache")
         key = "f" * 64
-        first, second = ResultCache(root), ResultCache(root)
-        first.put(key, {"v": 1})
-        first.put(key, {"v": 2})
-        assert ResultCache(root).get(key) == {"v": 2}
-        second.put(key, {"v": 3})  # a later writer's segment
-        assert ResultCache(root).get(key) == {"v": 3}
-        assert len(segments(tmp_path / "cache")) == 2
+        with closing(ResultCache(root)) as first, closing(ResultCache(root)) as second:
+            first.put(key, {"v": 1})
+            first.put(key, {"v": 2})
+            assert ResultCache(root).get(key) == {"v": 2}
+            second.put(key, {"v": 3})  # a later writer's segment
+            assert ResultCache(root).get(key) == {"v": 3}
+            assert len(segments(tmp_path / "cache")) == 2
 
     def test_a_line_still_being_written_is_picked_up_once_complete(self, tmp_path):
         root = tmp_path / "cache"
@@ -206,11 +208,11 @@ class TestResultCache:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setattr(cache_module, "hash", lambda key: 0, raising=False)
-        cache = ResultCache(str(tmp_path / "cache"))
-        cache.put("a" * 64, {"cell_id": "a"})
-        cache.put("b" * 64, {"cell_id": "b"})  # same index slot
-        assert cache.get("a" * 64) is None
-        assert cache.get("b" * 64) == {"cell_id": "b"}
+        with closing(ResultCache(str(tmp_path / "cache"))) as cache:
+            cache.put("a" * 64, {"cell_id": "a"})
+            cache.put("b" * 64, {"cell_id": "b"})  # same index slot
+            assert cache.get("a" * 64) is None
+            assert cache.get("b" * 64) == {"cell_id": "b"}
 
     def test_threads_sharing_one_instance_never_lose_or_mix_entries(self, tmp_path):
         import sys
@@ -393,8 +395,15 @@ class TestResultStore:
         kwargs.update(overrides)
         return CellResult(**kwargs)
 
-    def test_append_and_load_round_trip(self, tmp_path):
+    @pytest.fixture()
+    def store(self, tmp_path):
         store = ResultStore(str(tmp_path / "r.jsonl"))
+        try:
+            yield store
+        finally:
+            store.close()
+
+    def test_append_and_load_round_trip(self, store):
         store.append(self.row("c1"))
         store.append(self.row("c2", status="error", error="Boom: x", outputs=()))
         rows = store.load()
@@ -402,15 +411,13 @@ class TestResultStore:
         assert rows[0] == self.row("c1")
         assert store.completed_ids() == {"c1", "c2"}
 
-    def test_torn_final_line_is_ignored(self, tmp_path):
-        store = ResultStore(str(tmp_path / "r.jsonl"))
+    def test_torn_final_line_is_ignored(self, store):
         store.append(self.row("c1"))
         with open(store.path, "a") as handle:
             handle.write('{"cell_id": "c2", "trunc')  # kill -9 mid-write
         assert store.completed_ids() == {"c1"}
 
-    def test_duplicate_cell_id_last_write_wins(self, tmp_path):
-        store = ResultStore(str(tmp_path / "r.jsonl"))
+    def test_duplicate_cell_id_last_write_wins(self, store):
         store.append(self.row("c1", output_mode=1))
         store.append(self.row("c2"))
         store.append(self.row("c1", output_mode=7))  # re-executed after a reclaim
@@ -422,18 +429,17 @@ class TestResultStore:
         assert store.last_scan.duplicates == 1
         assert store.last_scan.corrupt_total == 0
 
-    def test_dedupe_false_restores_the_raw_view(self, tmp_path):
-        store = ResultStore(str(tmp_path / "r.jsonl"))
+    def test_dedupe_false_restores_the_raw_view(self, store):
         store.append(self.row("c1", output_mode=1))
         store.append(self.row("c1", output_mode=7))
         raw = list(store.iter_rows(dedupe=False))
         assert [r.output_mode for r in raw] == [1, 7]
 
-    def test_interior_corrupt_line_warns_and_is_counted(self, tmp_path):
-        store = ResultStore(str(tmp_path / "r.jsonl"))
+    def test_interior_corrupt_line_warns_and_is_counted(self, store):
         store.append(self.row("c1"))
         store.append(self.row("c2"))
-        lines = open(store.path).readlines()
+        with open(store.path) as handle:
+            lines = handle.readlines()
         lines[0] = '{"cell_id": "c1", "trunc\n'  # torn line buried mid-file
         with open(store.path, "w") as handle:
             handle.writelines(lines)
@@ -447,9 +453,8 @@ class TestResultStore:
         with pytest.warns(UserWarning):
             assert store.completed_ids() == {"c2"}
 
-    def test_torn_tail_stays_silent(self, tmp_path):
+    def test_torn_tail_stays_silent(self, store):
         # an interrupted append is the *expected* crash artifact, not damage
-        store = ResultStore(str(tmp_path / "r.jsonl"))
         store.append(self.row("c1"))
         with open(store.path, "a") as handle:
             handle.write('{"cell_id": "c2", "trunc')
@@ -461,8 +466,7 @@ class TestResultStore:
         assert store.last_scan.corrupt_tail == 1
         assert store.last_scan.corrupt_interior == 0
 
-    def test_fast_scan_plausible_but_unparseable_line_is_skipped(self, tmp_path):
-        store = ResultStore(str(tmp_path / "r.jsonl"))
+    def test_fast_scan_plausible_but_unparseable_line_is_skipped(self, store):
         store.append(self.row("c1"))
         with open(store.path, "a") as handle:
             # matches the cell_id fast-scan regex and ends in "}", but is not
@@ -498,15 +502,13 @@ class TestResultStore:
         assert row.to_dict() == before
         assert row.config == RunConfig(seed=3).to_dict()
 
-    def test_append_returns_the_row_it_wrote(self, tmp_path):
-        store = ResultStore(str(tmp_path / "r.jsonl"))
+    def test_append_returns_the_row_it_wrote(self, store):
         row = self.row("c1")
         assert store.append(row) == row.to_dict()
         with open(store.path) as handle:
             assert json.loads(handle.read()) == row.to_dict()
 
-    def test_append_after_torn_tail_starts_a_fresh_line(self, tmp_path):
-        store = ResultStore(str(tmp_path / "r.jsonl"))
+    def test_append_after_torn_tail_starts_a_fresh_line(self, store):
         store.append(self.row("c1"))
         with open(store.path, "a") as handle:
             handle.write('{"cached":false,"cell_id":"c2","con')  # kill -9 mid-write
@@ -516,8 +518,7 @@ class TestResultStore:
         assert store.last_scan.corrupt_total == 0
         assert store.completed_ids() == {"c1", "c2"}
 
-    def test_append_keeps_a_complete_row_that_lost_its_newline(self, tmp_path):
-        store = ResultStore(str(tmp_path / "r.jsonl"))
+    def test_append_keeps_a_complete_row_that_lost_its_newline(self, store):
         store.append(self.row("c1"))
         store.append(self.row("c2"))
         with open(store.path, "rb+") as handle:
@@ -1200,14 +1201,14 @@ class TestCrashPoints:
                     for k, key in enumerate(keys)}
 
         def serve(root):
-            servers = [ResultCache(root), ResultCache(root)]
-            for k, key in enumerate(keys):
-                mine, other = servers[k % 2], servers[1 - k % 2]
-                if mine.get(key) is None:
-                    mine.put(key, payloads[key])
-                assert other.get(key) == payloads[key]  # live cross-process view
-            for server in servers:
-                server.close()
+            # a crash still releases both handles, without a commit
+            with closing(ResultCache(root)) as first, closing(ResultCache(root)) as second:
+                servers = [first, second]
+                for k, key in enumerate(keys):
+                    mine, other = servers[k % 2], servers[1 - k % 2]
+                    if mine.get(key) is None:
+                        mine.put(key, payloads[key])
+                    assert other.get(key) == payloads[key]  # live cross-process view
 
         total = dry_run(monkeypatch, lambda: serve(str(tmp_path / "dry"))).calls
         assert total >= 6

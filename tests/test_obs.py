@@ -19,8 +19,11 @@ The contracts pinned down here:
   plus a ``provenance.json`` manifest (written even when tracing is off).
 """
 
+import bisect
 import json
+import math
 import random
+from contextlib import closing
 
 import pytest
 
@@ -202,16 +205,20 @@ class TestMetricsRegistry:
 
     def test_histogram_buckets_are_cumulative(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("repro_test_seconds", "help", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 5.0):
+        hist = registry.histogram("repro_test_seconds", "help")
+        for value in (0.05, 0.5, 100.0):
             hist.observe(value)
         snap = hist.snapshot_of(())
         assert snap["count"] == 3
-        assert snap["sum"] == pytest.approx(5.55)
+        assert snap["sum"] == pytest.approx(100.55)
         bounds = [bound for bound, _ in snap["buckets"]]
-        cumulative = [count for _, count in snap["buckets"]]
-        assert bounds[:2] == [0.1, 1.0] and bounds[2] == float("inf")
-        assert cumulative == [1, 2, 3]
+        cumulative = dict(snap["buckets"])
+        assert bounds == list(DEFAULT_BUCKETS) + [float("inf")]
+        assert cumulative[0.04329] == 0 and cumulative[0.05337] == 1
+        assert cumulative[0.4329] == 1 and cumulative[0.5337] == 2
+        assert cumulative[60.0] == 2 and cumulative[float("inf")] == 3
+        counts = [count for _, count in snap["buckets"]]
+        assert counts == sorted(counts)
 
     def test_getters_are_idempotent_but_reject_kind_mismatch(self):
         registry = MetricsRegistry()
@@ -234,19 +241,74 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         counter = registry.counter("repro_test_total", "things counted", labels=("kind",))
         counter.labels(kind='we"ird\n').inc(2)
-        hist = registry.histogram("repro_test_seconds", buckets=(0.5,))
+        hist = registry.histogram("repro_test_seconds")
         hist.observe(0.1)
         text = render_prometheus(registry)
         assert "# HELP repro_test_total things counted" in text
         assert "# TYPE repro_test_total counter" in text
         assert 'repro_test_total{kind="we\\"ird\\n"} 2' in text
-        assert 'repro_test_seconds_bucket{le="0.5"} 1' in text
+        assert 'repro_test_seconds_bucket{le="0.08111"} 0' in text
+        assert 'repro_test_seconds_bucket{le="0.1"} 1' in text
+        assert 'repro_test_seconds_bucket{le="60"} 1' in text
         assert 'repro_test_seconds_bucket{le="+Inf"} 1' in text
+        assert text.count("repro_test_seconds_bucket{") == len(DEFAULT_BUCKETS) + 1
         assert "repro_test_seconds_count 1" in text
         assert text.endswith("\n")
 
     def test_default_buckets_are_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+
+    def test_default_buckets_step_at_most_1_25_from_100us_to_1s(self):
+        fine = [bound for bound in DEFAULT_BUCKETS if bound <= 1.0]
+        assert fine[0] == 0.0001 and fine[-1] == 1.0
+        assert max(b / a for a, b in zip(fine, fine[1:])) <= 1.25
+        assert DEFAULT_BUCKETS[len(fine):] == (5.0, 15.0, 60.0)
+
+
+class TestHistogramQuantile:
+    @staticmethod
+    def _histogram(samples):
+        hist = MetricsRegistry().histogram("repro_test_seconds", labels=("endpoint",))
+        for value in samples:
+            hist.labels(endpoint="x").observe(value)
+        return hist
+
+    def test_within_one_bucket_width_of_nearest_rank(self):
+        rng = random.Random(7)
+        samples = sorted(rng.lognormvariate(math.log(0.0015), 0.8) for _ in range(2000))
+        hist = self._histogram(samples)
+        for q in (0.01, 0.25, 0.5, 0.9, 0.99, 1.0):
+            nearest = samples[max(0, math.ceil(q * len(samples)) - 1)]
+            upper = DEFAULT_BUCKETS[bisect.bisect_left(DEFAULT_BUCKETS, nearest)]
+            lower = DEFAULT_BUCKETS[bisect.bisect_left(DEFAULT_BUCKETS, nearest) - 1]
+            estimate = hist.quantile(("x",), q)
+            assert lower <= estimate <= upper, (q, nearest, estimate)
+            assert abs(estimate - nearest) <= upper - lower
+
+    def test_matches_prometheus_interpolation(self):
+        # four samples in the (0.001, 0.001233] bucket, none below it
+        hist = self._histogram([0.0011] * 4)
+        assert hist.quantile(("x",), 0.5) == pytest.approx(0.001 + 0.000233 * 0.5)
+        assert hist.quantile(("x",), 1.0) == pytest.approx(0.001233)
+        assert hist.quantile(("x",), 0.0) == pytest.approx(0.001)
+
+    def test_empty_series_is_none(self):
+        hist = self._histogram([])
+        assert hist.quantile(("x",), 0.5) is None
+        assert hist.quantile(("never-observed",), 0.99) is None
+
+    def test_past_the_last_bound_reports_the_highest_finite_bound(self):
+        hist = self._histogram([0.002, 120.0, 300.0])
+        assert hist.quantile(("x",), 0.99) == DEFAULT_BUCKETS[-1] == 60.0
+
+    def test_one_sample(self):
+        hist = self._histogram([0.002])
+        for q in (0.5, 0.99):
+            assert 0.00152 < hist.quantile(("x",), q) <= 0.002310
+
+    def test_rejects_q_outside_0_1(self):
+        with pytest.raises(ValueError, match="quantile"):
+            self._histogram([0.002]).quantile(("x",), 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +346,11 @@ class TestProvenance:
 class TestCacheMetrics:
     def test_get_put_report_into_the_registry(self, tmp_path):
         registry = MetricsRegistry()
-        cache = ResultCache(str(tmp_path / "cache"), registry=registry)
         key = "ab" + "0" * 62
-        assert cache.get(key) is None
-        cache.put(key, {"payload": 1})
-        assert cache.get(key) == {"payload": 1}
+        with closing(ResultCache(str(tmp_path / "cache"), registry=registry)) as cache:
+            assert cache.get(key) is None
+            cache.put(key, {"payload": 1})
+            assert cache.get(key) == {"payload": 1}
 
         requests = registry.get("repro_result_cache_requests_total")
         assert requests.value_of(("miss",)) == 1

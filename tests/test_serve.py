@@ -29,7 +29,8 @@ from repro.api.workbench import Workbench
 from repro.lab.cache import ResultCache
 from repro.lab.store import PROVENANCE_FIELDS
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.metrics import LatencyWindow, ServerMetrics, percentile
+from repro.serve.handlers import UNMATCHED
+from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import canonical_json
 from repro.serve.server import ReproServer, ServerThread
 
@@ -735,7 +736,7 @@ class TestStats:
     def test_stats_shape(self, client):
         client.simulate("minimum", [2, 3], config=FAST_CONFIG)
         stats = client.stats()
-        assert set(stats) >= {"uptime_seconds", "cache", "engines", "requests", "jobs", "server"}
+        assert set(stats) >= {"uptime_s", "cache", "engines", "requests", "jobs", "server"}
         assert stats["server"]["workers"] == 1
         assert stats["cache"]["enabled"] is True
         simulate = stats["requests"]["POST /v1/simulate"]
@@ -743,30 +744,16 @@ class TestStats:
         assert simulate["by_status"] == {"200": 1}
         assert simulate["latency"]["p50_ms"] > 0
 
-    def test_latency_percentiles_are_sane(self):
-        window = LatencyWindow(size=8)
-        for value in (0.001, 0.002, 0.003, 0.004):
-            window.record(value)
-        snap = window.snapshot_ms()
-        assert snap["p99_ms"] == pytest.approx(4.0)
-        assert snap["mean_ms"] == pytest.approx(2.5)
-        assert snap["window"] == 4
-        assert percentile([1.0, 2.0, 3.0], 0.5) == 2.0
-        assert percentile([5.0], 0.99) == 5.0
-        with pytest.raises(ValueError):
-            percentile([], 0.5)
-
     def test_metrics_snapshot_empty(self):
         snap = ServerMetrics().snapshot()
         assert snap["cache"] == {"hits": 0, "misses": 0, "hit_rate": None}
         assert snap["requests"] == {}
 
-    def test_snapshot_has_uptime_s_version_and_all_job_events(self):
+    def test_snapshot_has_uptime_s_and_all_job_events(self):
         from repro.serve.metrics import JOB_EVENTS
 
-        snap = ServerMetrics(version="9.9.9").snapshot()
-        assert snap["uptime_s"] == snap["uptime_seconds"] >= 0
-        assert snap["version"] == "9.9.9"
+        snap = ServerMetrics().snapshot()
+        assert snap["uptime_s"] >= 0
         assert set(snap["jobs"]) == set(JOB_EVENTS)
         assert all(count == 0 for count in snap["jobs"].values())
 
@@ -781,25 +768,30 @@ class TestStats:
         assert provenance["code_salt"] == CODE_SALT
         assert stats["version"] == __version__
 
-    def test_latency_window_empty_and_single_sample(self):
-        assert LatencyWindow().snapshot_ms() == {}
-        window = LatencyWindow()
-        window.record(0.002)
-        snap = window.snapshot_ms()
-        assert snap["p50_ms"] == snap["p99_ms"] == pytest.approx(2.0)
-        assert snap["window"] == 1
-        assert snap["total_count"] == 1
+    def test_unknown_paths_cannot_mint_endpoint_labels(self, client):
+        from repro.serve.handlers import _FIXED_ROUTES, _JOB_ROUTES
 
-    def test_latency_window_wraparound_keeps_lifetime_count(self):
-        window = LatencyWindow(size=4)
-        for i in range(10):
-            window.record(0.001 * (i + 1))
-        snap = window.snapshot_ms()
-        assert snap["window"] == 4
-        assert snap["total_count"] == 10
-        # only the last 4 samples (7..10 ms) remain in the percentile window
-        assert snap["p50_ms"] >= 7.0
-        assert window.total == pytest.approx(sum(0.001 * (i + 1) for i in range(10)))
+        for i in range(200):
+            assert client.request("GET", f"/random/{i}")[0] == 404
+            assert client.request("GET", f"/v1/jobs/nope{i}")[0] == 404
+        stats = client.stats()
+        assert len(stats["requests"]) <= len(_FIXED_ROUTES) + len(_JOB_ROUTES) + 1
+        # a handler's own 404 keeps its route template
+        assert stats["requests"]["GET /v1/jobs/{id}"]["by_status"] == {"404": 200}
+        assert stats["requests"][UNMATCHED]["by_status"] == {"404": 200}
+        metrics = client.request("GET", "/v1/metrics")[2].decode("utf-8")
+        assert "nope" not in metrics and "/random" not in metrics
+
+    def test_handler_exceptions_keep_their_route_template(self, client, monkeypatch):
+        from repro.serve.jobs import JobManager
+
+        def broken(self, job_id):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(JobManager, "get", broken)
+        status, _, body = client.request("GET", "/v1/jobs/abc123")
+        assert status == 500 and "boom" in json.loads(body)["error"]
+        assert client.stats()["requests"]["GET /v1/jobs/{id}"]["by_status"] == {"500": 1}
 
 
 class TestPrometheusEndpoint:
@@ -832,6 +824,49 @@ class TestPrometheusEndpoint:
         stats = client.stats()
         assert stats["cache"]["hits"] >= 1
         assert stats["requests"]["POST /v1/simulate"]["count"] == 2
+
+    def test_stats_latency_quantiles_equal_the_scraped_histogram(self, client):
+        import re
+
+        for seed in (1, 2, 1, 2, 1):  # misses, then memo hits
+            client.simulate("minimum", [3, 5], config=dict(FAST_CONFIG, seed=seed))
+        for _ in range(5):
+            client.health()
+        client.request("GET", "/v1/engines")
+        client.request("GET", "/v1/nowhere")
+        client.request("POST", "/v1/simulate", {"spec": "nope", "input": [1]})
+        text = client.request("GET", "/v1/metrics")[2].decode("utf-8")
+        stats = client.stats()
+
+        buckets, sums = {}, {}
+        pattern = r'repro_http_request_seconds_(bucket|sum)\{endpoint="([^"]*)"(?:,le="([^"]*)")?\} (\S+)'
+        for kind, endpoint, le, value in re.findall(pattern, text):
+            if kind == "bucket":
+                buckets.setdefault(endpoint, []).append((float(le), int(value)))
+            else:
+                sums[endpoint] = float(value)
+        # the scrape is rendered before its own request is recorded
+        assert set(stats["requests"]) == set(buckets) | {"GET /v1/metrics"}
+        assert {"POST /v1/simulate", "GET /v1/health", UNMATCHED} <= set(buckets)
+
+        def histogram_quantile(pairs, q):
+            rank = q * pairs[-1][1]
+            lower, below = 0.0, 0
+            for bound, cumulative in pairs:
+                if cumulative >= rank and cumulative > below:
+                    break
+                lower, below = bound, cumulative
+            if bound == float("inf"):
+                return lower
+            return lower + (bound - lower) * (rank - below) / (cumulative - below)
+
+        for endpoint, pairs in buckets.items():
+            latency = stats["requests"][endpoint]["latency"]
+            count = pairs[-1][1]
+            assert stats["requests"][endpoint]["count"] == count
+            for key, q in (("p50_ms", 0.50), ("p90_ms", 0.90), ("p99_ms", 0.99)):
+                assert latency[key] == round(histogram_quantile(pairs, q) * 1000, 3), endpoint
+            assert latency["mean_ms"] == round(sums[endpoint] / count * 1000, 3)
 
     def test_metrics_rejects_other_methods(self, client):
         assert client.request("POST", "/v1/metrics")[0] == 405
@@ -907,3 +942,4 @@ class TestCliServe:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
+            proc.stdout.close()
