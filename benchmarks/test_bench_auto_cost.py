@@ -6,7 +6,7 @@ approximate under ``allow_approximate``), the one minimising
 :func:`repro.lab.campaign.resolve_engine`).  Engines of one class fire the
 same reaction events per trial, so one fixed population per class is enough
 to measure both constants: this suite times ``run_many`` on ``add`` for every
-auto-eligible built-in engine at trials 4 and 128.  ``add`` fires exactly
+auto-eligible built-in engine at trials 4 and 512.  ``add`` fires exactly
 ``x1 + x2`` events per trial on every engine, so each record's
 ``steps / trials`` is the per-trial step count the constants are quoted in.
 
@@ -29,7 +29,7 @@ from repro.api.config import RunConfig
 from repro.functions.catalog import add_spec
 from repro.sim.runner import run_many
 
-TRIALS = (4, 128)
+TRIALS = (4, 512)
 # (engine, input) per class: the exact class at a population the drain
 # workload's large cells share, the approximate class past the tau floor.
 CELLS = {
@@ -38,12 +38,12 @@ CELLS = {
     "tau": (50_000, 50_000),
     "tau-vec": (50_000, 50_000),
 }
-RUNS = 3
+RUNS = 5
 
 
 @pytest.mark.parametrize("engine", sorted(CELLS))
 def test_auto_cost_records(bench_record, engine):
-    """Best-of-three ``run_many`` wall time per (engine, trials) point."""
+    """Best-of-five ``run_many`` wall time per (engine, trials) point."""
     x = CELLS[engine]
     crn = add_spec().known_crn
     crn.compiled()  # compile outside the timed region

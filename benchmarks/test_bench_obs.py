@@ -1,20 +1,21 @@
 """Observability overhead gate: disabled tracing/stats must be (nearly) free.
 
-PR 8 added :class:`~repro.obs.stats.RunStats` bookkeeping to the scalar
-kernel's steppers (plain-int increments at the RNG draw sites, one extra add
-per ``start``/``select``/``fired``) and a once-per-run tracer check.  The
-contract is that with tracing *disabled* — the default — the kernel pays at
-most ``MAX_OVERHEAD`` relative to the same stepper with the per-event
-instrumentation stripped.
+The scalar kernel's steppers keep :class:`~repro.obs.stats.RunStats`
+bookkeeping (a local ``propensity_ops`` tally folded in once per ``advance``
+burst, one increment at the rare ``max_time`` draw site) and the core makes
+a once-per-run tracer check.  The contract is that with tracing *disabled* —
+the default — the kernel pays at most ``MAX_OVERHEAD`` relative to the same
+stepper with the counter updates stripped.
 
 The baseline is a subclass of the shipped ``_GillespieStepper`` whose
-``start``/``select`` bodies are byte-for-byte the shipped ones minus the
-counter increments, bound through the same :class:`SimulatorCore` run loop —
-so the two timings differ *only* by the instrumentation, not by call
-structure.  (The O(1) per-run additions — one ``perf_counter`` pair, one
-``RunStats`` allocation, one ``tracer.enabled`` check — amortize to nothing
-over the thousands of events each run fires and are shared by both sides
-here.)
+``start``/``advance`` bodies are the shipped ones minus the counter updates,
+bound through the same :class:`SimulatorCore` run loop — so the two timings
+differ *only* by the instrumentation, not by call structure.  (The O(1)
+per-run additions — one ``perf_counter`` pair, one ``RunStats`` allocation,
+one ``tracer.enabled`` check — amortize to nothing over the thousands of
+events each run fires and are shared by both sides here.)  Keep the
+baseline's ``advance`` in step with the shipped one: a stale copy measures
+the wrong loop.
 
 Timing discipline: best-of-``REPEATS`` samples per side, alternating sides
 sample by sample, and up to ``ATTEMPTS`` rounds before declaring a regression
@@ -29,14 +30,14 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/test_bench_obs.py
 CI bench-compare gate diffs them with ``--filter obs``.
 """
 
+import math
 import random
 import time
 
 from repro.functions.catalog import minimum_spec
 from repro.obs.trace import get_tracer
 from repro.sim.kernel import (
-    _SILENT,
-    _TIMED_OUT,
+    _NO_WINDOW,
     GillespiePolicy,
     SimulatorCore,
     _GillespieStepper,
@@ -50,7 +51,7 @@ MIN_SAMPLE_S = 0.1
 
 
 class _UninstrumentedGillespieStepper(_GillespieStepper):
-    """The shipped stepper with the PR 8 counter increments stripped."""
+    """The shipped stepper with the RunStats counter updates stripped."""
 
     __slots__ = ()
 
@@ -58,32 +59,78 @@ class _UninstrumentedGillespieStepper(_GillespieStepper):
         self.props = [
             self._propensity(r, counts) for r in range(self.compiled.n_reactions)
         ]
+        self.time_now = 0.0
+        self._reset_run(counts)
 
-    def select(self, time_now, max_time):
+    def advance(self, counts, budget, max_time, window):
+        compiled = self.compiled
         props = self.props
-        self.propensity_ops += len(props)
-        total = sum(props)
-        if total <= 0.0:
-            return _SILENT, time_now
-        rng = self.rng
-        time_now += rng.expovariate(total)
-        if time_now > max_time:
-            return _TIMED_OUT, max_time
-        choice = rng.random() * total
-        cumulative = 0.0
-        for j, a in enumerate(props):
-            cumulative += a
-            if choice <= cumulative:
-                if a <= 0.0:
-                    raise ValueError(
-                        f"reaction {self.compiled.crn.reactions[j]} is not "
-                        f"applicable (zero propensity)"
-                    )
-                return j, time_now
-        for j in range(len(props) - 1, -1, -1):
-            if props[j] > 0.0:
-                return j, time_now
-        raise AssertionError("positive total propensity but no positive term")
+        n_props = len(props)
+        rate_list = compiled.rate_list
+        reactant_terms = compiled.reactant_terms
+        net_terms = compiled.net_terms
+        dependency_graph = compiled.dependency_graph
+        output_index = compiled.output_index
+        expovariate = self.rng.expovariate
+        uniform = self.rng.random
+        comb = math.comb
+        limit = window or _NO_WINDOW
+        time_now = self.time_now
+        max_output = self.max_output
+        last_output = self.last_output
+        unchanged = self.unchanged_for
+        fired = 0
+        while fired < budget and time_now < max_time:
+            total = sum(props)
+            if total <= 0.0:
+                self.silent = True
+                break
+            time_now += expovariate(total)
+            if time_now > max_time:
+                time_now = max_time
+                break
+            choice = uniform() * total
+            cumulative = 0.0
+            for j, a in enumerate(props):
+                cumulative += a
+                if choice <= cumulative:
+                    if a <= 0.0:
+                        raise ValueError(
+                            f"reaction {compiled.crn.reactions[j]} is not "
+                            f"applicable (zero propensity)"
+                        )
+                    break
+            else:
+                j = next(r for r in range(n_props - 1, -1, -1) if props[r] > 0.0)
+            for s, delta in net_terms[j]:
+                counts[s] += delta
+            for r in dependency_graph[j]:
+                p = rate_list[r]
+                for s, k in reactant_terms[r]:
+                    n = counts[s]
+                    if n < k:
+                        p = 0.0
+                        break
+                    p *= n if k == 1 else comb(n, k)
+                props[r] = p
+            fired += 1
+            current = counts[output_index]
+            if current == last_output:
+                unchanged += 1
+            else:
+                unchanged = 0
+                last_output = current
+                if current > max_output:
+                    max_output = current
+            if unchanged >= limit:
+                self.converged = True
+                break
+        self.time_now = time_now
+        self.max_output = max_output
+        self.last_output = last_output
+        self.unchanged_for = unchanged
+        self.selections += fired
+        return fired
 
 
 class _UninstrumentedGillespiePolicy(GillespiePolicy):

@@ -9,7 +9,7 @@ from setuptools import find_packages, setup
 setup(
     name="repro-composable-crn",
     # Kept in sync with repro.__version__ (tests/test_api_workbench.py enforces it).
-    version="1.10.0",
+    version="1.11.0",
     description=(
         "Reproduction of 'Composable computation in discrete chemical reaction "
         "networks' (PODC 2019): superadditivity characterization, CRN "

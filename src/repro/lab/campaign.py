@@ -157,12 +157,12 @@ def resolve_engine(
     engines are one class:
 
     * exact (the default): fair-capable, non-approximate engines.  In the
-      default registry that is ``python`` below about 32 trials and
+      default registry that is ``python`` below about 175 trials and
       ``vectorized`` from there on, at any population.
     * approximate, only when the config opts in with
       ``allow_approximate=True`` and the population reaches the engine's
       ``min_recommended_population`` floor (10^4 for the built-ins): ``tau``
-      below about 19 trials, ``tau-vec`` from there on.  Under the floor,
+      below about 20 trials, ``tau-vec`` from there on.  Under the floor,
       leaping degrades to exact stepping, so the exact class is used.
 
     Engines of one class fire the same reaction events per trial, so the

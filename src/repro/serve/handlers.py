@@ -142,7 +142,6 @@ async def handle_stats(state: ServerState, request: HttpRequest) -> Response:
     payload = state.metrics.snapshot()
     payload["version"] = state.version
     payload["server"] = {
-        "version": state.version,
         "workers": state.workers,
         "queue_limit": state.jobs.queue_limit,
         "pending_cells": state.jobs.pending_cells,
@@ -575,4 +574,13 @@ async def dispatch(state: ServerState, request: HttpRequest) -> Response:
             ApiError(500, f"internal error: {type(exc).__name__}: {exc}")
         )
     state.metrics.record_request(endpoint, response.status, time.perf_counter() - started)
+    return response
+
+
+def reject_unparsed(state: ServerState, error: ApiError) -> Response:
+    """The error response to a request that failed to parse, recorded like a
+    dispatched one: it has no route, so it counts under :data:`UNMATCHED`."""
+    started = time.perf_counter()
+    response = Response.from_error(error)
+    state.metrics.record_request(UNMATCHED, response.status, time.perf_counter() - started)
     return response

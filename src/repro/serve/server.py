@@ -28,10 +28,10 @@ from typing import Optional
 
 from repro.api.config import RunConfig
 from repro.lab.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.serve.handlers import ServerState, dispatch
+from repro.serve.handlers import ServerState, dispatch, reject_unparsed
 from repro.serve.jobs import JobManager
 from repro.serve.metrics import ServerMetrics
-from repro.serve.protocol import ApiError, Response, read_request
+from repro.serve.protocol import ApiError, read_request
 
 
 class ReproServer:
@@ -154,7 +154,8 @@ class ReproServer:
                 try:
                     request = await read_request(reader)
                 except ApiError as exc:
-                    writer.write(Response.from_error(exc).encode(keep_alive=False))
+                    response = reject_unparsed(self.state, exc)
+                    writer.write(response.encode(keep_alive=False))
                     await writer.drain()
                     return
                 if request is None:

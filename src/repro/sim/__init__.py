@@ -13,10 +13,11 @@ Two scheduling semantics are provided, each in a scalar and a vectorized form:
 
 Both forms run over the single :class:`~repro.sim.engine.CompiledCRN` IR.
 The scalar side is the kernel (:mod:`repro.sim.kernel`): one
-:class:`~repro.sim.kernel.SimulatorCore` step loop with pluggable
-:class:`~repro.sim.kernel.StepPolicy` strategies and Gibson–Bruck
-dependency-graph propensity updates; ``GillespieSimulator`` / ``FairScheduler``
-are thin compatibility shims over it.  The batch engines
+:class:`~repro.sim.kernel.SimulatorCore` driving pluggable
+:class:`~repro.sim.kernel.StepPolicy` strategies, whose bound steppers fire
+events in bursts through ``advance`` with Gibson–Bruck dependency-graph
+propensity updates; ``GillespieSimulator`` / ``FairScheduler`` are thin
+compatibility shims over it.  The batch engines
 (:mod:`repro.sim.engine`) advance ``B`` trajectories per numpy step and are
 selected via ``engine="vectorized"`` in the runner helpers.  Engines are
 looked up in the pluggable registry (:mod:`repro.sim.registry`) — register a
@@ -34,8 +35,11 @@ Symbol                                  Purpose
 ``FairScheduler`` / ``FairRunResult``   Scalar rate-independent scheduler (kernel shim).
 ``output_producing_bias``               Adversarial bias: prefer output-producing reactions.
 ``output_consuming_bias``               Adversarial bias: prefer output-consuming reactions.
-``SimulatorCore``                       The scalar step loop over the compiled IR.
-``StepPolicy``                          Base class for pluggable scheduling strategies.
+``SimulatorCore``                       The scalar run driver over the compiled IR: bounds,
+                                        trajectories, ``stop_when``.
+``StepPolicy``                          Base class for pluggable scheduling strategies;
+                                        ``bind`` returns a stepper with ``start`` and
+                                        ``advance`` (the per-event loop).
 ``GillespiePolicy`` / ``FairPolicy``    The two exact built-in step policies.
 ``TauLeapPolicy``                       Approximate SSA: Poisson firing batches per leap
                                         (``engine="tau"``, ``RunConfig.epsilon`` knob).

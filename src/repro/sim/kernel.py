@@ -1,4 +1,4 @@
-"""The scalar simulation kernel: one step loop, pluggable step policies.
+"""The scalar simulation kernel: one run driver, pluggable step policies.
 
 Historically the package carried two parallel scalar hot loops — the Gillespie
 direct method in :mod:`repro.sim.gillespie` and the fair scheduler in
@@ -10,8 +10,8 @@ present in the batch engines and capped scalar runs at populations around
 10^3 (every step paid a full dict copy plus ``R`` dict-lookup propensity
 evaluations).
 
-This module replaces both loops with a single :class:`SimulatorCore` running
-over the shared :class:`~repro.sim.engine.CompiledCRN` IR:
+This module replaces both loops with a single :class:`SimulatorCore` driving
+steppers over the shared :class:`~repro.sim.engine.CompiledCRN` IR:
 
 * species counts live in one mutable dense list, so firing a reaction is a
   handful of integer adds over the reaction's sparse ``net_terms``;
@@ -28,25 +28,33 @@ over the shared :class:`~repro.sim.engine.CompiledCRN` IR:
   :class:`GillespiePolicy` (exponential clocks, propensity-proportional
   choice), :class:`FairPolicy` (uniform or statically biased choice among
   applicable reactions), and :class:`TauLeapPolicy` (approximate SSA firing
-  Poisson batches of reactions per leap) — while the quiescence-window
-  convergence detector, step/time bounds, trajectory recording, and
-  ``stop_when`` predicates live once in the core.
+  Poisson batches of reactions per leap) — while the step bound,
+  trajectory recording and ``stop_when`` predicates live once in the core.
 
-Exact policies hand the core one reaction index per ``select`` call; a policy
-that declares ``fires_many = True`` (tau-leaping) instead exposes an
-``advance`` method that applies a whole batch of firings to the counts and
-reports how many events it fired, so the core's bookkeeping (step counter,
-output tracking, quiescence window) advances in batches.  The
-:class:`KernelRunResult` distinguishes ``steps`` (reaction events fired) from
-``selections`` (scheduler iterations); for exact policies the two are equal,
-while a tau-leap run collapses thousands of events into a handful of leaps.
-Every run also carries a uniform :class:`repro.obs.stats.RunStats` block
-(``result.stats``: events, selections, propensity_ops, rng_draws, wall_s) —
-the counters are plain per-stepper ints incremented at the existing call
-sites, or, for draws that come at a fixed number per fired event, a class
-constant ``rng_draws_per_event`` folded in once per run.  The random stream
-and the seeded draw order are untouched, and the disabled-tracing overhead
-stays inside the ≤ 2% bench ceiling (``benchmarks/test_bench_obs.py``).
+Every bound stepper exposes one method, ``advance``, which fires events until
+its budget is spent, the run falls silent, ``max_time`` passes, or the
+quiescence window converges.  The exact steppers own that loop outright: one
+tight Python loop per burst draws the reaction, applies its ``net_terms``,
+refreshes the dependents' flags or propensities, and tracks the output count
+(``max_output``, ``last_output``, ``unchanged_for``) inline, with the
+``CompiledCRN`` tables and the generator's bound methods held in locals —
+no Python call per event beyond the draws themselves.  The core keeps
+``max_steps``, trajectories and ``stop_when``, and sets each burst's budget
+from them: the steps left, 1 under ``stop_when``, the events left until the
+next trajectory record.  Tau-leaping fires a whole Poisson batch per
+scheduler iteration and observes the output only at leap boundaries; its
+exact fallback is one call to the embedded Gillespie stepper's ``advance``.
+The :class:`KernelRunResult` distinguishes ``steps`` (reaction events fired)
+from ``selections`` (scheduler iterations); for exact policies the two are
+equal, while a tau-leap run collapses thousands of events into a handful of
+leaps.  Every run also carries a uniform :class:`repro.obs.stats.RunStats`
+block (``result.stats``: events, selections, propensity_ops, rng_draws,
+wall_s) — the counters are locals folded into plain per-stepper ints once
+per burst, or, for draws that come at a fixed number per fired event, a
+class constant ``rng_draws_per_event`` folded in once per run.  The random
+stream and the seeded draw order are untouched, and the disabled-tracing
+overhead stays inside the ≤ 2% bench ceiling
+(``benchmarks/test_bench_obs.py``).
 
 Seeding / reproducibility policy
 --------------------------------
@@ -56,7 +64,10 @@ draw order of the legacy loops: Gillespie draws ``expovariate(total)`` then
 ``random()`` per step; the fair policy draws one ``choice()`` (unbiased) or
 one ``random()`` (biased) per step over the ascending applicable indices
 (the kept list equals the one the legacy loop rebuilt every step), and
-propensities are multiplied in each reaction's own term order.  Seeded runs
+propensities are multiplied in each reaction's own term order.  The fair
+stepper makes the ``choice()`` draw inline — ``Random.choice``'s own
+rejection draw over ``getrandbits(n.bit_length())`` — so it consumes the
+same bits; ``tests/test_kernel.py`` checks the two agree.  Seeded runs
 therefore reproduce the historical scalar simulators bit for bit —
 ``tests/test_kernel.py`` locks this against the frozen legacy implementation
 in :mod:`repro.sim._reference`.  The one documented divergence: a
@@ -69,6 +80,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time as _time
 from bisect import insort
 from dataclasses import dataclass
@@ -133,23 +145,32 @@ class KernelRunResult:
 class StepPolicy:
     """A scheduling strategy for :class:`SimulatorCore`.
 
-    A policy owns reaction *selection* (and, for kinetic policies, the clock);
-    the core owns everything else — counts, firing, bounds, quiescence
-    detection, trajectory recording.  ``bind`` returns a fresh single-run
-    stepper; policy objects themselves are stateless and reusable.
+    A policy owns reaction *selection* (and, for kinetic policies, the clock)
+    and the per-event loop; the core owns the counts, the step bound,
+    trajectory recording and ``stop_when``.  ``bind`` returns a fresh
+    single-run stepper; policy objects themselves are stateless and reusable.
+
+    The bound stepper protocol:
+
+    * ``start(counts)`` builds the stepper's state from the dense counts and
+      resets its run state: ``time_now`` (0.0), the output tracking
+      ``max_output`` / ``last_output`` / ``unchanged_for``, and the ``silent``
+      / ``converged`` flags;
+    * ``advance(counts, budget, max_time, window) -> events`` fires events,
+      mutating ``counts`` in place, until ``budget`` events have fired, the
+      run falls silent (sets ``silent``), the clock passes ``max_time``
+      (clamps ``time_now`` to it), or the output has been unchanged for
+      ``window`` consecutive events (sets ``converged``; ``window == 0``
+      disables the detector); it returns the number of events fired;
+    * ``selections``, ``propensity_ops``, ``rng_draws`` and
+      ``rng_draws_per_event`` feed :class:`repro.obs.stats.RunStats`.
     """
 
     #: Whether the policy advances simulated time (enables ``max_time``).
     uses_time: bool = False
 
-    #: Whether the policy fires batches of reactions per scheduler iteration.
-    #: When True the bound stepper exposes ``advance(counts, time_now,
-    #: max_time) -> (events, new_time)`` (mutating ``counts`` in place)
-    #: instead of ``select`` / ``fired``.
-    fires_many: bool = False
-
     def bind(self, compiled: CompiledCRN, rng: random.Random):
-        """Return a bound per-run stepper exposing ``start`` / ``select`` / ``fired``."""
+        """Return a bound per-run stepper exposing ``start`` / ``advance``."""
         raise NotImplementedError
 
 
@@ -190,45 +211,71 @@ class FairPolicy(StepPolicy):
         return _FairStepper(compiled, rng, weights)
 
 
-#: Sentinel select() results (reaction indices are always >= 0).
-_SILENT = -1
-_TIMED_OUT = -2
+#: The quiescence limit when the window is off: no run fires this many events.
+_NO_WINDOW = sys.maxsize
 
 
-class _GillespieStepper:
-    """Single-run Gillespie state: the propensity vector, kept incrementally."""
+class _Stepper:
+    """Run state shared by the built-in steppers: the output tracking and the
+    stop flags, reset by ``start`` and carried across ``advance`` calls (the
+    core cuts a run into several bursts under ``stop_when`` or a
+    trajectory)."""
 
-    __slots__ = ("compiled", "rng", "props", "last_recomputed", "propensity_ops", "rng_draws")
+    __slots__ = (
+        "compiled",
+        "rng",
+        "max_output",
+        "last_output",
+        "unchanged_for",
+        "silent",
+        "converged",
+        "selections",
+    )
 
     def __init__(self, compiled: CompiledCRN, rng: random.Random) -> None:
         self.compiled = compiled
         self.rng = rng
-        self.props: List[float] = []
-        #: Reactions refreshed by the most recent ``fired`` call (test hook).
-        self.last_recomputed: Tuple[int, ...] = ()
-        #: Propensity values computed or read while scheduling (see
-        #: benchmarks/test_bench_simulators.py): the full vector at ``start``,
-        #: then the whole vector per select (the total-rate sum; the choice
-        #: scan prefix is not counted, which undercounts) plus ``|deps(j)|``
-        #: recomputes per fired.
-        self.propensity_ops: int = 0
-        #: Calls into the ``random.Random`` stream *not* covered by the
-        #: per-event constant below — i.e. the lone expovariate consumed by a
-        #: select that then times out.  The direct method's draw count is
-        #: otherwise a constant 2 per fired event (waiting time + choice), so
-        #: the hot path carries no counter at all; :meth:`SimulatorCore.run`
-        #: folds ``rng_draws + rng_draws_per_event * events`` into RunStats.
-        #: The stream itself is never wrapped, so seeded runs stay
-        #: bit-identical (RunStats contract).
-        self.rng_draws: int = 0
+        self.selections = 0
+
+    def _reset_run(self, counts: List[int]) -> None:
+        self.max_output = self.last_output = counts[self.compiled.output_index]
+        self.unchanged_for = 0
+        self.silent = self.converged = False
+
+
+class _GillespieStepper(_Stepper):
+    """Single-run Gillespie state: the propensity vector, kept incrementally."""
+
+    __slots__ = ("props", "propensity_ops", "rng_draws", "time_now")
 
     #: RNG draws per fired event (see ``rng_draws``): exponential waiting
     #: time plus the propensity-proportional choice.
     rng_draws_per_event = 2
 
+    def __init__(self, compiled: CompiledCRN, rng: random.Random) -> None:
+        super().__init__(compiled, rng)
+        self.props: List[float] = []
+        self.time_now = 0.0
+        #: Propensity values computed or read while scheduling (see
+        #: benchmarks/test_bench_simulators.py): the full vector at ``start``,
+        #: then per event the whole vector (the total-rate sum; the choice
+        #: scan prefix is not counted, which undercounts) plus ``|deps(j)|``
+        #: recomputes.  ``advance`` counts in a local and folds it in once.
+        self.propensity_ops = 0
+        #: Calls into the ``random.Random`` stream *not* covered by the
+        #: per-event constant above — i.e. the lone expovariate consumed by a
+        #: step that then passes ``max_time``.  The direct method's draw count
+        #: is otherwise a constant 2 per fired event, so the hot path carries
+        #: no counter at all; :meth:`SimulatorCore.run` folds
+        #: ``rng_draws + rng_draws_per_event * events`` into RunStats.  The
+        #: stream itself is never wrapped, so seeded runs stay bit-identical
+        #: (RunStats contract).
+        self.rng_draws = 0
+
     def _propensity(self, r: int, counts: List[int]) -> float:
         # Bit-identical to Reaction.propensity: start from the rate constant
         # and multiply binomial coefficients in the reaction's own term order.
+        # ``advance`` inlines the same arithmetic for the dependents.
         p = self.compiled.rate_list[r]
         for s, k in self.compiled.reactant_terms[r]:
             n = counts[s]
@@ -242,64 +289,120 @@ class _GillespieStepper:
             self._propensity(r, counts) for r in range(self.compiled.n_reactions)
         ]
         self.propensity_ops += len(self.props)
+        self.time_now = 0.0
+        self._reset_run(counts)
 
-    def select(self, time_now: float, max_time: float) -> Tuple[int, float]:
-        """Pick the next reaction; returns ``(index, new_time)``.
+    def advance(
+        self, counts: List[int], budget: int, max_time: float, window: int
+    ) -> int:
+        """Fire up to ``budget`` direct-method events (see :class:`StepPolicy`).
 
-        ``index`` is ``_SILENT`` when the total propensity is zero and
-        ``_TIMED_OUT`` when the sampled waiting time crosses ``max_time`` (the
-        clock is then clamped, matching the legacy loop).
+        A waiting time that crosses ``max_time`` clamps the clock and ends
+        the burst; its expovariate is drawn all the same, as in the legacy
+        loop.
         """
+        compiled = self.compiled
         props = self.props
-        self.propensity_ops += len(props)
-        total = sum(props)
-        if total <= 0.0:
-            return _SILENT, time_now
-        rng = self.rng
-        time_now += rng.expovariate(total)
-        if time_now > max_time:
-            self.rng_draws += 1  # drawn but no event fired; see rng_draws_per_event
-            return _TIMED_OUT, max_time
-        choice = rng.random() * total
-        cumulative = 0.0
-        for j, a in enumerate(props):
-            cumulative += a
-            if choice <= cumulative:
-                if a <= 0.0:
-                    # Only reachable when random() returns exactly 0.0 with a
-                    # leading zero-propensity reaction; the legacy loop then
-                    # fired it through Reaction.apply, which raises.
-                    raise ValueError(
-                        f"reaction {self.compiled.crn.reactions[j]} is not "
-                        f"applicable (zero propensity)"
-                    )
-                return j, time_now
-        # Numerical edge case (choice exceeded the accumulated total by an
-        # ulp): fall back to the last reaction with positive propensity.
-        for j in range(len(props) - 1, -1, -1):
-            if props[j] > 0.0:
-                return j, time_now
-        raise AssertionError("positive total propensity but no positive term")
-
-    def fired(self, j: int, counts: List[int]) -> None:
-        """Refresh exactly the propensities that firing ``j`` can have changed."""
-        dependents = self.compiled.dependency_graph[j]
-        self.last_recomputed = dependents
-        self.propensity_ops += len(dependents)
-        props = self.props
-        for r in dependents:
-            props[r] = self._propensity(r, counts)
+        n_props = len(props)
+        rate_list = compiled.rate_list
+        reactant_terms = compiled.reactant_terms
+        net_terms = compiled.net_terms
+        dependency_graph = compiled.dependency_graph
+        output_index = compiled.output_index
+        expovariate = self.rng.expovariate
+        uniform = self.rng.random
+        comb = math.comb
+        limit = window or _NO_WINDOW
+        time_now = self.time_now
+        max_output = self.max_output
+        last_output = self.last_output
+        unchanged = self.unchanged_for
+        ops = 0
+        fired = 0
+        while fired < budget and time_now < max_time:
+            total = sum(props)
+            if total <= 0.0:
+                ops += n_props  # the fired events' sums are folded in below
+                self.silent = True
+                break
+            time_now += expovariate(total)
+            if time_now > max_time:
+                ops += n_props
+                self.rng_draws += 1  # drawn but no event fired; see rng_draws_per_event
+                time_now = max_time
+                break
+            choice = uniform() * total
+            cumulative = 0.0
+            for j, a in enumerate(props):
+                cumulative += a
+                if choice <= cumulative:
+                    if a <= 0.0:
+                        # Only reachable when random() returns exactly 0.0
+                        # with a leading zero-propensity reaction; the legacy
+                        # loop then fired it through Reaction.apply, which
+                        # raises.
+                        raise ValueError(
+                            f"reaction {compiled.crn.reactions[j]} is not "
+                            f"applicable (zero propensity)"
+                        )
+                    break
+            else:
+                # Numerical edge case (choice exceeded the accumulated total
+                # by an ulp): fall back to the last positive propensity.
+                j = next(r for r in range(n_props - 1, -1, -1) if props[r] > 0.0)
+            for s, delta in net_terms[j]:
+                counts[s] += delta
+            dependents = dependency_graph[j]
+            ops += len(dependents)
+            for r in dependents:
+                p = rate_list[r]
+                for s, k in reactant_terms[r]:
+                    n = counts[s]
+                    if n < k:
+                        p = 0.0
+                        break
+                    p *= n if k == 1 else comb(n, k)
+                props[r] = p
+            fired += 1
+            current = counts[output_index]
+            if current == last_output:
+                unchanged += 1
+            else:
+                unchanged = 0
+                last_output = current
+                if current > max_output:
+                    max_output = current
+            if unchanged >= limit:
+                self.converged = True
+                break
+        self.time_now = time_now
+        self.max_output = max_output
+        self.last_output = last_output
+        self.unchanged_for = unchanged
+        self.propensity_ops += ops + n_props * fired
+        self.selections += fired
+        return fired
 
     def propensities(self) -> Tuple[float, ...]:
         """A snapshot of the incrementally-maintained propensity vector."""
         return tuple(self.props)
 
 
-class _FairStepper:
+class _FairStepper(_Stepper):
     """Single-run fair-scheduler state: the applicability flags and the
     ascending list of applicable indices, both kept incrementally."""
 
-    __slots__ = ("compiled", "rng", "weights", "app", "applicable", "last_recomputed", "propensity_ops")
+    __slots__ = ("weights", "app", "applicable", "propensity_ops")
+
+    #: RNG draws per fired event: one ``choice()`` (unbiased, or biased with
+    #: every applicable weight zero) or one ``random()`` (biased).  A silent
+    #: step draws nothing, so, unlike the kinetic steppers, this one needs
+    #: no draw counter of its own; :meth:`SimulatorCore.run` folds the
+    #: constant.
+    rng_draws_per_event = 1
+    rng_draws = 0
+    #: The scheduler has no clock.
+    time_now = 0.0
 
     def __init__(
         self,
@@ -307,26 +410,17 @@ class _FairStepper:
         rng: random.Random,
         weights: Optional[List[float]],
     ) -> None:
-        self.compiled = compiled
-        self.rng = rng
+        super().__init__(compiled, rng)
         self.weights = weights
-        self.app: List[bool] = []
-        #: The indices ``j`` with ``app[j]`` set, ascending: the list the
-        #: legacy loop rebuilt every step, so ``rng.choice`` over it makes
-        #: the same draw.  ``fired`` edits it only when a flag flips.
-        self.applicable: List[int] = []
-        #: Reactions refreshed by the most recent ``fired`` call (test hook).
-        self.last_recomputed: Tuple[int, ...] = ()
         #: Applicability evaluations — the fair scheduler's analogue of the
         #: kinetic steppers' propensity work, counted under the same name so
         #: :class:`repro.obs.stats.RunStats` is uniform across policies.
-        self.propensity_ops: int = 0
-
-    #: RNG draws per fired event: one ``choice()`` (unbiased, or biased with
-    #: every applicable weight zero) or one ``random()`` (biased).  A silent
-    #: select draws nothing, so, unlike the kinetic steppers, this one needs
-    #: no ``rng_draws`` counter; :meth:`SimulatorCore.run` folds the constant.
-    rng_draws_per_event = 1
+        self.propensity_ops = 0
+        self.app: List[bool] = []
+        #: The indices ``j`` with ``app[j]`` set, ascending: the list the
+        #: legacy loop rebuilt every step, so a ``choice`` over it makes the
+        #: same draw.  ``advance`` edits it only when a flag flips.
+        self.applicable: List[int] = []
 
     def start(self, counts: List[int]) -> None:
         self.app = [
@@ -335,46 +429,91 @@ class _FairStepper:
         ]
         self.applicable = [j for j, flag in enumerate(self.app) if flag]
         self.propensity_ops += len(self.app)
+        self._reset_run(counts)
 
-    def select(self, time_now: float, max_time: float) -> Tuple[int, float]:
-        """Pick a random applicable reaction (``_SILENT`` when there is none)."""
-        applicable = self.applicable
-        if not applicable:
-            return _SILENT, time_now
-        rng = self.rng
-        weights = self.weights
-        if weights is None:
-            return rng.choice(applicable), time_now
-        total = sum(weights[j] for j in applicable)
-        if total <= 0:
-            return rng.choice(applicable), time_now
-        pick = rng.random() * total
-        cumulative = 0.0
-        for j in applicable:
-            cumulative += weights[j]
-            if pick <= cumulative:
-                return j, time_now
-        return applicable[-1], time_now
+    def advance(
+        self, counts: List[int], budget: int, max_time: float, window: int
+    ) -> int:
+        """Fire up to ``budget`` fair events (see :class:`StepPolicy`).
 
-    def fired(self, j: int, counts: List[int]) -> None:
-        """Recheck the flags firing ``j`` can have changed; edit ``applicable``
-        only for the ones that flip (about one per step on the paper's CRNs)."""
-        dependents = self.compiled.dependency_graph[j]
-        self.last_recomputed = dependents
-        self.propensity_ops += len(dependents)
+        After each event only the dependents' flags are rechecked, and
+        ``applicable`` is edited only for the ones that flip (about one per
+        step on the paper's CRNs).  The scheduler has no clock, so
+        ``max_time`` is the core's to check.
+        """
+        compiled = self.compiled
         app = self.app
-        reactant_terms = self.compiled.reactant_terms
-        for r in dependents:
-            for s, k in reactant_terms[r]:
-                if counts[s] < k:
-                    if app[r]:
-                        app[r] = False
-                        self.applicable.remove(r)
-                    break
+        applicable = self.applicable
+        weights = self.weights
+        reactant_terms = compiled.reactant_terms
+        net_terms = compiled.net_terms
+        dependency_graph = compiled.dependency_graph
+        output_index = compiled.output_index
+        getrandbits = self.rng.getrandbits
+        uniform = self.rng.random
+        limit = window or _NO_WINDOW
+        max_output = self.max_output
+        last_output = self.last_output
+        unchanged = self.unchanged_for
+        ops = 0
+        fired = 0
+        while fired < budget:
+            n = len(applicable)
+            if not n:
+                self.silent = True
+                break
+            total = 0 if weights is None else sum(weights[j] for j in applicable)
+            if total <= 0:
+                # Unbiased, or every applicable weight zero: Random.choice's
+                # draw, inlined (its _randbelow_with_getrandbits), so the
+                # stream consumes the same bits.
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                j = applicable[r]
             else:
-                if not app[r]:
-                    app[r] = True
-                    insort(self.applicable, r)
+                pick = uniform() * total
+                cumulative = 0.0
+                for j in applicable:
+                    cumulative += weights[j]
+                    if pick <= cumulative:
+                        break
+                else:
+                    j = applicable[-1]
+            for s, delta in net_terms[j]:
+                counts[s] += delta
+            dependents = dependency_graph[j]
+            ops += len(dependents)
+            for r in dependents:
+                for s, k in reactant_terms[r]:
+                    if counts[s] < k:
+                        if app[r]:
+                            app[r] = False
+                            applicable.remove(r)
+                        break
+                else:
+                    if not app[r]:
+                        app[r] = True
+                        insort(applicable, r)
+            fired += 1
+            current = counts[output_index]
+            if current == last_output:
+                unchanged += 1
+            else:
+                unchanged = 0
+                last_output = current
+                if current > max_output:
+                    max_output = current
+            if unchanged >= limit:
+                self.converged = True
+                break
+        self.max_output = max_output
+        self.last_output = last_output
+        self.unchanged_for = unchanged
+        self.propensity_ops += ops
+        self.selections += fired
+        return fired
 
     def applicability(self) -> Tuple[bool, ...]:
         """A snapshot of the incrementally-maintained applicability flags."""
@@ -416,7 +555,6 @@ class TauLeapPolicy(StepPolicy):
     """
 
     uses_time = True
-    fires_many = True
 
     def __init__(
         self,
@@ -443,14 +581,18 @@ class TauLeapPolicy(StepPolicy):
         return _TauLeapStepper(compiled, rng, self)
 
 
-class _TauLeapStepper:
+#: Sentinel ``_leap`` results (event counts are always >= 0).
+_SILENT = -1
+_TIMED_OUT = -2
+
+
+class _TauLeapStepper(_Stepper):
     """Single-run tau-leap state: an exact stepper for propensities/fallback,
     plus the precomputed per-species highest-order-reaction data for tau
     selection."""
 
     __slots__ = (
-        "compiled",
-        "rng",
+        "time_now",
         "policy",
         "exact",
         "g_candidates",
@@ -463,8 +605,8 @@ class _TauLeapStepper:
     def __init__(
         self, compiled: CompiledCRN, rng: random.Random, policy: TauLeapPolicy
     ) -> None:
-        self.compiled = compiled
-        self.rng = rng
+        super().__init__(compiled, rng)
+        self.time_now = 0.0
         self.policy = policy
         # The exact stepper is both the propensity store (full recompute after
         # a leap, incremental dependency-graph updates inside exact bursts)
@@ -487,8 +629,9 @@ class _TauLeapStepper:
 
     # Uniform RunStats counters: the embedded exact stepper carries the
     # propensity work (full recomputes after each leap, incremental updates
-    # inside bursts, the per-advance total-rate read) and the fallback draws;
+    # inside bursts, the per-leap total-rate read) and the fallback draws;
     # the leap sampler's Poisson draws are added on top.
+    rng_draws_per_event = 0
     @property
     def propensity_ops(self) -> int:
         return self.exact.propensity_ops
@@ -571,8 +714,44 @@ class _TauLeapStepper:
 
     def start(self, counts: List[int]) -> None:
         self.exact.start(counts)
+        self.time_now = 0.0
+        self._reset_run(counts)
 
     def advance(
+        self, counts: List[int], budget: int, max_time: float, window: int
+    ) -> int:
+        """Fire leaps (or exact bursts) until ``budget`` events have fired
+        (see :class:`StepPolicy`).
+
+        The output is observed once per leap: ``max_output`` can miss an
+        intra-leap peak, the quiescence window counts whole leaps' events,
+        and a call may overshoot ``budget`` by at most one leap.
+        """
+        output_index = self.compiled.output_index
+        limit = window or _NO_WINDOW
+        fired = 0
+        while fired < budget and self.time_now < max_time:
+            events, self.time_now = self._leap(counts, self.time_now, max_time)
+            if events < 0:
+                if events == _SILENT:
+                    self.silent = True
+                break
+            fired += events
+            self.selections += 1
+            current = counts[output_index]
+            if current > self.max_output:
+                self.max_output = current
+            if current == self.last_output:
+                self.unchanged_for += events
+            else:
+                self.unchanged_for = 0
+                self.last_output = current
+            if self.unchanged_for >= limit:
+                self.converged = True
+                break
+        return fired
+
+    def _leap(
         self, counts: List[int], time_now: float, max_time: float
     ) -> Tuple[int, float]:
         """Fire one leap (or one exact burst); returns ``(events, new_time)``.
@@ -585,7 +764,7 @@ class _TauLeapStepper:
         policy = self.policy
         props = self.exact.props
         # The leap scheduler reads the whole vector (total rate + tau bound);
-        # counted once per advance, mirroring the direct method's per-select
+        # counted once per leap, mirroring the direct method's per-event
         # accounting, so tau's propensity work is comparable across engines.
         self.exact.propensity_ops += len(props)
         total = sum(props)
@@ -634,23 +813,18 @@ class _TauLeapStepper:
     def _exact_burst(
         self, counts: List[int], time_now: float, max_time: float
     ) -> Tuple[int, float]:
-        """Up to ``exact_burst`` exact SSA steps through the embedded stepper."""
+        """Up to ``exact_burst`` exact SSA steps through the embedded stepper.
+
+        A burst that ends early reports the events it fired; the next leap
+        re-detects silence / timeout and returns the sentinel.
+        """
         exact = self.exact
-        net_terms = self.compiled.net_terms
-        events = 0
-        for _ in range(self.policy.exact_burst):
-            j, time_now = exact.select(time_now, max_time)
-            if j < 0:
-                # Report the events already fired; the *next* advance call
-                # re-detects silence / timeout and returns the sentinel.
-                break
-            for s, delta in net_terms[j]:
-                counts[s] += delta
-            exact.fired(j, counts)
-            events += 1
+        exact.time_now = time_now
+        events = exact.advance(counts, self.policy.exact_burst, max_time, 0)
         self.exact_events += events
-        # events == 0 only when the first select hit a sentinel, so j is set.
-        return (events, time_now) if events else (j, time_now)
+        if events:
+            return events, exact.time_now
+        return (_SILENT if exact.silent else _TIMED_OUT), exact.time_now
 
     def propensities(self) -> Tuple[float, ...]:
         """A snapshot of the current propensity vector (test hook)."""
@@ -658,7 +832,7 @@ class _TauLeapStepper:
 
 
 class SimulatorCore:
-    """The one scalar step loop, parameterized by a :class:`StepPolicy`.
+    """The scalar run driver: a :class:`StepPolicy` stepper fires the events.
 
     Parameters
     ----------
@@ -741,81 +915,51 @@ class SimulatorCore:
             sampled every ``record_every`` reaction events.
         stop_when:
             Optional predicate on the current configuration, checked before
-            each step; the run stops as soon as it returns True.
+            each step (each event-firing leap under tau-leaping); the run
+            stops as soon as it returns True.
         """
-        compiled = self.compiled
         t0_unix = _time.time()
         t0 = _time.perf_counter()
         counts, extras = self._encode(initial)
-        stepper = self.policy.bind(compiled, self.rng)
+        stepper = self.policy.bind(self.compiled, self.rng)
         stepper.start(counts)
-        leaping = self.policy.fires_many
-        if leaping:
-            advance = stepper.advance
-        else:
-            select = stepper.select
-            fired = stepper.fired
-        net_terms = compiled.net_terms
-        output_index = compiled.output_index
+        advance = stepper.advance
         uses_time = self.policy.uses_time
 
-        time_now = 0.0
         steps = 0
-        selections = 0
-        silent = False
-        converged = False
-        max_output = counts[output_index]
-        last_output = max_output
-        unchanged_for = 0
         trajectory = Trajectory(track) if track else None
         last_recorded = 0
         if trajectory is not None:
             trajectory.record(0.0, 0, self._decode(counts, extras))
 
-        while steps < max_steps and time_now < max_time:
-            if stop_when is not None and stop_when(self._decode(counts, extras)):
-                break
-            if leaping:
-                # A batch-firing stepper applies the whole leap to `counts`
-                # itself and reports how many events it fired; the run may
-                # overshoot max_steps by at most one leap.
-                events, time_now = advance(counts, time_now, max_time)
-                if events < 0:
-                    if events == _SILENT:
-                        silent = True
+        # The stepper fires whole bursts; the core cuts one short only where
+        # it must look at the run: one event per stop_when check, and the
+        # events left until the next trajectory record.  A batch-firing
+        # stepper may overshoot a budget (and so max_steps) by one leap.
+        while steps < max_steps and stepper.time_now < max_time:
+            if stop_when is not None:
+                if stop_when(self._decode(counts, extras)):
                     break
-                steps += events
+                budget = 1
             else:
-                j, time_now = select(time_now, max_time)
-                if j < 0:
-                    if j == _SILENT:
-                        silent = True
-                    break
-                for s, delta in net_terms[j]:
-                    counts[s] += delta
-                events = 1
-                steps += 1
-                fired(j, counts)
-            selections += 1
-            current = counts[output_index]
-            if current > max_output:
-                max_output = current
-            if current == last_output:
-                unchanged_for += events
-            else:
-                unchanged_for = 0
-                last_output = current
+                budget = max_steps - steps
+            if trajectory is not None:
+                budget = min(budget, max(1, last_recorded + record_every - steps))
+            steps += advance(counts, budget, max_time, quiescence_window)
             if trajectory is not None and steps - last_recorded >= record_every:
                 last_recorded = steps
                 trajectory.record(
-                    time_now if uses_time else float(steps),
+                    stepper.time_now if uses_time else float(steps),
                     steps,
                     self._decode(counts, extras),
                 )
-            if quiescence_window and unchanged_for >= quiescence_window:
-                converged = True
+            if stepper.silent or stepper.converged:
                 break
 
+        time_now = stepper.time_now
+        silent = stepper.silent
+        converged = stepper.converged
+        selections = stepper.selections
         if trajectory is not None and (
             len(trajectory) == 0 or trajectory[-1].step != steps
         ):
@@ -827,9 +971,8 @@ class SimulatorCore:
         stats = RunStats(
             events=steps,
             selections=selections,
-            propensity_ops=getattr(stepper, "propensity_ops", 0),
-            rng_draws=getattr(stepper, "rng_draws", 0)
-            + getattr(stepper, "rng_draws_per_event", 0) * steps,
+            propensity_ops=stepper.propensity_ops,
+            rng_draws=stepper.rng_draws + stepper.rng_draws_per_event * steps,
             wall_s=_time.perf_counter() - t0,
         )
         # Tracing is a single emit of timings already measured above; when the
@@ -854,7 +997,7 @@ class SimulatorCore:
             silent=silent,
             converged=converged,
             final_time=time_now,
-            max_output_seen=max_output,
+            max_output_seen=stepper.max_output,
             trajectory=trajectory,
             selections=selections,
             stats=stats,

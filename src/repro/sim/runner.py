@@ -284,8 +284,7 @@ BUILTIN_ENGINES: Dict[str, Tuple[Any, Dict[str, Any]]] = {
         ScalarEngine(lambda config: FairPolicy(), lambda config: GillespiePolicy()),
         dict(
             supports_fair=True,
-            step_cost=2.33e-7,
-            trial_step_cost=2.54e-6,
+            trial_step_cost=7.3e-7,
             description=(
                 "Scalar kernel (shared CompiledCRN IR, sparse incremental "
                 "propensities); historical seeded behaviour, bit for bit"
@@ -300,8 +299,8 @@ BUILTIN_ENGINES: Dict[str, Tuple[Any, Dict[str, Any]]] = {
         dict(
             supports_fair=True,
             batch_capable=True,
-            step_cost=7.45e-5,
-            trial_step_cost=2.18e-7,
+            step_cost=7.52e-5,
+            trial_step_cost=3.0e-7,
             description=(
                 "numpy batch engines advancing all trials per step; "
                 "reproducible but on a numpy random stream"
@@ -314,7 +313,8 @@ BUILTIN_ENGINES: Dict[str, Tuple[Any, Dict[str, Any]]] = {
             supports_fair=False,
             min_recommended_population=10_000,
             approximate=True,
-            trial_step_cost=3.98e-8,
+            step_cost=5.19e-8,
+            trial_step_cost=3.1e-8,
             description=(
                 "tau-leaping approximate SSA (Cao-Gillespie tau selection, "
                 "Poisson firing batches, exact fallback); error knob "
@@ -329,8 +329,8 @@ BUILTIN_ENGINES: Dict[str, Tuple[Any, Dict[str, Any]]] = {
             min_recommended_population=10_000,
             approximate=True,
             batch_capable=True,
-            step_cost=6.17e-7,
-            trial_step_cost=6.73e-9,
+            step_cost=6.44e-7,
+            trial_step_cost=1.72e-9,
             description=(
                 "batched tau-leaping: the whole trial batch advances one "
                 "Cao-Gillespie leap per round (dense numpy kinetics, batched "

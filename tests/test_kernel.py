@@ -16,7 +16,10 @@ Three layers of protection for the dict-loop -> kernel rebase:
   state always equals a from-scratch recomputation.
 """
 
+import hashlib
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,6 +36,7 @@ from repro.functions.catalog import (
 )
 from repro.functions.extended import weighted_floor_spec
 from repro.functions.paper_examples import fig7_spec
+from repro.serve.protocol import canonical_json
 from repro.sim._reference import ReferenceFairScheduler, ReferenceGillespieSimulator
 from repro.sim.fair import FairScheduler, output_consuming_bias, output_producing_bias
 from repro.sim.gillespie import GillespieSimulator
@@ -299,21 +303,63 @@ class TestFairEquivalence:
         assert report.outputs == expected
 
 
+def _advance_one_event(stepper, counts, scan_ops):
+    """Advance ``stepper`` by one event and return how many fired (0 or 1).
+
+    Asserts, through the ``propensity_ops`` delta, that the event refreshed
+    exactly the fired reaction's dependents: ``scan_ops`` is the per-event
+    read of the whole vector (the reaction count under Gillespie, 0 under
+    the fair scheduler).  The reaction is identified by the count diff;
+    reactions with equal net change have equal dependents, so the diff pins
+    the refresh count even when it cannot name the reaction.
+    """
+    compiled = stepper.compiled
+    before = list(counts)
+    ops = stepper.propensity_ops
+    fired = stepper.advance(counts, 1, math.inf, 0)
+    assert fired in (0, 1)
+    if fired:
+        diff = {
+            s: after - was
+            for s, (was, after) in enumerate(zip(before, counts))
+            if after != was
+        }
+        refreshed = {
+            len(compiled.dependency_graph[j])
+            for j in range(compiled.n_reactions)
+            if dict(compiled.net_terms[j]) == diff
+            and all(before[s] >= k for s, k in compiled.reactant_terms[j])
+        }
+        assert len(refreshed) == 1
+        assert stepper.propensity_ops - ops == scan_ops + refreshed.pop()
+    return fired
+
+
 class TestIncrementalState:
-    def test_fired_recomputes_exactly_the_dependents(self):
+    """Each test steps ``advance`` one event at a time and checks, after every
+    event, that the kept state equals a fresh ``start`` and that exactly the
+    fired reaction's dependents were refreshed."""
+
+    @pytest.mark.parametrize(
+        "policy_cls", [GillespiePolicy, FairPolicy], ids=["gillespie", "fair"]
+    )
+    def test_each_event_recomputes_exactly_the_dependents(self, policy_cls):
         crn = maximum_spec().known_crn
         compiled = crn.compiled()
-        stepper = GillespiePolicy().bind(compiled, random.Random(0))
+        stepper = policy_cls().bind(compiled, random.Random(0))
         counts = list(compiled.encode(crn.initial_configuration((4, 6))))
         stepper.start(counts)
-        for j in range(compiled.n_reactions):
-            applicable = all(counts[s] >= k for s, k in compiled.reactant_terms[j])
-            if not applicable:
-                continue
-            for s, delta in compiled.net_terms[j]:
-                counts[s] += delta
-            stepper.fired(j, counts)
-            assert stepper.last_recomputed == compiled.dependency_graph[j]
+        scan_ops = compiled.n_reactions if policy_cls is GillespiePolicy else 0
+        events = 0
+        while _advance_one_event(stepper, counts, scan_ops):
+            events += 1
+            fresh = policy_cls().bind(compiled, random.Random(0))
+            fresh.start(counts)
+            if policy_cls is GillespiePolicy:
+                assert stepper.propensities() == fresh.propensities()
+            else:
+                assert stepper.applicability() == fresh.applicability()
+        assert events > 0 and stepper.silent
 
     def test_incremental_propensities_equal_full_recompute(self):
         crn = build_crn_for(minimum_spec(), strategy="general")
@@ -327,12 +373,8 @@ class TestIncrementalState:
         counts = list(compiled.encode(crn.initial_configuration((4, 5))))
         stepper.start(counts)
         for _ in range(min(result.steps, 200)):
-            j, _time = stepper.select(0.0, float("inf"))
-            if j < 0:
+            if not _advance_one_event(stepper, counts, compiled.n_reactions):
                 break
-            for s, delta in compiled.net_terms[j]:
-                counts[s] += delta
-            stepper.fired(j, counts)
             fresh = GillespiePolicy().bind(compiled, random.Random(0))
             fresh.start(counts)
             assert stepper.propensities() == fresh.propensities()
@@ -345,16 +387,11 @@ class TestIncrementalState:
         counts = list(compiled.encode(crn.initial_configuration((3, 3))))
         stepper.start(counts)
         for _ in range(200):
-            j, _time = stepper.select(0.0, float("inf"))
-            if j < 0:
+            if not _advance_one_event(stepper, counts, 0):
                 break
-            for s, delta in compiled.net_terms[j]:
-                counts[s] += delta
-            stepper.fired(j, counts)
             fresh = FairPolicy().bind(compiled, random.Random(0))
             fresh.start(counts)
             assert stepper.applicability() == fresh.applicability()
-
 
     @pytest.mark.parametrize("biased", [False, True], ids=["uniform", "biased"])
     @pytest.mark.parametrize("label,crn,x", PAPER_CELL_CASES, ids=PAPER_CELL_IDS)
@@ -366,12 +403,8 @@ class TestIncrementalState:
         stepper.start(counts)
         steps = 0
         while steps < 300:
-            j, _time = stepper.select(0.0, float("inf"))
-            if j < 0:
+            if not _advance_one_event(stepper, counts, 0):
                 break
-            for s, delta in compiled.net_terms[j]:
-                counts[s] += delta
-            stepper.fired(j, counts)
             steps += 1
             fresh = FairPolicy().bind(compiled, random.Random(0))
             fresh.start(counts)
@@ -380,6 +413,43 @@ class TestIncrementalState:
                 r for r, flag in enumerate(fresh.applicability()) if flag
             ]
         assert steps > 0 and stepper.applicable == []
+
+    def test_inline_fair_draw_equals_random_choice(self):
+        # The fair stepper draws Random.choice's index inline (the rejection
+        # draw of _randbelow_with_getrandbits, a private stdlib method): it
+        # must pick the same index and leave the stream in the same state.
+        for seed in range(20):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            getrandbits = ours.getrandbits
+            for n in range(1, 1025):
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                assert r == theirs.choice(range(n)), (seed, n)
+            assert ours.getstate() == theirs.getstate(), seed
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 31, 32, 33, 63, 64, 65])
+    def test_fair_stepper_draw_equals_random_choice(self, n):
+        # The same identity through the stepper itself: with n parallel
+        # reactions X -> P_i all applicable, the one it fires is
+        # Random.choice's pick from the ascending applicable list.
+        x = species("X")[0]
+        products = species(" ".join(f"P{i}" for i in range(n)))
+        crn = CRN([x >> p for p in products], (x,), products[0], name=f"fan{n}")
+        compiled = crn.compiled()
+        for seed in range(20):
+            stepper = FairPolicy().bind(compiled, random.Random(seed))
+            counts = list(compiled.encode(crn.initial_configuration((1,))))
+            stepper.start(counts)
+            assert stepper.applicable == list(range(n))
+            assert stepper.advance(counts, 1, math.inf, 0) == 1
+            expected = random.Random(seed).choice(range(n))
+            (fired,) = [
+                j for j in range(n)
+                if all(counts[s] == d for s, d in compiled.net_terms[j] if d > 0)
+            ]
+            assert fired == expected, (seed, n)
 
     @pytest.mark.parametrize("label,crn,x", PAPER_CELL_CASES, ids=PAPER_CELL_IDS)
     def test_paper_cells_bit_for_bit_with_reference(self, label, crn, x):
@@ -465,13 +535,10 @@ class TestTauLeapPolicy:
         stepper = TauLeapPolicy().bind(compiled, random.Random(6))
         counts = list(compiled.encode(crn.initial_configuration((5_000, 3_000))))
         stepper.start(counts)
-        time_now = 0.0
-        while True:
-            events, time_now = stepper.advance(counts, time_now, math.inf)
-            if events < 0:
-                break
+        while not stepper.silent:
+            stepper.advance(counts, 1, math.inf, 0)
             assert all(count >= 0 for count in counts), counts
-        assert time_now > 0.0
+        assert stepper.time_now > 0.0
         # The max CRN keeps its intermediates scarce, so the Cao bound
         # (rightly) routes the whole run through exact bursts.
         assert stepper.exact_events > 0
@@ -484,11 +551,8 @@ class TestTauLeapPolicy:
         stepper = TauLeapPolicy().bind(compiled, random.Random(6))
         counts = list(compiled.encode(crn.initial_configuration((30_000, 20_000))))
         stepper.start(counts)
-        time_now = 0.0
-        while True:
-            events, time_now = stepper.advance(counts, time_now, math.inf)
-            if events < 0:
-                break
+        while not stepper.silent:
+            stepper.advance(counts, 1, math.inf, 0)
             assert all(count >= 0 for count in counts), counts
         assert stepper.leaps > 0  # abundant species: genuine leaping territory
 
@@ -732,6 +796,189 @@ class TestSeedStreamLockTauVec:
         assert stepper.select_tau(counts) == expected
 
 
+def _golden_digest(result, stats, trajectory=None):
+    """sha256 of the canonical JSON of one run's outcome.
+
+    ``result`` supplies the final configuration, ``steps``, ``silent``,
+    ``converged``, ``max_output_seen`` and ``final_time``; ``stats`` is a
+    :class:`~repro.obs.stats.RunStats` (``wall_s`` is dropped).  A trajectory,
+    when given, is hashed point by point.
+    """
+    payload = {
+        "final": {
+            sp.name: n for sp, n in result.final_configuration.items() if n
+        },
+        "steps": result.steps,
+        "silent": result.silent,
+        "converged": result.converged,
+        "max_output_seen": result.max_output_seen,
+        "final_time": result.final_time,
+        "stats": {k: v for k, v in stats.to_dict().items() if k != "wall_s"},
+    }
+    if trajectory is not None:
+        payload["trajectory"] = [
+            [p.time, p.step, {sp.name: n for sp, n in p.counts.items()}]
+            for p in trajectory
+        ]
+    return hashlib.sha256(canonical_json(payload)).hexdigest()
+
+
+def _catalytic_crn():
+    """X1 -> Y plus the catalytic no-op X2 + Y -> X2 + Y: never silent once
+    Y appears, so only the quiescence window can end a run."""
+    return CRN([X1 >> Y, X2 + Y >> X2 + Y], (X1, X2), Y, name="catalytic")
+
+
+def _zero_weight_bias(crn):
+    """Weight 0 on output-producing reactions: whenever only those are
+    applicable the biased draw falls back to the uniform one."""
+    output = crn.output_species
+    return lambda rxn: 0.0 if rxn.net_change(output) > 0 else 1.0
+
+
+def _quilt():
+    spec = quilt_2d_fig3b_spec()
+    return build_crn_for(spec, name=spec.name)
+
+
+def _weighted_floor():
+    spec = weighted_floor_spec()
+    return build_crn_for(spec, name=spec.name)
+
+
+#: case id -> (crn factory, policy factory (crn -> StepPolicy), input, seed,
+#: SimulatorCore.run keyword arguments).  ``quiescence_window=None`` means
+#: the input's default window.
+GOLDEN_CASES = {
+    "fair-uniform": (_quilt, lambda crn: FairPolicy(), (4, 6), 11,
+                     {"quiescence_window": None}),
+    "fair-biased": (_weighted_floor, lambda crn: FairPolicy(output_producing_bias(crn)),
+                    (4, 6), 12, {"quiescence_window": None}),
+    "fair-zero-weight": (_quilt, lambda crn: FairPolicy(_zero_weight_bias(crn)),
+                         (4, 6), 13, {"quiescence_window": None}),
+    "gillespie-max-time": (lambda: maximum_spec().known_crn, lambda crn: GillespiePolicy(),
+                           (5, 3), 8, {"max_time": 0.1}),
+    "tau-exact-fallback": (lambda: minimum_spec().known_crn, lambda crn: TauLeapPolicy(),
+                           (300, 420), 5, {}),
+    "fair-max-steps": (_quilt, lambda crn: FairPolicy(), (4, 6), 11, {"max_steps": 20}),
+    "fair-quiescence-catalytic": (_catalytic_crn, lambda crn: FairPolicy(), (5, 2), 3,
+                                  {"quiescence_window": 30}),
+    "gillespie-stop-when": (lambda: minimum_spec().known_crn, lambda crn: GillespiePolicy(),
+                            (6, 9), 21, {"stop_when": lambda c: c[Y] >= 3}),
+    "fair-trajectory-every-3": (lambda: maximum_spec().known_crn, lambda crn: FairPolicy(),
+                                (5, 3), 4, {"track": (Y,), "record_every": 3}),
+}
+
+
+class TestGoldenStreams:
+    """Seeded runs pinned as literals, one per stepper path.
+
+    Each literal is :func:`_golden_digest` of a :class:`SimulatorCore` run,
+    recorded from the kernel whose core called the exact steppers'
+    ``select``/``fired`` once per event, before the step loop moved into the
+    steppers; a stream change anywhere (draw order, a counter, the clamp, the
+    window, a trajectory point) moves the hash.  Every literal is also
+    reproduced by the frozen pre-kernel loops in :mod:`repro.sim._reference`
+    (with the kernel's ``RunStats``, which those loops do not count).
+    """
+
+    GOLDEN = {
+        "fair-uniform": (
+            "f2edb106fa51d657466a3ed42909d1f8"
+            "420fdb05b4606ad588722c7759e28bc8"
+        ),
+        "fair-biased": (
+            "ad16dcb9533e156d6b69bbad4afd4957"
+            "3524feaaa30c496d1ff7c9d005bfcc51"
+        ),
+        "fair-zero-weight": (
+            "7917e74f1360ab40b0b5514a57214a3b"
+            "0c4106e41617e3e7310b09ab08ee9ab2"
+        ),
+        "gillespie-max-time": (
+            "4e83099a7fa02b0da5872894b45afbb0"
+            "2728b6bdb911769fa9c3d061e47f113e"
+        ),
+        "tau-exact-fallback": (
+            "e7ade80880350470ebfabc5caa81c9d5"
+            "5490951bf43c5d308ab17b69f9d1e9e9"
+        ),
+        "fair-max-steps": (
+            "0365b87d273be20f566daca84a8ddc78"
+            "9471d9c4c1ea529a77c7a0195dad4b8c"
+        ),
+        "fair-quiescence-catalytic": (
+            "d0a9d3fc9628c1c87fea835e3051daf6"
+            "cadf2bf4a166b4650204ca8af9fa36d4"
+        ),
+        "gillespie-stop-when": (
+            "18231e15df2b4efe90ad9e0672a1404c"
+            "abc6416be672111ac3f0cd22455eba87"
+        ),
+        "fair-trajectory-every-3": (
+            "b0bf82c76bfc3ed49805f7f2db399ffc"
+            "712ebacafe47dcec9853269c9f2ef925"
+        ),
+    }
+
+    @staticmethod
+    def _kernel_run(case):
+        crn_factory, policy_factory, x, seed, kwargs = GOLDEN_CASES[case]
+        crn = crn_factory()
+        kwargs = dict(kwargs)
+        if kwargs.get("quiescence_window", 0) is None:
+            kwargs["quiescence_window"] = default_quiescence_window(x)
+        core = SimulatorCore(crn, policy_factory(crn), rng=random.Random(seed))
+        return crn, core.run_on_input(x, **kwargs)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_kernel_reproduces_the_literal(self, case):
+        _, result = self._kernel_run(case)
+        assert _golden_digest(result, result.stats, result.trajectory) == self.GOLDEN[case]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_reference_loop_reproduces_the_literal(self, case):
+        _, policy_factory, x, seed, kwargs = GOLDEN_CASES[case]
+        crn, kernel = self._kernel_run(case)
+        policy = policy_factory(crn)
+        kwargs = dict(kwargs)
+        track = kwargs.pop("track", ())
+        rng = random.Random(seed)
+        if isinstance(policy, FairPolicy):
+            if kwargs.get("quiescence_window", 0) is None:
+                kwargs["quiescence_window"] = default_quiescence_window(x)
+            reference = ReferenceFairScheduler(crn, rng=rng, bias=policy.bias).run_on_input(
+                x, track=track, **kwargs
+            )
+            observed = SimpleNamespace(
+                final_configuration=reference.final_configuration,
+                steps=reference.steps,
+                silent=reference.silent,
+                converged=reference.converged,
+                max_output_seen=reference.max_output_seen,
+                final_time=0.0,
+            )
+            trajectory = reference.trajectory if track else None
+        else:
+            # Gillespie and tau's exact fallback: the direct-method loop,
+            # tracking the output at every event for max_output_seen (the tau
+            # case's output never falls, so its per-burst view agrees).
+            output = crn.output_species
+            reference = ReferenceGillespieSimulator(crn, rng=rng).run_on_input(
+                x, track=(output,), **kwargs
+            )
+            observed = SimpleNamespace(
+                final_configuration=reference.final_configuration,
+                steps=reference.steps,
+                silent=reference.silent,
+                converged=False,
+                max_output_seen=reference.trajectory.max_count_of(output),
+                final_time=reference.final_time,
+            )
+            trajectory = None
+        assert _golden_digest(observed, kernel.stats, trajectory) == self.GOLDEN[case]
+
+
 class TestStepPolicyContract:
     """The :class:`~repro.sim.kernel.StepPolicy` contract, held by every
     built-in policy: exact and approximate, rate-aware and fair."""
@@ -821,12 +1068,14 @@ class TestStepPolicyContract:
 #: Each built-in engine's ``EngineInfo.to_dict()``, recorded before the
 #: built-ins became registry data: the ``GET /v1/engines`` and
 #: ``python -m repro engines --json`` entries must not change by a byte.
+#: Only a recalibration of the ``auto`` cost rule (the ``step_cost`` /
+#: ``trial_step_cost`` fits of the ``auto-cost/*`` records) moves them.
 BUILTIN_ENGINE_INFO = {
     "python": (
         '{"name": "python", "supports_gillespie": true, "supports_fair": true, '
         '"max_recommended_population": null, "min_recommended_population": null, '
-        '"approximate": false, "batch_capable": false, "step_cost": 2.33e-07, '
-        '"trial_step_cost": 2.54e-06, "description": "Scalar kernel (shared '
+        '"approximate": false, "batch_capable": false, "step_cost": 0.0, '
+        '"trial_step_cost": 7.3e-07, "description": "Scalar kernel (shared '
         'CompiledCRN IR, sparse incremental propensities); historical seeded '
         'behaviour, bit for bit"}'
     ),
@@ -834,15 +1083,15 @@ BUILTIN_ENGINE_INFO = {
         '{"name": "vectorized", "supports_gillespie": true, "supports_fair": '
         'true, "max_recommended_population": null, "min_recommended_population": '
         'null, "approximate": false, "batch_capable": true, "step_cost": '
-        '7.45e-05, "trial_step_cost": 2.18e-07, "description": "numpy batch '
+        '7.52e-05, "trial_step_cost": 3e-07, "description": "numpy batch '
         'engines advancing all trials per step; reproducible but on a numpy '
         'random stream"}'
     ),
     "tau": (
         '{"name": "tau", "supports_gillespie": true, "supports_fair": false, '
         '"max_recommended_population": null, "min_recommended_population": '
-        '10000, "approximate": true, "batch_capable": false, "step_cost": 0.0, '
-        '"trial_step_cost": 3.98e-08, "description": "tau-leaping approximate '
+        '10000, "approximate": true, "batch_capable": false, "step_cost": 5.19e-08, '
+        '"trial_step_cost": 3.1e-08, "description": "tau-leaping approximate '
         'SSA (Cao-Gillespie tau selection, Poisson firing batches, exact '
         'fallback); error knob RunConfig.epsilon, statistically equivalent to '
         'exact engines"}'
@@ -851,7 +1100,7 @@ BUILTIN_ENGINE_INFO = {
         '{"name": "tau-vec", "supports_gillespie": true, "supports_fair": false, '
         '"max_recommended_population": null, "min_recommended_population": '
         '10000, "approximate": true, "batch_capable": true, "step_cost": '
-        '6.17e-07, "trial_step_cost": 6.73e-09, "description": "batched '
+        '6.44e-07, "trial_step_cost": 1.72e-09, "description": "batched '
         'tau-leaping: the whole trial batch advances one Cao-Gillespie leap per '
         'round (dense numpy kinetics, batched Poisson firings, per-trial exact '
         'fallback); error knob RunConfig.epsilon, statistically equivalent to '

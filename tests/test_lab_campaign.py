@@ -90,7 +90,7 @@ class TestEngineResolution:
 
     def test_auto_many_trials_picks_vectorized_at_any_population(self):
         for x in ((3, 4),) + LARGE_INPUTS:
-            assert resolve_engine("auto", x, RunConfig(trials=128)) == "vectorized"
+            assert resolve_engine("auto", x, RunConfig(trials=512)) == "vectorized"
 
     def test_auto_with_allow_approximate_picks_by_trials(self):
         # With the opt-in, populations at or past the approximate engines'
@@ -112,7 +112,7 @@ class TestEngineResolution:
     def test_auto_with_opt_in_small_population_stays_exact(self):
         # Under the floor, leaping degrades to exact stepping, so the opt-in
         # changes nothing and the exact resolution (by trials) wins.
-        for trials, engine in ((4, "python"), (10, "python"), (128, "vectorized")):
+        for trials, engine in ((4, "python"), (10, "python"), (512, "vectorized")):
             config = RunConfig(trials=trials, allow_approximate=True)
             assert resolve_engine("auto", (3, 4), config) == engine
             assert resolve_engine("auto", (9_999,), config) == engine
@@ -163,7 +163,7 @@ class TestCampaignExpansion:
             engines=("auto",),
             configs=tuple(
                 RunConfig(trials=trials, allow_approximate=opt_in)
-                for trials in (2, 128)
+                for trials in (2, 512)
                 for opt_in in (False, True)
             ),
         )
@@ -174,8 +174,8 @@ class TestCampaignExpansion:
         assert engines == {
             (2, False): "python",
             (2, True): "tau",
-            (128, False): "vectorized",
-            (128, True): "tau-vec",
+            (512, False): "vectorized",
+            (512, True): "tau-vec",
         }
 
     def test_grid_is_normalized_to_points(self):

@@ -214,13 +214,9 @@ class TestTauLeapKernelInvariants:
         stepper = TauLeapPolicy(epsilon=0.1).bind(compiled, random.Random(seed))
         counts = list(compiled.encode(crn.initial_configuration((a, b))))
         stepper.start(counts)
-        time_now = 0.0
         fired = 0
-        while fired < 5_000:
-            events, time_now = stepper.advance(counts, time_now, math.inf)
-            if events < 0:
-                break
-            fired += events
+        while fired < 5_000 and not stepper.silent:
+            fired += stepper.advance(counts, 1, math.inf, 0)
             assert all(count >= 0 for count in counts), counts
 
     @given(
@@ -359,14 +355,9 @@ class TestDependencyGraphProperties:
         stepper = GillespiePolicy().bind(compiled, random.Random(seed))
         counts = list(compiled.encode(crn.initial_configuration((a, b))))
         stepper.start(counts)
-        time_now = 0.0
         for _ in range(60):
-            j, time_now = stepper.select(time_now, math.inf)
-            if j < 0:
+            if not stepper.advance(counts, 1, math.inf, 0):
                 break
-            for s, delta in compiled.net_terms[j]:
-                counts[s] += delta
-            stepper.fired(j, counts)
             assert all(count >= 0 for count in counts), counts
             fresh = GillespiePolicy().bind(compiled, random.Random(0))
             fresh.start(counts)

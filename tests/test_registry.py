@@ -204,7 +204,7 @@ class TestAutoCostCalibration:
         points = auto_cost_points()
         assert set(points) == {"python", "vectorized", "tau", "tau-vec"}
         for engine, by_trials in points.items():
-            assert sorted(by_trials) == [4, 128], engine
+            assert sorted(by_trials) == [4, 512], engine
 
     def test_registry_constants_reproduce_the_fit(self):
         # compared through the predicted cost at each measured trial count,
@@ -212,7 +212,7 @@ class TestAutoCostCalibration:
         fits = fit_costs(auto_cost_points())
         for engine, (step_cost, trial_step_cost) in fits.items():
             info = get_engine(engine)
-            for trials in (4, 128):
+            for trials in (4, 512):
                 fitted = step_cost + trials * trial_step_cost
                 assert info.cost(trials) == pytest.approx(fitted, rel=0.02), (
                     f"{engine}: refit constants step_cost={step_cost:.3g}, "

@@ -18,6 +18,7 @@ The two contracts the suite pins down:
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -781,6 +782,29 @@ class TestStats:
         assert stats["requests"][UNMATCHED]["by_status"] == {"404": 200}
         metrics = client.request("GET", "/v1/metrics")[2].decode("utf-8")
         assert "nope" not in metrics and "/random" not in metrics
+
+    def test_unparseable_requests_are_recorded_as_unmatched(self, server, client):
+        # A request line read_request cannot parse gets its 400 before any
+        # route exists; it still counts, under the one unmatched label.
+        for _ in range(3):
+            with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+                sock.sendall(b"GARBAGE\r\n\r\n")
+                with sock.makefile("rb") as reply:
+                    assert reply.readline().startswith(b"HTTP/1.1 400")
+        stats = client.stats()
+        assert stats["requests"][UNMATCHED]["by_status"] == {"400": 3}
+        metrics = client.request("GET", "/v1/metrics")[2].decode("utf-8")
+        assert (
+            f'repro_http_requests_total{{endpoint="{UNMATCHED}",status="400"}} 3'
+            in metrics.splitlines()
+        )
+
+    def test_version_is_reported_once(self, client):
+        from repro import __version__
+
+        stats = client.stats()
+        assert stats["version"] == __version__
+        assert "version" not in stats["server"]
 
     def test_handler_exceptions_keep_their_route_template(self, client, monkeypatch):
         from repro.serve.jobs import JobManager

@@ -36,6 +36,7 @@ runs in the normal tier-1 sweep because it is deterministic and fast.  Set
 uploads this next to the benchmark artifact).
 """
 
+import copy
 import json
 import os
 import random
@@ -367,19 +368,17 @@ class _RateBiasedGillespiePolicy(GillespiePolicy):
         self.factor = factor
 
     def bind(self, compiled, rng):
-        factor = self.factor
-        output_index = compiled.output_index
-
-        class _BiasedStepper(_GillespieStepper):
-            def _propensity(self, r, counts):
-                base = _GillespieStepper._propensity(self, r, counts)
-                produces_output = any(
-                    s == output_index and delta > 0
-                    for s, delta in self.compiled.net_terms[r]
-                )
-                return base * factor if produces_output else base
-
-        return _BiasedStepper(compiled, rng)
+        # Inflate the rate constants of a shallow IR copy: the stepper
+        # computes every propensity (at start and in its event loop) from
+        # ``rate_list``, so the bias reaches each one.
+        biased = copy.copy(compiled)
+        biased.rate_list = tuple(
+            rate * self.factor
+            if any(s == compiled.output_index and delta > 0 for s, delta in terms)
+            else rate
+            for rate, terms in zip(compiled.rate_list, compiled.net_terms)
+        )
+        return _GillespieStepper(biased, rng)
 
 
 class _RateBiasedBatchTauEngine:
