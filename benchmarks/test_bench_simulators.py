@@ -41,6 +41,24 @@ PAPER_SPECS = ("minimum", "weighted_floor", "fig7", "quilt_2d_fig3b")
 PAPER_AXIS = range(0, 20, 2)
 
 
+def events_over(min_seconds, run_seeded, events_of):
+    """Run ``run_seeded(seed)`` on seeds 1, 2, ... until ``min_seconds`` have passed.
+
+    Returns ``(events, seconds, runs, seed-1 result)``: the summed events and
+    wall time of every run, so a rate taken from them rests on a sample long
+    enough that timer resolution and scheduling noise cannot decide it.
+    """
+    events, seconds, runs, first = 0, 0.0, 0, None
+    while seconds < min_seconds:
+        start = time.perf_counter()
+        result = run_seeded(runs + 1)
+        seconds += time.perf_counter() - start
+        events += events_of(result)
+        runs += 1
+        first = result if first is None else first
+    return events, seconds, runs, first
+
+
 def best_of(runs, run_once):
     """Best wall time over ``runs`` calls of ``run_once``, with the last result."""
     best = float("inf")
@@ -371,8 +389,11 @@ def test_batch_tau_throughput_compounds_scalar_tau(bench_record):
     to keep it there).  Unlike the ``tau-leap/*`` records (which store
     scheduler iterations as ``steps``), both ``batch-tau/*`` records store
     *reaction events* as ``steps`` so ``steps_per_sec`` is events/sec and
-    the CI bench-compare leg gates the actual throughput; the leap-round
-    counts ride along as ``selections``.
+    the CI bench-compare leg gates the actual throughput; the seed-1 run's
+    leap-round count rides along as ``selections``.  One scalar run lasts
+    about a millisecond, so each side is timed over consecutive seeds until
+    0.1 s has passed (``runs`` records how many), and the gate compares
+    summed events per second rather than one timer-resolution-scale sample.
     """
     population = 100_000
     budget = population // 2
@@ -380,12 +401,12 @@ def test_batch_tau_throughput_compounds_scalar_tau(bench_record):
     crn = minimum_spec().known_crn
     compiled = crn.compiled()  # compile outside the timed region
 
-    def run_scalar():
-        core = SimulatorCore(crn, TauLeapPolicy(), rng=random.Random(1))
+    def run_scalar(seed):
+        core = SimulatorCore(crn, TauLeapPolicy(), rng=random.Random(seed))
         return core.run_on_input((population, population), max_steps=budget)
 
-    def run_batch():
-        engine = BatchTauLeapEngine(compiled, seed=1)
+    def run_batch(seed):
+        engine = BatchTauLeapEngine(compiled, seed=seed)
         return engine.run_on_input(
             (population, population), batch=batch, max_steps=budget
         )
@@ -393,11 +414,15 @@ def test_batch_tau_throughput_compounds_scalar_tau(bench_record):
     SimulatorCore(crn, TauLeapPolicy(), rng=random.Random(1)).run_on_input(
         (population // 10, population // 10)
     )  # warm-up
-    scalar_time, scalar_result = best_of(3, run_scalar)
+    scalar_events, scalar_time, scalar_runs, scalar_result = events_over(
+        0.1, run_scalar, lambda result: result.steps
+    )
     BatchTauLeapEngine(compiled, seed=1).run_on_input(
         (population // 10, population // 10), batch=batch
     )  # warm-up
-    batch_time, batch_result = best_of(3, run_batch)
+    batch_events, batch_time, batch_runs, batch_result = events_over(
+        0.1, run_batch, lambda result: int(result.steps.sum())
+    )
 
     # Both sides stop on the step budget (overshooting by at most one leap)
     # with the population still deep in the leap regime.
@@ -405,14 +430,13 @@ def test_batch_tau_throughput_compounds_scalar_tau(bench_record):
     assert (batch_result.steps >= budget).all()
     assert (batch_result.counts >= 0).all()
 
-    scalar_events = scalar_result.steps
-    batch_events = int(batch_result.steps.sum())
     bench_record(
         f"batch-tau/scalar-tau/pop{2 * population}",
         2 * population,
         scalar_time,
         scalar_events,
         selections=scalar_result.selections,
+        runs=scalar_runs,
         epsilon=0.03,
     )
     bench_record(
@@ -422,15 +446,17 @@ def test_batch_tau_throughput_compounds_scalar_tau(bench_record):
         batch_events,
         selections=batch_result.stats.selections,
         batch=batch,
+        runs=batch_runs,
         epsilon=0.03,
     )
     scalar_rate = scalar_events / scalar_time
     batch_rate = batch_events / batch_time
     speedup = batch_rate / scalar_rate
     print(
-        f"\n[batch-tau] scalar tau {scalar_events:,} events "
+        f"\n[batch-tau] scalar tau {scalar_events:,} events over {scalar_runs} runs "
         f"({scalar_time:.3f}s, {scalar_rate:,.0f} ev/s), tau-vec x{batch} "
-        f"{batch_events:,} events ({batch_time:.3f}s, {batch_rate:,.0f} ev/s) "
+        f"{batch_events:,} events over {batch_runs} runs "
+        f"({batch_time:.3f}s, {batch_rate:,.0f} ev/s) "
         f"-> {speedup:.1f}x event throughput"
     )
     assert speedup >= 10.0

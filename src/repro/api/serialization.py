@@ -71,7 +71,7 @@ def spec_from_json_dict(data: Mapping[str, Any]) -> FunctionSpec:
     if not isinstance(name, str) or not name:
         raise ValueError(f"spec field 'name' must be a nonempty string, got {name!r}")
 
-    from repro.lab.campaign import resolve_spec  # lab sits above api
+    from repro.lab.campaign import registered_fingerprint, resolve_spec  # lab sits above api
 
     spec = resolve_spec(name)  # raises ValueError listing registered names
 
@@ -83,9 +83,7 @@ def spec_from_json_dict(data: Mapping[str, Any]) -> FunctionSpec:
         )
     fingerprint = data.get("fingerprint")
     if fingerprint is not None:
-        from repro.lab.cache import spec_fingerprint
-
-        actual = spec_fingerprint(spec)
+        actual = registered_fingerprint(name)
         if fingerprint != actual:
             raise ValueError(
                 f"spec field 'fingerprint' does not match the registered spec "

@@ -67,6 +67,7 @@ PROVENANCE_NAME = "provenance.json"
 
 _SPEC_FACTORIES: Dict[str, Callable[[], FunctionSpec]] = {}
 _SPEC_INSTANCES: Dict[str, FunctionSpec] = {}
+_SPEC_FINGERPRINTS: Dict[str, str] = {}
 
 
 def register_spec_factory(
@@ -88,6 +89,7 @@ def register_spec_factory(
         )
     _SPEC_FACTORIES[name] = factory
     _SPEC_INSTANCES.pop(name, None)
+    _SPEC_FINGERPRINTS.pop(name, None)
 
 
 def spec_factory_names() -> Tuple[str, ...]:
@@ -109,6 +111,18 @@ def resolve_spec(name: str) -> FunctionSpec:
             ) from None
         spec = _SPEC_INSTANCES[name] = factory()
     return spec
+
+
+def registered_fingerprint(name: str) -> str:
+    """:func:`~repro.lab.cache.spec_fingerprint` of the spec registered as ``name``.
+
+    Computed once per registration: :func:`register_spec_factory` drops the
+    entry, so a re-registered name is fingerprinted afresh.
+    """
+    fingerprint = _SPEC_FINGERPRINTS.get(name)
+    if fingerprint is None:
+        fingerprint = _SPEC_FINGERPRINTS[name] = spec_fingerprint(resolve_spec(name))
+    return fingerprint
 
 
 def _register_builtin_specs() -> None:
@@ -303,6 +317,66 @@ def _derive_cell_seed(master_seed: int, descriptor_blob: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def check_input(spec_name: str, x: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless ``x`` has the registered spec's dimension."""
+    dimension = resolve_spec(spec_name).dimension
+    if len(x) != dimension:
+        raise ValueError(
+            f"input {tuple(x)} has {len(x)} coordinates but spec "
+            f"{spec_name!r} takes {dimension}"
+        )
+
+
+def make_cell(
+    index: int,
+    spec_name: str,
+    strategy: str,
+    fingerprint: str,
+    x: Tuple[int, ...],
+    selector: str,
+    variant: RunConfig,
+    master_seed: Optional[int],
+) -> Cell:
+    """The one cell constructor: descriptor, seed, and id of one grid point.
+
+    :meth:`Campaign.expand` builds every cell here, and the server's
+    one-cell requests do too, so a cell's id, derived seed, and cache key
+    depend only on its descriptor, never on which caller built it.
+    """
+    # Resolved per variant: "auto" may pick an approximate engine only for
+    # configs that opted in.
+    engine = resolve_engine(selector, x, variant)
+    variant_fields = variant.to_dict()
+    variant_fields.pop("seed")
+    variant_fields.pop("engine")
+    descriptor = json.dumps(
+        {
+            "spec_fp": fingerprint,
+            "strategy": strategy,
+            "input": list(x),
+            "engine": engine,
+            "config": variant_fields,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    if master_seed is not None:
+        seed: Optional[int] = _derive_cell_seed(master_seed, descriptor)
+    else:
+        seed = variant.seed
+    cell_id = hashlib.sha256(f"{descriptor}|seed={seed}".encode("utf-8")).hexdigest()[:16]
+    return Cell(
+        index=index,
+        spec=spec_name,
+        strategy=strategy,
+        input=tuple(x),
+        engine=engine,
+        config=variant.replace(engine=engine, seed=seed),
+        spec_fingerprint=fingerprint,
+        cell_id=cell_id,
+    )
+
+
 SpecLike = Union[str, Tuple[str, str], FunctionSpec]
 
 
@@ -392,56 +466,18 @@ class Campaign:
         cells: List[Cell] = []
         seen: set = set()
         for spec_name, strategy in self.specs:
-            spec = resolve_spec(spec_name)
-            fingerprint = spec_fingerprint(spec)
+            fingerprint = registered_fingerprint(spec_name)
             for x in self.inputs:
-                if len(x) != spec.dimension:
-                    raise ValueError(
-                        f"input {x} has {len(x)} coordinates but spec "
-                        f"{spec_name!r} takes {spec.dimension}"
-                    )
+                check_input(spec_name, x)
                 for selector in self.engines:
                     for variant in self.configs:
-                        # Resolved per variant: "auto" may pick an approximate
-                        # engine only for configs that opted in.
-                        engine = resolve_engine(selector, x, variant)
-                        variant_fields = variant.to_dict()
-                        variant_fields.pop("seed")
-                        variant_fields.pop("engine")
-                        descriptor = json.dumps(
-                            {
-                                "spec_fp": fingerprint,
-                                "strategy": strategy,
-                                "input": list(x),
-                                "engine": engine,
-                                "config": variant_fields,
-                            },
-                            sort_keys=True,
-                            separators=(",", ":"),
+                        cell = make_cell(
+                            len(cells), spec_name, strategy, fingerprint, x,
+                            selector, variant, self.seed,
                         )
-                        if self.seed is not None:
-                            seed: Optional[int] = _derive_cell_seed(self.seed, descriptor)
-                        else:
-                            seed = variant.seed
-                        config = variant.replace(engine=engine, seed=seed)
-                        cell_id = hashlib.sha256(
-                            f"{descriptor}|seed={seed}".encode("utf-8")
-                        ).hexdigest()[:16]
-                        if cell_id in seen:
-                            continue
-                        seen.add(cell_id)
-                        cells.append(
-                            Cell(
-                                index=len(cells),
-                                spec=spec_name,
-                                strategy=strategy,
-                                input=tuple(x),
-                                engine=engine,
-                                config=config,
-                                spec_fingerprint=fingerprint,
-                                cell_id=cell_id,
-                            )
-                        )
+                        if cell.cell_id not in seen:
+                            seen.add(cell.cell_id)
+                            cells.append(cell)
         return cells
 
     # -- manifest persistence --------------------------------------------------

@@ -39,6 +39,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
+from repro.core.specs import FunctionSpec
 from repro.crn.network import CRN
 from repro.lab.campaign import Cell, resolve_spec
 from repro.lab.store import CellResult, deterministic_view
@@ -51,21 +52,22 @@ class CellTimeoutError(Exception):
 
 
 # Per-process CRN memo: workers build each (spec, strategy) CRN once and
-# reuse it for every cell that references it.
-_CRN_CACHE: Dict[Tuple[str, str], CRN] = {}
+# reuse it for every cell that references it.  Each entry keeps the spec it
+# was built from, so a name re-registered to another spec is rebuilt.
+_CRN_CACHE: Dict[Tuple[str, str], Tuple[FunctionSpec, CRN]] = {}
 
 
 def _built_crn(spec_name: str, strategy: str) -> CRN:
     key = (spec_name, strategy)
-    crn = _CRN_CACHE.get(key)
-    if crn is None:
+    spec = resolve_spec(spec_name)
+    entry = _CRN_CACHE.get(key)
+    if entry is None or entry[0] is not spec:
         from repro.core.characterization import build_crn_for
 
-        spec = resolve_spec(spec_name)
         crn = build_crn_for(spec, name=spec.name, strategy=strategy)
         crn.compiled()  # warm the dense matrices for vectorized cells
-        _CRN_CACHE[key] = crn
-    return crn
+        entry = _CRN_CACHE[key] = (spec, crn)
+    return entry[1]
 
 
 def _error_row(

@@ -21,12 +21,13 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.config import RunConfig
-from repro.lab.cache import CODE_SALT, ResultCache, cell_cache_key, spec_fingerprint
-from repro.lab.campaign import Campaign, SweepGrid, spec_factory_names
+from repro.lab.cache import CODE_SALT, ResultCache, cell_cache_key
+from repro.lab.campaign import Campaign, SweepGrid, registered_fingerprint, spec_factory_names
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.obs.provenance import run_manifest
 from repro.serve.jobs import JobManager, QueueFullError, single_cell
 from repro.serve.metrics import ServerMetrics
+from repro.serve.pool import WorkerPool
 from repro.serve.protocol import (
     ApiError,
     HttpRequest,
@@ -50,7 +51,7 @@ class ServerState:
         self,
         config: RunConfig,
         cache: Optional[ResultCache],
-        pool,
+        pool: WorkerPool,
         metrics: ServerMetrics,
         jobs: JobManager,
         version: str,
@@ -66,7 +67,7 @@ class ServerState:
 
 
 # ---------------------------------------------------------------------------
-# Worker-pool task functions (module-level: they must ride a pickle)
+# Worker-pool task functions (module-level: they ride the pool's pipe by name)
 # ---------------------------------------------------------------------------
 
 
@@ -179,13 +180,12 @@ async def handle_compile(state: ServerState, request: HttpRequest) -> Response:
         crn = await loop.run_in_executor(None, _built_crn, spec_name, strategy)
     except (ValueError, NotImplementedError) as exc:
         raise ApiError(422, f"cannot build a CRN for spec {spec_name!r}: {exc}") from None
-    fingerprint = await loop.run_in_executor(None, spec_fingerprint, spec)
     return Response(
         payload={
             "spec": spec_name,
             "strategy": strategy,
             "dimension": spec.dimension,
-            "fingerprint": fingerprint,
+            "fingerprint": registered_fingerprint(spec_name),
             "crn_name": crn.name,
             "reactions": len(crn.reactions),
             "species": len(crn.species()),
@@ -218,10 +218,8 @@ async def handle_expected_output(state: ServerState, request: HttpRequest) -> Re
     if config.engine != "auto":
         _check_engine_400(config.engine)
 
-    loop = asyncio.get_running_loop()
-    fingerprint = await loop.run_in_executor(None, spec_fingerprint, spec)
     key = cell_cache_key(
-        fingerprint, strategy, x, config.engine, config.cache_key(),
+        registered_fingerprint(spec_name), strategy, x, config.engine, config.cache_key(),
         salt=EXPECTED_OUTPUT_SALT,
     )
     cacheable = state.cache is not None and config.seed is not None
@@ -234,8 +232,8 @@ async def handle_expected_output(state: ServerState, request: HttpRequest) -> Re
         state.metrics.record_cache(False)
 
     try:
-        value = await loop.run_in_executor(
-            state.pool, expected_output_task, spec_name, strategy, x, config.to_dict()
+        value = await state.pool.run(
+            expected_output_task, spec_name, strategy, x, config.to_dict()
         )
     except Exception as exc:  # noqa: BLE001 — pool task failures become 500s
         raise ApiError(500, f"expected_output failed: {type(exc).__name__}: {exc}") from None
@@ -277,10 +275,8 @@ async def handle_verify(state: ServerState, request: HttpRequest) -> Response:
             for entry in raw_inputs
         ]
 
-    loop = asyncio.get_running_loop()
     try:
-        payload = await loop.run_in_executor(
-            state.pool,
+        payload = await state.pool.run(
             verify_task,
             spec_name,
             strategy,

@@ -12,12 +12,18 @@ Lifecycle per job (one asyncio task):
 1. every cell is looked up once in the shared
    :class:`~repro.lab.cache.ResultCache` by the memo rule of
    :mod:`repro.lab.executor`; hits are resolved without touching the pool;
-2. each miss takes the simulate endpoint's own miss path — run on the pool,
-   then published back to the cache — and is folded in as it lands; a
-   ``shared-dir`` job enqueues its misses for external workers instead;
-3. cancellation cancels the awaited work: pending pool calls are cancelled,
-   in-flight cells are abandoned (their results discarded), and the job
-   settles as ``"cancelled"`` with its partial results intact.
+2. each miss takes the simulate endpoint's own miss path — run on the
+   :class:`~repro.serve.pool.WorkerPool`, then published back to the cache —
+   and is folded in as it lands; a ``shared-dir`` job enqueues its misses for
+   external workers instead;
+3. cancellation cancels the awaited work: calls waiting for a pool slot are
+   cancelled, in-flight cells are abandoned (their results discarded when
+   they land), and the job settles as ``"cancelled"`` with its partial
+   results intact.
+
+A simulate request is one cell, built by :func:`single_cell` with the same
+constructor ``Campaign.expand()`` uses and the spec's memoized fingerprint,
+so the request path does constant work beside the engine.
 
 **Backpressure** is cell-granular: the manager tracks the number of cells not
 yet finished across all live jobs, and a submission that would push the total
@@ -35,10 +41,17 @@ from typing import Any, Awaitable, Dict, Iterator, List, Optional, Sequence, Tup
 from repro.api.config import RunConfig
 from repro.lab.backends import SharedDirQueue
 from repro.lab.cache import ResultCache
-from repro.lab.campaign import Campaign, Cell
+from repro.lab.campaign import (
+    Campaign,
+    Cell,
+    check_input,
+    make_cell,
+    registered_fingerprint,
+)
 from repro.lab.executor import memo_lookup, memo_publish, run_cell
 from repro.lab.store import CellResult
 from repro.serve.metrics import ServerMetrics
+from repro.serve.pool import WorkerPool
 
 #: Terminal job states.
 DONE_STATES = ("done", "cancelled", "failed")
@@ -58,20 +71,19 @@ class QueueFullError(Exception):
 def single_cell(spec_name: str, strategy: str, x: Sequence[int], config: RunConfig) -> Cell:
     """The one campaign cell a simulate request denotes.
 
-    Built through a one-cell :class:`~repro.lab.campaign.Campaign` expansion
-    rather than by hand, so the cell id, cache key, and ``"auto"`` engine
-    resolution are *definitionally* identical to what a campaign over the
-    same descriptor produces — the serve memo and the lab memo are one memo.
+    Built by :func:`~repro.lab.campaign.make_cell`, the constructor
+    ``Campaign.expand()`` runs for every cell, with the spec's memoized
+    fingerprint: the cell id, cache key, and ``"auto"`` engine resolution
+    are *definitionally* those of the one-cell campaign over the same
+    descriptor with master seed ``None`` (the request config's own seed is
+    the cell seed) -- the serve memo and the lab memo are one memo.
     """
-    campaign = Campaign(
-        name="serve",
-        specs=[(spec_name, strategy)],
-        inputs=[tuple(int(v) for v in x)],
-        engines=(config.engine,),
-        configs=(config,),
-        seed=None,  # the request config's own seed is the cell seed
+    x = tuple(int(v) for v in x)
+    check_input(spec_name, x)
+    return make_cell(
+        0, spec_name, strategy, registered_fingerprint(spec_name), x,
+        config.engine, config, None,
     )
-    return campaign.expand()[0]
 
 
 class Job:
@@ -176,7 +188,7 @@ class JobManager:
 
     def __init__(
         self,
-        pool,  # ProcessPoolExecutor, or None for the loop's thread executor
+        pool: WorkerPool,
         cache: Optional[ResultCache],
         metrics: ServerMetrics,
         queue_limit: int = 10_000,
@@ -215,8 +227,7 @@ class JobManager:
 
     async def _execute_miss(self, cell: Cell) -> CellResult:
         """The miss half of :meth:`execute_cell`; every pool-job miss takes it."""
-        loop = asyncio.get_running_loop()
-        row = await loop.run_in_executor(self.pool, run_cell, cell)
+        row = await self.pool.run(run_cell, cell)
         self._executed(cell, row)
         return row
 

@@ -25,7 +25,9 @@ What the ``/v1/stats`` contract promises:
   numbers), and so a hot cache path and a cold simulate path are visible as
   separate distributions;
 * **job lifecycle counters** — submitted / completed / cancelled / failed /
-  rejected (backpressure 429s), and cell-level executed vs. from-cache.
+  rejected (backpressure 429s), and cell-level executed vs. from-cache;
+* **worker restarts** — pool workers found dead and replaced (a worker that
+  dies mid-call shows up here even when the call's retry succeeded).
 """
 
 from __future__ import annotations
@@ -94,11 +96,16 @@ class ServerMetrics:
             "rejected) and cell outcomes (cells_executed/cells_from_cache).",
             labels=("event",),
         )
+        self._worker_restarts = self.registry.counter(
+            "repro_pool_worker_restarts_total",
+            "Pool worker processes found dead and replaced.",
+        )
         self._uptime = self.registry.gauge(
             "repro_server_uptime_seconds", "Seconds since the server booted."
         )
         # Pre-touch the series /v1/stats always reports, so a fresh server
         # exposes them at zero instead of omitting them.
+        self._worker_restarts.inc(0)
         self._cache.labels(result="hit").inc(0)
         self._cache.labels(result="miss").inc(0)
         for event in JOB_EVENTS:
@@ -121,6 +128,9 @@ class ServerMetrics:
 
     def record_job_event(self, event: str, count: int = 1) -> None:
         self._jobs.labels(event=str(event)).inc(count)
+
+    def record_worker_restart(self) -> None:
+        self._worker_restarts.inc()
 
     # -- reporting --------------------------------------------------------------
 
@@ -174,4 +184,5 @@ class ServerMetrics:
             "engines": engines,
             "requests": requests,
             "jobs": {event: int(value) for (event,), value in self._jobs.series().items()},
+            "worker_restarts": int(self._worker_restarts.value),
         }

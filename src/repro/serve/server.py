@@ -1,8 +1,10 @@
 """The asyncio HTTP server: connection loop, lifecycle, signals.
 
-:class:`ReproServer` wires the pieces together — a ``ProcessPoolExecutor``
-for the simulation work (the event loop never runs an engine), the shared
-on-disk :class:`~repro.lab.cache.ResultCache`, the
+:class:`ReproServer` wires the pieces together — a
+:class:`~repro.serve.pool.WorkerPool` of forked workers, one pipe each, for
+the simulation work (the event loop never runs an engine; a dead worker is
+replaced and its call retried once), the shared on-disk
+:class:`~repro.lab.cache.ResultCache`, the
 :class:`~repro.serve.jobs.JobManager`, and :mod:`repro.serve.handlers`
 routing — behind ``asyncio.start_server``.  HTTP/1.1 keep-alive is supported;
 parsing and framing live in :mod:`repro.serve.protocol`.
@@ -23,7 +25,6 @@ import asyncio
 import signal
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from repro.api.config import RunConfig
@@ -31,6 +32,7 @@ from repro.lab.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.serve.handlers import ServerState, dispatch, reject_unparsed
 from repro.serve.jobs import JobManager
 from repro.serve.metrics import ServerMetrics
+from repro.serve.pool import WorkerPool
 from repro.serve.protocol import ApiError, read_request
 
 
@@ -43,9 +45,9 @@ class ReproServer:
         Bind address; ``port=0`` picks a free port (read it back from
         ``self.port`` after :meth:`start`).
     workers:
-        Process-pool size for simulation work.  ``0`` runs cells on the event
-        loop's default thread pool instead — slower under load (the GIL) but
-        useful where ``multiprocessing`` is unavailable.
+        Worker processes for simulation work, forked on first use.  ``0``
+        runs cells on the event loop's default thread pool instead — slower
+        under load (the GIL) but useful where ``fork`` is unavailable.
     cache_dir:
         Root of the shared :class:`~repro.lab.cache.ResultCache` memo;
         ``None`` disables caching (every request simulates).
@@ -76,7 +78,7 @@ class ReproServer:
         self.queue_limit = queue_limit
         self.state: Optional[ServerState] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional[WorkerPool] = None
         self._connections: set = set()
 
     # -- lifecycle ----------------------------------------------------------------
@@ -84,8 +86,8 @@ class ReproServer:
     async def start(self) -> None:
         from repro import __version__
 
-        self._pool = ProcessPoolExecutor(max_workers=self.workers) if self.workers else None
         metrics = ServerMetrics()
+        self._pool = WorkerPool(self.workers, on_restart=metrics.record_worker_restart)
         # The cache reports into the server's registry, so its hit/miss and
         # latency series show up on GET /v1/metrics alongside the
         # request counters.
@@ -124,7 +126,7 @@ class ReproServer:
         if self.state is not None:
             await self.state.jobs.shutdown()
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            await self._pool.shutdown()
             self._pool = None
         if self.state is not None and self.state.cache is not None:
             self.state.cache.close()

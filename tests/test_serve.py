@@ -934,6 +934,183 @@ class TestServerModes:
             ReproServer(workers=-1)
 
 
+class TestSingleCell:
+    """A simulate request's cell is the one-cell campaign's cell, by construction."""
+
+    def test_single_cell_equals_the_one_cell_campaign_expansion(self):
+        import random
+
+        from repro.lab.campaign import Campaign, resolve_spec, spec_factory_names
+        from repro.serve.jobs import single_cell
+        from repro.sim.registry import engine_names
+
+        rng = random.Random(2606)
+        specs = spec_factory_names()
+        engines = ("auto",) + engine_names()
+        for _ in range(300):
+            name = rng.choice(specs)
+            # populations on both sides of the approximate engines' 10^4 floor
+            top = rng.choice((30, 40_000))
+            x = tuple(rng.randrange(top) for _ in range(resolve_spec(name).dimension))
+            config = RunConfig(
+                trials=rng.choice((1, 4, 32, 400)),
+                seed=rng.choice((None, rng.getrandbits(40))),
+                engine=rng.choice(engines),
+                allow_approximate=rng.random() < 0.5,
+            )
+            strategy = rng.choice(("auto", "general"))
+            campaign = Campaign(
+                name="serve", specs=[(name, strategy)], inputs=[x],
+                engines=(config.engine,), configs=(config,), seed=None,
+            )
+            [expected] = campaign.expand()
+            assert single_cell(name, strategy, x, config) == expected
+
+    def test_replacing_a_spec_factory_changes_the_next_requests_cell(self):
+        from repro.functions.catalog import maximum_spec, minimum_spec
+        from repro.lab import campaign as lab_campaign
+        from repro.lab.cache import spec_fingerprint
+        from repro.lab.campaign import register_spec_factory
+
+        name = "serve-test-swapped"
+        register_spec_factory(name, minimum_spec)
+        try:
+            # workers=0: the cells run in this process, where the swap happens
+            with ServerThread(port=0, workers=0, cache_dir=None) as srv:
+                client = ServeClient("127.0.0.1", srv.port)
+                before = (
+                    client.compile(name)["fingerprint"],
+                    client.simulate(name, [3, 5], config=FAST_CONFIG),
+                )
+                register_spec_factory(name, maximum_spec, replace=True)
+                after = (
+                    client.compile(name)["fingerprint"],
+                    client.simulate(name, [3, 5], config=FAST_CONFIG),
+                )
+        finally:
+            for registry in (
+                lab_campaign._SPEC_FACTORIES,
+                lab_campaign._SPEC_INSTANCES,
+                lab_campaign._SPEC_FINGERPRINTS,
+            ):
+                registry.pop(name, None)
+        assert before[0] == spec_fingerprint(minimum_spec())
+        assert after[0] == spec_fingerprint(maximum_spec())
+        assert after[1]["cell_id"] != before[1]["cell_id"]
+        assert (before[1]["output_mode"], after[1]["output_mode"]) == (3, 5)
+
+
+class TestWorkerPool:
+    """The pipe pool on its own: errors travel back, cancelled calls keep their slot."""
+
+    def test_a_worker_exception_is_raised_in_the_caller(self):
+        import asyncio
+
+        from repro.serve.pool import WorkerPool
+
+        async def scenario():
+            pool = WorkerPool(1)
+            try:
+                with pytest.raises(ValueError, match="invalid literal"):
+                    await pool.run(int, "seven")
+                return await pool.run(int, "7")  # the same worker serves on
+            finally:
+                await pool.shutdown()
+
+        assert asyncio.run(scenario()) == 7
+
+    def test_a_cancelled_call_holds_its_slot_until_the_stale_reply_lands(self):
+        import asyncio
+
+        from repro.serve.pool import WorkerPool
+
+        read_end, write_end = os.pipe()  # the worker blocks reading it until released
+
+        async def scenario():
+            pool = WorkerPool(1)
+            try:
+                blocked = asyncio.ensure_future(pool.run(os.read, read_end, 1))
+                await asyncio.sleep(0)  # the call is sent and awaits its reply
+                blocked.cancel()
+                queued = asyncio.ensure_future(pool.run(os.getpid))
+                for _ in range(10):
+                    await asyncio.sleep(0)
+                assert blocked.cancelled() and not queued.done()
+                os.write(write_end, b"x")  # the stale reply lands; the slot frees
+                assert await queued == pool.pids[0]
+            finally:
+                await pool.shutdown()
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
+
+class TestDeadWorkers:
+    """A worker that dies is replaced; no test here waits on process start-up."""
+
+    @staticmethod
+    def _restarts(client):
+        metrics = client.request("GET", "/v1/metrics")[2].decode("utf-8").splitlines()
+        [line] = [line for line in metrics if line.startswith("repro_pool_worker_restarts_total ")]
+        assert float(line.split()[1]) == client.stats()["worker_restarts"]
+        return client.stats()["worker_restarts"]
+
+    def test_sigkilled_worker_is_replaced_and_the_answer_is_unchanged(self, tmp_path):
+        request = {"spec": "minimum", "input": [6, 4], "config": FAST_CONFIG}
+        with ServerThread(port=0, workers=1, cache_dir=str(tmp_path / "fresh")) as fresh:
+            _, _, expected = ServeClient("127.0.0.1", fresh.port).request(
+                "POST", "/v1/simulate", request
+            )
+        with ServerThread(port=0, workers=1, cache_dir=str(tmp_path / "cache")) as srv:
+            client = ServeClient("127.0.0.1", srv.port)
+            client.simulate("minimum", [1, 2], config=FAST_CONFIG)  # forks the worker
+            pool = srv.server.state.pool
+            [pid] = pool.pids
+            assert self._restarts(client) == 0
+            os.kill(pid, signal.SIGKILL)
+            status, headers, body = client.request("POST", "/v1/simulate", request)
+            assert (status, headers["x-repro-cache"]) == (200, "miss")
+            assert body == expected
+            assert client.health()["status"] == "ok"
+            assert len(pool.pids) == 1 and pool.pids != [pid]
+            assert self._restarts(client) == 1
+
+    def test_worker_killed_by_its_input_fails_that_request_only(self, tmp_path):
+        from repro.sim.registry import get_engine, register_engine, unregister_engine
+
+        python = get_engine("python").implementation
+
+        class DiesOnSevens:
+            def run_many(self, crn, x, config):
+                if tuple(x) == (7, 7):
+                    os._exit(3)
+                return python.run_many(crn, x, config)
+
+            def estimate_expected_output(self, crn, x, config):
+                return python.estimate_expected_output(crn, x, config)
+
+        register_engine("serve-test-dies-on-sevens")(DiesOnSevens)
+        config = dict(FAST_CONFIG, engine="serve-test-dies-on-sevens")
+        try:
+            with ServerThread(port=0, workers=1, cache_dir=str(tmp_path / "cache")) as srv:
+                client = ServeClient("127.0.0.1", srv.port)
+                status, _, body = client.request(
+                    "POST", "/v1/simulate", {"spec": "minimum", "input": [7, 7], "config": config}
+                )
+                assert status == 500
+                error = json.loads(body)["error"]
+                assert "WorkerDied" in error and "run_cell" in error
+                assert self._restarts(client) == 2  # the worker, then its one retry
+                row = client.simulate("minimum", [3, 5], config=config)
+                assert row["output_mode"] == 3
+                assert self._restarts(client) == 2
+        finally:
+            unregister_engine("serve-test-dies-on-sevens")
+
+
 class TestCliServe:
     def test_serve_boots_answers_and_drains_on_sigterm(self, tmp_path):
         import urllib.request
