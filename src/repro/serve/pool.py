@@ -1,22 +1,21 @@
-"""A pipe-per-worker process pool, awaited from the event loop with no helper thread.
-
-A call takes an idle slot (a worker forked on first use, plus a duplex pipe), sends
-``(fn, args)``, awaits the reply with ``loop.add_reader`` and raises ``fn``'s exception
-again.  A dead worker shows up as EOF or ``OSError`` on its pipe: the call is resubmitted
-once to a fresh worker (pool calls are deterministic); a second death raises WorkerDied.
-"""
+"""A pipe-per-worker process pool, awaited with ``loop.add_reader`` and no helper thread."""
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import multiprocessing
+import pickle
 import signal
+import time
 from types import SimpleNamespace
 from typing import Any, Callable, List
 
+_JOIN_S = 5.0  # how long shutdown waits for idle workers to exit on EOF
+
 
 class WorkerDied(RuntimeError):
-    """A call's worker died, and so did the fresh worker it was retried on."""
+    """A call's worker died (EOF or ``OSError`` on its pipe), and so did its one retry's."""
 
 
 def _worker_main(conn, inherited) -> None:
@@ -26,19 +25,17 @@ def _worker_main(conn, inherited) -> None:
     signal.set_wakeup_fd(-1)
     for end in inherited:
         end.close()
-    while True:
-        try:
+    with contextlib.suppress(EOFError, OSError):  # the server has closed its end
+        while True:
             fn, args = conn.recv()
-        except (EOFError, OSError):
-            return  # the server closed its end
-        try:
-            reply = (True, fn(*args))
-        except Exception as exc:  # noqa: BLE001 — raised again in the server
-            reply = (False, exc)
-        try:
-            conn.send(reply)
-        except Exception as exc:  # noqa: BLE001 — pickling fails before any write
-            conn.send((False, RuntimeError(f"unpicklable reply from {fn.__name__}: {exc!r}")))
+            try:
+                reply = (True, fn(*args))
+            except Exception as exc:  # noqa: BLE001 — raised again in the server
+                reply = (False, exc)
+            try:
+                conn.send(reply)
+            except (pickle.PicklingError, TypeError, AttributeError) as exc:  # before any write
+                conn.send((False, RuntimeError(f"unpicklable reply from {fn.__name__}: {exc!r}")))
 
 
 def _read_reply(conn, reply: asyncio.Future) -> None:
@@ -53,7 +50,6 @@ class WorkerPool:
     """``workers`` forked slots; ``workers=0`` runs calls on ``asyncio.to_thread``."""
 
     def __init__(self, workers: int, on_restart: Callable[[], None] = lambda: None) -> None:
-        self.workers = workers
         self._slots = [SimpleNamespace(process=None, conn=None) for _ in range(workers)]
         self._idle: asyncio.Queue = asyncio.Queue()  # FIFO for waiters, safe to cancel
         for slot in self._slots:
@@ -65,12 +61,15 @@ class WorkerPool:
         return [slot.process.pid for slot in self._slots if slot.process is not None]
 
     async def run(self, fn: Callable[..., Any], *args: Any) -> Any:
-        if not self.workers:
+        if not self._slots:
             return await asyncio.to_thread(fn, *args)
         slot = await self._idle.get()
         loop, reply, dead = asyncio.get_running_loop(), None, []
         try:
-            while len(dead) < 2:
+            while len(dead) < 2:  # one retry: pool calls are deterministic
+                if slot.process is not None and slot.conn.poll():  # EOF on an idle pipe
+                    self._on_restart()  # the worker died after its last call: fork anew
+                    self._reap(slot)
                 if slot.process is None:
                     self._spawn(slot)
                 try:
@@ -102,19 +101,20 @@ class WorkerPool:
         child.close()
         slot.process, slot.conn = process, parent
 
-    def _reap(self, slot, timeout: float = 0.0) -> None:
-        """Close the slot's pipe, join its worker within ``timeout``, else kill it."""
+    def _reap(self, slot, deadline: float = 0.0) -> None:
+        """Close the slot's pipe, join its worker until ``deadline`` (monotonic), else kill it."""
         asyncio.get_running_loop().remove_reader(slot.conn.fileno())  # a stale reply's
         slot.conn.close()
-        slot.process.join(timeout)
-        if slot.process.exitcode is None:
-            slot.process.kill()
-            slot.process.join()
+        slot.process.join(max(0.0, deadline - time.monotonic()))
+        slot.process.kill()  # a no-op once it has exited
+        slot.process.join()
         slot.process.close()
         slot.process = slot.conn = None
 
-    async def shutdown(self, timeout: float = 5.0) -> None:
-        """Close every slot: idle workers exit on EOF, the rest are killed after ``timeout``."""
+    async def shutdown(self) -> None:
+        """Idle workers exit on EOF within ``_JOIN_S``; busy ones, awaited by no one, die now."""
+        idle = {id(self._idle.get_nowait()) for _ in range(self._idle.qsize())}
+        deadline = time.monotonic() + _JOIN_S
         for slot in self._slots:
             if slot.process is not None:
-                self._reap(slot, timeout)
+                self._reap(slot, deadline if id(slot) in idle else 0.0)

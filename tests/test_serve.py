@@ -42,6 +42,14 @@ SRC = os.path.join(REPO_ROOT, "src")
 FAST_CONFIG = {"trials": 3, "seed": 11, "engine": "python", "max_steps": 200_000}
 
 
+def _exit_unless_marked(marker):
+    """Kill the calling pool worker the first time, answer with its pid after that."""
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(4)
+    return os.getpid()
+
+
 @pytest.fixture()
 def server(tmp_path):
     with ServerThread(port=0, workers=1, cache_dir=str(tmp_path / "cache")) as srv:
@@ -1044,6 +1052,69 @@ class TestWorkerPool:
         try:
             asyncio.run(scenario())
         finally:
+            os.close(read_end)
+            os.close(write_end)
+
+    def test_a_death_on_a_dropped_call_leaves_the_next_call_both_attempts(self, tmp_path):
+        import asyncio
+
+        from repro.serve.pool import WorkerPool
+
+        restarts = []
+
+        async def scenario():
+            pool = WorkerPool(1, on_restart=lambda: restarts.append(1))
+            try:
+                dropped = asyncio.ensure_future(pool.run(os._exit, 3))
+                await asyncio.sleep(0)  # the call is sent and awaits its reply
+                dropped.cancel()
+                # Its worker's death must not count against this call, which kills
+                # one fresh worker and answers on the next.
+                pid = await pool.run(_exit_unless_marked, str(tmp_path / "marker"))
+                assert pool.pids == [pid] and len(restarts) == 2
+            finally:
+                await pool.shutdown()
+
+        asyncio.run(scenario())
+
+    def test_shutdown_kills_a_busy_worker_without_waiting_for_it(self):
+        import asyncio
+
+        from repro.serve import pool as pool_module
+
+        async def scenario():
+            pool = pool_module.WorkerPool(1)
+            busy = asyncio.ensure_future(pool.run(time.sleep, 60))
+            await asyncio.sleep(0)
+            busy.cancel()
+            started = time.monotonic()
+            await pool.shutdown()
+            return time.monotonic() - started
+
+        assert asyncio.run(scenario()) < pool_module._JOIN_S
+
+    def test_a_worker_whose_server_end_closed_mid_call_exits_quietly(self):
+        import multiprocessing
+
+        from repro.serve.pool import _worker_main
+
+        context = multiprocessing.get_context("fork")
+        parent, child = context.Pipe()
+        read_end, write_end = os.pipe()
+        worker = context.Process(target=_worker_main, args=(child, [parent]))
+        worker.start()
+        child.close()
+        try:
+            parent.send((os.read, (read_end, 1)))
+            parent.close()  # the server is gone while the call runs
+            os.write(write_end, b"x")  # the call returns; its reply has nowhere to go
+            worker.join(30)
+            assert worker.exitcode == 0
+        finally:
+            if worker.exitcode is None:
+                worker.kill()
+                worker.join()
+            worker.close()
             os.close(read_end)
             os.close(write_end)
 
