@@ -64,6 +64,7 @@ from repro.lab.executor import (
     CellTimeoutError,
     PoolExecutor,
     SerialExecutor,
+    StaleSpecError,
     run_cell,
     run_cell_with_timeout,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "SerialExecutor",
     "SharedDirBackend",
     "SharedDirQueue",
+    "StaleSpecError",
     "SweepGrid",
     "cell_cache_key",
     "format_report",

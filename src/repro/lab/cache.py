@@ -23,14 +23,17 @@ root (see :class:`ResultCache`); a torn or corrupted line reads as a miss.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import secrets
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Set
+from json.encoder import encode_basestring_ascii
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.api.config import CANONICAL_JSON
 from repro.core.specs import FunctionSpec
 from repro.lab.store import JsonlLog
 from repro.obs.metrics import MetricsRegistry, global_registry
@@ -57,8 +60,7 @@ _SEGMENT_BITS = 24
 _SEGMENT_MASK = (1 << _SEGMENT_BITS) - 1
 
 
-def _canonical_json(data: Any) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+_canonical_json = CANONICAL_JSON.encode
 
 
 def spec_fingerprint(spec: FunctionSpec, bound: int = FINGERPRINT_BOUND) -> str:
@@ -83,18 +85,43 @@ def cell_cache_key(
     config_key: str,
     salt: str = CODE_SALT,
 ) -> str:
-    """The content address of one cell's result (see the module docstring)."""
-    blob = _canonical_json(
+    """The content address of one cell's result (see the module docstring).
+
+    The SHA-256 of the canonical JSON of the six components.  All but the
+    config key and the input are shared by a campaign's cells, so the text
+    around those two is encoded once per (fingerprint, strategy, engine, salt).
+    """
+    head, middle, tail = _cell_key_frame(spec_fingerprint_hex, strategy, engine, salt)
+    blob = (
+        head
+        + encode_basestring_ascii(config_key)
+        + middle
+        + ",".join([str(int(v)) for v in input_value])
+        + tail
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=4096)
+def _cell_key_frame(
+    spec_fingerprint_hex: str, strategy: str, engine: str, salt: str
+) -> Tuple[str, str, str]:
+    """:func:`cell_cache_key`'s text around the config key and the input."""
+    # Sorted keys: "config" comes first, and "input" follows only "engine",
+    # whose encoded value cannot hold an unescaped '"input":[]'.
+    blank = _canonical_json(
         {
             "spec_fp": spec_fingerprint_hex,
             "strategy": strategy,
-            "input": [int(v) for v in input_value],
+            "input": [],
             "engine": engine,
-            "config": config_key,
+            "config": "",
             "salt": salt,
         }
     )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    head, _, rest = blank.partition('"config":""')
+    middle, _, tail = rest.partition('"input":[]')
+    return head + '"config":', middle + '"input":[', "]" + tail
 
 
 class ResultCache:

@@ -27,14 +27,15 @@ visible to workers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.api.config import RunConfig
+from repro.api.config import CANONICAL_JSON, RunConfig
 from repro.core.specs import FunctionSpec
 from repro.lab.aggregate import CampaignSummary, summarize
 from repro.lab.cache import (
@@ -52,7 +53,7 @@ from repro.obs.trace import (
     install_tracer,
     merge_trace_files,
 )
-from repro.sim.registry import registered_engines
+from repro.sim.registry import registered_engines, registry_generation
 
 MANIFEST_NAME = "manifest.json"
 RESULTS_NAME = "results.jsonl"
@@ -68,6 +69,7 @@ PROVENANCE_NAME = "provenance.json"
 _SPEC_FACTORIES: Dict[str, Callable[[], FunctionSpec]] = {}
 _SPEC_INSTANCES: Dict[str, FunctionSpec] = {}
 _SPEC_FINGERPRINTS: Dict[str, str] = {}
+_SPEC_GENERATION = 0  # bumped by every register_spec_factory
 
 
 def register_spec_factory(
@@ -81,6 +83,7 @@ def register_spec_factory(
     re-binding a name to a different function can never resurrect the old
     function's cached results.
     """
+    global _SPEC_GENERATION
     if not isinstance(name, str) or not name:
         raise ValueError(f"spec name must be a nonempty string, got {name!r}")
     if name in _SPEC_FACTORIES and not replace:
@@ -90,6 +93,7 @@ def register_spec_factory(
     _SPEC_FACTORIES[name] = factory
     _SPEC_INSTANCES.pop(name, None)
     _SPEC_FINGERPRINTS.pop(name, None)
+    _SPEC_GENERATION += 1
 
 
 def spec_factory_names() -> Tuple[str, ...]:
@@ -123,6 +127,15 @@ def registered_fingerprint(name: str) -> str:
     if fingerprint is None:
         fingerprint = _SPEC_FINGERPRINTS[name] = spec_fingerprint(resolve_spec(name))
     return fingerprint
+
+
+def registration_generations() -> Tuple[int, int]:
+    """This process's spec and engine registration counters.
+
+    A worker forked while they read one value holds stale registries once
+    they read another (see :class:`repro.serve.pool.WorkerPool`).
+    """
+    return (_SPEC_GENERATION, registry_generation())
 
 
 def _register_builtin_specs() -> None:
@@ -183,16 +196,27 @@ def resolve_engine(
     population cancels out of the comparison and only ``trials`` decides.
     Explicit selectors are returned unchanged; the opt-in only affects
     ``"auto"``.
+
+    The pick reads ``config.trials`` and, for opted-in configs only, the
+    population, so it is memoized on those two and the engine registry's
+    generation (:func:`~repro.sim.registry.registry_generation`): any
+    registry change makes the next call pick afresh.
     """
     if selector != "auto":
         return selector
     config = config or RunConfig()
-    population = sum(int(v) for v in x)
+    population = sum(int(v) for v in x) if config.allow_approximate else None
+    return _pick_engine(config.trials, population, registry_generation())
+
+
+@functools.lru_cache(maxsize=4096)
+def _pick_engine(trials: int, population: Optional[int], generation: int) -> str:
+    """:func:`resolve_engine`'s cost rule; ``population`` is ``None`` for exact-only configs."""
     calibrated = [
         info for info in registered_engines() if info.trial_step_cost is not None
     ]
     candidates = []
-    if config.allow_approximate:
+    if population is not None:
         candidates = [
             info
             for info in calibrated
@@ -204,7 +228,7 @@ def resolve_engine(
         ]
     if not candidates:
         return "python"
-    return min(candidates, key=lambda info: info.cost(config.trials)).name
+    return min(candidates, key=lambda info: info.cost(trials)).name
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +301,8 @@ class Cell:
     ``config`` carries the cell's concrete engine and derived seed;
     ``cell_id`` is a 16-hex-digit content hash of the descriptor, and
     :meth:`cache_key` extends it with the code-version salt for the
-    result cache.
+    result cache.  The key is computed once per instance and, like the
+    config's, left out of the pickle a worker receives.
     """
 
     index: int
@@ -295,13 +320,20 @@ class Cell:
         return self.config.seed is not None
 
     def cache_key(self) -> str:
-        return cell_cache_key(
-            self.spec_fingerprint,
-            self.strategy,
-            self.input,
-            self.engine,
-            self.config.cache_key(),
-        )
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            key = cell_cache_key(
+                self.spec_fingerprint,
+                self.strategy,
+                self.input,
+                self.engine,
+                self.config.cache_key(),
+            )
+            object.__setattr__(self, "_cache_key", key)
+        return key
+
+    def __getstate__(self) -> Dict:
+        return {name: value for name, value in self.__dict__.items() if name[0] != "_"}
 
     def __repr__(self) -> str:
         return (
@@ -327,6 +359,42 @@ def check_input(spec_name: str, x: Sequence[int]) -> None:
         )
 
 
+class Frame(NamedTuple):
+    """What every cell of one (fingerprint, strategy, engine, variant) shares."""
+
+    head: str  # the descriptor's text before the input's ints
+    tail: str  # ... and after them
+    config: RunConfig  # the variant with the engine substituted
+
+
+def _descriptor_frame(
+    fingerprint: str, strategy: str, engine: str, variant: RunConfig
+) -> Frame:
+    """The descriptor of every cell of one (spec, strategy, engine, variant),
+    split around its input.
+
+    The descriptor is the canonical JSON of ``spec_fp``, ``strategy``,
+    ``input``, ``engine`` and ``config`` (the variant minus its seed and
+    engine).  Sorted keys put ``input`` after the scalar-only ``config`` and
+    ``engine``, so the first ``"input":[]`` of the blank descriptor is the
+    input's slot.
+    """
+    variant_fields = variant.to_dict()
+    variant_fields.pop("seed")
+    variant_fields.pop("engine")
+    blank = CANONICAL_JSON.encode(
+        {
+            "spec_fp": fingerprint,
+            "strategy": strategy,
+            "input": [],
+            "engine": engine,
+            "config": variant_fields,
+        }
+    )
+    head, _, tail = blank.partition('"input":[]')
+    return Frame(head + '"input":[', "]" + tail, variant.replace(engine=engine))
+
+
 def make_cell(
     index: int,
     spec_name: str,
@@ -336,30 +404,28 @@ def make_cell(
     selector: str,
     variant: RunConfig,
     master_seed: Optional[int],
+    frames: Optional[Dict[Tuple[str, str, str, int], Frame]] = None,
 ) -> Cell:
     """The one cell constructor: descriptor, seed, and id of one grid point.
 
     :meth:`Campaign.expand` builds every cell here, and the server's
     one-cell requests do too, so a cell's id, derived seed, and cache key
-    depend only on its descriptor, never on which caller built it.
+    depend only on its descriptor, never on which caller built it.  ``x``
+    is a tuple of ints.  ``frames`` is a caller-owned memo of descriptor
+    frames keyed by ``id(variant)``, so it may only outlive the call while
+    the caller keeps every variant alive (:meth:`Campaign.expand` does).
     """
     # Resolved per variant: "auto" may pick an approximate engine only for
     # configs that opted in.
     engine = resolve_engine(selector, x, variant)
-    variant_fields = variant.to_dict()
-    variant_fields.pop("seed")
-    variant_fields.pop("engine")
-    descriptor = json.dumps(
-        {
-            "spec_fp": fingerprint,
-            "strategy": strategy,
-            "input": list(x),
-            "engine": engine,
-            "config": variant_fields,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    if frames is None:
+        frame = _descriptor_frame(fingerprint, strategy, engine, variant)
+    else:
+        slot = (fingerprint, strategy, engine, id(variant))
+        frame = frames.get(slot)
+        if frame is None:
+            frame = frames[slot] = _descriptor_frame(fingerprint, strategy, engine, variant)
+    descriptor = frame.head + ",".join(map(str, x)) + frame.tail
     if master_seed is not None:
         seed: Optional[int] = _derive_cell_seed(master_seed, descriptor)
     else:
@@ -371,7 +437,7 @@ def make_cell(
         strategy=strategy,
         input=tuple(x),
         engine=engine,
-        config=variant.replace(engine=engine, seed=seed),
+        config=frame.config.reseed(seed),
         spec_fingerprint=fingerprint,
         cell_id=cell_id,
     )
@@ -465,6 +531,7 @@ class Campaign:
         """The deterministic cell list (duplicate descriptors collapsed)."""
         cells: List[Cell] = []
         seen: set = set()
+        frames: Dict[Tuple[str, str, str, int], Frame] = {}
         for spec_name, strategy in self.specs:
             fingerprint = registered_fingerprint(spec_name)
             for x in self.inputs:
@@ -473,7 +540,7 @@ class Campaign:
                     for variant in self.configs:
                         cell = make_cell(
                             len(cells), spec_name, strategy, fingerprint, x,
-                            selector, variant, self.seed,
+                            selector, variant, self.seed, frames,
                         )
                         if cell.cell_id not in seen:
                             seen.add(cell.cell_id)
@@ -554,7 +621,8 @@ def run_campaign(
 
     ``out_dir`` receives ``manifest.json``, ``results.jsonl``,
     ``summary.json``, and a ``provenance.json`` run manifest (version, code
-    salt, engine list, spec fingerprints, config cache keys — see
+    salt, engine list, spec fingerprints, one cache key per declared config
+    variant — see
     :func:`repro.obs.provenance.run_manifest`).  Running into a directory
     that already holds a *different* campaign manifest is an error; the
     *same* campaign resumes.  ``cache_dir=None`` disables the
@@ -602,10 +670,8 @@ def run_campaign(
         cells = campaign.expand()
 
     fingerprints: Dict[str, str] = {}
-    config_keys = set()
     for cell in cells:
         fingerprints.setdefault(cell.spec, cell.spec_fingerprint)
-        config_keys.add(cell.config.cache_key())
     provenance = run_manifest(
         engines=campaign.engines,
         spec_fingerprints=fingerprints,
@@ -613,7 +679,9 @@ def run_campaign(
             "campaign": campaign.name,
             "seed": campaign.seed,
             "total_cells": len(cells),
-            "config_cache_keys": sorted(config_keys),
+            # one per declared variant, not per cell: a cell's config is its
+            # variant with the resolved engine and derived seed substituted
+            "config_cache_keys": sorted({c.cache_key() for c in campaign.configs}),
         },
     )
 

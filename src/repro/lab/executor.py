@@ -5,7 +5,8 @@ seeded cells they are interchangeable by construction — the parallel pool
 must produce bit-identical deterministic rows to the serial loop (enforced by
 ``tests/test_lab_executor.py``).  The division of labour:
 
-* :func:`run_cell` — resolve the cell's spec by name, build (and memoize, per
+* :func:`run_cell` — resolve the cell's spec by name, check that it is the
+  spec the cell was built for (its fingerprint), build (and memoize, per
   process) its CRN, run the configured engine, and fold the outcome into a
   :class:`~repro.lab.store.CellResult`.  *Every* exception is captured as an
   ``status="error"`` row: a failed cell is a data point, not a crashed
@@ -41,7 +42,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, T
 
 from repro.core.specs import FunctionSpec
 from repro.crn.network import CRN
-from repro.lab.campaign import Cell, resolve_spec
+from repro.lab.campaign import Cell, registered_fingerprint, resolve_spec
 from repro.lab.store import CellResult, deterministic_view
 from repro.obs.trace import get_tracer
 from repro.sim.runner import run_many
@@ -49,6 +50,10 @@ from repro.sim.runner import run_many
 
 class CellTimeoutError(Exception):
     """A cell exceeded its wall-clock budget."""
+
+
+class StaleSpecError(Exception):
+    """The spec registered under a cell's name is not the one it was built for."""
 
 
 # Per-process CRN memo: workers build each (spec, strategy) CRN once and
@@ -101,6 +106,14 @@ def run_cell(cell: Cell) -> CellResult:
     start = time.perf_counter()
     cpu_start = time.process_time()
     try:
+        # A process whose registry differs from the one that built the cell
+        # (a worker forked before a re-registration) must not answer for it.
+        fingerprint = registered_fingerprint(cell.spec)
+        if fingerprint != cell.spec_fingerprint:
+            raise StaleSpecError(
+                f"spec {cell.spec!r} fingerprints {fingerprint} in process "
+                f"{os.getpid()}, but the cell was built for {cell.spec_fingerprint}"
+            )
         spec = resolve_spec(cell.spec)
         expected = spec(cell.input)
         crn = _built_crn(cell.spec, cell.strategy)

@@ -32,6 +32,8 @@ import warnings
 from dataclasses import dataclass, fields
 from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
+from repro.api.config import CANONICAL_JSON
+
 #: Fields describing how a row was produced rather than what was computed.
 #: Excluded from the deterministic view (and therefore from cache payloads).
 PROVENANCE_FIELDS = ("wall_time", "cached", "cpu_time", "worker")
@@ -115,10 +117,14 @@ class CellResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CellResult":
-        """Rebuild a row from :meth:`to_dict` / :meth:`deterministic_dict` output."""
-        known = {f.name for f in fields(cls)}
-        kwargs = {key: value for key, value in data.items() if key in known}
-        return cls(**kwargs)
+        """Rebuild a row from :meth:`to_dict` / :meth:`deterministic_dict` output.
+
+        Keys that are not fields (a row written by a newer version) are dropped.
+        """
+        return cls(**{key: value for key, value in data.items() if key in _ROW_FIELDS})
+
+
+_ROW_FIELDS = frozenset(f.name for f in fields(CellResult))
 
 
 def deterministic_view(row: Mapping[str, Any]) -> Dict[str, Any]:
@@ -195,6 +201,9 @@ scratch_dir = tempfile.TemporaryDirectory
 
 #: Read size when searching backwards for the start of a torn final line.
 _TAIL_BLOCK = 4096
+
+#: Bytes :meth:`JsonlLog.read_line` asks for per ``pread``.
+_LINE_CHUNK = 4096
 
 #: Group commit: a :class:`JsonlLog` fsyncs once this many appended lines are
 #: unsynced, or at the first append at least :data:`COMMIT_SECONDS` after its
@@ -325,10 +334,26 @@ class JsonlLog:
         return keys, start
 
     def read_line(self, offset: int) -> bytes:
-        """The line starting at byte ``offset``."""
-        with open(self.path, "rb") as handle:
-            handle.seek(offset)
-            return handle.readline()
+        """The line starting at byte ``offset``, newline kept; a final line
+        without one comes back as far as it goes.
+
+        One ``pread`` on a raw descriptor reads a line of up to
+        :data:`_LINE_CHUNK` bytes: a cache hit pays the syscalls and no
+        buffered file object.
+        """
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            line = b""
+            while True:
+                chunk = os.pread(fd, _LINE_CHUNK, offset + len(line))
+                end = chunk.find(b"\n")
+                if end >= 0:
+                    return line + chunk[: end + 1]
+                if not chunk:
+                    return line
+                line += chunk
+        finally:
+            os.close(fd)
 
     def read_lines(self, offsets: Iterable[int]) -> Iterator[bytes]:
         """The lines starting at ``offsets``, in file order."""
@@ -516,7 +541,7 @@ class ResultStore:
         the returned dict instead of serializing the row a second time.
         """
         data = result.to_dict()
-        line = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+        line = CANONICAL_JSON.encode(data) + "\n"
         self._log.append(line.encode("utf-8"))
         return data
 

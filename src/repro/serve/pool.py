@@ -9,7 +9,7 @@ import pickle
 import signal
 import time
 from types import SimpleNamespace
-from typing import Any, Callable, List
+from typing import Any, Callable, Hashable, List
 
 _JOIN_S = 5.0  # how long shutdown waits for idle workers to exit on EOF
 
@@ -47,14 +47,27 @@ def _read_reply(conn, reply: asyncio.Future) -> None:
 
 
 class WorkerPool:
-    """``workers`` forked slots; ``workers=0`` runs calls on ``asyncio.to_thread``."""
+    """``workers`` forked slots; ``workers=0`` runs calls on ``asyncio.to_thread``.
 
-    def __init__(self, workers: int, on_restart: Callable[[], None] = lambda: None) -> None:
-        self._slots = [SimpleNamespace(process=None, conn=None) for _ in range(workers)]
+    ``generation`` reads the state a worker copies when it forks (the server
+    passes its spec and engine registration counters): an idle worker forked
+    at another value is replaced at checkout, which is not a restart.
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        on_restart: Callable[[], None] = lambda: None,
+        generation: Callable[[], Hashable] = lambda: None,
+    ) -> None:
+        self._slots = [
+            SimpleNamespace(process=None, conn=None, born=None) for _ in range(workers)
+        ]
         self._idle: asyncio.Queue = asyncio.Queue()  # FIFO for waiters, safe to cancel
         for slot in self._slots:
             self._idle.put_nowait(slot)
         self._on_restart = on_restart
+        self._generation = generation
 
     @property
     def pids(self) -> List[int]:
@@ -70,6 +83,8 @@ class WorkerPool:
                 if slot.process is not None and slot.conn.poll():  # EOF on an idle pipe
                     self._on_restart()  # the worker died after its last call: fork anew
                     self._reap(slot)
+                elif slot.process is not None and slot.born != self._generation():
+                    self._reap(slot)  # forked before the latest registration
                 if slot.process is None:
                     self._spawn(slot)
                 try:
@@ -97,9 +112,10 @@ class WorkerPool:
         parent, child = context.Pipe()
         inherited = [other.conn for other in self._slots if other.conn is not None] + [parent]
         process = context.Process(target=_worker_main, args=(child, inherited), daemon=True)
+        born = self._generation()
         process.start()  # a failed fork leaves the slot empty; both ends close when collected
         child.close()
-        slot.process, slot.conn = process, parent
+        slot.process, slot.conn, slot.born = process, parent, born
 
     def _reap(self, slot, deadline: float = 0.0) -> None:
         """Close the slot's pipe, join its worker until ``deadline`` (monotonic), else kill it."""

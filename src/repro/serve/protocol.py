@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from http import HTTPStatus
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.api.config import RunConfig
+from repro.api.config import CANONICAL_JSON, RunConfig
 from repro.api.serialization import run_config_from_json_dict, spec_from_json_dict
 
 #: Hard request limits — a public-facing simulation service must bound what a
@@ -45,7 +45,7 @@ def canonical_json(payload: Any) -> bytes:
     byte-identical HTTP bodies — the property the cache-memo end-to-end test
     asserts.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return CANONICAL_JSON.encode(payload).encode("utf-8")
 
 
 class ApiError(Exception):

@@ -139,6 +139,24 @@ class EngineInfo:
 
 _REGISTRY: Dict[str, EngineInfo] = {}
 
+#: Bumped on every change to ``_REGISTRY`` (see :func:`registry_generation`).
+_GENERATION = 0
+
+
+def _changed() -> None:
+    global _GENERATION
+    _GENERATION += 1
+
+
+def registry_generation() -> int:
+    """A counter that every registration, removal and re-ordering bumps.
+
+    Whatever is derived from the registry (the campaign ``"auto"`` pick
+    memo, a forked worker's copy of the registry) is current while the
+    counter still reads the value it was derived at.
+    """
+    return _GENERATION
+
 
 def _ensure_builtin_engines() -> None:
     import repro.sim.runner as runner
@@ -153,6 +171,7 @@ def _ensure_builtin_engines() -> None:
         builtins = list(runner.BUILTIN_ENGINES)
         for name in builtins + [n for n in _REGISTRY if n not in builtins]:
             _REGISTRY[name] = _REGISTRY.pop(name)
+        _changed()
 
 
 def register_engine(
@@ -205,6 +224,7 @@ def register_engine(
             trial_step_cost=trial_step_cost,
             description=description,
         )
+        _changed()
         return cls
 
     return decorator
@@ -212,7 +232,8 @@ def register_engine(
 
 def unregister_engine(name: str) -> None:
     """Remove an engine registration (no-op if absent).  Intended for tests."""
-    _REGISTRY.pop(name, None)
+    if _REGISTRY.pop(name, None) is not None:
+        _changed()
 
 
 def engine_names() -> Tuple[str, ...]:

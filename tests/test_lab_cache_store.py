@@ -251,6 +251,62 @@ class TestResultCache:
         assert cache.get("ab" * 32) is None and len(cache) == 0
 
 
+class TestCacheReadPath:
+    """A hit reads its line with ``pread`` on a descriptor it closes at once."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * store_module._LINE_CHUNK + 17])
+    def test_a_line_around_or_past_one_read_chunk_reads_whole(self, tmp_path, extra):
+        path = tmp_path / "log.jsonl"
+        first = b"{}\n"
+        body = b'{"k":"' + b"x" * (store_module._LINE_CHUNK + extra - 9) + b'"}\n'
+        assert len(body) == store_module._LINE_CHUNK + extra
+        path.write_bytes(first + body + b'{"k":"next"}\n')
+        log = store_module.JsonlLog(str(path), "k")
+        assert log.read_line(0) == first
+        assert log.read_line(len(first)) == body
+
+    def test_a_payload_longer_than_a_read_chunk_is_a_hit(self, tmp_path):
+        root = str(tmp_path / "cache")
+        payload = {"cell_id": "long", "error": "e" * (3 * store_module._LINE_CHUNK)}
+        with closing(ResultCache(root)) as writer:
+            writer.put("a" * 64, payload)
+        assert ResultCache(root).get("a" * 64) == payload
+
+    def test_a_torn_final_line_reads_as_a_miss(self, tmp_path):
+        root = tmp_path / "cache"
+        with closing(ResultCache(str(root))) as writer:
+            writer.put("a" * 64, {"status": "ok"})
+            writer.put("b" * 64, {"status": "ok"})
+        (segment,) = segments(root)
+        reader = ResultCache(str(root))
+        assert reader.get("b" * 64) == {"status": "ok"}  # indexed while whole
+        data = segment.read_bytes()
+        segment.write_bytes(data[:-9])  # the final line loses its tail
+        log = store_module.JsonlLog(str(segment), "k")
+        start = data.rstrip(b"\n").rfind(b"\n") + 1
+        assert log.read_line(start) == data[start:-9]  # as far as it goes
+        assert reader.get("b" * 64) is None
+        assert ResultCache(str(root)).get("b" * 64) is None
+        assert reader.get("a" * 64) == {"status": "ok"}
+
+    def test_hits_and_misses_leave_no_descriptor_open(self, tmp_path):
+        fd_dir = "/proc/self/fd"
+        if not os.path.isdir(fd_dir):
+            pytest.skip("needs /proc/self/fd")
+        root = str(tmp_path / "cache")
+        keys = [format(k, "x").rjust(64, "0") for k in range(50)]
+        with closing(ResultCache(root)) as writer:
+            for k, key in enumerate(keys):
+                writer.put(key, {"k": k})
+        reader = ResultCache(root)
+        assert reader.get(keys[0]) == {"k": 0}  # builds the index
+        before = len(os.listdir(fd_dir))
+        for k in range(500):
+            assert reader.get(keys[k % 50]) == {"k": k % 50}
+            assert reader.get("f" * 64) is None
+        assert len(os.listdir(fd_dir)) == before
+
+
 def segments(root):
     """The cache's segment files under ``root``, in creation order."""
     return sorted(root.glob(cache_module.SEGMENT_PREFIX + "*.jsonl"))

@@ -60,6 +60,31 @@ class TestRunCell:
         assert "no-such-strategy" in result.error
         assert result.outputs == ()
 
+    def test_a_cell_built_for_another_spec_is_an_unpublished_error_row(self):
+        from repro.functions.catalog import maximum_spec, minimum_spec
+        from repro.lab import campaign as lab_campaign
+        from repro.lab.campaign import registered_fingerprint
+
+        name = "executor-test-swapped"
+        register_spec_factory(name, minimum_spec)
+        try:
+            (cell,) = seeded_cells(specs=(name,), grid="3:4")
+            register_spec_factory(name, maximum_spec, replace=True)
+            row = run_cell(cell)
+            now = registered_fingerprint(name)
+        finally:
+            for registry in (
+                lab_campaign._SPEC_FACTORIES,
+                lab_campaign._SPEC_INSTANCES,
+                lab_campaign._SPEC_FINGERPRINTS,
+            ):
+                registry.pop(name, None)
+        assert row.status == "error" and row.error.startswith("StaleSpecError")
+        assert cell.spec_fingerprint in row.error and now in row.error
+        cache = FakeCache()
+        memo_publish(cache, cell, row)
+        assert cache.puts == []
+
     def test_error_cell_does_not_kill_the_batch(self):
         good = seeded_cells()[:2]
         bad = Campaign(

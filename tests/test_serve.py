@@ -1077,6 +1077,30 @@ class TestWorkerPool:
 
         asyncio.run(scenario())
 
+    def test_an_idle_worker_of_an_older_generation_is_replaced_without_a_restart(self):
+        import asyncio
+
+        from repro.serve.pool import WorkerPool
+
+        generation, restarts = [0], []
+
+        async def scenario():
+            pool = WorkerPool(
+                1, on_restart=lambda: restarts.append(1), generation=lambda: generation[0]
+            )
+            try:
+                first = await pool.run(os.getpid)
+                assert await pool.run(os.getpid) == first  # same generation: kept
+                generation[0] += 1
+                second = await pool.run(os.getpid)
+                return first, second, pool.pids
+            finally:
+                await pool.shutdown()
+
+        first, second, pids = asyncio.run(scenario())
+        assert first != second and pids == [second]
+        assert restarts == []
+
     def test_shutdown_kills_a_busy_worker_without_waiting_for_it(self):
         import asyncio
 
@@ -1180,6 +1204,36 @@ class TestDeadWorkers:
                 assert self._restarts(client) == 2
         finally:
             unregister_engine("serve-test-dies-on-sevens")
+
+
+class TestStaleWorkers:
+    """A re-registration reaches the pool: idle workers forked before it are replaced."""
+
+    def test_a_reregistered_spec_answers_from_a_fresh_worker(self, tmp_path):
+        from repro.functions.catalog import maximum_spec, minimum_spec
+        from repro.lab.campaign import register_spec_factory
+        from repro.serve.jobs import single_cell
+
+        cache_dir = str(tmp_path / "cache")
+        with ServerThread(port=0, workers=1, cache_dir=cache_dir) as srv:
+            client = ServeClient("127.0.0.1", srv.port)
+            before = client.simulate("minimum", [3, 5], config=FAST_CONFIG)  # forks the worker
+            [pid] = srv.server.state.pool.pids
+            register_spec_factory("minimum", maximum_spec, replace=True)
+            try:
+                after = client.simulate("minimum", [3, 5], config=FAST_CONFIG)
+                cell = single_cell("minimum", "auto", (3, 5), RunConfig.from_dict(after["config"]))
+                published = ResultCache(cache_dir).get(cell.cache_key())  # reads only
+            finally:
+                register_spec_factory("minimum", minimum_spec, replace=True)
+            pids = srv.server.state.pool.pids
+            restarts = client.stats()["worker_restarts"]
+        assert (before["expected"], before["output_mode"]) == (3, 3)
+        assert (after["expected"], after["output_mode"], after["correct"]) == (5, 5, True)
+        assert cell.cell_id == after["cell_id"] != before["cell_id"]
+        assert published["output_mode"] == 5
+        assert len(pids) == 1 and pids != [pid]
+        assert restarts == 0  # a replaced stale worker is not a restart
 
 
 class TestCliServe:
