@@ -117,27 +117,11 @@ class RunConfig:
                 f"allow_approximate must be a bool, got {self.allow_approximate!r}"
             )
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # Memoized derivations (underscored instance attributes, see
-        # cache_key) are recomputed after unpickling, never shipped.
-        return {name: value for name, value in self.__dict__.items() if name[0] != "_"}
-
     # -- derivation -----------------------------------------------------------
 
     def replace(self, **changes) -> "RunConfig":
         """A copy of this config with the given fields changed (and re-validated)."""
         return dataclasses.replace(self, **changes)
-
-    def reseed(self, seed: Optional[int]) -> "RunConfig":
-        """``replace(seed=seed)``, sharing this config's :meth:`cache_key` text.
-
-        Every field but the seed is equal, so the copy's key is hashed from
-        the text this config encoded once around its seed: a campaign's
-        cells derive their config keys from their variant's.
-        """
-        config = self.replace(seed=seed)
-        object.__setattr__(config, "_key_text", self._seed_frame())
-        return config
 
     def trial_seeds(self, count: Optional[int] = None) -> Tuple[int, ...]:
         """The per-trial seed sequence spawned from the master seed.
@@ -256,30 +240,10 @@ class RunConfig:
         computed from the sorted-key JSON rendering, so field declaration
         order, dict insertion order, and process hash randomization cannot
         perturb it.  Used by :mod:`repro.lab.cache` to content-address
-        simulation results; stable across processes and sessions.  Computed
-        once per instance (the config is frozen); :meth:`replace` builds a
-        new instance, so a derived config never inherits the key.
+        simulation results; stable across processes and sessions.
         """
-        key = self.__dict__.get("_cache_key")
-        if key is None:
-            head, tail = self._seed_frame()
-            blob = head + CANONICAL_JSON.encode(self.seed) + tail
-            key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-            object.__setattr__(self, "_cache_key", key)
-        return key
-
-    def _seed_frame(self) -> Tuple[str, str]:
-        """The :meth:`cache_key` text on either side of the seed's value."""
-        frame = self.__dict__.get("_key_text")
-        if frame is None:
-            # Sorted keys: only "allow_approximate", "engine", "epsilon",
-            # "max_steps" and "quiescence_window" precede "seed", and none of
-            # their values can hold an unescaped '"seed":null'.
-            blank = CANONICAL_JSON.encode(dict(self.to_dict(), seed=None))
-            head, _, tail = blank.partition('"seed":null')
-            frame = (head + '"seed":', tail)
-            object.__setattr__(self, "_key_text", frame)
-        return frame
+        blob = CANONICAL_JSON.encode(self.to_dict())
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def describe(self) -> str:
         """A compact single-line rendering (used by reports and examples)."""

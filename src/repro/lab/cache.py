@@ -23,15 +23,13 @@ root (see :class:`ResultCache`); a torn or corrupted line reads as a miss.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
 import secrets
 import threading
 import time
-from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from repro.api.config import CANONICAL_JSON
 from repro.core.specs import FunctionSpec
@@ -85,43 +83,18 @@ def cell_cache_key(
     config_key: str,
     salt: str = CODE_SALT,
 ) -> str:
-    """The content address of one cell's result (see the module docstring).
-
-    The SHA-256 of the canonical JSON of the six components.  All but the
-    config key and the input are shared by a campaign's cells, so the text
-    around those two is encoded once per (fingerprint, strategy, engine, salt).
-    """
-    head, middle, tail = _cell_key_frame(spec_fingerprint_hex, strategy, engine, salt)
-    blob = (
-        head
-        + encode_basestring_ascii(config_key)
-        + middle
-        + ",".join([str(int(v)) for v in input_value])
-        + tail
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-@functools.lru_cache(maxsize=4096)
-def _cell_key_frame(
-    spec_fingerprint_hex: str, strategy: str, engine: str, salt: str
-) -> Tuple[str, str, str]:
-    """:func:`cell_cache_key`'s text around the config key and the input."""
-    # Sorted keys: "config" comes first, and "input" follows only "engine",
-    # whose encoded value cannot hold an unescaped '"input":[]'.
-    blank = _canonical_json(
+    """The content address of one cell's result (see the module docstring)."""
+    blob = _canonical_json(
         {
             "spec_fp": spec_fingerprint_hex,
             "strategy": strategy,
-            "input": [],
+            "input": [int(v) for v in input_value],
             "engine": engine,
-            "config": "",
+            "config": config_key,
             "salt": salt,
         }
     )
-    head, _, rest = blank.partition('"config":""')
-    middle, _, tail = rest.partition('"input":[]')
-    return head + '"config":', middle + '"input":[', "]" + tail
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class ResultCache:

@@ -33,7 +33,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.config import CANONICAL_JSON, RunConfig
 from repro.core.specs import FunctionSpec
@@ -301,8 +301,7 @@ class Cell:
     ``config`` carries the cell's concrete engine and derived seed;
     ``cell_id`` is a 16-hex-digit content hash of the descriptor, and
     :meth:`cache_key` extends it with the code-version salt for the
-    result cache.  The key is computed once per instance and, like the
-    config's, left out of the pickle a worker receives.
+    result cache.
     """
 
     index: int
@@ -320,20 +319,13 @@ class Cell:
         return self.config.seed is not None
 
     def cache_key(self) -> str:
-        key = self.__dict__.get("_cache_key")
-        if key is None:
-            key = cell_cache_key(
-                self.spec_fingerprint,
-                self.strategy,
-                self.input,
-                self.engine,
-                self.config.cache_key(),
-            )
-            object.__setattr__(self, "_cache_key", key)
-        return key
-
-    def __getstate__(self) -> Dict:
-        return {name: value for name, value in self.__dict__.items() if name[0] != "_"}
+        return cell_cache_key(
+            self.spec_fingerprint,
+            self.strategy,
+            self.input,
+            self.engine,
+            self.config.cache_key(),
+        )
 
     def __repr__(self) -> str:
         return (
@@ -359,17 +351,9 @@ def check_input(spec_name: str, x: Sequence[int]) -> None:
         )
 
 
-class Frame(NamedTuple):
-    """What every cell of one (fingerprint, strategy, engine, variant) shares."""
-
-    head: str  # the descriptor's text before the input's ints
-    tail: str  # ... and after them
-    config: RunConfig  # the variant with the engine substituted
-
-
 def _descriptor_frame(
     fingerprint: str, strategy: str, engine: str, variant: RunConfig
-) -> Frame:
+) -> Tuple[str, str]:
     """The descriptor of every cell of one (spec, strategy, engine, variant),
     split around its input.
 
@@ -392,7 +376,7 @@ def _descriptor_frame(
         }
     )
     head, _, tail = blank.partition('"input":[]')
-    return Frame(head + '"input":[', "]" + tail, variant.replace(engine=engine))
+    return head + '"input":[', "]" + tail
 
 
 def make_cell(
@@ -404,7 +388,7 @@ def make_cell(
     selector: str,
     variant: RunConfig,
     master_seed: Optional[int],
-    frames: Optional[Dict[Tuple[str, str, str, int], Frame]] = None,
+    frames: Optional[Dict[Tuple[str, str, str, int], Tuple[str, str]]] = None,
 ) -> Cell:
     """The one cell constructor: descriptor, seed, and id of one grid point.
 
@@ -425,7 +409,8 @@ def make_cell(
         frame = frames.get(slot)
         if frame is None:
             frame = frames[slot] = _descriptor_frame(fingerprint, strategy, engine, variant)
-    descriptor = frame.head + ",".join(map(str, x)) + frame.tail
+    head, tail = frame
+    descriptor = head + ",".join(map(str, x)) + tail
     if master_seed is not None:
         seed: Optional[int] = _derive_cell_seed(master_seed, descriptor)
     else:
@@ -437,7 +422,7 @@ def make_cell(
         strategy=strategy,
         input=tuple(x),
         engine=engine,
-        config=frame.config.reseed(seed),
+        config=variant.replace(engine=engine, seed=seed),
         spec_fingerprint=fingerprint,
         cell_id=cell_id,
     )
@@ -531,7 +516,7 @@ class Campaign:
         """The deterministic cell list (duplicate descriptors collapsed)."""
         cells: List[Cell] = []
         seen: set = set()
-        frames: Dict[Tuple[str, str, str, int], Frame] = {}
+        frames: Dict[Tuple[str, str, str, int], Tuple[str, str]] = {}
         for spec_name, strategy in self.specs:
             fingerprint = registered_fingerprint(spec_name)
             for x in self.inputs:

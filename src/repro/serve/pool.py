@@ -9,7 +9,9 @@ import pickle
 import signal
 import time
 from types import SimpleNamespace
-from typing import Any, Callable, Hashable, List
+from typing import Any, Callable, List
+
+from repro.lab.campaign import registration_generations
 
 _JOIN_S = 5.0  # how long shutdown waits for idle workers to exit on EOF
 
@@ -49,17 +51,12 @@ def _read_reply(conn, reply: asyncio.Future) -> None:
 class WorkerPool:
     """``workers`` forked slots; ``workers=0`` runs calls on ``asyncio.to_thread``.
 
-    ``generation`` reads the state a worker copies when it forks (the server
-    passes its spec and engine registration counters): an idle worker forked
-    at another value is replaced at checkout, which is not a restart.
+    A worker copies the spec and engine registries when it forks: an idle
+    worker forked before the latest registration is replaced at checkout,
+    which is not a restart.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        on_restart: Callable[[], None] = lambda: None,
-        generation: Callable[[], Hashable] = lambda: None,
-    ) -> None:
+    def __init__(self, workers: int, on_restart: Callable[[], None] = lambda: None) -> None:
         self._slots = [
             SimpleNamespace(process=None, conn=None, born=None) for _ in range(workers)
         ]
@@ -67,7 +64,6 @@ class WorkerPool:
         for slot in self._slots:
             self._idle.put_nowait(slot)
         self._on_restart = on_restart
-        self._generation = generation
 
     @property
     def pids(self) -> List[int]:
@@ -83,7 +79,7 @@ class WorkerPool:
                 if slot.process is not None and slot.conn.poll():  # EOF on an idle pipe
                     self._on_restart()  # the worker died after its last call: fork anew
                     self._reap(slot)
-                elif slot.process is not None and slot.born != self._generation():
+                elif slot.process is not None and slot.born != registration_generations():
                     self._reap(slot)  # forked before the latest registration
                 if slot.process is None:
                     self._spawn(slot)
@@ -112,7 +108,7 @@ class WorkerPool:
         parent, child = context.Pipe()
         inherited = [other.conn for other in self._slots if other.conn is not None] + [parent]
         process = context.Process(target=_worker_main, args=(child, inherited), daemon=True)
-        born = self._generation()
+        born = registration_generations()
         process.start()  # a failed fork leaves the slot empty; both ends close when collected
         child.close()
         slot.process, slot.conn, slot.born = process, parent, born

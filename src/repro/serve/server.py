@@ -29,7 +29,6 @@ from typing import Optional
 
 from repro.api.config import RunConfig
 from repro.lab.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.lab.campaign import registration_generations
 from repro.serve.handlers import ServerState, dispatch, reject_unparsed
 from repro.serve.jobs import JobManager
 from repro.serve.metrics import ServerMetrics
@@ -88,11 +87,7 @@ class ReproServer:
         from repro import __version__
 
         metrics = ServerMetrics()
-        self._pool = WorkerPool(
-            self.workers,
-            on_restart=metrics.record_worker_restart,
-            generation=registration_generations,
-        )
+        self._pool = WorkerPool(self.workers, on_restart=metrics.record_worker_restart)
         # The cache reports into the server's registry, so its hit/miss and
         # latency series show up on GET /v1/metrics alongside the
         # request counters.

@@ -1077,17 +1077,19 @@ class TestWorkerPool:
 
         asyncio.run(scenario())
 
-    def test_an_idle_worker_of_an_older_generation_is_replaced_without_a_restart(self):
+    def test_an_idle_worker_of_an_older_generation_is_replaced_without_a_restart(
+        self, monkeypatch
+    ):
         import asyncio
 
+        from repro.serve import pool as pool_module
         from repro.serve.pool import WorkerPool
 
         generation, restarts = [0], []
+        monkeypatch.setattr(pool_module, "registration_generations", lambda: generation[0])
 
         async def scenario():
-            pool = WorkerPool(
-                1, on_restart=lambda: restarts.append(1), generation=lambda: generation[0]
-            )
+            pool = WorkerPool(1, on_restart=lambda: restarts.append(1))
             try:
                 first = await pool.run(os.getpid)
                 assert await pool.run(os.getpid) == first  # same generation: kept
