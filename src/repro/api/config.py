@@ -52,6 +52,12 @@ def validate_epsilon(value) -> float:
     return float(value)
 
 
+def _is_count(value) -> bool:
+    """An int >= 1 that is not a bool: ``True`` would compare equal to ``1``
+    while its JSON, and so the config's cache key, differs."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Immutable configuration for repeated simulation runs.
@@ -98,13 +104,11 @@ class RunConfig:
     allow_approximate: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_count(self.trials):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not isinstance(self.max_steps, int) or self.max_steps < 1:
+        if not _is_count(self.max_steps):
             raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        if self.quiescence_window is not None and (
-            not isinstance(self.quiescence_window, int) or self.quiescence_window < 1
-        ):
+        if self.quiescence_window is not None and not _is_count(self.quiescence_window):
             raise ValueError(
                 f"quiescence_window must be None or an integer >= 1, "
                 f"got {self.quiescence_window!r}"

@@ -193,7 +193,10 @@ def resolve_engine(
       leaping degrades to exact stepping, so the exact class is used.
 
     Engines of one class fire the same reaction events per trial, so the
-    population cancels out of the comparison and only ``trials`` decides.
+    population cancels out of the comparison and only ``trials`` decides
+    (not exactly for ``python``, which fires forced stretches, where one
+    reaction is applicable, at a lower cost per event; the constants do not
+    model that).
     Explicit selectors are returned unchanged; the opt-in only affects
     ``"auto"``.
 

@@ -80,6 +80,17 @@ class CompiledCRN:
         ``j``, only those propensities / applicability flags can change, so the
         scalar kernel recomputes exactly that set.  A catalytic no-op reaction
         (empty net change) has no dependents — not even itself.
+    ``forced_limits``
+        Per reaction ``j``, what bounds a *forced stretch* of ``j`` (a run of
+        events in which ``j`` is the only applicable reaction; see
+        :mod:`repro.sim.kernel`): ``drains``, one ``(species_index, own
+        coefficient, units consumed per firing)`` per species ``j`` net-
+        consumes; ``fills``, one ``(species_index, units produced per firing,
+        thresholds)`` per species ``j`` net-produces that some reaction
+        consumes, the thresholds being the distinct coefficients of the
+        reactions consuming it, ascending (``j``'s own never lies above the
+        count while ``j`` is applicable); and ``keeps_output``, whether firing
+        ``j`` leaves the output count unchanged.
 
     This is the single IR shared by the scalar kernel
     (:mod:`repro.sim.kernel`) and the vectorized batch engines below.
@@ -128,6 +139,20 @@ class CompiledCRN:
             tuple(r for r in range(n_reactions) if needs[r] & changed[j])
             for j in range(n_reactions)
         )
+        thresholds: Dict[int, set] = {}
+        for terms in self.reactant_terms:
+            for s, k in terms:
+                thresholds.setdefault(s, set()).add(k)
+        ascending = {s: tuple(sorted(ks)) for s, ks in thresholds.items()}
+        forced = []
+        for j, terms in enumerate(self.net_terms):
+            own = dict(self.reactant_terms[j])
+            drains = tuple((s, own[s], -delta) for s, delta in terms if delta < 0)
+            fills = tuple(
+                (s, delta, ascending[s]) for s, delta in terms if delta > 0 and s in ascending
+            )
+            forced.append((drains, fills, self.output_index not in changed[j]))
+        self.forced_limits: Tuple[tuple, ...] = tuple(forced)
 
     # -- shape accessors -----------------------------------------------------
 

@@ -44,6 +44,26 @@ from them: the steps left, 1 under ``stop_when``, the events left until the
 next trajectory record.  Tau-leaping fires a whole Poisson batch per
 scheduler iteration and observes the output only at leap boundaries; its
 exact fallback is one call to the embedded Gillespie stepper's ``advance``.
+
+The fair stepper also fires *forced stretches* in one step.  On large inputs
+most of a fair run has one applicable reaction ``j`` (once the smaller input
+of ``add``, ``max`` or ``min`` is used up, the rest drains through one
+reaction).  The stepper then fires the ``m`` events of ``j`` after which no
+flag can change, where ``m`` is the smallest of: the budget less one; for
+each species ``j`` consumes, the firings that keep it at or above ``j``'s own
+threshold; for each species ``j`` produces, the firings that keep it below
+the next threshold above its count among the other reactions consuming it;
+and, when ``j`` leaves the output unchanged, the events left in the
+quiescence window less one.  The limits are exact because a falling count
+cannot make an inapplicable reaction applicable, and every other reaction is
+inapplicable.  The stretch makes the same draws as ``m`` single events, in a
+tight loop (``getrandbits(1)`` until it reads 0, the inlined ``choice()``
+over one index, or one ``random()`` for a positive weight), applies ``j``'s
+net change times ``m`` once, adds ``|deps(j)|`` per event to
+``propensity_ops`` as the per-event loop does, and advances
+``unchanged_for`` in closed form.  The event that ends the stretch goes
+through the per-event loop, which refreshes the flags and, when ``j`` moves
+the output, records it.  A non-forced event pays one extra int compare.
 The :class:`KernelRunResult` distinguishes ``steps`` (reaction events fired)
 from ``selections`` (scheduler iterations); for exact policies the two are
 equal, while a tau-leap run collapses thousands of events into a handful of
@@ -438,8 +458,10 @@ class _FairStepper(_Stepper):
 
         After each event only the dependents' flags are rechecked, and
         ``applicable`` is edited only for the ones that flip (about one per
-        step on the paper's CRNs).  The scheduler has no clock, so
-        ``max_time`` is the core's to check.
+        step on the paper's CRNs).  A forced stretch (one applicable reaction)
+        fires in one step, less its last event, which takes the per-event
+        path below (see the module docstring).  The scheduler has no clock,
+        so ``max_time`` is the core's to check.
         """
         compiled = self.compiled
         app = self.app
@@ -448,6 +470,7 @@ class _FairStepper(_Stepper):
         reactant_terms = compiled.reactant_terms
         net_terms = compiled.net_terms
         dependency_graph = compiled.dependency_graph
+        forced_limits = compiled.forced_limits
         output_index = compiled.output_index
         getrandbits = self.rng.getrandbits
         uniform = self.rng.random
@@ -459,7 +482,44 @@ class _FairStepper(_Stepper):
         fired = 0
         while fired < budget:
             n = len(applicable)
-            if not n:
+            if n == 1:
+                # Forced: m more events of j flip no flag and keep the run
+                # going, so fire them at once, making the same draws.
+                j = applicable[0]
+                drains, fills, keeps_output = forced_limits[j]
+                m = budget - fired - 1
+                if keeps_output and limit - unchanged - 1 < m:
+                    m = limit - unchanged - 1
+                for s, k, d in drains:
+                    c = (counts[s] - k) // d
+                    if c < m:
+                        m = c
+                for s, d, thresholds in fills:
+                    c = counts[s]
+                    for k in thresholds:
+                        if k > c:
+                            c = (k - c - 1) // d
+                            if c < m:
+                                m = c
+                            break
+                if m > 0:
+                    if weights is None or weights[j] <= 0:
+                        for _ in range(m):
+                            while getrandbits(1):
+                                pass
+                    else:
+                        for _ in range(m):
+                            uniform()
+                    for s, delta in net_terms[j]:
+                        counts[s] += delta * m
+                    ops += len(dependency_graph[j]) * m
+                    fired += m
+                    # If j moves the output, the stretch's last event, fired
+                    # below, resets the tracking (the output is monotone in a
+                    # stretch, so its end holds any new maximum).
+                    if keeps_output:
+                        unchanged += m
+            elif not n:
                 self.silent = True
                 break
             total = 0 if weights is None else sum(weights[j] for j in applicable)

@@ -50,6 +50,9 @@ class TestRunConfigRoundTrip:
             ({"seed": True}, "seed"),
             ({"trials": 0}, "trials"),
             ({"trials": "many"}, "trials"),
+            ({"trials": True}, "trials"),
+            ({"max_steps": True}, "max_steps"),
+            ({"quiescence_window": True}, "quiescence_window"),
             ({"max_steps": -1}, "max_steps"),
             ({"quiescence_window": 0}, "quiescence_window"),
             ({"engine": ""}, "engine"),

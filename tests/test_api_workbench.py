@@ -63,20 +63,29 @@ class TestRunConfig:
         legacy = {"trials": 3, "seed": 9, "engine": "python"}
         assert RunConfig.from_dict(legacy).epsilon == 0.03
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, "3"])
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, "3", True])
     def test_trials_validated(self, bad):
         with pytest.raises(ValueError, match="trials"):
             RunConfig(trials=bad)
 
-    @pytest.mark.parametrize("bad", [0, -5])
+    @pytest.mark.parametrize("bad", [0, -5, True])
     def test_max_steps_validated(self, bad):
         with pytest.raises(ValueError, match="max_steps"):
             RunConfig(max_steps=bad)
 
-    def test_quiescence_window_validated(self):
+    @pytest.mark.parametrize("bad", [0, True, False])
+    def test_quiescence_window_validated(self, bad):
         with pytest.raises(ValueError, match="quiescence_window"):
-            RunConfig(quiescence_window=0)
+            RunConfig(quiescence_window=bad)
         assert RunConfig(quiescence_window=None).quiescence_window is None
+
+    def test_bools_are_not_counts(self):
+        # True == 1, but its JSON (and so the cache key) differs, which would
+        # give two equal configs different keys.
+        with pytest.raises(ValueError, match="trials"):
+            RunConfig(trials=True, seed=1)
+        with pytest.raises(ValueError, match="trials"):
+            RunConfig(seed=1).replace(trials=True)
 
     def test_frozen_and_replace(self):
         config = RunConfig(seed=1)

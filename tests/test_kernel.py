@@ -26,8 +26,10 @@ import pytest
 from repro.core.characterization import build_crn_for
 from repro.crn.configuration import Configuration
 from repro.crn.network import CRN
+from repro.crn.reaction import Reaction
 from repro.crn.species import species
 from repro.functions.catalog import (
+    add_spec,
     double_spec,
     maximum_spec,
     minimum_spec,
@@ -498,6 +500,124 @@ class TestIncrementalState:
         assert stats == expected
 
 
+def _random_small_crn(rng):
+    """A random CRN over four species for the forced-stretch tests: one to
+    four reactions, reactant coefficients (thresholds) of 1-3, net changes of
+    -3..3 on each reactant (0 makes it a catalyst), and 0-2 further products."""
+    pool = species("A B C D")
+    reactions = []
+    for _ in range(rng.randint(1, 4)):
+        reactants = {sp: rng.randint(1, 3) for sp in rng.sample(pool, rng.randint(1, 2))}
+        products = {sp: max(k + rng.randint(-3, 3), 0) for sp, k in reactants.items()}
+        for sp in rng.sample(pool, rng.randint(0, 2)):
+            if sp not in reactants:
+                products[sp] = rng.randint(1, 3)
+        reactions.append(
+            Reaction(reactants, {sp: c for sp, c in products.items() if c})
+        )
+    return CRN(reactions, pool[:2], pool[3], name="random")
+
+
+def _random_bias(rng, crn):
+    """No bias, positive weights, all-zero weights, or a zero/positive mix."""
+    mode = rng.choice(["none", "positive", "zero", "mixed"])
+    if mode == "none":
+        return None
+    low = 1 if mode == "positive" else 0
+    high = 0 if mode == "zero" else 3
+    weights = {id(rxn): float(rng.randint(low, high)) for rxn in crn.reactions}
+    return lambda rxn: weights[id(rxn)]
+
+
+class TestForcedStretches:
+    """The fair stepper fires a forced stretch (one applicable reaction) in one
+    step; ``advance(counts, 1, ...)`` never does (a stretch leaves its last
+    event to the per-event loop), so a run stepped one event at a time is the
+    oracle for the same seed advanced in bursts."""
+
+    def test_forced_limits_match_brute_force(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            crn = _random_small_crn(rng)
+            compiled = crn.compiled()
+            for j, (drains, fills, keeps_output) in enumerate(compiled.forced_limits):
+                net = dict(compiled.net_terms[j])
+                own = dict(compiled.reactant_terms[j])
+                assert drains == tuple(
+                    (s, own[s], -d) for s, d in compiled.net_terms[j] if d < 0
+                )
+                expected_fills = []
+                for s, d in compiled.net_terms[j]:
+                    thresholds = sorted({
+                        k for terms in compiled.reactant_terms
+                        for t, k in terms if t == s
+                    })
+                    if d > 0 and thresholds:
+                        expected_fills.append((s, d, tuple(thresholds)))
+                assert fills == tuple(expected_fills)
+                assert keeps_output == (compiled.output_index not in net)
+
+    def test_bursts_equal_single_events(self):
+        rng = random.Random(2024)
+        forced_pairs = 0
+        for case in range(300):
+            crn = _random_small_crn(rng)
+            compiled = crn.compiled()
+            policy = FairPolicy(_random_bias(rng, crn))
+            start = [rng.randint(0, 40) for _ in range(compiled.n_species)]
+            window = rng.choice([0, 1, 5, 37])
+            total = rng.choice([1, 2, 60, 2000])
+            seed = rng.getrandbits(32)
+
+            single = policy.bind(compiled, random.Random(seed))
+            single_counts = list(start)
+            single.start(single_counts)
+            single_fired = 0
+            was_forced = False
+            while single_fired < total and not (single.silent or single.converged):
+                forced = len(single.applicable) == 1
+                forced_pairs += forced and was_forced
+                was_forced = forced
+                single_fired += single.advance(single_counts, 1, math.inf, window)
+
+            burst = policy.bind(compiled, random.Random(seed))
+            counts = list(start)
+            burst.start(counts)
+            fired = 0
+            while fired < total and not (burst.silent or burst.converged):
+                budget = total - fired
+                if case % 2:
+                    budget = min(budget, rng.randint(1, 300))
+                fired += burst.advance(counts, budget, math.inf, window)
+                fresh = FairPolicy().bind(compiled, random.Random(0))
+                fresh.start(counts)
+                assert burst.applicability() == fresh.applicability(), case
+                assert burst.applicable == [
+                    r for r, flag in enumerate(fresh.applicability()) if flag
+                ], case
+
+            def state(stepper, stepper_counts, stepper_fired):
+                return (
+                    stepper_fired,
+                    stepper_counts,
+                    stepper.app,
+                    stepper.applicable,
+                    stepper.max_output,
+                    stepper.last_output,
+                    stepper.unchanged_for,
+                    stepper.propensity_ops,
+                    stepper.silent,
+                    stepper.converged,
+                    stepper.rng.getstate(),
+                )
+
+            assert state(burst, counts, fired) == state(
+                single, single_counts, single_fired
+            ), case
+        # Consecutive forced events are what a burst fires in one step.
+        assert forced_pairs > 10_000
+
+
 class TestTauLeapPolicy:
     """Unit behaviour of the batch-firing policy (distributional correctness
     lives in ``tests/test_statistical_equivalence.py``)."""
@@ -870,6 +990,40 @@ GOLDEN_CASES = {
 }
 
 
+def _drain_crn():
+    """X1 -> Y and X2 -> Z: once X1 is gone, X2 -> Z is the only applicable
+    reaction and leaves the output unchanged, so a window closes inside that
+    forced stretch."""
+    return CRN([X1 >> Y, X2 >> Z], (X1, X2), Y, name="drain")
+
+
+#: Runs made mostly of forced stretches (one applicable reaction), in the
+#: GOLDEN_CASES format: long drains through one reaction, biased and
+#: all-zero-weight draws, and each way a run can end inside a stretch.
+FORCED_CASES = {
+    "forced-add": (lambda: add_spec().known_crn, lambda crn: FairPolicy(),
+                   (2000, 15), 31, {"quiescence_window": None}),
+    "forced-max": (lambda: maximum_spec().known_crn, lambda crn: FairPolicy(),
+                   (1500, 20), 32, {"quiescence_window": None}),
+    "forced-min-biased": (lambda: minimum_spec().known_crn,
+                          lambda crn: FairPolicy(output_producing_bias(crn)),
+                          (500, 3), 33, {"quiescence_window": None}),
+    "forced-min-zero-weight": (lambda: minimum_spec().known_crn,
+                               lambda crn: FairPolicy(lambda rxn: 0.0),
+                               (500, 3), 34, {"quiescence_window": None}),
+    "forced-add-biased": (lambda: add_spec().known_crn,
+                          lambda crn: FairPolicy(output_producing_bias(crn)),
+                          (1200, 40), 35, {}),
+    "forced-window-closes": (_drain_crn, lambda crn: FairPolicy(), (5, 500), 36,
+                             {"quiescence_window": 37}),
+    "forced-max-steps": (lambda: add_spec().known_crn, lambda crn: FairPolicy(),
+                         (2000, 15), 37, {"max_steps": 1000}),
+    "forced-trajectory-every-7": (lambda: maximum_spec().known_crn,
+                                  lambda crn: FairPolicy(), (200, 5), 38,
+                                  {"track": (Y,), "record_every": 7}),
+}
+
+
 class TestGoldenStreams:
     """Seeded runs pinned as literals, one per stepper path.
 
@@ -921,25 +1075,78 @@ class TestGoldenStreams:
         ),
     }
 
+    #: FORCED_CASES -> (digest, the generator's next ``random()`` after the
+    #: run; FairScheduler reuses its generator across runs).  Recorded from
+    #: the kernel that fired every event through the per-event loop, before
+    #: forced stretches were fired in one step.
+    GOLDEN_FORCED = {
+        "forced-add": (
+            "51d7049051474882f3308a62928341f6"
+            "5ff2cd03b3e47175b237cdcbb42052dd",
+            0.8817709386849244,
+        ),
+        "forced-max": (
+            "5ff023c0cc94be4f41fa36f6e1c75b3d"
+            "57a0443015e3ecad38ca37d90417ce49",
+            0.09689413119591694,
+        ),
+        "forced-min-biased": (
+            "1829620a01715106fab1c62e011806d9"
+            "4c14ae6cd402b842bdb7b8e4aef84736",
+            0.2772908544463448,
+        ),
+        "forced-min-zero-weight": (
+            "1829620a01715106fab1c62e011806d9"
+            "4c14ae6cd402b842bdb7b8e4aef84736",
+            0.8986446412645931,
+        ),
+        "forced-add-biased": (
+            "8a8a1e80ed50c97902793cdbad33c72a"
+            "294bbf149342559b0184d85512b1917c",
+            0.39399283511914385,
+        ),
+        "forced-window-closes": (
+            "614f6a4c21db9e50646d39a68aea5fd1"
+            "95158354b275dd51508b253aae00e483",
+            0.9869097376417592,
+        ),
+        "forced-max-steps": (
+            "d7a69b53c5fccfc24e5d8282e527119a"
+            "b035aec37052b2b7d9572a1dc83e0d3e",
+            0.42370138008287184,
+        ),
+        "forced-trajectory-every-7": (
+            "dcffad84d944e286ee862bea1f7f9a49"
+            "e7504918d1de1b51c8d2f83e593120de",
+            0.07602120760467768,
+        ),
+    }
+
     @staticmethod
-    def _kernel_run(case):
-        crn_factory, policy_factory, x, seed, kwargs = GOLDEN_CASES[case]
+    def _kernel_run(case, cases=GOLDEN_CASES):
+        crn_factory, policy_factory, x, seed, kwargs = cases[case]
         crn = crn_factory()
         kwargs = dict(kwargs)
         if kwargs.get("quiescence_window", 0) is None:
             kwargs["quiescence_window"] = default_quiescence_window(x)
         core = SimulatorCore(crn, policy_factory(crn), rng=random.Random(seed))
-        return crn, core.run_on_input(x, **kwargs)
+        return crn, core.run_on_input(x, **kwargs), core.rng
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
     def test_kernel_reproduces_the_literal(self, case):
-        _, result = self._kernel_run(case)
+        _, result, _ = self._kernel_run(case)
         assert _golden_digest(result, result.stats, result.trajectory) == self.GOLDEN[case]
+
+    @pytest.mark.parametrize("case", sorted(FORCED_CASES))
+    def test_forced_stretches_reproduce_the_literal(self, case):
+        _, result, rng = self._kernel_run(case, FORCED_CASES)
+        observed = (_golden_digest(result, result.stats, result.trajectory), rng.random())
+        assert observed == self.GOLDEN_FORCED[case]
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
     def test_reference_loop_reproduces_the_literal(self, case):
         _, policy_factory, x, seed, kwargs = GOLDEN_CASES[case]
-        crn, kernel = self._kernel_run(case)
+        crn, kernel, _ = self._kernel_run(case)
         policy = policy_factory(crn)
         kwargs = dict(kwargs)
         track = kwargs.pop("track", ())

@@ -689,6 +689,12 @@ class TestValidation:
             ({"spec": "minimum", "input": [1, "x"]}, "'input'[1]"),
             ({"spec": "minimum", "input": [1, 2], "config": {"bogus": 1}}, "'bogus'"),
             ({"spec": "minimum", "input": [1, 2], "config": {"trials": 0}}, "trials"),
+            ({"spec": "minimum", "input": [1, 2], "config": {"trials": True}}, "trials"),
+            ({"spec": "minimum", "input": [1, 2], "config": {"max_steps": True}}, "max_steps"),
+            (
+                {"spec": "minimum", "input": [1, 2], "config": {"quiescence_window": True}},
+                "quiescence_window",
+            ),
             ({"spec": "minimum", "input": [1, 2], "config": {"seed": "x"}}, "seed"),
             ({"spec": "minimum", "input": [1, 2], "strategy": ""}, "'strategy'"),
             ({"spec": "minimum", "input": [1, 2], "config": {"engine": "warp"}}, "warp"),
