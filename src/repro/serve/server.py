@@ -184,10 +184,13 @@ class ReproServer:
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
+            # A drain's cancel can land in wait_closed; the task is ending
+            # anyway, and a cancelled connection task makes asyncio's stream
+            # callback log a CancelledError traceback.
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+            except (ConnectionResetError, BrokenPipeError, OSError, asyncio.CancelledError):
                 pass
 
     # -- foreground entry point (the CLI) ---------------------------------------------

@@ -73,13 +73,26 @@ class CompiledCRN:
     ``net_terms``
         Per-reaction sparse ``(species_index, delta)`` net-change lists; firing
         a reaction is ``counts[s] += delta`` over its terms.
+    ``readers``
+        Per species ``s``, the reactions that have ``s`` as a reactant,
+        ascending.
     ``dependency_graph``
         Gibson–Bruck-style reaction dependency graph: entry ``j`` lists the
         reactions whose reactant multiset shares a species with the species
-        *changed* by reaction ``j`` (the net-change support).  After firing
+        *changed* by reaction ``j`` (the net-change support), i.e. the union of
+        ``readers[s]`` over ``j``'s net-term species, ascending.  After firing
         ``j``, only those propensities / applicability flags can change, so the
-        scalar kernel recomputes exactly that set.  A catalytic no-op reaction
-        (empty net change) has no dependents — not even itself.
+        Gillespie stepper recomputes exactly that set.  A catalytic no-op
+        reaction (empty net change) has no dependents — not even itself.
+        ``n_dependents[j]`` is its length.
+    ``crossings``
+        Per reaction ``j``, one ``(s, bar, readers[s])`` per net-term species
+        ``s`` of ``j`` that has readers.  With ``kmax`` the largest reactant
+        coefficient on ``s``, ``bar`` is ``kmax`` when ``j`` consumes ``s``
+        and ``kmax + delta`` when it produces ``delta``: after ``j`` fires, a
+        term ``(s, k)`` can have changed truth only if the new count is below
+        ``bar`` (the fair stepper's crossing rule; see
+        :mod:`repro.sim.kernel`).
     ``forced_limits``
         Per reaction ``j``, what bounds a *forced stretch* of ``j`` (a run of
         events in which ``j`` is the only applicable reaction; see
@@ -133,16 +146,26 @@ class CompiledCRN:
             )
             for r in range(n_reactions)
         )
-        changed = [frozenset(s for s, _ in terms) for terms in self.net_terms]
-        needs = [frozenset(s for s, _ in terms) for terms in self.reactant_terms]
-        self.dependency_graph: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(r for r in range(n_reactions) if needs[r] & changed[j])
-            for j in range(n_reactions)
-        )
+        readers: List[List[int]] = [[] for _ in range(n_species)]
         thresholds: Dict[int, set] = {}
-        for terms in self.reactant_terms:
+        for r, terms in enumerate(self.reactant_terms):
             for s, k in terms:
+                readers[s].append(r)
                 thresholds.setdefault(s, set()).add(k)
+        self.readers: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, readers))
+        self.dependency_graph: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(sorted({r for s, _ in terms for r in readers[s]}))
+            for terms in self.net_terms
+        )
+        self.n_dependents: Tuple[int, ...] = tuple(map(len, self.dependency_graph))
+        self.crossings: Tuple[Tuple[Tuple[int, int, Tuple[int, ...]], ...], ...] = tuple(
+            tuple(
+                (s, max(thresholds[s]) + max(delta, 0), self.readers[s])
+                for s, delta in terms
+                if s in thresholds
+            )
+            for terms in self.net_terms
+        )
         ascending = {s: tuple(sorted(ks)) for s, ks in thresholds.items()}
         forced = []
         for j, terms in enumerate(self.net_terms):
@@ -151,7 +174,8 @@ class CompiledCRN:
             fills = tuple(
                 (s, delta, ascending[s]) for s, delta in terms if delta > 0 and s in ascending
             )
-            forced.append((drains, fills, self.output_index not in changed[j]))
+            keeps_output = all(s != self.output_index for s, _ in terms)
+            forced.append((drains, fills, keeps_output))
         self.forced_limits: Tuple[tuple, ...] = tuple(forced)
 
     # -- shape accessors -----------------------------------------------------

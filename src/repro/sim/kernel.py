@@ -16,14 +16,24 @@ steppers over the shared :class:`~repro.sim.engine.CompiledCRN` IR:
 * species counts live in one mutable dense list, so firing a reaction is a
   handful of integer adds over the reaction's sparse ``net_terms``;
 * propensities / applicability flags are recomputed *incrementally*: after
-  reaction ``j`` fires, only the reactions listed in
-  ``CompiledCRN.dependency_graph[j]`` (those whose reactants share a species
-  with the species ``j`` changed) are refreshed — the Gibson–Bruck dependency
+  reaction ``j`` fires, the Gillespie stepper refreshes only the reactions
+  listed in ``CompiledCRN.dependency_graph[j]`` (those whose reactants share
+  a species with the species ``j`` changed) — the Gibson–Bruck dependency
   trick, which makes exact SSA scale with the number of *affected* reactions
-  instead of the number of reactions.  The fair policy also keeps the
+  instead of the number of reactions.  A flag changes only when a count
+  crosses one of its thresholds, so the fair stepper narrows that further:
+  for each ``(s, bar, readers)`` in ``CompiledCRN.crossings[j]`` it
+  rechecks ``readers`` only when the new ``counts[s] < bar``.  That is
+  exact: a term ``(s, k)`` changes truth only if ``min(old, new) < k <=
+  max(old, new)``, and ``k`` is at most ``kmax``, the largest coefficient on
+  ``s``, so ``min(old, new) < kmax`` — which is the bar test (``bar`` is
+  ``kmax`` when ``j`` consumes ``s``, ``kmax + delta`` when it produces
+  ``delta``).  ``start`` likewise checks only the readers of nonzero
+  species: every coefficient is at least 1.  The fair policy also keeps the
   ascending list of applicable indices it chooses from, editing it only for
   the flags that flip (about one per step on the paper's CRNs), so no step
-  rebuilds it;
+  rebuilds it.  Its ``propensity_ops`` still counts ``|deps(j)|`` per event,
+  not the rechecks made, so pinned :class:`~repro.obs.stats.RunStats` hold;
 * scheduling semantics are pluggable :class:`StepPolicy` strategies —
   :class:`GillespiePolicy` (exponential clocks, propensity-proportional
   choice), :class:`FairPolicy` (uniform or statically biased choice among
@@ -35,7 +45,7 @@ Every bound stepper exposes one method, ``advance``, which fires events until
 its budget is spent, the run falls silent, ``max_time`` passes, or the
 quiescence window converges.  The exact steppers own that loop outright: one
 tight Python loop per burst draws the reaction, applies its ``net_terms``,
-refreshes the dependents' flags or propensities, and tracks the output count
+refreshes the affected flags or propensities, and tracks the output count
 (``max_output``, ``last_output``, ``unchanged_for``) inline, with the
 ``CompiledCRN`` tables and the generator's bound methods held in locals —
 no Python call per event beyond the draws themselves.  The core keeps
@@ -443,12 +453,22 @@ class _FairStepper(_Stepper):
         self.applicable: List[int] = []
 
     def start(self, counts: List[int]) -> None:
-        self.app = [
-            all(counts[s] >= k for s, k in terms)
-            for terms in self.compiled.reactant_terms
-        ]
-        self.applicable = [j for j, flag in enumerate(self.app) if flag]
-        self.propensity_ops += len(self.app)
+        # Every reactant coefficient is at least 1, so only a reader of a
+        # nonzero species can be applicable, besides the reactant-free ones.
+        reactant_terms = self.compiled.reactant_terms
+        readers = self.compiled.readers
+        app = [not terms for terms in reactant_terms]
+        for s, c in enumerate(counts):
+            if c:
+                for r in readers[s]:
+                    for t, k in reactant_terms[r]:
+                        if counts[t] < k:
+                            break
+                    else:
+                        app[r] = True
+        self.app = app
+        self.applicable = [j for j, flag in enumerate(app) if flag]
+        self.propensity_ops += len(app)
         self._reset_run(counts)
 
     def advance(
@@ -456,12 +476,13 @@ class _FairStepper(_Stepper):
     ) -> int:
         """Fire up to ``budget`` fair events (see :class:`StepPolicy`).
 
-        After each event only the dependents' flags are rechecked, and
-        ``applicable`` is edited only for the ones that flip (about one per
-        step on the paper's CRNs).  A forced stretch (one applicable reaction)
-        fires in one step, less its last event, which takes the per-event
-        path below (see the module docstring).  The scheduler has no clock,
-        so ``max_time`` is the core's to check.
+        After each event only the readers of a species that crossed a
+        threshold are rechecked, and ``applicable`` is edited only for the
+        flags that flip (about one per step on the paper's CRNs).  A forced
+        stretch (one applicable reaction) fires in one step, less its last
+        event, which takes the per-event path below (see the module
+        docstring).  The scheduler has no clock, so ``max_time`` is the
+        core's to check.
         """
         compiled = self.compiled
         app = self.app
@@ -469,7 +490,8 @@ class _FairStepper(_Stepper):
         weights = self.weights
         reactant_terms = compiled.reactant_terms
         net_terms = compiled.net_terms
-        dependency_graph = compiled.dependency_graph
+        n_dependents = compiled.n_dependents
+        crossings = compiled.crossings
         forced_limits = compiled.forced_limits
         output_index = compiled.output_index
         getrandbits = self.rng.getrandbits
@@ -512,7 +534,7 @@ class _FairStepper(_Stepper):
                             uniform()
                     for s, delta in net_terms[j]:
                         counts[s] += delta * m
-                    ops += len(dependency_graph[j]) * m
+                    ops += n_dependents[j] * m
                     fired += m
                     # If j moves the output, the stretch's last event, fired
                     # below, resets the tracking (the output is monotone in a
@@ -543,19 +565,20 @@ class _FairStepper(_Stepper):
                     j = applicable[-1]
             for s, delta in net_terms[j]:
                 counts[s] += delta
-            dependents = dependency_graph[j]
-            ops += len(dependents)
-            for r in dependents:
-                for s, k in reactant_terms[r]:
-                    if counts[s] < k:
-                        if app[r]:
-                            app[r] = False
-                            applicable.remove(r)
-                        break
-                else:
-                    if not app[r]:
-                        app[r] = True
-                        insort(applicable, r)
+            ops += n_dependents[j]
+            for s, bar, rs in crossings[j]:
+                if counts[s] < bar:
+                    for r in rs:
+                        for t, k in reactant_terms[r]:
+                            if counts[t] < k:
+                                if app[r]:
+                                    app[r] = False
+                                    applicable.remove(r)
+                                break
+                        else:
+                            if not app[r]:
+                                app[r] = True
+                                insort(applicable, r)
             fired += 1
             current = counts[output_index]
             if current == last_output:

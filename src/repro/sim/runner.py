@@ -194,10 +194,11 @@ class ScalarEngine:
         max_outputs: List[int] = []
         steps: List[int] = []
         all_done = True
+        initial = crn.initial_configuration(x)
         for trial_seed in config.trial_seeds():
             core = SimulatorCore(crn, policy, rng=random.Random(trial_seed))
-            result = core.run_on_input(
-                x, max_steps=config.max_steps, quiescence_window=quiescence_window
+            result = core.run(
+                initial, max_steps=config.max_steps, quiescence_window=quiescence_window
             )
             outputs.append(crn.output_count(result.final_configuration))
             max_outputs.append(result.max_output_seen)
@@ -217,9 +218,10 @@ class ScalarEngine:
     ) -> float:
         policy = self.kinetic_policy(config)
         total = 0.0
+        initial = crn.initial_configuration(x)
         for trial_seed in config.trial_seeds():
             core = SimulatorCore(crn, policy, rng=random.Random(trial_seed))
-            result = core.run_on_input(x, max_steps=config.max_steps)
+            result = core.run(initial, max_steps=config.max_steps)
             total += crn.output_count(result.final_configuration)
         return total / config.trials
 

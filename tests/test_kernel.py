@@ -10,10 +10,12 @@ Three layers of protection for the dict-loop -> kernel rebase:
   loops (:mod:`repro.sim._reference`) exactly: same final configuration, same
   step/time bookkeeping, same trajectories, across every construction
   strategy (known / 1d / leaderless / quilt / general).
-* **Incrementality** — after firing reaction ``r``, the kernel recomputes
-  exactly the propensities / applicability flags of reactions sharing a
-  species with the species ``r`` changed, and the incrementally-maintained
-  state always equals a from-scratch recomputation.
+* **Incrementality** — after firing reaction ``r``, the Gillespie stepper
+  recomputes exactly the propensities of reactions sharing a species with
+  the species ``r`` changed, the fair stepper rechecks the readers of the
+  species that crossed a threshold, and the incrementally-maintained state
+  always equals a from-scratch recomputation (for the fair flags: the
+  applicability definition itself, every reactant present).
 """
 
 import hashlib
@@ -107,6 +109,17 @@ def assert_same_trajectory(kernel_trajectory, reference_trajectory):
         )
 
 
+def _assert_flags_by_definition(stepper, counts):
+    """The fair stepper's kept flags and applicable list against the
+    definition of applicability: every reactant present."""
+    expected = [
+        all(counts[s] >= k for s, k in terms)
+        for terms in stepper.compiled.reactant_terms
+    ]
+    assert stepper.app == expected
+    assert stepper.applicable == [r for r, flag in enumerate(expected) if flag]
+
+
 class TestCompiledIRExtensions:
     def test_reactant_terms_follow_reaction_order(self):
         crn = maximum_spec().known_crn
@@ -149,6 +162,33 @@ class TestCompiledIRExtensions:
         # X1 -> Y changes X1 (consumed by both reactions) and Y (consumed by
         # neither), so both propensities must be refreshed.
         assert compiled.dependency_graph[1] == (0, 1)
+
+    def test_readers_crossings_and_dependents_match_definitions(self):
+        rng = random.Random(31)
+        cases = [crn for _, crn, _ in STRATEGY_CASES + PAPER_CELL_CASES]
+        cases += [_random_crn(rng) for _ in range(200)]
+        for crn in cases:
+            compiled = crn.compiled()
+            reactants = [dict(terms) for terms in compiled.reactant_terms]
+            readers = [
+                tuple(r for r, needs in enumerate(reactants) if s in needs)
+                for s in range(compiled.n_species)
+            ]
+            assert compiled.readers == tuple(readers)
+            for j, terms in enumerate(compiled.net_terms):
+                changed = {s for s, _ in terms}
+                dependents = tuple(
+                    r for r, needs in enumerate(reactants) if changed & set(needs)
+                )
+                assert compiled.dependency_graph[j] == dependents
+                assert compiled.n_dependents[j] == len(dependents)
+                crossings = []
+                for s, delta in terms:
+                    ks = [needs[s] for needs in reactants if s in needs]
+                    if ks:
+                        bar = max(ks) + (delta if delta > 0 else 0)
+                        crossings.append((s, bar, readers[s]))
+                assert compiled.crossings[j] == tuple(crossings)
 
 
 class TestGillespieEquivalence:
@@ -308,12 +348,16 @@ class TestFairEquivalence:
 def _advance_one_event(stepper, counts, scan_ops):
     """Advance ``stepper`` by one event and return how many fired (0 or 1).
 
-    Asserts, through the ``propensity_ops`` delta, that the event refreshed
-    exactly the fired reaction's dependents: ``scan_ops`` is the per-event
+    Asserts that the ``propensity_ops`` delta is ``scan_ops`` plus the fired
+    reaction's dependents count ``|deps(j)|``: ``scan_ops`` is the per-event
     read of the whole vector (the reaction count under Gillespie, 0 under
-    the fair scheduler).  The reaction is identified by the count diff;
-    reactions with equal net change have equal dependents, so the diff pins
-    the refresh count even when it cannot name the reaction.
+    the fair scheduler).  Under Gillespie that count is the propensities
+    refreshed; the fair stepper rechecks only the readers of the species
+    that crossed a threshold, but adds the same pinned count so its
+    :class:`~repro.obs.stats.RunStats` stay comparable.  The reaction is
+    identified by the count diff; reactions with equal net change have
+    equal dependents, so the diff pins the count even when it cannot name
+    the reaction.
     """
     compiled = stepper.compiled
     before = list(counts)
@@ -339,8 +383,9 @@ def _advance_one_event(stepper, counts, scan_ops):
 
 class TestIncrementalState:
     """Each test steps ``advance`` one event at a time and checks, after every
-    event, that the kept state equals a fresh ``start`` and that exactly the
-    fired reaction's dependents were refreshed."""
+    event, that the kept state equals a from-scratch recomputation (a fresh
+    Gillespie ``start``; for the fair flags, the applicability definition)
+    and that the fired reaction's dependents were counted."""
 
     @pytest.mark.parametrize(
         "policy_cls", [GillespiePolicy, FairPolicy], ids=["gillespie", "fair"]
@@ -355,12 +400,12 @@ class TestIncrementalState:
         events = 0
         while _advance_one_event(stepper, counts, scan_ops):
             events += 1
-            fresh = policy_cls().bind(compiled, random.Random(0))
-            fresh.start(counts)
             if policy_cls is GillespiePolicy:
+                fresh = policy_cls().bind(compiled, random.Random(0))
+                fresh.start(counts)
                 assert stepper.propensities() == fresh.propensities()
             else:
-                assert stepper.applicability() == fresh.applicability()
+                _assert_flags_by_definition(stepper, counts)
         assert events > 0 and stepper.silent
 
     def test_incremental_propensities_equal_full_recompute(self):
@@ -391,9 +436,7 @@ class TestIncrementalState:
         for _ in range(200):
             if not _advance_one_event(stepper, counts, 0):
                 break
-            fresh = FairPolicy().bind(compiled, random.Random(0))
-            fresh.start(counts)
-            assert stepper.applicability() == fresh.applicability()
+            _assert_flags_by_definition(stepper, counts)
 
     @pytest.mark.parametrize("biased", [False, True], ids=["uniform", "biased"])
     @pytest.mark.parametrize("label,crn,x", PAPER_CELL_CASES, ids=PAPER_CELL_IDS)
@@ -408,12 +451,7 @@ class TestIncrementalState:
             if not _advance_one_event(stepper, counts, 0):
                 break
             steps += 1
-            fresh = FairPolicy().bind(compiled, random.Random(0))
-            fresh.start(counts)
-            assert stepper.applicability() == fresh.applicability()
-            assert stepper.applicable == [
-                r for r, flag in enumerate(fresh.applicability()) if flag
-            ]
+            _assert_flags_by_definition(stepper, counts)
         assert steps > 0 and stepper.applicable == []
 
     def test_inline_fair_draw_equals_random_choice(self):
@@ -518,6 +556,31 @@ def _random_small_crn(rng):
     return CRN(reactions, pool[:2], pool[3], name="random")
 
 
+def _random_crn(rng):
+    """A random CRN over five species for the crossing-rule tests: one to six
+    reactions with zero to three reactants out of A-D (thresholds of 1-3),
+    each reactant either a catalyst or changed by -3..3, and 0-2 further
+    products.  E is never a reactant, so it has no readers; a reaction with
+    no reactants is always applicable."""
+    pool = species("A B C D E")
+    reactions = []
+    for _ in range(rng.randint(1, 6)):
+        reactants = {
+            sp: rng.randint(1, 3) for sp in rng.sample(pool[:4], rng.randint(0, 3))
+        }
+        products = {
+            sp: max(k + rng.choice((-3, -2, -1, 0, 0, 0, 1, 2, 3)), 0)
+            for sp, k in reactants.items()
+        }
+        for sp in rng.sample(pool, rng.randint(0 if reactants else 1, 2)):
+            if sp not in reactants:
+                products[sp] = rng.randint(1, 3)
+        reactions.append(
+            Reaction(reactants, {sp: c for sp, c in products.items() if c})
+        )
+    return CRN(reactions, pool[:2], rng.choice(pool[3:]), name="random")
+
+
 def _random_bias(rng, crn):
     """No bias, positive weights, all-zero weights, or a zero/positive mix."""
     mode = rng.choice(["none", "positive", "zero", "mixed"])
@@ -589,12 +652,7 @@ class TestForcedStretches:
                 if case % 2:
                     budget = min(budget, rng.randint(1, 300))
                 fired += burst.advance(counts, budget, math.inf, window)
-                fresh = FairPolicy().bind(compiled, random.Random(0))
-                fresh.start(counts)
-                assert burst.applicability() == fresh.applicability(), case
-                assert burst.applicable == [
-                    r for r, flag in enumerate(fresh.applicability()) if flag
-                ], case
+                _assert_flags_by_definition(burst, counts)
 
             def state(stepper, stepper_counts, stepper_fired):
                 return (
@@ -616,6 +674,50 @@ class TestForcedStretches:
             ), case
         # Consecutive forced events are what a burst fires in one step.
         assert forced_pairs > 10_000
+
+
+class TestCrossingRule:
+    """The fair stepper rechecks, after each event, only the readers of a
+    species whose count crossed a threshold, and ``start`` checks only the
+    readers of nonzero species.  Seeded properties over random CRNs (see
+    ``_random_crn``) check both against the applicability definition."""
+
+    @staticmethod
+    def _random_counts(rng, compiled):
+        return [rng.choice((0, 0, 0, 1, 2, 3, 4, 7)) for _ in range(compiled.n_species)]
+
+    def test_flags_after_every_event_match_the_definition(self):
+        rng = random.Random(4242)
+        events = silent = 0
+        for _ in range(300):
+            crn = _random_crn(rng)
+            compiled = crn.compiled()
+            policy = FairPolicy(_random_bias(rng, crn))
+            stepper = policy.bind(compiled, random.Random(rng.getrandbits(32)))
+            counts = self._random_counts(rng, compiled)
+            stepper.start(counts)
+            _assert_flags_by_definition(stepper, counts)
+            for _ in range(120):
+                if not _advance_one_event(stepper, counts, 0):
+                    break
+                events += 1
+                _assert_flags_by_definition(stepper, counts)
+            silent += stepper.silent
+        assert events > 10_000 and silent > 10
+
+    def test_start_matches_the_definition(self):
+        rng = random.Random(99)
+        for _ in range(300):
+            crn = _random_crn(rng)
+            compiled = crn.compiled()
+            samples = [[0] * compiled.n_species]
+            samples += [self._random_counts(rng, compiled) for _ in range(5)]
+            for counts in samples:
+                stepper = FairPolicy().bind(compiled, random.Random(0))
+                stepper.start(counts)
+                _assert_flags_by_definition(stepper, counts)
+                # Pinned: one applicability evaluation per reaction.
+                assert stepper.propensity_ops == compiled.n_reactions
 
 
 class TestTauLeapPolicy:

@@ -1244,6 +1244,52 @@ class TestStaleWorkers:
         assert restarts == 0  # a replaced stale worker is not a restart
 
 
+class TestConnectionDrain:
+    """A drain's cancel that lands while a connection is closing, with no timing."""
+
+    def test_cancel_during_close_finishes_cleanly(self):
+        import asyncio
+
+        class BlockingWriter:
+            """Closes at once, but ``wait_closed`` waits until cancelled."""
+
+            def __init__(self):
+                self.closed = False
+                self.waiting = asyncio.Event()
+
+            def close(self):
+                self.closed = True
+
+            async def wait_closed(self):
+                self.waiting.set()
+                await asyncio.Event().wait()
+
+        server = ReproServer(workers=0, cache_dir=None)
+
+        async def scenario():
+            handled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: handled.append(context)
+            )
+            reader = asyncio.StreamReader()
+            reader.feed_eof()  # the client hung up
+            writer = BlockingWriter()
+            task = asyncio.ensure_future(server._serve_connection(reader, writer))
+            # What asyncio.start_server's done callback does with the task.
+            task.add_done_callback(lambda done: done.exception())
+            await writer.waiting.wait()
+            task.cancel()  # what stop() does to every open connection
+            await asyncio.wait([task])
+            await asyncio.sleep(0)  # the done callbacks run
+            return task, writer, handled
+
+        task, writer, handled = asyncio.run(scenario())
+        assert writer.closed
+        assert not task.cancelled() and task.exception() is None
+        assert handled == []
+        assert not server._connections
+
+
 class TestCliServe:
     def test_serve_boots_answers_and_drains_on_sigterm(self, tmp_path):
         import urllib.request
@@ -1272,6 +1318,45 @@ class TestCliServe:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
             assert "draining" in proc.stdout.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stdout.close()
+
+    def test_sigterm_after_a_keep_alive_client_closes_drains_cleanly(self, tmp_path):
+        # The client's close and the drain's cancel race for the connection's
+        # close; whichever wins, the server exits 0 with no traceback.
+        import http.client
+
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = SRC + (os.pathsep + existing if existing else "")
+        env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "0",
+             "--no-cache"],
+            cwd=str(tmp_path),
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            announce = proc.stdout.readline()
+            assert "repro.serve listening on http://127.0.0.1:" in announce
+            port = int(announce.split("http://127.0.0.1:")[1].split(" ")[0])
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            connection.request("GET", "/v1/health")
+            response = connection.getresponse()
+            assert response.getheader("Connection", "keep-alive") != "close"
+            assert json.loads(response.read())["status"] == "ok"
+            connection.close()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            output = proc.stdout.read()
+            assert "draining" in output
+            assert "Traceback" not in output, output
         finally:
             if proc.poll() is None:
                 proc.kill()
