@@ -12,8 +12,8 @@ of hosts and the per-worker results merged by cache key.  Two pieces:
   by atomic directory-entry operations (no server, no locks, works on any
   shared POSIX directory);
 * :class:`SharedDirBackend` — the executor-seam adapter ``run_campaign``
-  consumes; the local backend is :class:`~repro.lab.executor.PoolExecutor`
-  itself.
+  consumes; the local backend is :class:`~repro.lab.executor.PoolExecutor`,
+  whose forked workers (:class:`~repro.lab.pool.WorkerPool`) share one host.
 
 **The lease contract.**  The work list is the descriptor memo.  Each queue
 instance walks its keys with a cursor, skipping ids it knows are done and

@@ -133,7 +133,7 @@ def registration_generations() -> Tuple[int, int]:
     """This process's spec and engine registration counters.
 
     A worker forked while they read one value holds stale registries once
-    they read another (see :class:`repro.serve.pool.WorkerPool`).
+    they read another (see :class:`repro.lab.pool.WorkerPool`).
     """
     return (_SPEC_GENERATION, registry_generation())
 
@@ -596,7 +596,6 @@ def run_campaign(
     campaign: Campaign,
     out_dir: str,
     workers: int = 1,
-    chunksize: Optional[int] = None,
     timeout: Optional[float] = None,
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
     executor=None,
@@ -630,7 +629,7 @@ def run_campaign(
     the duration of the call and restored afterwards.
 
     Results are appended to the store in deterministic cell order (the pool
-    executor's ordered ``imap`` guarantees this even across workers).
+    executor reads its chunks back in order, whichever worker finishes first).
     """
     # lab.executor imports this module, so its names are bound at call time
     from repro.lab.executor import (
@@ -728,7 +727,7 @@ def run_campaign(
 
         if executor is None:
             executor = (
-                PoolExecutor(workers=workers, chunksize=chunksize, timeout=timeout)
+                PoolExecutor(workers=workers, timeout=timeout)
                 if workers > 1
                 else SerialExecutor(timeout=timeout)
             )

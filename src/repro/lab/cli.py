@@ -289,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1, help="worker processes")
-    parser.add_argument("--chunksize", type=int, default=None)
     parser.add_argument(
         "--timeout", type=float, default=None, help="per-cell wall-clock budget (s)"
     )
@@ -378,7 +377,6 @@ def _finish(run: CampaignRun, as_json: bool) -> int:
 def _execution_kwargs(args, out_dir: str) -> dict:
     kwargs = {
         "workers": args.workers,
-        "chunksize": args.chunksize,
         "timeout": args.timeout,
         "cache_dir": None if args.no_cache else args.cache_dir,
         "retry_errors": args.retry_errors,

@@ -1,4 +1,4 @@
-"""Campaign executors: a multiprocessing worker pool and a serial fallback.
+"""Campaign executors: a supervised worker pool and a serial fallback.
 
 Both executors drive the same pure worker function, :func:`run_cell`, so for
 seeded cells they are interchangeable by construction — the parallel pool
@@ -13,18 +13,19 @@ must produce bit-identical deterministic rows to the serial loop (enforced by
   campaign.
 * :class:`SerialExecutor` — in-process loop; the debugging baseline (plain
   tracebacks in ``error`` rows, no fork in the way of ``pdb``).
-* :class:`PoolExecutor` — ``multiprocessing.Pool`` + ordered ``imap`` with
-  explicit chunking.  Ordered iteration keeps the result stream (and hence
-  the JSONL store) in deterministic cell order regardless of which worker
-  finishes first.
+* :class:`PoolExecutor` — chunks of cells on the
+  :class:`~repro.lab.pool.WorkerPool` that ``repro.serve`` also runs on,
+  read back in chunk order, so the result stream (and hence the JSONL store)
+  keeps deterministic cell order regardless of which worker finishes first.
+  A dead worker costs its call one retry, not the campaign.
 * :func:`memo_lookup` / :func:`memo_publish` — the one cache rule shared by
   campaigns and the HTTP server: which cells consult the cache, what counts
   as a hit, and which rows are published.
 
-Per-cell wall-clock timeouts use ``SIGALRM`` inside the worker (pool workers
-run tasks on their main thread), so a hung cell becomes a timeout error row
-without poisoning the pool.  On platforms without ``SIGALRM`` the timeout is
-silently unenforced rather than failing the campaign.
+Per-cell wall-clock timeouts use ``SIGALRM`` inside the worker (a forked
+worker's one thread is its main thread), so a hung cell becomes a timeout
+error row without poisoning the pool.  On platforms without ``SIGALRM`` the
+timeout is silently unenforced rather than failing the campaign.
 
 New executor backends (async, remote, sharded) plug in by exposing the same
 ``map(cells) -> iterator of CellResult`` surface and being passed to
@@ -33,12 +34,11 @@ New executor backends (async, remote, sharded) plug in by exposing the same
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.specs import FunctionSpec
 from repro.crn.network import CRN
@@ -180,9 +180,8 @@ def run_cell_with_timeout(cell: Cell, timeout: Optional[float] = None) -> CellRe
             signal.setitimer(signal.ITIMER_REAL, remaining, interval)
 
 
-def _pool_task(payload: Tuple[Cell, Optional[float]]) -> CellResult:
-    cell, timeout = payload
-    return run_cell_with_timeout(cell, timeout)
+def _run_chunk(cells: List[Cell], timeout: Optional[float]) -> List[CellResult]:
+    return [run_cell_with_timeout(cell, timeout) for cell in cells]
 
 
 def emit_cell_span(tracer, result: CellResult, worker: Any) -> None:
@@ -235,55 +234,79 @@ class SerialExecutor:
 
 
 class PoolExecutor:
-    """Multiprocessing worker pool with ordered results and explicit chunking.
+    """Cells in chunks on a :class:`~repro.lab.pool.WorkerPool`, yielded in cell order.
 
-    ``chunksize=None`` picks ``len(cells) / (4 * workers)`` (clamped to
-    [1, 16]): large enough to amortize IPC, small enough that the tail of the
-    campaign still load-balances.  Falls back to the serial path for empty or
-    single-cell batches.
+    A chunk holds ``len(cells) // (4 * workers)`` cells, clamped to [1, 16]:
+    large enough to amortize the pipe round trip, small enough that the tail
+    of the campaign still load-balances.  The pool's event loop runs on a
+    helper thread, so ``map`` also works under a caller's running loop.  A
+    chunk whose worker dies twice is re-run one cell per call; a cell whose
+    two workers die is a ``WorkerDied`` error row.  Falls back to the serial
+    path for empty or single-cell batches.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None, timeout: Optional[float] = None) -> None:
         if workers is None:
             workers = max(1, (os.cpu_count() or 2) - 1)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.chunksize = chunksize
         self.timeout = timeout
-
-    def _chunksize_for(self, count: int) -> int:
-        if self.chunksize is not None:
-            return max(1, self.chunksize)
-        return max(1, min(16, count // (4 * self.workers)))
 
     def map(self, cells: Iterable[Cell]) -> Iterator[CellResult]:
         cells = list(cells)
         if len(cells) <= 1 or self.workers == 1:
             yield from SerialExecutor(timeout=self.timeout).map(cells)
             return
-        payloads = [(cell, self.timeout) for cell in cells]
-        tracer = get_tracer()
-        with multiprocessing.Pool(processes=min(self.workers, len(cells))) as pool:
-            # imap (not imap_unordered): results come back in cell order, so
-            # the store stays deterministic no matter the scheduling.
-            chunksize = self._chunksize_for(len(cells))
-            for result in pool.imap(_pool_task, payloads, chunksize):
-                if tracer.enabled:
-                    # the parent is each cell's single span writer
-                    emit_cell_span(tracer, result, result.worker)
-                yield result
+        # Imported here: asyncio adds ~35 ms to every campaign's set-up, pooled or not.
+        import asyncio
+
+        from repro.lab.pool import WorkerDied, WorkerPool
+
+        async def new_pool() -> WorkerPool:
+            # Built on its loop: on Python 3.9 an asyncio.Queue binds to the
+            # loop current at construction.
+            return WorkerPool(min(self.workers, len(cells)))
+
+        async def rows(chunk: List[Cell]) -> List[CellResult]:
+            start = time.perf_counter()
+            try:
+                return await pool.run(_run_chunk, chunk, self.timeout)
+            except WorkerDied as exc:
+                if len(chunk) == 1:
+                    return [_error_row(chunk[0], exc, time.perf_counter() - start)]
+            # The chunk killed two workers: one cell per call, so only the cell at fault is lost.
+            return [row for cell in chunk for row in await rows([cell])]
+
+        size = max(1, min(16, len(cells) // (4 * self.workers)))
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, name="repro-pool", daemon=True)
+        thread.start()
+        pool, futures = None, []
+        try:
+            pool = asyncio.run_coroutine_threadsafe(new_pool(), loop).result()
+            futures = [
+                asyncio.run_coroutine_threadsafe(rows(cells[at : at + size]), loop)
+                for at in range(0, len(cells), size)
+            ]
+            tracer = get_tracer()
+            for future in futures:  # in cell order, whichever worker finishes first
+                for result in future.result():
+                    if tracer.enabled:
+                        # the parent is each cell's single span writer
+                        emit_cell_span(tracer, result, result.worker)
+                    yield result
+        finally:
+            for future in futures:
+                future.cancel()
+            if pool is not None:
+                asyncio.run_coroutine_threadsafe(pool.shutdown(), loop).result()
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join()
+            loop.close()
 
     def __repr__(self) -> str:
-        return (
-            f"PoolExecutor(workers={self.workers}, chunksize={self.chunksize}, "
-            f"timeout={self.timeout})"
-        )
+        return f"PoolExecutor(workers={self.workers}, timeout={self.timeout})"
 
 
 # ---------------------------------------------------------------------------

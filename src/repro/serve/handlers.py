@@ -23,11 +23,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.api.config import RunConfig
 from repro.lab.cache import CODE_SALT, ResultCache, cell_cache_key
 from repro.lab.campaign import Campaign, SweepGrid, registered_fingerprint, spec_factory_names
+from repro.lab.pool import WorkerPool
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.obs.provenance import run_manifest
 from repro.serve.jobs import JobManager, QueueFullError, single_cell
 from repro.serve.metrics import ServerMetrics
-from repro.serve.pool import WorkerPool
 from repro.serve.protocol import (
     ApiError,
     HttpRequest,

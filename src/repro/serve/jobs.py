@@ -13,7 +13,7 @@ Lifecycle per job (one asyncio task):
    :class:`~repro.lab.cache.ResultCache` by the memo rule of
    :mod:`repro.lab.executor`; hits are resolved without touching the pool;
 2. each miss takes the simulate endpoint's own miss path — run on the
-   :class:`~repro.serve.pool.WorkerPool`, then published back to the cache —
+   :class:`~repro.lab.pool.WorkerPool`, then published back to the cache —
    and is folded in as it lands; a ``shared-dir`` job enqueues its misses for
    external workers instead;
 3. cancellation cancels the awaited work: calls waiting for a pool slot are
@@ -49,9 +49,9 @@ from repro.lab.campaign import (
     registered_fingerprint,
 )
 from repro.lab.executor import memo_lookup, memo_publish, run_cell
+from repro.lab.pool import WorkerPool
 from repro.lab.store import CellResult
 from repro.serve.metrics import ServerMetrics
-from repro.serve.pool import WorkerPool
 
 #: Terminal job states.
 DONE_STATES = ("done", "cancelled", "failed")

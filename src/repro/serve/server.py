@@ -1,7 +1,7 @@
 """The asyncio HTTP server: connection loop, lifecycle, signals.
 
 :class:`ReproServer` wires the pieces together — a
-:class:`~repro.serve.pool.WorkerPool` of forked workers, one pipe each, for
+:class:`~repro.lab.pool.WorkerPool` of forked workers, one pipe each, for
 the simulation work (the event loop never runs an engine; a dead worker is
 replaced and its call retried once), the shared on-disk
 :class:`~repro.lab.cache.ResultCache`, the
@@ -29,10 +29,10 @@ from typing import Optional
 
 from repro.api.config import RunConfig
 from repro.lab.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.lab.pool import WorkerPool
 from repro.serve.handlers import ServerState, dispatch, reject_unparsed
 from repro.serve.jobs import JobManager
 from repro.serve.metrics import ServerMetrics
-from repro.serve.pool import WorkerPool
 from repro.serve.protocol import ApiError, read_request
 
 

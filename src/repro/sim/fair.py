@@ -16,17 +16,14 @@ overshooting behaviour quickly.
 kernel (:class:`repro.sim.kernel.SimulatorCore` with
 :class:`~repro.sim.kernel.FairPolicy`): same public API, same result type,
 and bit-for-bit identical seeded runs (``tests/test_kernel.py`` locks this
-against :mod:`repro.sim._reference`).  Subclasses that override the legacy
-``_choose`` hook are detected and transparently routed through the frozen
-reference loop, so their custom selection still takes effect — see the README
-migration note.
+against :mod:`repro.sim._reference`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.crn.configuration import Configuration
 from repro.crn.network import CRN
@@ -82,29 +79,6 @@ class FairScheduler:
         self.rng = rng or random.Random()
         self.bias = bias
 
-    def _choose(self, applicable: List[Reaction]) -> Reaction:
-        """Legacy per-step selection hook, kept for subclass compatibility.
-
-        The kernel-backed :meth:`run` no longer calls this for plain
-        ``FairScheduler`` instances (selection happens inside
-        :class:`~repro.sim.kernel.FairPolicy`); a subclass that overrides it
-        is automatically run through the frozen reference loop instead, so
-        the override keeps working.
-        """
-        if self.bias is None:
-            return self.rng.choice(applicable)
-        weights = [max(self.bias(rxn), 0.0) for rxn in applicable]
-        total = sum(weights)
-        if total <= 0:
-            return self.rng.choice(applicable)
-        pick = self.rng.random() * total
-        cumulative = 0.0
-        for rxn, weight in zip(applicable, weights):
-            cumulative += weight
-            if pick <= cumulative:
-                return rxn
-        return applicable[-1]
-
     def run(
         self,
         initial: Configuration,
@@ -123,22 +97,6 @@ class FairScheduler:
             a heuristic convergence detector for CRNs that never fall silent
             (e.g. those with catalytic reactions).
         """
-        if "_choose" in self.__dict__ or type(self)._choose is not FairScheduler._choose:
-            # A subclass (or an instance-level monkey-patch, a common
-            # test-double pattern) customized the per-step selection hook:
-            # honour it by running the frozen pre-kernel loop, which calls
-            # _choose every step.
-            from repro.sim._reference import ReferenceFairScheduler
-
-            legacy = ReferenceFairScheduler(self.crn, rng=self.rng, bias=self.bias)
-            legacy._choose = self._choose  # type: ignore[method-assign]
-            return legacy.run(
-                initial,
-                max_steps=max_steps,
-                quiescence_window=quiescence_window,
-                track=track,
-                record_every=record_every,
-            )
         core = SimulatorCore(self.crn, FairPolicy(bias=self.bias), rng=self.rng)
         result = core.run(
             initial,

@@ -291,40 +291,6 @@ class TestFairEquivalence:
             ).run_on_input((4, 4))
             assert_same_fair(kernel, reference)
 
-    def test_subclass_choose_override_still_honoured(self):
-        # Pre-kernel, subclasses could redefine the per-step selection hook;
-        # the shim must detect that and route through the frozen legacy loop.
-        class FirstApplicableScheduler(FairScheduler):
-            def _choose(self, applicable):
-                return applicable[0]
-
-        crn = minimum_spec().known_crn
-        result = FirstApplicableScheduler(crn, rng=random.Random(1)).run_on_input((3, 5))
-        assert result.silent
-        assert crn.output_count(result.final_configuration) == 3
-        # The deterministic "always first" schedule consumes no randomness:
-        # two differently-seeded runs agree exactly.
-        again = FirstApplicableScheduler(crn, rng=random.Random(2)).run_on_input((3, 5))
-        assert again.final_configuration == result.final_configuration
-        assert again.steps == result.steps
-
-    def test_instance_level_choose_monkeypatch_still_honoured(self):
-        # Assigning _choose on the *instance* (a common test-double pattern)
-        # must also route through the legacy loop, not be silently ignored.
-        crn = minimum_spec().known_crn
-        scheduler = FairScheduler(crn, rng=random.Random(1))
-        calls = []
-
-        def first_applicable(applicable):
-            calls.append(len(applicable))
-            return applicable[0]
-
-        scheduler._choose = first_applicable
-        result = scheduler.run_on_input((3, 5))
-        assert result.silent
-        assert crn.output_count(result.final_configuration) == 3
-        assert len(calls) == result.steps  # the patched hook ran every step
-
     def test_run_many_python_engine_matches_reference_loop(self):
         # The registered "python" engine spawns one seed per trial; the frozen
         # reference scheduler fed the same seeds must agree output for output.

@@ -1,11 +1,17 @@
-"""Executor contract: parallel == serial bit for bit, failure capture, timeouts."""
+"""Executor contract: parallel == serial bit for bit, failure capture, timeouts, dead workers."""
 
+import asyncio
+import json
+import os
+import signal
+import threading
 import time
 
 import pytest
 
 from repro.api.config import RunConfig
-from repro.lab.campaign import Campaign, SweepGrid, register_spec_factory
+from repro.lab.cache import ResultCache
+from repro.lab.campaign import Campaign, SweepGrid, register_spec_factory, run_campaign
 from repro.lab.executor import (
     PoolExecutor,
     SerialExecutor,
@@ -15,6 +21,7 @@ from repro.lab.executor import (
     run_cell_with_timeout,
 )
 from repro.core.specs import FunctionSpec
+from repro.sim.registry import get_engine, register_engine, unregister_engine
 
 
 def seeded_cells(specs=("minimum",), engines=("python",), seed=11, grid="0:3"):
@@ -27,6 +34,26 @@ def seeded_cells(specs=("minimum",), engines=("python",), seed=11, grid="0:3"):
         seed=seed,
     )
     return campaign.expand()
+
+
+def canonical(rows):
+    return [
+        json.dumps(r.deterministic_dict(), sort_keys=True, separators=(",", ":"))
+        for r in rows
+    ]
+
+
+def register_slow_spec():
+    def slow_spec():
+        def slow(x):
+            # fast on the fingerprint grid [0, 5); a campaign input (7,) hangs
+            if x[0] >= 5:
+                time.sleep(10)
+            return 0
+
+        return FunctionSpec(name="lab-test-slow", dimension=1, func=slow)
+
+    register_spec_factory("lab-test-slow", slow_spec, replace=True)
 
 
 class TestRunCell:
@@ -112,8 +139,8 @@ class TestParallelSerialEquivalence:
         assert serial == pool
 
     def test_pool_preserves_cell_order(self):
-        cells = seeded_cells(grid="0:4")
-        results = list(PoolExecutor(workers=4, chunksize=1).map(cells))
+        cells = seeded_cells(grid="0:8")  # 64 cells: sixteen chunks of four
+        results = list(PoolExecutor(workers=4).map(cells))
         assert [r.cell_id for r in results] == [c.cell_id for c in cells]
 
     def test_single_cell_falls_back_to_serial(self):
@@ -131,17 +158,7 @@ class TestParallelSerialEquivalence:
 
 class TestTimeout:
     def test_slow_cell_becomes_timeout_error_row(self):
-        def slow_spec():
-            def slow(x):
-                # fast on the fingerprint grid [0, 5); the campaign input
-                # (7,) is the one that hangs
-                if x[0] >= 5:
-                    time.sleep(10)
-                return 0
-
-            return FunctionSpec(name="lab-test-slow", dimension=1, func=slow)
-
-        register_spec_factory("lab-test-slow", slow_spec, replace=True)
+        register_slow_spec()
         campaign = Campaign(
             name="slow", specs=["lab-test-slow"], inputs=[(7,)], engines=("python",), seed=1
         )
@@ -191,6 +208,134 @@ class TestTimeout:
         assert run_cell_with_timeout(cell, timeout=5.0).ok
         remaining, interval = signal_module.setitimer(signal_module.ITIMER_REAL, 0.0)
         assert remaining == 0.0 and interval == 0.0
+
+
+class TestDeadWorkers:
+    """A pool worker that dies costs its call one retry; none of these waits on start-up."""
+
+    @staticmethod
+    def dying_engine(name, point, kill, marker):
+        """Register ``name``: the python engine, except that it calls ``kill``
+        on input ``point`` while ``marker`` does not exist."""
+        python = get_engine("python").implementation
+
+        class Dying:
+            def run_many(self, crn, x, config):
+                if tuple(x) == point and not os.path.exists(marker):
+                    kill()
+                return python.run_many(crn, x, config)
+
+            def estimate_expected_output(self, crn, x, config):
+                return python.estimate_expected_output(crn, x, config)
+
+        register_engine(name)(Dying)
+
+    @staticmethod
+    def campaign(engine, grid):
+        return Campaign(
+            name="dead-workers",
+            specs=["minimum"],
+            inputs=SweepGrid.parse(grid, dimension=2),
+            engines=(engine,),
+            configs=(RunConfig(trials=3),),
+            seed=5,
+        )
+
+    def test_a_sigkilled_worker_costs_one_retry_and_loses_no_row(self, tmp_path):
+        marker = str(tmp_path / "killed")
+
+        def sigkill_once():
+            open(marker, "x").close()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        self.dying_engine("lab-test-killed-once", (4, 4), sigkill_once, marker)
+        try:
+            campaign = self.campaign("lab-test-killed-once", "0:8")  # 64 cells, 8 chunks
+            runs = []
+            runner = threading.Thread(
+                target=lambda: runs.append(
+                    run_campaign(campaign, str(tmp_path / "pool"), workers=2, cache_dir=None)
+                ),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(60)
+            assert not runner.is_alive(), "run_campaign hung after its worker was SIGKILLed"
+            assert os.path.exists(marker)  # the worker did die; a serial run is now safe
+            serial = list(SerialExecutor().map(campaign.expand()))
+        finally:
+            unregister_engine("lab-test-killed-once")
+        (run,) = runs
+        assert run.executed == 64 and all(row.ok for row in run.results)
+        assert canonical(run.results) == canonical(serial)
+
+    def test_a_cell_that_kills_both_its_workers_is_one_uncached_error_row(self, tmp_path):
+        marker, cache_dir = str(tmp_path / "healed"), str(tmp_path / "cache")
+        self.dying_engine("lab-test-dies-on-sevens", (7, 7), lambda: os._exit(3), marker)
+        try:
+            campaign = self.campaign("lab-test-dies-on-sevens", "0:10")  # 100 cells
+            first = run_campaign(campaign, str(tmp_path / "out"), workers=2, cache_dir=cache_dir)
+            cached = self.cached_cell_ids(cache_dir, campaign)
+            open(marker, "w").close()
+            retried = run_campaign(
+                campaign, str(tmp_path / "out"), workers=2, cache_dir=cache_dir, retry_errors=True
+            )
+        finally:
+            unregister_engine("lab-test-dies-on-sevens")
+        [fatal] = [cell for cell in campaign.expand() if cell.input == (7, 7)]
+        errors = [row for row in first.results if not row.ok]
+        assert [row.cell_id for row in errors] == [fatal.cell_id]
+        assert errors[0].error.startswith("WorkerDied: ") and "_run_chunk" in errors[0].error
+        assert sum(row.ok for row in first.results) == 99
+        assert cached == {row.cell_id for row in first.results} - {fatal.cell_id}
+        assert (retried.already_done, retried.executed) == (99, 1)
+        assert all(row.ok for row in retried.results)
+        assert fatal.cell_id in self.cached_cell_ids(cache_dir, campaign)
+
+    @staticmethod
+    def cached_cell_ids(cache_dir, campaign):
+        cache = ResultCache(cache_dir)
+        try:
+            return {
+                cell.cell_id for cell in campaign.expand() if cache.get(cell.cache_key())
+            }
+        finally:
+            cache.close()
+
+    def test_a_cell_that_times_out_in_a_pool_worker_is_a_timeout_row(self):
+        register_slow_spec()
+        campaign = Campaign(
+            name="slow", specs=["lab-test-slow"], inputs=[(7,)], engines=("python",), seed=1
+        )
+        cells = campaign.expand() + seeded_cells()[:1]
+        started = time.perf_counter()
+        slow, fast = PoolExecutor(workers=2, timeout=0.3).map(cells)
+        assert time.perf_counter() - started < 5
+        assert slow.status == "error" and slow.error.startswith("CellTimeoutError")
+        assert slow.worker != os.getpid()  # the alarm fired in the worker
+        assert fast.ok
+
+    def test_a_pooled_campaign_runs_under_a_running_event_loop(self, tmp_path):
+        campaign = self.campaign("python", "0:4")
+
+        async def notebook_cell():
+            return run_campaign(campaign, str(tmp_path / "out"), workers=2, cache_dir=None)
+
+        run = asyncio.run(notebook_cell())
+        assert canonical(run.results) == canonical(SerialExecutor().map(campaign.expand()))
+
+    def test_closing_the_map_early_leaves_no_worker_and_closes_the_loop(self):
+        rows = PoolExecutor(workers=2).map(seeded_cells(grid="0:8"))
+        assert next(rows).ok
+        pool, loop = rows.gi_frame.f_locals["pool"], rows.gi_frame.f_locals["loop"]
+        pids = pool.pids
+        assert pids
+        rows.close()
+        assert loop.is_closed() and pool.pids == []
+        assert not [t for t in threading.enumerate() if t.name == "repro-pool"]
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class FakeCache:

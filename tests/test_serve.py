@@ -1020,7 +1020,7 @@ class TestWorkerPool:
     def test_a_worker_exception_is_raised_in_the_caller(self):
         import asyncio
 
-        from repro.serve.pool import WorkerPool
+        from repro.lab.pool import WorkerPool
 
         async def scenario():
             pool = WorkerPool(1)
@@ -1036,7 +1036,7 @@ class TestWorkerPool:
     def test_a_cancelled_call_holds_its_slot_until_the_stale_reply_lands(self):
         import asyncio
 
-        from repro.serve.pool import WorkerPool
+        from repro.lab.pool import WorkerPool
 
         read_end, write_end = os.pipe()  # the worker blocks reading it until released
 
@@ -1064,7 +1064,7 @@ class TestWorkerPool:
     def test_a_death_on_a_dropped_call_leaves_the_next_call_both_attempts(self, tmp_path):
         import asyncio
 
-        from repro.serve.pool import WorkerPool
+        from repro.lab.pool import WorkerPool
 
         restarts = []
 
@@ -1088,8 +1088,8 @@ class TestWorkerPool:
     ):
         import asyncio
 
-        from repro.serve import pool as pool_module
-        from repro.serve.pool import WorkerPool
+        from repro.lab import pool as pool_module
+        from repro.lab.pool import WorkerPool
 
         generation, restarts = [0], []
         monkeypatch.setattr(pool_module, "registration_generations", lambda: generation[0])
@@ -1112,7 +1112,7 @@ class TestWorkerPool:
     def test_shutdown_kills_a_busy_worker_without_waiting_for_it(self):
         import asyncio
 
-        from repro.serve import pool as pool_module
+        from repro.lab import pool as pool_module
 
         async def scenario():
             pool = pool_module.WorkerPool(1)
@@ -1128,7 +1128,7 @@ class TestWorkerPool:
     def test_a_worker_whose_server_end_closed_mid_call_exits_quietly(self):
         import multiprocessing
 
-        from repro.serve.pool import _worker_main
+        from repro.lab.pool import _worker_main
 
         context = multiprocessing.get_context("fork")
         parent, child = context.Pipe()
