@@ -13,7 +13,8 @@ from repro.crn.composition import concatenate
 from repro.crn.species import species
 from repro.crn.network import CRN
 from repro.functions.catalog import double_spec, maximum_spec, minimum_spec
-from repro.sim.fair import FairScheduler, output_producing_bias
+from repro.sim.fair import output_producing_bias
+from repro.sim.kernel import FairPolicy, SimulatorCore
 from repro.verify.composition import verify_composition
 
 
@@ -40,10 +41,10 @@ def test_composition_max_then_double_locks_in_excess(benchmark):
     def run():
         rows = {}
         for size in (2, 4, 8):
-            scheduler = FairScheduler(composed, bias=output_producing_bias(composed))
-            result = scheduler.run_on_input((size, size), quiescence_window=60 * size, max_steps=200_000)
+            core = SimulatorCore(composed, FairPolicy(bias=output_producing_bias(composed)))
+            result = core.run_on_input((size, size), quiescence_window=60 * size, max_steps=200_000)
             target = 2 * size
-            rows[size] = result.output_count(composed) - target
+            rows[size] = composed.output_count(result.final_configuration) - target
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

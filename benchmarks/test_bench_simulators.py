@@ -22,9 +22,8 @@ from repro.functions.catalog import minimum_spec
 from repro.lab.campaign import resolve_spec
 from repro.sim._reference import ReferenceGillespieSimulator
 from repro.sim.engine import BatchFairEngine, BatchGillespieEngine, BatchTauLeapEngine
-from repro.sim.fair import FairScheduler
-from repro.sim.gillespie import GillespieSimulator
 from repro.sim.kernel import (
+    FairPolicy,
     GillespiePolicy,
     SimulatorCore,
     TauLeapPolicy,
@@ -75,12 +74,12 @@ def test_gillespie_throughput(benchmark, bench_record, population):
     crn = minimum_spec().known_crn
 
     def run():
-        simulator = GillespieSimulator(crn, rng=random.Random(1))
-        return simulator.run_on_input((population, population))
+        core = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(1))
+        return core.run_on_input((population, population))
 
     result = benchmark(run)
     assert result.silent
-    assert result.output_count(crn) == population
+    assert crn.output_count(result.final_configuration) == population
     bench_record(
         f"scalar/gillespie/pop{2 * population}",
         2 * population,
@@ -94,8 +93,8 @@ def test_fair_scheduler_throughput(benchmark, bench_record, population):
     crn = minimum_spec().known_crn
 
     def run():
-        scheduler = FairScheduler(crn, rng=random.Random(1))
-        return scheduler.run_on_input((population, population))
+        core = SimulatorCore(crn, FairPolicy(), rng=random.Random(1))
+        return core.run_on_input((population, population))
 
     result = benchmark(run)
     assert result.silent
@@ -256,7 +255,7 @@ def test_scalar_kernel_speedup_at_population_1e4(bench_record):
 
     This is the before/after record for the scalar-kernel rebase: the
     "before" side runs the pre-kernel implementation preserved verbatim in
-    ``repro.sim._reference``, the "after" side the kernel shim, on identical
+    ``repro.sim._reference``, the "after" side the kernel, on identical
     seeds (the two produce bit-identical trajectories, so the comparison is
     event-for-event).  Both get a warm-up and the best of three samples.
     """
@@ -273,12 +272,12 @@ def test_scalar_kernel_speedup_at_population_1e4(bench_record):
             (population, population)
         ),
     )
-    GillespieSimulator(crn, rng=random.Random(1)).run_on_input(
+    SimulatorCore(crn, GillespiePolicy(), rng=random.Random(1)).run_on_input(
         (population // 10, population // 10)
     )  # warm-up
     kernel_time, kernel_result = best_of(
         3,
-        lambda: GillespieSimulator(crn, rng=random.Random(1)).run_on_input(
+        lambda: SimulatorCore(crn, GillespiePolicy(), rng=random.Random(1)).run_on_input(
             (population, population)
         ),
     )
@@ -369,7 +368,7 @@ def test_tau_leap_step_collapse_at_population_1e5(bench_record):
     assert collapse >= 5.0
     # The exact engine's seeded stream must be untouched by the tau machinery
     # (the bit-for-bit lock, restated at benchmark scale).
-    replay = GillespieSimulator(crn, rng=random.Random(1)).run_on_input(
+    replay = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(1)).run_on_input(
         (population, population), max_steps=10_000_000
     )
     assert replay.final_configuration == exact_result.final_configuration

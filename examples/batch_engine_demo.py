@@ -16,7 +16,13 @@ import time
 
 from repro.api import RunConfig
 from repro.functions.catalog import maximum_spec, minimum_spec
-from repro.sim import BatchFairEngine, BatchGillespieEngine, GillespieSimulator, run_many
+from repro.sim import (
+    BatchFairEngine,
+    BatchGillespieEngine,
+    GillespiePolicy,
+    SimulatorCore,
+    run_many,
+)
 from repro.verify import verify_stable_computation
 
 
@@ -35,7 +41,7 @@ def main() -> None:
 
     print(f"=== Scalar vs. vectorized Gillespie, min on ({population}, {population}) ===")
     start = time.perf_counter()
-    scalar = GillespieSimulator(minimum, rng=random.Random(1)).run_on_input(
+    scalar = SimulatorCore(minimum, GillespiePolicy(), rng=random.Random(1)).run_on_input(
         (population, population)
     )
     scalar_rate = scalar.steps / (time.perf_counter() - start)

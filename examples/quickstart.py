@@ -12,7 +12,7 @@ Run with::
 """
 
 from repro import CRN, species, verify_stable_computation
-from repro.sim import GillespieSimulator, run_many
+from repro.sim import GillespiePolicy, SimulatorCore, run_many
 from repro.verify import audit_output_oblivious, find_overproduction
 
 
@@ -56,9 +56,9 @@ def main() -> None:
         print()
 
     print("=== Stochastic (Gillespie) simulation of min on input (30, 50) ===")
-    simulator = GillespieSimulator(minimum)
-    result = simulator.run_on_input((30, 50))
-    print(f"final output count: {result.output_count(minimum)} after {result.steps} reactions "
+    result = SimulatorCore(minimum, GillespiePolicy()).run_on_input((30, 50))
+    print(f"final output count: {minimum.output_count(result.final_configuration)} "
+          f"after {result.steps} reactions "
           f"(simulated time {result.final_time:.3f})")
     print()
 

@@ -11,8 +11,11 @@ result, nothing at all for propensity work under tau-leaping).
 * ``selections`` — scheduler iterations (draws/leaps).  For exact
   engines ``selections == events``; tau-leaping collapses many events into
   one selection, which is exactly the 293× win the benchmarks track;
-* ``propensity_ops`` — individual propensity (or applicability) evaluations,
-  the currency the dependency-graph incremental updates save;
+* ``propensity_ops`` — propensity (or applicability) updates, the currency
+  the dependency-graph incremental updates save.  The Gillespie and tau
+  steppers count the evaluations they make; the fair policy adds the nominal
+  ``|deps(j)|`` per fired event ``j`` (forced stretches included), not the
+  rechecks it actually makes, which are fewer;
 * ``rng_draws`` — calls into the underlying ``random.Random`` stream.
   Counted by incrementing plain integers at the draw sites — the stream
   itself is **never** wrapped or touched, so seeded runs stay bit-identical;

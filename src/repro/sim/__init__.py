@@ -16,10 +16,10 @@ The scalar side is the kernel (:mod:`repro.sim.kernel`): one
 :class:`~repro.sim.kernel.SimulatorCore` driving pluggable
 :class:`~repro.sim.kernel.StepPolicy` strategies, whose bound steppers fire
 events in bursts through ``advance`` with Gibson–Bruck dependency-graph
-propensity updates; ``GillespieSimulator`` / ``FairScheduler`` are thin
-compatibility shims over it.  The batch engines
-(:mod:`repro.sim.engine`) advance ``B`` trajectories per numpy step and are
-selected via ``engine="vectorized"`` in the runner helpers.  Engines are
+propensity updates.  Every scalar run is one ``SimulatorCore(crn, policy,
+rng=...)`` returning a :class:`~repro.sim.kernel.KernelRunResult`.  The batch
+engines (:mod:`repro.sim.engine`) advance ``B`` trajectories per numpy step and
+are selected via ``engine="vectorized"`` in the runner helpers.  Engines are
 looked up in the pluggable registry (:mod:`repro.sim.registry`) — register a
 new backend with ``@register_engine("name")`` and it becomes addressable
 everywhere an ``engine=`` selector is accepted.  See ``DESIGN.md`` §5 for the
@@ -31,8 +31,6 @@ API
 ======================================  =======================================================
 Symbol                                  Purpose
 ======================================  =======================================================
-``GillespieSimulator`` / ``..Result``   Scalar exact SSA over one trajectory (kernel shim).
-``FairScheduler`` / ``FairRunResult``   Scalar rate-independent scheduler (kernel shim).
 ``output_producing_bias``               Adversarial bias: prefer output-producing reactions.
 ``output_consuming_bias``               Adversarial bias: prefer output-consuming reactions.
 ``SimulatorCore``                       The scalar run driver over the compiled IR: bounds,
@@ -53,7 +51,6 @@ Symbol                                  Purpose
 ``BatchRunResult``                      Array-valued result of a batch run.
 ``Trajectory`` / ``TrajectoryPoint``    Recorded species counts along a scalar run.
 ``ConvergenceReport``                   Aggregate statistics over repeated runs.
-``run_to_convergence``                  One fair run until silence / quiescence.
 ``run_many``                            Repeated runs
                                         (``engine="python"|"vectorized"|"tau"|"tau-vec"``).
 ``estimate_expected_output``            Monte-Carlo mean output under Gillespie kinetics.
@@ -62,17 +59,10 @@ Symbol                                  Purpose
 ``register_engine`` / ``EngineInfo``    Pluggable engine registry (capability metadata).
 ``get_engine`` / ``engine_names``       Registry lookup / the registered selector values.
 ``check_engine``                        Validate an ``engine=`` selector against the registry.
-``ENGINES``                             Live tuple of registered engine names (back-compat).
 ======================================  =======================================================
 """
 
-from repro.sim.gillespie import GillespieSimulator, GillespieResult
-from repro.sim.fair import (
-    FairScheduler,
-    FairRunResult,
-    output_consuming_bias,
-    output_producing_bias,
-)
+from repro.sim.fair import output_consuming_bias, output_producing_bias
 from repro.sim.engine import (
     BatchFairEngine,
     BatchGillespieEngine,
@@ -101,26 +91,12 @@ from repro.sim.registry import (
 )
 from repro.sim.runner import (
     ConvergenceReport,
-    run_to_convergence,
     run_many,
     estimate_expected_output,
     sweep_inputs,
 )
 
-
-def __getattr__(name: str):
-    # ``ENGINES`` used to be a hard-coded tuple; it is now a live view of the
-    # engine registry so runtime registrations show up too.
-    if name == "ENGINES":
-        return engine_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "GillespieSimulator",
-    "GillespieResult",
-    "FairScheduler",
-    "FairRunResult",
     "output_producing_bias",
     "output_consuming_bias",
     "CompiledCRN",
@@ -137,7 +113,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryPoint",
     "ConvergenceReport",
-    "run_to_convergence",
     "run_many",
     "estimate_expected_output",
     "sweep_inputs",
@@ -149,5 +124,4 @@ __all__ = [
     "get_engine",
     "engine_names",
     "check_engine",
-    "ENGINES",
 ]

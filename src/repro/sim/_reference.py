@@ -1,6 +1,6 @@
 """FROZEN reference copies of the pre-kernel dict-backed scalar simulators.
 
-These are the original ``GillespieSimulator.run`` / ``FairScheduler.run``
+These are the original Gillespie direct-method and fair-scheduler ``run``
 loops, verbatim, from before the scalar simulators were rebased onto
 :mod:`repro.sim.kernel`.  They advance an immutable
 :class:`~repro.crn.configuration.Configuration` one reaction at a time and
@@ -15,14 +15,19 @@ They exist for exactly two purposes:
   ``BENCH_results.json`` measure the kernel against this implementation.
 
 Do not extend, optimize, or "fix" this module: its value is that it does not
-change.  It is not part of the public API (the public classes live in
-:mod:`repro.sim.gillespie` / :mod:`repro.sim.fair`, backed by the kernel).
+change.  It is not part of the public API: every public scalar run is a
+:class:`~repro.sim.kernel.SimulatorCore` under a
+:class:`~repro.sim.kernel.GillespiePolicy` or
+:class:`~repro.sim.kernel.FairPolicy`.  Each run returns a plain record whose
+fields are named as the matching :class:`~repro.sim.kernel.KernelRunResult`
+fields.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence
 
 from repro.crn.configuration import Configuration
@@ -48,8 +53,6 @@ class ReferenceGillespieSimulator:
         record_every: int = 1,
         stop_when: Optional[Callable[[Configuration], bool]] = None,
     ):
-        from repro.sim.gillespie import GillespieResult
-
         config = initial
         time_now = 0.0
         trajectory = Trajectory(track) if track else None
@@ -93,7 +96,7 @@ class ReferenceGillespieSimulator:
 
         if trajectory is not None and (len(trajectory) == 0 or trajectory[-1].step != steps):
             trajectory.record(time_now, steps, config)
-        return GillespieResult(
+        return SimpleNamespace(
             final_configuration=config,
             final_time=time_now,
             steps=steps,
@@ -142,8 +145,6 @@ class ReferenceFairScheduler:
         track: Sequence[Species] = (),
         record_every: int = 1,
     ):
-        from repro.sim.fair import FairRunResult
-
         config = initial
         trajectory = Trajectory(track) if track else None
         if trajectory is not None:
@@ -180,7 +181,7 @@ class ReferenceFairScheduler:
 
         if trajectory is not None and (len(trajectory) == 0 or trajectory[-1].step != steps):
             trajectory.record(float(steps), steps, config)
-        return FairRunResult(
+        return SimpleNamespace(
             final_configuration=config,
             steps=steps,
             silent=silent,

@@ -1,11 +1,11 @@
 """Vectorized batch simulation engine: many trajectories per numpy step.
 
-The scalar simulators (:mod:`repro.sim.gillespie`, :mod:`repro.sim.fair`)
-advance one trajectory at a time through the step loop of
-:mod:`repro.sim.kernel`.  One trajectory at a time is ideal for adversarial
-schedules and trajectory inspection, but kinetic benchmarks and the
-repeated-run evidence gathered by :mod:`repro.verify.stable` want many
-independent trajectories, which is this module's job.
+The scalar kernel (:class:`repro.sim.kernel.SimulatorCore`) advances one
+trajectory at a time under a :class:`~repro.sim.kernel.StepPolicy`.  One
+trajectory at a time is ideal for adversarial schedules and trajectory
+inspection, but kinetic benchmarks and the repeated-run evidence gathered by
+:mod:`repro.verify.stable` want many independent trajectories, which is this
+module's job.
 
 This module trades the sparse dict representation for a dense one:
 
@@ -21,8 +21,8 @@ This module trades the sparse dict representation for a dense one:
   are masked out of subsequent steps.
 * :class:`BatchFairEngine` is the rate-independent counterpart: each row fires
   a uniformly random (or statically biased) applicable reaction, with the same
-  per-row quiescence-window convergence detection as
-  :class:`~repro.sim.fair.FairScheduler`.
+  per-row quiescence-window convergence detection as the scalar
+  :class:`~repro.sim.kernel.FairPolicy`.
 * :class:`BatchTauLeapEngine` compounds the batch layout with tau-leaping:
   every active row advances one Cao–Gillespie–Petzold leap per round (batched
   Poisson firing counts, per-trial rejection/tau-halving, per-trial exact
@@ -328,14 +328,19 @@ class _BatchEngineBase:
     def _initial_counts(self, initial: Configuration, batch: int) -> np.ndarray:
         return self.compiled.encode_batch(initial, batch)
 
+    def run_on_input(self, x: Sequence[int], batch: int = 1, **kwargs) -> BatchRunResult:
+        """Advance ``batch`` trajectories from the initial configuration for ``x``."""
+        return self.run(self.crn.initial_configuration(x), batch=batch, **kwargs)
+
 
 class BatchGillespieEngine(_BatchEngineBase):
     """Vectorized Gillespie direct method over ``B`` independent trajectories.
 
-    Statistically equivalent to running :class:`~repro.sim.gillespie.GillespieSimulator`
-    ``B`` times (same CTMC, different random streams); the equivalence suite in
-    ``tests/test_engine.py`` checks identical stable outputs and matching step
-    statistics against the scalar oracle.
+    Statistically equivalent to ``B`` scalar runs under
+    :class:`~repro.sim.kernel.GillespiePolicy` (same CTMC, different random
+    streams); the equivalence suite in ``tests/test_engine.py`` checks
+    identical stable outputs and matching step statistics against the scalar
+    oracle.
 
     Parameters
     ----------
@@ -429,10 +434,6 @@ class BatchGillespieEngine(_BatchEngineBase):
             max_output_seen=max_output,
             times=times,
         )
-
-    def run_on_input(self, x: Sequence[int], batch: int = 1, **kwargs) -> BatchRunResult:
-        """Advance ``batch`` trajectories from the initial configuration for ``x``."""
-        return self.run(self.crn.initial_configuration(x), batch=batch, **kwargs)
 
 
 class BatchTauLeapEngine(_BatchEngineBase):
@@ -736,16 +737,12 @@ class BatchTauLeapEngine(_BatchEngineBase):
             events[idx] += 1
         return events, went_silent, timed_out
 
-    def run_on_input(self, x: Sequence[int], batch: int = 1, **kwargs) -> BatchRunResult:
-        """Advance ``batch`` trajectories from the initial configuration for ``x``."""
-        return self.run(self.crn.initial_configuration(x), batch=batch, **kwargs)
-
 
 class BatchFairEngine(_BatchEngineBase):
     """Vectorized fair scheduler: each row fires a random applicable reaction.
 
     The rate-independent counterpart of :class:`BatchGillespieEngine`, matching
-    the semantics of :class:`~repro.sim.fair.FairScheduler`: uniform choice
+    the semantics of :class:`~repro.sim.kernel.FairPolicy`: uniform choice
     among the applicable reactions (or a static per-reaction bias), optional
     per-row quiescence-window convergence detection for networks that never
     fall silent.
@@ -790,7 +787,7 @@ class BatchFairEngine(_BatchEngineBase):
     ) -> BatchRunResult:
         """Advance ``batch`` trajectories until silence, quiescence, or the bound.
 
-        ``quiescence_window`` matches :meth:`repro.sim.fair.FairScheduler.run`:
+        ``quiescence_window`` matches :meth:`repro.sim.kernel.SimulatorCore.run`:
         if positive, a row stops (``converged``) once its output count has been
         unchanged for that many consecutive steps.
         """
@@ -858,7 +855,3 @@ class BatchFairEngine(_BatchEngineBase):
             max_output_seen=max_output,
             times=None,
         )
-
-    def run_on_input(self, x: Sequence[int], batch: int = 1, **kwargs) -> BatchRunResult:
-        """Advance ``batch`` trajectories from the initial configuration for ``x``."""
-        return self.run(self.crn.initial_configuration(x), batch=batch, **kwargs)

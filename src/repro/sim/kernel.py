@@ -1,8 +1,8 @@
 """The scalar simulation kernel: one run driver, pluggable step policies.
 
 Historically the package carried two parallel scalar hot loops — the Gillespie
-direct method in :mod:`repro.sim.gillespie` and the fair scheduler in
-:mod:`repro.sim.fair` — each advancing an immutable dict-backed
+direct method and the fair scheduler, frozen in :mod:`repro.sim._reference` —
+each advancing an immutable dict-backed
 :class:`~repro.crn.configuration.Configuration` one reaction at a time and
 re-deriving every propensity / applicability flag from scratch at every step.
 That duplicated the applicability, propensity, and quiescence logic already
@@ -11,7 +11,8 @@ present in the batch engines and capped scalar runs at populations around
 evaluations).
 
 This module replaces both loops with a single :class:`SimulatorCore` driving
-steppers over the shared :class:`~repro.sim.engine.CompiledCRN` IR:
+steppers over the shared :class:`~repro.sim.engine.CompiledCRN` IR; every
+scalar run is ``SimulatorCore(crn, policy, rng=...).run(...)``:
 
 * species counts live in one mutable dense list, so firing a reaction is a
   handful of integer adds over the reaction's sparse ``net_terms``;
@@ -121,7 +122,7 @@ from repro.crn.species import Species
 from repro.obs.stats import RunStats
 from repro.obs.trace import get_tracer
 from repro.sim.engine import CompiledCRN
-from repro.sim.tau import build_g_candidates, g_factor, is_critical, select_tau
+from repro.sim.tau import build_g_candidates, is_critical, select_tau
 from repro.sim.trajectory import Trajectory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -143,9 +144,9 @@ def default_quiescence_window(x: Sequence[int]) -> int:
 
 @dataclass
 class KernelRunResult:
-    """Result of one :meth:`SimulatorCore.run` — the union of what the two
-    scalar result dataclasses need, so the compatibility shims are pure field
-    mappings."""
+    """Result of one :meth:`SimulatorCore.run`, under any :class:`StepPolicy`.
+
+    Read the output as ``crn.output_count(result.final_configuration)``."""
 
     final_configuration: Configuration
     steps: int
@@ -209,7 +210,7 @@ class GillespiePolicy(StepPolicy):
 
     Per step: total propensity summed in reaction order, an exponential
     waiting time, then a propensity-proportional reaction choice — the same
-    draws, in the same order, as the legacy ``GillespieSimulator`` loop.
+    draws, in the same order, as the legacy direct-method loop.
     Propensities are refreshed incrementally through the dependency graph.
     """
 
@@ -730,10 +731,6 @@ class _TauLeapStepper(_Stepper):
         )
 
     # -- tau selection ---------------------------------------------------------
-
-    def _g(self, s: int, x: int) -> float:
-        """The highest-order-reaction factor g_i of Cao et al. (2006)."""
-        return g_factor(self.g_candidates.get(s, ((1, 1),)), x)
 
     def select_tau(self, counts: List[int]) -> float:
         """The largest leap over which no propensity should drift by more than

@@ -60,7 +60,6 @@ from repro.sim.engine import (
     BatchTauLeapEngine,
     CompiledCRN,
 )
-from repro.sim.fair import FairRunResult, FairScheduler
 from repro.sim.kernel import (
     FairPolicy,
     GillespiePolicy,
@@ -69,12 +68,11 @@ from repro.sim.kernel import (
     TauLeapPolicy,
     default_quiescence_window,
 )
-from repro.sim.registry import check_engine, engine_names, get_engine, register_engine
+from repro.sim.registry import check_engine, get_engine, register_engine
 
 __all__ = [
     "ConvergenceReport",
     "default_quiescence_window",  # re-exported; defined in repro.sim.kernel
-    "run_to_convergence",
     "run_many",
     "estimate_expected_output",
     "sweep_inputs",
@@ -83,14 +81,6 @@ __all__ = [
     "ScalarEngine",
     "BatchEngine",
 ]
-
-
-def __getattr__(name: str):
-    # Back-compat: the hard-coded ``ENGINES`` tuple is now a live view of the
-    # registry, so engines registered at runtime show up too.
-    if name == "ENGINES":
-        return engine_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -136,26 +126,6 @@ class ConvergenceReport:
             (peak - final for peak, final in zip(self.max_outputs, self.outputs)),
             default=0,
         )
-
-
-def run_to_convergence(
-    crn: CRN,
-    x: Sequence[int],
-    max_steps: int = 1_000_000,
-    quiescence_window: Optional[int] = None,
-    rng: Optional[random.Random] = None,
-) -> FairRunResult:
-    """Run the fair scheduler once on input ``x`` until silence or quiescence.
-
-    The quiescence window defaults to a value scaled with the input size so
-    that catalytic CRNs (which never fall silent) still terminate.
-    """
-    if quiescence_window is None:
-        quiescence_window = default_quiescence_window(x)
-    scheduler = FairScheduler(crn, rng=rng)
-    return scheduler.run_on_input(
-        x, max_steps=max_steps, quiescence_window=quiescence_window
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.crn.network import CRN
-from repro.sim.fair import FairScheduler, output_producing_bias
+from repro.sim.fair import output_producing_bias
+from repro.sim.kernel import FairPolicy, SimulatorCore
 
 
 @dataclass
@@ -59,12 +60,12 @@ def find_overproduction(
     rng = random.Random(seed)
     worst: Optional[OverproductionWitness] = None
     for _ in range(trials):
-        scheduler = FairScheduler(
+        core = SimulatorCore(
             crn,
+            FairPolicy(bias=output_producing_bias(crn, strength=bias_strength)),
             rng=random.Random(rng.getrandbits(64)),
-            bias=output_producing_bias(crn, strength=bias_strength),
         )
-        result = scheduler.run_on_input(
+        result = core.run_on_input(
             x, max_steps=max_steps, quiescence_window=50 * (sum(x) + 2)
         )
         if result.max_output_seen > target:

@@ -1,6 +1,6 @@
 """Scalar-vs-vectorized equivalence suite for the batch simulation engine.
 
-The scalar simulators are the reference oracle: for every catalog CRN the
+The scalar kernel (``SimulatorCore``) is the reference oracle: for every catalog CRN the
 batch engines must reach the identical stable output, and their step counts
 must statistically match the scalar ones.  Also covers the dense compilation
 (`CompiledCRN`), seeding policy, and the engine selectors on the runners.
@@ -30,8 +30,9 @@ from repro.sim import (
     BatchGillespieEngine,
     BatchTauLeapEngine,
     CompiledCRN,
-    FairScheduler,
-    GillespieSimulator,
+    FairPolicy,
+    GillespiePolicy,
+    SimulatorCore,
     estimate_expected_output,
     run_many,
 )
@@ -153,9 +154,9 @@ class TestGillespieEquivalence:
         engine = BatchGillespieEngine(crn.compiled(), seed=5)
         for x in small_inputs(spec.dimension):
             expected = spec.func(x)
-            scalar = GillespieSimulator(crn, rng=random.Random(5)).run_on_input(x)
+            scalar = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(5)).run_on_input(x)
             assert scalar.silent
-            assert scalar.output_count(crn) == expected
+            assert crn.output_count(scalar.final_configuration) == expected
             result = engine.run_on_input(x, batch=8)
             assert result.silent.all()
             assert (result.output_counts() == expected).all()
@@ -171,7 +172,7 @@ class TestGillespieEquivalence:
         ]
         for spec, x, expected_steps in cases:
             crn = spec.known_crn
-            scalar = GillespieSimulator(crn, rng=random.Random(2)).run_on_input(x)
+            scalar = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(2)).run_on_input(x)
             result = BatchGillespieEngine(crn.compiled(), seed=2).run_on_input(x, batch=6)
             assert scalar.steps == expected_steps
             assert (result.steps == expected_steps).all()
@@ -183,7 +184,7 @@ class TestGillespieEquivalence:
         trials = 60
         rng = random.Random(21)
         scalar_steps = [
-            GillespieSimulator(crn, rng=random.Random(rng.getrandbits(64)))
+            SimulatorCore(crn, GillespiePolicy(), rng=random.Random(rng.getrandbits(64)))
             .run_on_input((6, 6))
             .steps
             for _ in range(trials)
@@ -226,7 +227,7 @@ class TestFairEquivalence:
         engine = BatchFairEngine(crn.compiled(), seed=7)
         for x in small_inputs(spec.dimension):
             expected = spec.func(x)
-            scalar = FairScheduler(crn, rng=random.Random(7)).run_on_input(x)
+            scalar = SimulatorCore(crn, FairPolicy(), rng=random.Random(7)).run_on_input(x)
             assert scalar.silent
             assert crn.output_count(scalar.final_configuration) == expected
             result = engine.run_on_input(x, batch=8)
@@ -234,7 +235,7 @@ class TestFairEquivalence:
             assert (result.output_counts() == expected).all()
 
     def test_zero_reaction_crn_is_silent_everywhere(self):
-        # The scalar simulators report silent=True for an empty network; the
+        # A scalar run reports silent=True for an empty network; the
         # batch engines must agree instead of tripping on a (B, 0) matrix.
         x, y = species("X Y")
         crn = CRN([], (x,), y)
@@ -273,7 +274,7 @@ class TestFairEquivalence:
     def test_configurations_decode_to_oracle_configuration(self):
         crn = minimum_spec().known_crn
         result = BatchFairEngine(crn.compiled(), seed=3).run_on_input((2, 5), batch=3)
-        scalar = FairScheduler(crn, rng=random.Random(3)).run_on_input((2, 5))
+        scalar = SimulatorCore(crn, FairPolicy(), rng=random.Random(3)).run_on_input((2, 5))
         for config in result.configurations():
             assert config == scalar.final_configuration
 

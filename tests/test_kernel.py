@@ -5,8 +5,8 @@ Three layers of protection for the dict-loop -> kernel rebase:
 * **IR correctness** — the sparse term lists and the reaction dependency
   graph on :class:`~repro.sim.engine.CompiledCRN` match brute-force
   recomputation from the reactions themselves.
-* **Bit-for-bit equivalence** — seeded runs of the kernel-backed
-  ``GillespieSimulator`` / ``FairScheduler`` reproduce the frozen pre-kernel
+* **Bit-for-bit equivalence** — seeded ``SimulatorCore`` runs under
+  ``GillespiePolicy`` / ``FairPolicy`` reproduce the frozen pre-kernel
   loops (:mod:`repro.sim._reference`) exactly: same final configuration, same
   step/time bookkeeping, same trajectories, across every construction
   strategy (known / 1d / leaderless / quilt / general).
@@ -42,8 +42,7 @@ from repro.functions.extended import weighted_floor_spec
 from repro.functions.paper_examples import fig7_spec
 from repro.serve.protocol import canonical_json
 from repro.sim._reference import ReferenceFairScheduler, ReferenceGillespieSimulator
-from repro.sim.fair import FairScheduler, output_consuming_bias, output_producing_bias
-from repro.sim.gillespie import GillespieSimulator
+from repro.sim.fair import output_consuming_bias, output_producing_bias
 from repro.sim.kernel import (
     FairPolicy,
     GillespiePolicy,
@@ -195,7 +194,7 @@ class TestGillespieEquivalence:
     @pytest.mark.parametrize("label,crn,x", STRATEGY_CASES, ids=STRATEGY_IDS)
     def test_seeded_runs_bit_for_bit(self, label, crn, x):
         for seed in range(4):
-            kernel = GillespieSimulator(crn, rng=random.Random(seed)).run_on_input(
+            kernel = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(seed)).run_on_input(
                 x, max_steps=20_000
             )
             reference = ReferenceGillespieSimulator(
@@ -206,7 +205,7 @@ class TestGillespieEquivalence:
     def test_max_time_clamp_matches(self):
         crn = minimum_spec().known_crn
         for seed in (1, 2, 3):
-            kernel = GillespieSimulator(crn, rng=random.Random(seed)).run_on_input(
+            kernel = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(seed)).run_on_input(
                 (50, 50), max_time=0.01
             )
             reference = ReferenceGillespieSimulator(
@@ -217,7 +216,7 @@ class TestGillespieEquivalence:
     def test_stop_when_matches(self):
         crn = double_spec().known_crn
         predicate = lambda config: config[Y] >= 7  # noqa: E731
-        kernel = GillespieSimulator(crn, rng=random.Random(5)).run_on_input(
+        kernel = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(5)).run_on_input(
             (20,), stop_when=predicate
         )
         reference = ReferenceGillespieSimulator(crn, rng=random.Random(5)).run_on_input(
@@ -228,7 +227,7 @@ class TestGillespieEquivalence:
 
     def test_trajectories_match(self):
         crn = minimum_spec().known_crn
-        kernel = GillespieSimulator(crn, rng=random.Random(9)).run_on_input(
+        kernel = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(9)).run_on_input(
             (10, 12), track=[Y], record_every=3
         )
         reference = ReferenceGillespieSimulator(crn, rng=random.Random(9)).run_on_input(
@@ -239,7 +238,7 @@ class TestGillespieEquivalence:
     def test_out_of_network_species_pass_through(self):
         crn = double_spec().known_crn
         initial = crn.initial_configuration((3,)) + Configuration({Z: 2})
-        kernel = GillespieSimulator(crn, rng=random.Random(1)).run(initial)
+        kernel = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(1)).run(initial)
         reference = ReferenceGillespieSimulator(crn, rng=random.Random(1)).run(initial)
         assert kernel.final_configuration[Z] == 2
         assert_same_gillespie(kernel, reference)
@@ -249,7 +248,7 @@ class TestFairEquivalence:
     @pytest.mark.parametrize("label,crn,x", STRATEGY_CASES, ids=STRATEGY_IDS)
     def test_seeded_runs_bit_for_bit(self, label, crn, x):
         for seed in range(4):
-            kernel = FairScheduler(crn, rng=random.Random(seed)).run_on_input(
+            kernel = SimulatorCore(crn, FairPolicy(), rng=random.Random(seed)).run_on_input(
                 x, max_steps=20_000, quiescence_window=400
             )
             reference = ReferenceFairScheduler(
@@ -261,8 +260,8 @@ class TestFairEquivalence:
     def test_biased_runs_bit_for_bit(self, bias_factory):
         crn = maximum_spec().known_crn
         for seed in range(4):
-            kernel = FairScheduler(
-                crn, rng=random.Random(seed), bias=bias_factory(crn)
+            kernel = SimulatorCore(
+                crn, FairPolicy(bias=bias_factory(crn)), rng=random.Random(seed)
             ).run_on_input((5, 5), quiescence_window=500)
             reference = ReferenceFairScheduler(
                 crn, rng=random.Random(seed), bias=bias_factory(crn)
@@ -271,7 +270,7 @@ class TestFairEquivalence:
 
     def test_trajectories_match(self):
         crn = minimum_spec().known_crn
-        kernel = FairScheduler(crn, rng=random.Random(3)).run_on_input(
+        kernel = SimulatorCore(crn, FairPolicy(), rng=random.Random(3)).run_on_input(
             (6, 9), track=[Y], record_every=2
         )
         reference = ReferenceFairScheduler(crn, rng=random.Random(3)).run_on_input(
@@ -283,8 +282,8 @@ class TestFairEquivalence:
         crn = minimum_spec().known_crn
         zero_bias = lambda rxn: 0.0  # noqa: E731
         for seed in (1, 4):
-            kernel = FairScheduler(
-                crn, rng=random.Random(seed), bias=zero_bias
+            kernel = SimulatorCore(
+                crn, FairPolicy(bias=zero_bias), rng=random.Random(seed)
             ).run_on_input((4, 4))
             reference = ReferenceFairScheduler(
                 crn, rng=random.Random(seed), bias=zero_bias
@@ -462,8 +461,8 @@ class TestIncrementalState:
         window = default_quiescence_window(x)
         for bias_factory in (lambda crn: None, output_producing_bias):
             for seed in range(4):
-                kernel = FairScheduler(
-                    crn, rng=random.Random(seed), bias=bias_factory(crn)
+                kernel = SimulatorCore(
+                    crn, FairPolicy(bias=bias_factory(crn)), rng=random.Random(seed)
                 ).run_on_input(x, quiescence_window=window)
                 reference = ReferenceFairScheduler(
                     crn, rng=random.Random(seed), bias=bias_factory(crn)
@@ -775,9 +774,9 @@ class TestSeedStreamLock:
         crn = minimum_spec().known_crn
         config = RunConfig(trials=1, seed=23, epsilon=0.5)  # non-default epsilon
         (trial_seed,) = config.trial_seeds()
-        kernel = GillespieSimulator(crn, rng=random.Random(trial_seed)).run_on_input(
-            (6, 11)
-        )
+        kernel = SimulatorCore(
+            crn, GillespiePolicy(), rng=random.Random(trial_seed)
+        ).run_on_input((6, 11))
         reference = ReferenceGillespieSimulator(
             crn, rng=random.Random(trial_seed)
         ).run_on_input((6, 11))
@@ -917,8 +916,8 @@ class TestSeedStreamLockNRM:
     ):
         # Exact float equality on the simulated clock: the strongest
         # detector of any extra/missing draw in the scalar kinetic stream.
-        result = GillespieSimulator(
-            branching_crn(), rng=random.Random(seed)
+        result = SimulatorCore(
+            branching_crn(), GillespiePolicy(), rng=random.Random(seed)
         ).run_on_input((40,))
         assert result.final_time == final_time
         assert result.final_configuration[Y] == output
@@ -1144,7 +1143,7 @@ class TestGoldenStreams:
     }
 
     #: FORCED_CASES -> (digest, the generator's next ``random()`` after the
-    #: run; FairScheduler reuses its generator across runs).  Recorded from
+    #: run; a SimulatorCore reuses its generator across runs).  Recorded from
     #: the kernel that fired every event through the per-event loop, before
     #: forced stretches were fired in one step.
     GOLDEN_FORCED = {

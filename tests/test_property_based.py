@@ -16,8 +16,7 @@ from repro.core.construction_quilt import build_quilt_affine_crn
 from repro.core.impossibility import find_contradiction_witness
 from repro.quilt.fitting import fit_eventually_quilt_affine_1d
 from repro.quilt.quilt_affine import QuiltAffine, all_residues
-from repro.sim.fair import FairScheduler
-from repro.sim.kernel import SimulatorCore, TauLeapPolicy
+from repro.sim.kernel import FairPolicy, SimulatorCore, TauLeapPolicy
 
 
 SPECIES_POOL = species("A B C D")
@@ -140,8 +139,8 @@ class TestSimulationAgreement:
     def test_min_crn_fair_runs_always_reach_min(self, a, b):
         X1, X2, Y = species("X1 X2 Y")
         crn = CRN([X1 + X2 >> Y], (X1, X2), Y)
-        scheduler = FairScheduler(crn, rng=random.Random(a * 31 + b))
-        result = scheduler.run_on_input((a, b))
+        core = SimulatorCore(crn, FairPolicy(), rng=random.Random(a * 31 + b))
+        result = core.run_on_input((a, b))
         assert result.silent
         assert result.final_configuration[Y] == min(a, b)
 
@@ -150,8 +149,8 @@ class TestSimulationAgreement:
     def test_quilt_construction_matches_function_under_simulation(self, value):
         quilt = QuiltAffine.floor_linear((3,), 2)
         crn = build_quilt_affine_crn(quilt)
-        scheduler = FairScheduler(crn, rng=random.Random(value))
-        result = scheduler.run_on_input((value,))
+        core = SimulatorCore(crn, FairPolicy(), rng=random.Random(value))
+        result = core.run_on_input((value,))
         assert result.silent
         assert crn.output_count(result.final_configuration) == (3 * value) // 2
 

@@ -63,12 +63,10 @@ class TestRegistryBasics:
         assert "python" in names
         assert "vectorized" in names
 
-    def test_engines_tuple_is_live_view(self, dummy_engine):
-        import repro.sim
-
-        assert "dummy" in repro.sim.ENGINES
+    def test_engine_names_is_live_view(self, dummy_engine):
+        assert "dummy" in engine_names()
         unregister_engine("dummy")
-        assert "dummy" not in repro.sim.ENGINES
+        assert "dummy" not in engine_names()
         # Re-register so the fixture teardown stays a no-op.
         register_engine("dummy")(dummy_engine)
 
@@ -336,10 +334,9 @@ class TestValidateEngineRequest:
 
 
 class TestBackCompat:
-    def test_runner_module_still_exposes_engines_and_check_engine(self):
+    def test_runner_module_still_exposes_check_engine(self):
         from repro.sim import runner
 
-        assert set(runner.ENGINES) >= {"python", "vectorized"}
         runner.check_engine("python")
         with pytest.raises(ValueError):
             runner.check_engine("nope")

@@ -1,4 +1,4 @@
-"""Unit tests for the Gillespie simulator, fair scheduler, and runners."""
+"""Unit tests for scalar Gillespie and fair runs, and the runners."""
 
 import random
 
@@ -7,9 +7,9 @@ import pytest
 from repro.crn.network import CRN
 from repro.crn.species import species
 from repro.functions.catalog import maximum_spec, minimum_spec, double_spec
-from repro.sim.fair import FairScheduler, output_consuming_bias, output_producing_bias
-from repro.sim.gillespie import GillespieSimulator
-from repro.sim.runner import estimate_expected_output, run_many, run_to_convergence, sweep_inputs
+from repro.sim.fair import output_consuming_bias, output_producing_bias
+from repro.sim.kernel import FairPolicy, GillespiePolicy, SimulatorCore
+from repro.sim.runner import estimate_expected_output, run_many, sweep_inputs
 from repro.sim.trajectory import Trajectory
 
 
@@ -19,60 +19,59 @@ X, X1, X2, Y = species("X X1 X2 Y")
 class TestGillespie:
     def test_double_runs_to_silence(self):
         crn = double_spec().known_crn
-        sim = GillespieSimulator(crn, rng=random.Random(1))
-        result = sim.run_on_input((5,))
+        core = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(1))
+        result = core.run_on_input((5,))
         assert result.silent
-        assert result.output_count(crn) == 10
+        assert crn.output_count(result.final_configuration) == 10
         assert result.steps == 5
         assert result.final_time > 0
 
     def test_max_steps_bound(self):
         crn = double_spec().known_crn
-        sim = GillespieSimulator(crn, rng=random.Random(1))
-        result = sim.run_on_input((100,), max_steps=10)
+        core = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(1))
+        result = core.run_on_input((100,), max_steps=10)
         assert result.steps == 10 and not result.silent
 
     def test_trajectory_recording(self):
         crn = double_spec().known_crn
-        sim = GillespieSimulator(crn, rng=random.Random(2))
-        result = sim.run_on_input((4,), track=[Y])
+        core = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(2))
+        result = core.run_on_input((4,), track=[Y])
         assert result.trajectory is not None
         assert result.trajectory.counts_of(Y)[-1] == 8
 
     def test_stop_when_predicate(self):
         crn = double_spec().known_crn
-        sim = GillespieSimulator(crn, rng=random.Random(3))
-        result = sim.run_on_input((10,), stop_when=lambda c: c[Y] >= 4)
-        assert result.output_count(crn) >= 4
+        core = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(3))
+        result = core.run_on_input((10,), stop_when=lambda c: c[Y] >= 4)
+        assert crn.output_count(result.final_configuration) >= 4
         assert result.steps < 10
 
-    def test_expected_completion_time_finite(self):
-        crn = minimum_spec().known_crn
-        sim = GillespieSimulator(crn, rng=random.Random(4))
-        assert sim.expected_completion_time((5, 5), trials=3) < float("inf")
 
-
-class TestFairScheduler:
+class TestFairPolicy:
     def test_min_converges_to_correct_output(self):
         crn = minimum_spec().known_crn
-        scheduler = FairScheduler(crn, rng=random.Random(5))
-        result = scheduler.run_on_input((4, 7))
+        core = SimulatorCore(crn, FairPolicy(), rng=random.Random(5))
+        result = core.run_on_input((4, 7))
         assert result.silent
-        assert result.output_count(crn) == 4
+        assert crn.output_count(result.final_configuration) == 4
 
     def test_max_overshoot_with_producing_bias(self):
         crn = maximum_spec().known_crn
-        scheduler = FairScheduler(
-            crn, rng=random.Random(6), bias=output_producing_bias(crn)
+        core = SimulatorCore(
+            crn, FairPolicy(bias=output_producing_bias(crn)), rng=random.Random(6)
         )
-        result = scheduler.run_on_input((4, 4), quiescence_window=500)
+        result = core.run_on_input((4, 4), quiescence_window=500)
         # The adversarial schedule pushes the output above max(4,4)=4 transiently.
         assert result.max_output_seen > 4
 
     def test_consuming_bias_limits_overshoot(self):
         crn = maximum_spec().known_crn
-        producing = FairScheduler(crn, rng=random.Random(7), bias=output_producing_bias(crn))
-        consuming = FairScheduler(crn, rng=random.Random(7), bias=output_consuming_bias(crn))
+        producing = SimulatorCore(
+            crn, FairPolicy(bias=output_producing_bias(crn)), rng=random.Random(7)
+        )
+        consuming = SimulatorCore(
+            crn, FairPolicy(bias=output_consuming_bias(crn)), rng=random.Random(7)
+        )
         high = producing.run_on_input((5, 5), quiescence_window=500).max_output_seen
         low = consuming.run_on_input((5, 5), quiescence_window=500).max_output_seen
         assert high >= low
@@ -80,17 +79,12 @@ class TestFairScheduler:
     def test_quiescence_window_terminates_catalytic_network(self):
         # X + Y -> X + Y + Y would never be quiescent; use a catalytic no-op instead.
         crn = CRN([X1 + X2 >> X1 + X2], (X1, X2), Y)
-        scheduler = FairScheduler(crn, rng=random.Random(8))
-        result = scheduler.run_on_input((2, 2), quiescence_window=50, max_steps=10_000)
+        core = SimulatorCore(crn, FairPolicy(), rng=random.Random(8))
+        result = core.run_on_input((2, 2), quiescence_window=50, max_steps=10_000)
         assert result.converged and not result.silent
 
 
 class TestRunners:
-    def test_run_to_convergence(self):
-        crn = minimum_spec().known_crn
-        result = run_to_convergence(crn, (3, 9), rng=random.Random(9))
-        assert crn.output_count(result.final_configuration) == 3
-
     def test_run_many_unanimous(self):
         crn = minimum_spec().known_crn
         report = run_many(crn, (2, 5), trials=5, seed=10)
@@ -126,3 +120,15 @@ class TestTrajectory:
         trajectory = Trajectory([Y])
         with pytest.raises(KeyError):
             trajectory.counts_of(X)
+
+
+class TestPublicExports:
+    @pytest.mark.parametrize(
+        "module_name", ["repro.sim", "repro.api", "repro.lab", "repro.serve"]
+    )
+    def test_every_exported_name_resolves(self, module_name):
+        import importlib
+
+        module = importlib.import_module(module_name)
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == []

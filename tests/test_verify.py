@@ -5,7 +5,11 @@ import pytest
 from repro.functions.catalog import double_spec, maximum_spec, min_one_leaderless_crn, minimum_spec
 from repro.verify.composition import verify_composition
 from repro.verify.oblivious import audit_output_oblivious
-from repro.verify.overproduction import find_overproduction, measure_overshoot
+from repro.verify.overproduction import (
+    OverproductionWitness,
+    find_overproduction,
+    measure_overshoot,
+)
 from repro.verify.stable import default_input_grid, verify_stable_computation
 
 
@@ -88,6 +92,11 @@ class TestOverproduction:
         assert witness is not None
         assert witness.overshoot >= 1
         assert not witness.permanent   # the max CRN eventually retracts the excess
+        # Seeded literal: each trial draws its seed from the search's rng
+        # before running, so a change to the draw order moves this witness.
+        assert witness == OverproductionWitness(
+            input_value=(4, 4), target=4, max_output_seen=8, final_output=4, steps=16
+        )
 
     def test_min_crn_never_overshoots(self):
         spec = minimum_spec()
@@ -98,6 +107,7 @@ class TestOverproduction:
         spec = maximum_spec()
         summary = measure_overshoot(spec.known_crn, spec.func, [(2, 2), (3, 3)], trials=5, seed=5)
         assert summary["max_overshoot"] >= 1
+        assert summary == {"per_input": {(2, 2): 2, (3, 3): 3}, "max_overshoot": 3}
         min_summary = measure_overshoot(
             minimum_spec().known_crn, lambda x: min(x), [(2, 2)], trials=5, seed=5
         )
