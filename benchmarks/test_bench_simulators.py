@@ -14,14 +14,18 @@ import time
 
 import pytest
 
-from conftest import mean_seconds
 from repro.api.config import RunConfig
 from repro.core.characterization import build_crn_for
 from repro.crn.reachability import check_stable_computation_at
 from repro.functions.catalog import minimum_spec
 from repro.lab.campaign import resolve_spec
 from repro.sim._reference import ReferenceGillespieSimulator
-from repro.sim.engine import BatchFairEngine, BatchGillespieEngine, BatchTauLeapEngine
+from repro.sim.engine import (
+    BatchFairEngine,
+    BatchGillespieEngine,
+    BatchRunResult,
+    BatchTauLeapEngine,
+)
 from repro.sim.kernel import (
     FairPolicy,
     GillespiePolicy,
@@ -70,41 +74,37 @@ def best_of(runs, run_once):
 
 
 @pytest.mark.parametrize("population", SCALAR_POPULATIONS)
-def test_gillespie_throughput(benchmark, bench_record, population):
+def test_gillespie_throughput(bench_record, population):
+    """Events/sec of the scalar Gillespie kernel on ``minimum``.
+
+    One run lasts 50 µs to 20 ms, so each record is timed over consecutive
+    seeds until 0.1 s has passed (``runs`` records how many).
+    """
     crn = minimum_spec().known_crn
 
-    def run():
-        core = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(1))
+    def run(seed):
+        core = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(seed))
         return core.run_on_input((population, population))
 
-    result = benchmark(run)
+    events, seconds, runs, result = events_over(0.1, run, lambda result: result.steps)
     assert result.silent
     assert crn.output_count(result.final_configuration) == population
-    bench_record(
-        f"scalar/gillespie/pop{2 * population}",
-        2 * population,
-        mean_seconds(benchmark),
-        result.steps,
-    )
+    bench_record(f"scalar/gillespie/pop{2 * population}", 2 * population, seconds, events, runs=runs)
 
 
 @pytest.mark.parametrize("population", SCALAR_POPULATIONS)
-def test_fair_scheduler_throughput(benchmark, bench_record, population):
+def test_fair_scheduler_throughput(bench_record, population):
+    """Events/sec of the scalar fair kernel, timed like ``test_gillespie_throughput``."""
     crn = minimum_spec().known_crn
 
-    def run():
-        core = SimulatorCore(crn, FairPolicy(), rng=random.Random(1))
+    def run(seed):
+        core = SimulatorCore(crn, FairPolicy(), rng=random.Random(seed))
         return core.run_on_input((population, population))
 
-    result = benchmark(run)
+    events, seconds, runs, result = events_over(0.1, run, lambda result: result.steps)
     assert result.silent
     assert crn.output_count(result.final_configuration) == population
-    bench_record(
-        f"scalar/fair/pop{2 * population}",
-        2 * population,
-        mean_seconds(benchmark),
-        result.steps,
-    )
+    bench_record(f"scalar/fair/pop{2 * population}", 2 * population, seconds, events, runs=runs)
 
 
 def test_fair_scheduler_paper_cells(bench_record):
@@ -150,48 +150,51 @@ def test_fair_scheduler_paper_cells(bench_record):
 
 
 @pytest.mark.parametrize("population", BATCH_POPULATIONS)
-def test_batch_gillespie_throughput(benchmark, bench_record, population):
+def test_batch_gillespie_throughput(bench_record, population):
     """Head-to-head counterpart of ``test_gillespie_throughput``: 64 rows at once.
 
     Per-event cost is what to compare (each call fires ``BATCH`` x population
-    reactions, the scalar benchmark fires population).
+    reactions, the scalar benchmark fires population).  Timed over
+    consecutive seeds until 0.1 s has passed, like the scalar records.
     """
     compiled = minimum_spec().known_crn.compiled()
 
-    def run():
-        engine = BatchGillespieEngine(compiled, seed=1)
+    def run(seed):
+        engine = BatchGillespieEngine(compiled, seed=seed)
         return engine.run_on_input((population, population), batch=BATCH)
 
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    events, seconds, runs, result = events_over(0.1, run, BatchRunResult.total_steps)
     assert result.silent.all()
     assert (result.output_counts() == population).all()
     bench_record(
         f"batch/gillespie/pop{2 * population}",
         2 * population,
-        mean_seconds(benchmark),
-        result.total_steps(),
+        seconds,
+        events,
         batch=BATCH,
+        runs=runs,
     )
 
 
 @pytest.mark.parametrize("population", BATCH_POPULATIONS)
-def test_batch_fair_throughput(benchmark, bench_record, population):
+def test_batch_fair_throughput(bench_record, population):
     """Head-to-head counterpart of ``test_fair_scheduler_throughput``."""
     compiled = minimum_spec().known_crn.compiled()
 
-    def run():
-        engine = BatchFairEngine(compiled, seed=1)
+    def run(seed):
+        engine = BatchFairEngine(compiled, seed=seed)
         return engine.run_on_input((population, population), batch=BATCH)
 
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    events, seconds, runs, result = events_over(0.1, run, BatchRunResult.total_steps)
     assert result.silent.all()
     assert (result.output_counts() == population).all()
     bench_record(
         f"batch/fair/pop{2 * population}",
         2 * population,
-        mean_seconds(benchmark),
-        result.total_steps(),
+        seconds,
+        events,
         batch=BATCH,
+        runs=runs,
     )
 
 
@@ -257,29 +260,34 @@ def test_scalar_kernel_speedup_at_population_1e4(bench_record):
     "before" side runs the pre-kernel implementation preserved verbatim in
     ``repro.sim._reference``, the "after" side the kernel, on identical
     seeds (the two produce bit-identical trajectories, so the comparison is
-    event-for-event).  Both get a warm-up and the best of three samples.
+    event-for-event).  Both get a warm-up; then each side is timed over
+    consecutive seeds until 0.1 s has passed (one kernel run lasts ~20 ms),
+    and the gate compares summed events per second.
     """
     population = 10_000
     crn = minimum_spec().known_crn
     crn.compiled()  # compile outside the timed region, as a caller would
 
+    def run_legacy(seed):
+        return ReferenceGillespieSimulator(crn, rng=random.Random(seed)).run_on_input(
+            (population, population)
+        )
+
+    def run_kernel(seed):
+        core = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(seed))
+        return core.run_on_input((population, population))
+
     ReferenceGillespieSimulator(crn, rng=random.Random(1)).run_on_input(
         (population // 10, population // 10)
     )  # warm-up
-    legacy_time, legacy_result = best_of(
-        3,
-        lambda: ReferenceGillespieSimulator(crn, rng=random.Random(1)).run_on_input(
-            (population, population)
-        ),
+    legacy_events, legacy_time, legacy_runs, legacy_result = events_over(
+        0.1, run_legacy, lambda result: result.steps
     )
     SimulatorCore(crn, GillespiePolicy(), rng=random.Random(1)).run_on_input(
         (population // 10, population // 10)
     )  # warm-up
-    kernel_time, kernel_result = best_of(
-        3,
-        lambda: SimulatorCore(crn, GillespiePolicy(), rng=random.Random(1)).run_on_input(
-            (population, population)
-        ),
+    kernel_events, kernel_time, kernel_runs, kernel_result = events_over(
+        0.1, run_kernel, lambda result: result.steps
     )
 
     assert legacy_result.silent and kernel_result.silent
@@ -289,18 +297,22 @@ def test_scalar_kernel_speedup_at_population_1e4(bench_record):
         "scalar-kernel/legacy-dict-loop/gillespie/pop20000",
         2 * population,
         legacy_time,
-        legacy_result.steps,
+        legacy_events,
+        runs=legacy_runs,
     )
     bench_record(
         "scalar-kernel/kernel/gillespie/pop20000",
         2 * population,
         kernel_time,
-        kernel_result.steps,
+        kernel_events,
+        runs=kernel_runs,
     )
-    speedup = legacy_time / kernel_time
+    legacy_rate = legacy_events / legacy_time
+    kernel_rate = kernel_events / kernel_time
+    speedup = kernel_rate / legacy_rate
     print(
-        f"\n[scalar-kernel] legacy {legacy_result.steps / legacy_time:,.0f} ev/s, "
-        f"kernel {kernel_result.steps / kernel_time:,.0f} ev/s -> {speedup:.1f}x"
+        f"\n[scalar-kernel] legacy {legacy_rate:,.0f} ev/s, "
+        f"kernel {kernel_rate:,.0f} ev/s -> {speedup:.1f}x"
     )
     assert speedup >= 3.0
 

@@ -34,9 +34,10 @@ layer renders that as ``429 Too Many Requests`` with a ``Retry-After`` hint.
 from __future__ import annotations
 
 import asyncio
+import collections
 import time
 import uuid
-from typing import Any, Awaitable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Awaitable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api.config import RunConfig
 from repro.lab.backends import SharedDirQueue
@@ -58,6 +59,10 @@ DONE_STATES = ("done", "cancelled", "failed")
 
 #: Seconds between polls of a shared-dir job's queue (workers signal via files).
 SHARED_DIR_POLL = 0.2
+
+#: Settled jobs kept readable; past this the oldest settled job is evicted and
+#: its id answers 404, so the job table stays bounded on a long-lived server.
+MAX_SETTLED_JOBS = 256
 
 
 class QueueFullError(Exception):
@@ -200,13 +205,14 @@ class JobManager:
         self.metrics = metrics
         self.queue_limit = queue_limit
         self.jobs: Dict[str, Job] = {}
-        self._tasks: Dict[str, asyncio.Task] = {}
+        self._tasks: Dict[str, asyncio.Task] = {}  # live jobs only
+        self._settled: Deque[str] = collections.deque()  # ids, oldest first
 
     # -- queue accounting ---------------------------------------------------------
 
     @property
     def pending_cells(self) -> int:
-        return sum(job.remaining for job in self.jobs.values() if job.active)
+        return sum(self.jobs[job_id].remaining for job_id in self._tasks)
 
     # -- the one cell path, shared by the simulate endpoint and jobs ---------------
 
@@ -292,6 +298,10 @@ class JobManager:
             self.metrics.record_job_event("failed")
         finally:
             job.finished = time.time()
+            del self._tasks[job.id]
+            self._settled.append(job.id)
+            while len(self._settled) > MAX_SETTLED_JOBS:
+                del self.jobs[self._settled.popleft()]
 
     @staticmethod
     async def _until_cancelled(job: Job, work: Awaitable[None]) -> bool:
@@ -375,6 +385,5 @@ class JobManager:
         for job in self.jobs.values():
             if job.active:
                 job.cancel_event.set()
-        tasks = [task for task in self._tasks.values() if not task.done()]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        if self._tasks:
+            await asyncio.gather(*self._tasks.values(), return_exceptions=True)

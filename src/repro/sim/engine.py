@@ -28,9 +28,14 @@ This module trades the sparse dict representation for a dense one:
   Poisson firing counts, per-trial rejection/tau-halving, per-trial exact
   fallback under the shared ``n_critical`` rule of :mod:`repro.sim.tau`).
 
+The three engines share one lockstep driver (``_BatchEngineBase._drive``):
+each supplies only the round that advances its active rows, and the
+Gillespie round and tau's exact fallback are the same direct-method step.
+
 See ``DESIGN.md`` for the architecture and the seeding / reproducibility
 policy, ``tests/test_engine.py`` for the scalar-vs-vectorized equivalence
-suite, and ``tests/test_kernel.py`` for the kernel-vs-legacy scalar suite.
+suite and the seeded batch stream pins, and ``tests/test_kernel.py`` for the
+scalar kernel suite and the registry-level engine locks.
 """
 
 from __future__ import annotations
@@ -310,8 +315,17 @@ class BatchRunResult:
         return int(self.steps.sum())
 
 
+#: The empty position array ``_gillespie_step`` returns when no row went
+#: silent or timed out (the common case, so no index work is spent on it).
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+
+
 class _BatchEngineBase:
-    """Shared compilation / seeding plumbing for the batch engines."""
+    """Shared compilation / seeding plumbing and the lockstep driver.
+
+    Every batch engine is one :meth:`_drive` loop over its active rows; an
+    engine supplies only the ``advance`` round that moves those rows.
+    """
 
     def __init__(
         self,
@@ -325,12 +339,121 @@ class _BatchEngineBase:
             raise ValueError("pass either seed or rng, not both")
         self.rng = rng if rng is not None else np.random.default_rng(seed)
 
-    def _initial_counts(self, initial: Configuration, batch: int) -> np.ndarray:
-        return self.compiled.encode_batch(initial, batch)
-
     def run_on_input(self, x: Sequence[int], batch: int = 1, **kwargs) -> BatchRunResult:
         """Advance ``batch`` trajectories from the initial configuration for ``x``."""
         return self.run(self.crn.initial_configuration(x), batch=batch, **kwargs)
+
+    def _drive(
+        self,
+        initial: Configuration,
+        batch: int,
+        max_steps: int,
+        quiescence_window: int,
+        advance: Callable[..., Tuple[np.ndarray, "np.ndarray | int"]],
+        clock: bool,
+    ) -> BatchRunResult:
+        """Run ``advance`` rounds over the active rows until none is left.
+
+        ``advance(counts, times, rows, active, silent)`` moves the active
+        ``rows`` one round, clearing ``active`` (and setting ``silent``) for
+        the rows it finishes itself, and returns the rows it advanced with
+        the events each fired.  The driver then books those rows: ``steps``,
+        the output maximum, the quiescence window (counted in events, so a
+        leap of ``k`` firings advances it by ``k``) and the ``max_steps``
+        cut.  ``times`` is ``None`` unless ``clock``.  A network with no
+        reactions is silent everywhere, like a scalar run.
+        """
+        output_index = self.compiled.output_index
+        counts = self.compiled.encode_batch(initial, batch)
+        steps = np.zeros(batch, dtype=np.int64)
+        times = np.zeros(batch, dtype=np.float64) if clock else None
+        converged = np.zeros(batch, dtype=bool)
+        max_output = counts[:, output_index].copy()
+        last_output = max_output.copy()
+        unchanged_for = np.zeros(batch, dtype=np.int64)
+        active = np.full(batch, self.compiled.n_reactions > 0)
+        silent = ~active
+
+        while True:
+            rows = np.flatnonzero(active)
+            if rows.size == 0:
+                break
+            rows, events = advance(counts, times, rows, active, silent)
+            steps[rows] += events
+            current = counts[rows, output_index]
+            max_output[rows] = np.maximum(max_output[rows], current)
+            if quiescence_window:
+                same = current == last_output[rows]
+                unchanged_for[rows] = np.where(same, unchanged_for[rows] + events, 0)
+                last_output[rows] = current
+                quiescent = rows[unchanged_for[rows] >= quiescence_window]
+                converged[quiescent] = True
+                active[quiescent] = False
+            active[rows[steps[rows] >= max_steps]] = False
+
+        return BatchRunResult(
+            compiled=self.compiled,
+            counts=counts,
+            steps=steps,
+            silent=silent,
+            converged=converged,
+            max_output_seen=max_output,
+            times=times,
+        )
+
+    def _pick(self, cumulative: np.ndarray) -> np.ndarray:
+        """One column per row of ``cumulative`` by an inverse-CDF draw.
+
+        Picks are drawn from ``(0, total]`` with the total read off the last
+        column (a separate ``sum()`` can disagree with ``cumsum`` by an ulp);
+        counting the entries strictly below the pick therefore always lands
+        on a column with positive weight, never a leading zero column and
+        never past the end, mirroring the scalar kernel's guard.
+        """
+        picks = (1.0 - self.rng.random(cumulative.shape[0])) * cumulative[:, -1]
+        return (cumulative < picks[:, None]).sum(axis=1)
+
+    def _gillespie_step(
+        self,
+        counts: np.ndarray,
+        times: np.ndarray,
+        rows: np.ndarray,
+        max_time: float,
+        stats: RunStats,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One direct-method firing on each of ``rows``.
+
+        Mutates ``counts`` / ``times`` in place and returns the positions in
+        ``rows`` that ``(fired, went_silent, timed_out)``.  A row whose next
+        event would land past ``max_time`` fires nothing and has its clock
+        clamped to ``max_time``.  ``stats`` counts the propensity evaluations
+        and generator draws.
+        """
+        cumulative = np.cumsum(self.compiled.propensities(counts[rows]), axis=1)
+        stats.propensity_ops += cumulative.size
+        alive = cumulative[:, -1] > 0.0
+        fired = np.flatnonzero(alive)
+        went_silent = _NO_ROWS
+        if fired.size < rows.size:
+            went_silent = np.flatnonzero(~alive)
+            cumulative = cumulative[fired]
+        fired_rows = rows[fired]
+        new_times = times[fired_rows] + (
+            self.rng.standard_exponential(fired.size) / cumulative[:, -1]
+        )
+        stats.rng_draws += fired.size
+        overtime = new_times > max_time
+        timed_out = _NO_ROWS
+        if overtime.any():
+            timed_out = fired[overtime]
+            times[fired_rows[overtime]] = max_time
+            keep = ~overtime
+            fired, fired_rows = fired[keep], fired_rows[keep]
+            cumulative, new_times = cumulative[keep], new_times[keep]
+        stats.rng_draws += fired.size
+        counts[fired_rows] += self.compiled.net[self._pick(cumulative)]
+        times[fired_rows] = new_times
+        return fired, went_silent, timed_out
 
 
 class BatchGillespieEngine(_BatchEngineBase):
@@ -365,75 +488,20 @@ class BatchGillespieEngine(_BatchEngineBase):
         (its clock is then clamped to ``max_time``, mirroring the scalar
         simulator).
         """
-        compiled = self.compiled
-        counts = self._initial_counts(initial, batch)
-        steps = np.zeros(batch, dtype=np.int64)
-        times = np.zeros(batch, dtype=np.float64)
-        silent = np.zeros(batch, dtype=bool)
-        max_output = counts[:, compiled.output_index].copy()
-        # A network with no reactions is silent everywhere (the scalar
-        # simulator's behaviour); the selection math below assumes R >= 1.
-        active = np.full(batch, compiled.n_reactions > 0)
-        silent |= ~active
+        stats = RunStats()  # the result's counters are derivable from steps
 
-        while True:
-            rows = np.flatnonzero(active)
-            if rows.size == 0:
-                break
-            cumulative = np.cumsum(compiled.propensities(counts[rows]), axis=1)
-            # Totals are read off the cumulative sum so the inverse-CDF search
-            # below can never run past the last column (a separate sum() can
-            # disagree with cumsum by an ulp).
-            totals = cumulative[:, -1]
-            alive = totals > 0.0
-            newly_silent = rows[~alive]
-            silent[newly_silent] = True
-            active[newly_silent] = False
-            rows = rows[alive]
-            if rows.size == 0:
-                continue
-            cumulative = cumulative[alive]
-            totals = totals[alive]
-
-            waits = self.rng.standard_exponential(rows.size) / totals
-            new_times = times[rows] + waits
-            overtime = new_times > max_time
-            if overtime.any():
-                timed_out = rows[overtime]
-                times[timed_out] = max_time
-                active[timed_out] = False
-                rows = rows[~overtime]
-                if rows.size == 0:
-                    continue
-                cumulative = cumulative[~overtime]
-                totals = totals[~overtime]
-                new_times = new_times[~overtime]
-
-            # Picks are drawn from (0, total]; counting the cumulative entries
-            # strictly below the pick therefore always lands on a reaction
-            # with positive propensity (never a leading zero column, never
-            # past the end), mirroring the scalar simulator's guard.
-            picks = (1.0 - self.rng.random(rows.size)) * totals
-            chosen = (cumulative < picks[:, None]).sum(axis=1)
-
-            counts[rows] += compiled.net[chosen]
-            steps[rows] += 1
-            times[rows] = new_times
-            max_output[rows] = np.maximum(
-                max_output[rows], counts[rows, compiled.output_index]
+        def advance(counts, times, rows, active, silent):
+            fired, went_silent, timed_out = self._gillespie_step(
+                counts, times, rows, max_time, stats
             )
-            exhausted = rows[steps[rows] >= max_steps]
-            active[exhausted] = False
+            if went_silent.size:
+                silent[rows[went_silent]] = True
+                active[rows[went_silent]] = False
+            if timed_out.size:
+                active[rows[timed_out]] = False
+            return rows[fired], 1
 
-        return BatchRunResult(
-            compiled=compiled,
-            counts=counts,
-            steps=steps,
-            silent=silent,
-            converged=np.zeros(batch, dtype=bool),
-            max_output_seen=max_output,
-            times=times,
-        )
+        return self._drive(initial, batch, max_steps, 0, advance, clock=True)
 
 
 class BatchTauLeapEngine(_BatchEngineBase):
@@ -455,9 +523,9 @@ class BatchTauLeapEngine(_BatchEngineBase):
       it falls back to exact stepping for this round.
     * **exact fallback** (the shared ``n_critical`` rule) — trials whose
       leap would expect fewer than ``n_critical`` firings drop out of the
-      leap and instead run a burst of up to ``exact_burst`` single-firing
-      exact SSA steps (the :class:`BatchGillespieEngine` inner loop over
-      just those rows), while the rest of the batch keeps leaping.  Small
+      leap and instead fire up to ``exact_burst`` single exact SSA events
+      (the shared direct-method step, :meth:`_gillespie_step`, over just
+      those rows), while the rest of the batch keeps leaping.  Small
       populations therefore degrade gracefully to the exact batch engine.
 
     Sampling uses the engine's ``numpy.random.Generator`` (batched
@@ -507,9 +575,7 @@ class BatchTauLeapEngine(_BatchEngineBase):
         self.max_rejections = int(max_rejections)
         # Precompiled tau-selection data (shared math with the scalar stepper).
         self._selector = BatchTauSelector(
-            build_g_candidates(self.compiled.reactant_terms),
-            self.compiled.net_terms,
-            self.compiled.n_species,
+            build_g_candidates(self.compiled.reactant_terms), self.compiled.net
         )
 
     def run(
@@ -535,66 +601,37 @@ class BatchTauLeapEngine(_BatchEngineBase):
         t0_unix = _time.time()
         t0 = _time.perf_counter()
         compiled = self.compiled
-        counts = self._initial_counts(initial, batch)
-        steps = np.zeros(batch, dtype=np.int64)
-        times = np.zeros(batch, dtype=np.float64)
-        silent = np.zeros(batch, dtype=bool)
-        converged = np.zeros(batch, dtype=bool)
-        output_index = compiled.output_index
-        max_output = counts[:, output_index].copy()
-        last_output = counts[:, output_index].copy()
-        unchanged_for = np.zeros(batch, dtype=np.int64)
-        active = np.full(batch, compiled.n_reactions > 0)
-        silent |= ~active
         stats = RunStats()
-        net_int = compiled.net.astype(np.int64)
 
-        while True:
-            rows = np.flatnonzero(active)
-            if rows.size == 0:
-                break
+        def advance(counts, times, rows, active, silent):
             stats.selections += 1  # one leap round
             props = compiled.propensities(counts[rows])
             stats.propensity_ops += props.size
             totals = props.sum(axis=1)
             alive = totals > 0.0
-            newly_silent = rows[~alive]
-            silent[newly_silent] = True
-            active[newly_silent] = False
-            rows = rows[alive]
-            if rows.size == 0:
-                continue
-            props = props[alive]
-            totals = totals[alive]
+            silent[rows[~alive]] = True
+            active[rows[~alive]] = False
+            rows, props, totals = rows[alive], props[alive], totals[alive]
 
             tau = self._selector.select(props, counts[rows], self.epsilon)
             # Purely catalytic rows (no reactant species ever changes) get an
             # infinite bound; cap the batch so step budgets stay meaningful,
             # mirroring the scalar stepper's 1000-expected-firings cap.
             unbounded = np.isinf(tau)
-            if unbounded.any():
-                tau[unbounded] = 1000.0 / totals[unbounded]
+            tau[unbounded] = 1000.0 / totals[unbounded]
             crit = critical_mask(tau, totals, self.n_critical)
 
             # Clamp leaping rows that would cross max_time; a non-positive
             # clamped leap means the row is already at the horizon.
             if np.isfinite(max_time):
                 over = ~crit & (times[rows] + tau > max_time)
-                if over.any():
-                    tau = np.where(over, max_time - times[rows], tau)
-                    timed_out = over & (tau <= 0.0)
-                    if timed_out.any():
-                        expired = rows[timed_out]
-                        times[expired] = max_time
-                        active[expired] = False
-                        keep = ~timed_out
-                        rows = rows[keep]
-                        props = props[keep]
-                        totals = totals[keep]
-                        tau = tau[keep]
-                        crit = crit[keep]
-                        if rows.size == 0:
-                            continue
+                tau = np.where(over, max_time - times[rows], tau)
+                expired = over & (tau <= 0.0)
+                times[rows[expired]] = max_time
+                active[rows[expired]] = False
+                keep = ~expired
+                rows, props, totals = rows[keep], props[keep], totals[keep]
+                tau, crit = tau[keep], crit[keep]
 
             events = np.zeros(rows.size, dtype=np.int64)
 
@@ -606,17 +643,13 @@ class BatchTauLeapEngine(_BatchEngineBase):
                 lam = props[pending] * tau[pending, None]
                 firings = self.rng.poisson(lam)
                 stats.rng_draws += lam.size
-                delta = firings @ net_int
-                proposed = counts[rows[pending]] + delta
+                proposed = counts[rows[pending]] + firings @ compiled.net
                 ok = (proposed >= 0).all(axis=1)
                 accepted = pending[ok]
-                if accepted.size:
-                    counts[rows[accepted]] = proposed[ok]
-                    times[rows[accepted]] += tau[accepted]
-                    events[accepted] = firings[ok].sum(axis=1)
+                counts[rows[accepted]] = proposed[ok]
+                times[rows[accepted]] += tau[accepted]
+                events[accepted] = firings[ok].sum(axis=1)
                 pending = pending[~ok]
-                if pending.size == 0:
-                    break
                 tau[pending] /= 2.0
                 now_critical = critical_mask(
                     tau[pending], totals[pending], self.n_critical
@@ -627,32 +660,29 @@ class BatchTauLeapEngine(_BatchEngineBase):
             crit[pending] = True
 
             # --- exact fallback: single-firing SSA bursts for critical rows ---
-            burst = np.flatnonzero(crit)
-            if burst.size:
-                burst_events, burst_silent, burst_timed = self._exact_burst_rows(
-                    counts, times, rows[burst], max_time, stats
+            live = np.flatnonzero(crit)
+            for _ in range(self.exact_burst):
+                if live.size == 0:
+                    break
+                fired, went_silent, timed_out = self._gillespie_step(
+                    counts, times, rows[live], max_time, stats
                 )
-                events[burst] = burst_events
-                silent[rows[burst[burst_silent]]] = True
-                active[rows[burst[burst_silent]]] = False
-                active[rows[burst[burst_timed]]] = False
+                events[live[fired]] += 1
+                # A row that goes silent mid-burst must leave the batch too,
+                # or the next round would evaluate it again.
+                silent[rows[live[went_silent]]] = True
+                active[rows[live[went_silent]]] = False
+                active[rows[live[timed_out]]] = False
+                live = live[fired]
 
-            # --- per-round bookkeeping, at leap granularity like the scalar ---
-            steps[rows] += events
-            current = counts[rows, output_index]
-            max_output[rows] = np.maximum(max_output[rows], current)
-            same = current == last_output[rows]
-            unchanged_for[rows] = np.where(same, unchanged_for[rows] + events, 0)
-            last_output[rows] = current
-            if quiescence_window:
-                quiescent = rows[unchanged_for[rows] >= quiescence_window]
-                converged[quiescent] = True
-                active[quiescent] = False
-            active[rows[steps[rows] >= max_steps]] = False
             if np.isfinite(max_time):
                 active[rows[times[rows] >= max_time]] = False
+            return rows, events
 
-        stats.events = int(steps.sum())
+        result = self._drive(
+            initial, batch, max_steps, quiescence_window, advance, clock=True
+        )
+        stats.events = result.total_steps()
         stats.wall_s = _time.perf_counter() - t0
         tracer = get_tracer()
         if tracer.enabled:
@@ -664,78 +694,8 @@ class BatchTauLeapEngine(_BatchEngineBase):
                 events=stats.events,
                 selections=stats.selections,
             )
-        return BatchRunResult(
-            compiled=compiled,
-            counts=counts,
-            steps=steps,
-            silent=silent,
-            converged=converged,
-            max_output_seen=max_output,
-            times=times,
-            stats=stats,
-        )
-
-    def _exact_burst_rows(
-        self,
-        counts: np.ndarray,
-        times: np.ndarray,
-        sub_rows: np.ndarray,
-        max_time: float,
-        stats: RunStats,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Up to ``exact_burst`` vectorized exact SSA steps over ``sub_rows``.
-
-        Mutates ``counts`` / ``times`` in place for the rows it advances and
-        returns ``(events, went_silent, timed_out)`` aligned to ``sub_rows``.
-        This is the :class:`BatchGillespieEngine` inner loop restricted to
-        the critical subset: cumulative-propensity inverse-CDF selection, one
-        firing per row per iteration.
-        """
-        compiled = self.compiled
-        events = np.zeros(sub_rows.size, dtype=np.int64)
-        went_silent = np.zeros(sub_rows.size, dtype=bool)
-        timed_out = np.zeros(sub_rows.size, dtype=bool)
-        live = np.ones(sub_rows.size, dtype=bool)
-        for _ in range(self.exact_burst):
-            idx = np.flatnonzero(live)
-            if idx.size == 0:
-                break
-            rows = sub_rows[idx]
-            cumulative = np.cumsum(compiled.propensities(counts[rows]), axis=1)
-            stats.propensity_ops += cumulative.size
-            totals = cumulative[:, -1]
-            dead = totals <= 0.0
-            if dead.any():
-                went_silent[idx[dead]] = True
-                live[idx[dead]] = False
-                idx = idx[~dead]
-                rows = sub_rows[idx]
-                if rows.size == 0:
-                    break
-                cumulative = cumulative[~dead]
-                totals = totals[~dead]
-            waits = self.rng.standard_exponential(rows.size) / totals
-            stats.rng_draws += rows.size
-            new_times = times[rows] + waits
-            over = new_times > max_time
-            if over.any():
-                times[rows[over]] = max_time
-                timed_out[idx[over]] = True
-                live[idx[over]] = False
-                idx = idx[~over]
-                rows = sub_rows[idx]
-                if rows.size == 0:
-                    continue
-                cumulative = cumulative[~over]
-                totals = totals[~over]
-                new_times = new_times[~over]
-            picks = (1.0 - self.rng.random(rows.size)) * totals
-            stats.rng_draws += rows.size
-            chosen = (cumulative < picks[:, None]).sum(axis=1)
-            counts[rows] += compiled.net[chosen]
-            times[rows] = new_times
-            events[idx] += 1
-        return events, went_silent, timed_out
+        result.stats = stats
+        return result
 
 
 class BatchFairEngine(_BatchEngineBase):
@@ -792,66 +752,23 @@ class BatchFairEngine(_BatchEngineBase):
         unchanged for that many consecutive steps.
         """
         compiled = self.compiled
-        counts = self._initial_counts(initial, batch)
-        steps = np.zeros(batch, dtype=np.int64)
-        silent = np.zeros(batch, dtype=bool)
-        converged = np.zeros(batch, dtype=bool)
-        output_index = compiled.output_index
-        max_output = counts[:, output_index].copy()
-        last_output = counts[:, output_index].copy()
-        unchanged_for = np.zeros(batch, dtype=np.int64)
-        # As in the Gillespie engine: no reactions means silent everywhere.
-        active = np.full(batch, compiled.n_reactions > 0)
-        silent |= ~active
 
-        while True:
-            rows = np.flatnonzero(active)
-            if rows.size == 0:
-                break
+        def advance(counts, times, rows, active, silent):
             applicable = compiled.applicable(counts[rows])
             weighted = applicable * self.weights
             # Rows where the bias zeroes out every applicable reaction fall
             # back to the uniform choice, like the scalar scheduler.
             fallback = ~weighted.any(axis=1) & applicable.any(axis=1)
             if fallback.any():
-                weighted[fallback] = applicable[fallback].astype(np.float64)
+                weighted[fallback] = applicable[fallback]
             cumulative = np.cumsum(weighted, axis=1)
-            totals = cumulative[:, -1]
-            alive = totals > 0.0
-            newly_silent = rows[~alive]
-            silent[newly_silent] = True
-            active[newly_silent] = False
+            alive = cumulative[:, -1] > 0.0
+            silent[rows[~alive]] = True
+            active[rows[~alive]] = False
             rows = rows[alive]
-            if rows.size == 0:
-                continue
-            cumulative = cumulative[alive]
-            totals = totals[alive]
+            counts[rows] += compiled.net[self._pick(cumulative[alive])]
+            return rows, 1
 
-            # (0, total] picks against the cumulative weights: never selects a
-            # zero-weight (inapplicable) reaction and never runs past the end.
-            picks = (1.0 - self.rng.random(rows.size)) * totals
-            chosen = (cumulative < picks[:, None]).sum(axis=1)
-
-            counts[rows] += compiled.net[chosen]
-            steps[rows] += 1
-            current = counts[rows, output_index]
-            max_output[rows] = np.maximum(max_output[rows], current)
-            same = current == last_output[rows]
-            unchanged_for[rows] = np.where(same, unchanged_for[rows] + 1, 0)
-            last_output[rows] = current
-            if quiescence_window:
-                quiescent = rows[unchanged_for[rows] >= quiescence_window]
-                converged[quiescent] = True
-                active[quiescent] = False
-            exhausted = steps[rows] >= max_steps
-            active[rows[exhausted]] = False
-
-        return BatchRunResult(
-            compiled=compiled,
-            counts=counts,
-            steps=steps,
-            silent=silent,
-            converged=converged,
-            max_output_seen=max_output,
-            times=None,
+        return self._drive(
+            initial, batch, max_steps, quiescence_window, advance, clock=False
         )

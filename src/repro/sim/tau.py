@@ -18,12 +18,12 @@ disagree on the bound:
   verbatim from the PR 5 kernel stepper (plain-python float ops in the same
   order, so seeded scalar ``engine="tau"`` streams are bit-for-bit
   unchanged by the refactor).
-* :func:`g_factor_batch` / :func:`select_tau_batch` are the numpy forms used
-  by the batched engine: one ``(B,)`` tau per trial from dense ``(B, R)``
-  propensities and ``(B, S)`` counts.  They compute the same bound up to
-  float summation order (dense matrix products accumulate drift sums in a
-  different order than the scalar dict loop), which is why the batched
-  engine is admitted statistically (KS gates), not bit-for-bit.
+* :class:`BatchTauSelector` is the numpy form used by the batched engine:
+  one ``(B,)`` tau per trial from dense ``(B, R)`` propensities and
+  ``(B, S)`` counts.  It computes the same bound up to float summation
+  order (dense matrix products accumulate drift sums in a different order
+  than the scalar dict loop), which is why the batched engine is admitted
+  statistically (KS gates), not bit-for-bit.
 * :func:`is_critical` / :func:`critical_mask` encode the shared
   ``n_critical`` rule deciding when a leap is too small to be worth the
   approximation error and the engine should fall back to exact SSA steps.
@@ -43,12 +43,9 @@ __all__ = [
     "build_g_candidates",
     "g_factor",
     "select_tau",
-    "g_factor_batch",
-    "select_tau_batch",
     "BatchTauSelector",
     "is_critical",
     "critical_mask",
-    "net_drift_matrices",
 ]
 
 #: Per reactant species index: the distinct (reaction order, own coefficient)
@@ -121,34 +118,6 @@ def select_tau(
     return tau
 
 
-def net_drift_matrices(
-    net_terms: Sequence[Sequence[Tuple[int, int]]], n_species: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense ``(R, S)`` float net-change matrix and its elementwise square.
-
-    ``props @ net`` is the per-species mean drift rate and ``props @ net_sq``
-    the variance drift rate — the two sums :func:`select_tau` accumulates
-    sparsely, as matrix products for the batch form.
-    """
-    n_reactions = len(net_terms)
-    net = np.zeros((n_reactions, n_species), dtype=np.float64)
-    for j, terms in enumerate(net_terms):
-        for s, delta in terms:
-            net[j, s] = float(delta)
-    return net, net * net
-
-
-def g_factor_batch(pairs: Tuple[Tuple[int, int], ...], x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`g_factor`: one ``g_i`` per trial for species counts ``x``."""
-    g = np.ones(x.shape, dtype=np.float64)
-    for order, k in pairs:
-        if k <= 1:
-            np.maximum(g, float(order), out=g)
-        else:
-            np.maximum(g, order + (k - 1) / np.maximum(x - 1.0, 1.0), out=g)
-    return g
-
-
 class BatchTauSelector:
     """Precompiled batch CGP tau selection for one :class:`CompiledCRN` IR.
 
@@ -156,9 +125,12 @@ class BatchTauSelector:
     per-round :meth:`select` is a fixed, species-loop-free sequence of dense
     numpy ops (the hot path of the batched tau engine):
 
-    * ``net`` / ``net_sq`` — the drift matrices of
-      :func:`net_drift_matrices`, restricted to the *constrained* species
-      columns (the keys of ``g_candidates``: species consumed by at least
+    * ``net`` / ``net_sq`` — the dense ``(R, S)`` net-change matrix
+      (``CompiledCRN.net``) and its elementwise square as floats, so
+      ``props @ net`` is the per-species mean drift rate and
+      ``props @ net_sq`` the variance drift rate (the two sums
+      :func:`select_tau` accumulates sparsely), restricted to the
+      *constrained* species columns (the keys of ``g_candidates``: species consumed by at least
       one reaction; species that are only produced never bound tau, exactly
       as in the scalar :func:`select_tau` loop).
     * ``base_g`` — the count-independent part of ``g_i`` (the max reaction
@@ -174,13 +146,13 @@ class BatchTauSelector:
     def __init__(
         self,
         g_candidates: GCandidates,
-        net_terms: Sequence[Sequence[Tuple[int, int]]],
-        n_species: int,
+        net: np.ndarray,
     ) -> None:
         self.columns = np.array(sorted(g_candidates), dtype=np.intp)
-        net, net_sq = net_drift_matrices(net_terms, n_species)
-        self.net = np.ascontiguousarray(net[:, self.columns])
-        self.net_sq = np.ascontiguousarray(net_sq[:, self.columns])
+        self.net = np.ascontiguousarray(
+            np.asarray(net, dtype=np.float64)[:, self.columns]
+        )
+        self.net_sq = self.net * self.net
         self.base_g = np.ones(self.columns.size, dtype=np.float64)
         self.corrections: List[Tuple[int, float, int]] = []
         for c, s in enumerate(self.columns.tolist()):
@@ -220,23 +192,6 @@ class BatchTauSelector:
                 np.where(sigma2 > 0.0, bound * bound / sigma2, np.inf),
             )
         return ratio.min(axis=1)
-
-
-def select_tau_batch(
-    g_candidates: GCandidates,
-    net_terms: Sequence[Sequence[Tuple[int, int]]],
-    n_species: int,
-    props: np.ndarray,
-    counts: np.ndarray,
-    epsilon: float,
-) -> np.ndarray:
-    """One-shot convenience form of :class:`BatchTauSelector` (tests / tools).
-
-    The engine hot path holds a :class:`BatchTauSelector` instead — this
-    rebuilds the precompiled selector on every call.
-    """
-    selector = BatchTauSelector(g_candidates, net_terms, n_species)
-    return selector.select(np.atleast_2d(props), np.atleast_2d(counts), epsilon)
 
 
 def is_critical(tau: float, total: float, n_critical: float) -> bool:

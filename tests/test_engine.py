@@ -3,9 +3,12 @@
 The scalar kernel (``SimulatorCore``) is the reference oracle: for every catalog CRN the
 batch engines must reach the identical stable output, and their step counts
 must statistically match the scalar ones.  Also covers the dense compilation
-(`CompiledCRN`), seeding policy, and the engine selectors on the runners.
+(`CompiledCRN`), seeding policy, the engine selectors on the runners, and
+seeded sha256 pins of the batch engines' streams.
 """
 
+import hashlib
+import json
 import math
 import random
 
@@ -542,3 +545,111 @@ class TestBatchTauLeapEngine:
         # epsilon= is exactly what the approximate engine is for.
         info = validate_engine_request("tau-vec", epsilon=0.05)
         assert info.approximate and info.batch_capable
+
+
+# ---------------------------------------------------------------------------
+# Seeded stream pins for the batch paths the registry lock does not reach
+# ---------------------------------------------------------------------------
+
+
+def _catalytic_crn():
+    """X1 + X2 -> Y plus a fast no-op Y -> Y: never silent once Y appears,
+    and its no-op swells the tau-vec total propensity, so small-count
+    leaps on X1 + X2 -> Y get rejected and halved."""
+    x1, x2, y = species("X1 X2 Y")
+    return CRN([x1 + x2 >> y, (y >> y).with_rate(1000.0)], (x1, x2), y, name="catalytic")
+
+
+def _reaction_free_crn():
+    x, y = species("X Y")
+    return CRN([], (x,), y)
+
+
+def _zero_output_bias(crn):
+    """Weight 0 on output-producing reactions: a row where only those are
+    applicable falls back to the uniform choice."""
+    output = crn.output_species
+    return lambda rxn: 0.0 if rxn.net_change(output) > 0 else 1.0
+
+
+def _digest(result):
+    """sha256 over every field of a batch result except tau's wall clock."""
+    fields = {
+        name: getattr(result, name).tolist()
+        for name in ("counts", "steps", "silent", "converged", "max_output_seen")
+    }
+    fields["times"] = None if result.times is None else result.times.tolist()
+    if result.stats is not None:
+        stats = result.stats.to_dict()
+        del stats["wall_s"]
+        fields["stats"] = stats
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+
+
+#: name -> (run thunk, sha256 of its result), recorded before the batch
+#: engines shared one lockstep driver.
+BATCH_STREAM_PINS = {
+    "gillespie-max-time": (
+        lambda: BatchGillespieEngine(maximum_spec().known_crn.compiled(), seed=3)
+        .run_on_input((30, 25), batch=7, max_time=0.3),
+        "040672c9f11b93fa3945db136b7d932245ac0be3433ba0638c4c3cad9c0ec184",
+    ),
+    "gillespie-max-steps": (
+        lambda: BatchGillespieEngine(minimum_spec().known_crn.compiled(), seed=4)
+        .run_on_input((40, 35), batch=7, max_steps=20),
+        "fae62fb38c2818849e5e3ac2377f78b0fa1c0d91e78978b33db7a0b595dc65ed",
+    ),
+    "fair-producing-bias-window": (
+        lambda: BatchFairEngine(
+            maximum_spec().known_crn.compiled(),
+            seed=5,
+            bias=output_producing_bias(maximum_spec().known_crn),
+        ).run_on_input((12, 9), batch=7, quiescence_window=6),
+        "bb0f07573db7e05bf5f01ce1f98682c3f34c7c81f5048caa82d334cec015e1c7",
+    ),
+    "fair-zero-weight-bias-window": (
+        lambda: BatchFairEngine(
+            _catalytic_crn().compiled(), seed=6, bias=_zero_output_bias(_catalytic_crn())
+        ).run_on_input((12, 9), batch=7, quiescence_window=50, max_steps=5_000),
+        "d30a4a5cf90c467aa91e7954ad2b73a499a5ee1b81eb60b23b54652213b6ecd9",
+    ),
+    "tau-vec-rejections-and-fallback": (
+        lambda: BatchTauLeapEngine(_catalytic_crn().compiled(), seed=13, epsilon=0.2)
+        .run_on_input((30, 20), batch=9, max_steps=20_000),
+        "f746bffb983ed14c0dd5f6f8f50e12b731d3b1505f975b0938e40e108352008d",
+    ),
+    "tau-vec-max-time": (
+        lambda: BatchTauLeapEngine(_catalytic_crn().compiled(), seed=13, epsilon=0.2)
+        .run_on_input((60, 40), batch=9, max_time=0.05),
+        "97f222650278f2e97a7b2f6d23668c4e2d8383cbe35c40d98bdf23c17a80f270",
+    ),
+    "reaction-free-gillespie": (
+        lambda: BatchGillespieEngine(_reaction_free_crn().compiled(), seed=1)
+        .run_on_input((4,), batch=3, max_time=1.0),
+        "52a281aa8e8129c3c0374d559b6e3fdfe73a902b0762f156b639325b469b3a21",
+    ),
+    "reaction-free-fair": (
+        lambda: BatchFairEngine(_reaction_free_crn().compiled(), seed=1)
+        .run_on_input((4,), batch=3, quiescence_window=5),
+        "a0f40c667626d0fa3cbea2e014143c35004e5577789ffedb50d0bedc1a0942fc",
+    ),
+    "reaction-free-tau-vec": (
+        lambda: BatchTauLeapEngine(_reaction_free_crn().compiled(), seed=1)
+        .run_on_input((4,), batch=3, quiescence_window=5),
+        "e288de50352c31f15db7f596abd5715e2a6af37d9bc8d99d7fc6ad65dddb6e49",
+    ),
+}
+
+
+class TestBatchStreamPins:
+    """Seeded sha256 pins over whole batch results (counts, steps, flags,
+    peak output, clocks and tau's stats), one per engine path that
+    ``TestBuiltinEngineLock`` does not reach: the Gillespie ``max_time``
+    clamp and ``max_steps`` cut, biased fair runs under a window, tau-vec's
+    rejections, exact fallback and ``max_time`` clamp, and a network with
+    no reactions."""
+
+    @pytest.mark.parametrize("name", list(BATCH_STREAM_PINS))
+    def test_seeded_batch_stream_is_unchanged(self, name):
+        run, expected = BATCH_STREAM_PINS[name]
+        assert _digest(run()) == expected

@@ -444,7 +444,7 @@ class TestBatchTauLeapInvariants:
 
         import numpy as np
 
-        from repro.sim.tau import build_g_candidates, select_tau, select_tau_batch
+        from repro.sim.tau import BatchTauSelector, build_g_candidates, select_tau
 
         compiled = crn.compiled()
         row = [int(v) for v in raw_counts[: compiled.n_species]]
@@ -458,10 +458,7 @@ class TestBatchTauLeapInvariants:
             row,
             epsilon,
         )
-        batched = select_tau_batch(
-            g_candidates,
-            compiled.net_terms,
-            compiled.n_species,
+        batched = BatchTauSelector(g_candidates, compiled.net).select(
             np.repeat(props, 3, axis=0),
             np.repeat(counts, 3, axis=0),
             epsilon,

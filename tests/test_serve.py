@@ -474,6 +474,50 @@ class TestJobManagerCancellation:
         assert settled["results"] == []
 
 
+class TestJobTableBound:
+    """Settled jobs are evicted oldest-first past ``MAX_SETTLED_JOBS``."""
+
+    def test_oldest_settled_job_is_evicted_past_the_cap(self):
+        import asyncio
+
+        from repro.lab.campaign import Campaign
+        from repro.lab.executor import run_cell
+        from repro.serve import jobs as jobs_module
+        from repro.serve.jobs import JobManager
+
+        campaign = Campaign(
+            name="tiny",
+            specs=["minimum"],
+            inputs=[(1, 2)],
+            engines=("python",),
+            configs=(RunConfig(**FAST_CONFIG),),
+            seed=1,
+        )
+
+        async def scenario():
+            manager = JobManager(pool=None, cache=None, metrics=ServerMetrics())
+
+            async def inline_miss(cell):
+                return run_cell(cell)
+
+            manager._execute_miss = inline_miss
+            submitted = []
+            for _ in range(jobs_module.MAX_SETTLED_JOBS + 1):
+                job = manager.submit(campaign)
+                submitted.append(job.id)
+                await asyncio.wait_for(manager._tasks[job.id], 60)
+            return manager, submitted
+
+        manager, submitted = asyncio.run(scenario())
+        assert manager.get(submitted[0]) is None
+        assert manager.cancel(submitted[0]) is None
+        last = manager.get(submitted[-1])
+        assert last.state == "done" and last.results()[0].correct
+        assert len(manager.jobs) == jobs_module.MAX_SETTLED_JOBS
+        assert manager._tasks == {}
+        assert manager.pending_cells == 0
+
+
 class TestJobResultsStreaming:
     """``GET /v1/jobs/{id}/results`` — close-delimited NDJSON, row by row."""
 
