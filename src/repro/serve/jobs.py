@@ -29,6 +29,8 @@ so the request path does constant work beside the engine.
 yet finished across all live jobs, and a submission that would push the total
 past ``queue_limit`` is rejected with :class:`QueueFullError` — the HTTP
 layer renders that as ``429 Too Many Requests`` with a ``Retry-After`` hint.
+The same bound caps what settled jobs keep: once their cells together exceed
+``queue_limit``, the oldest settled jobs are evicted and their ids answer 404.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ DONE_STATES = ("done", "cancelled", "failed")
 
 #: Seconds between polls of a shared-dir job's queue (workers signal via files).
 SHARED_DIR_POLL = 0.2
-
-#: Settled jobs kept readable; past this the oldest settled job is evicted and
-#: its id answers 404, so the job table stays bounded on a long-lived server.
-MAX_SETTLED_JOBS = 256
 
 
 class QueueFullError(Exception):
@@ -206,7 +204,8 @@ class JobManager:
         self.queue_limit = queue_limit
         self.jobs: Dict[str, Job] = {}
         self._tasks: Dict[str, asyncio.Task] = {}  # live jobs only
-        self._settled: Deque[str] = collections.deque()  # ids, oldest first
+        self._settled: Deque[Job] = collections.deque()  # oldest first
+        self._settled_cells = 0  # cells the settled jobs hold, <= queue_limit
 
     # -- queue accounting ---------------------------------------------------------
 
@@ -299,9 +298,14 @@ class JobManager:
         finally:
             job.finished = time.time()
             del self._tasks[job.id]
-            self._settled.append(job.id)
-            while len(self._settled) > MAX_SETTLED_JOBS:
-                del self.jobs[self._settled.popleft()]
+            # Admission keeps every job within queue_limit cells, so the job
+            # that just settled is never the one evicted.
+            self._settled.append(job)
+            self._settled_cells += job.total
+            while self._settled_cells > self.queue_limit:
+                evicted = self._settled.popleft()
+                self._settled_cells -= evicted.total
+                del self.jobs[evicted.id]
 
     @staticmethod
     async def _until_cancelled(job: Job, work: Awaitable[None]) -> bool:

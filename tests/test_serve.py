@@ -475,45 +475,52 @@ class TestJobManagerCancellation:
 
 
 class TestJobTableBound:
-    """Settled jobs are evicted oldest-first past ``MAX_SETTLED_JOBS``."""
+    """Settled jobs keep at most ``queue_limit`` cells; the oldest go first."""
 
-    def test_oldest_settled_job_is_evicted_past_the_cap(self):
+    def test_oldest_settled_jobs_are_evicted_past_the_cell_bound(self):
         import asyncio
 
         from repro.lab.campaign import Campaign
         from repro.lab.executor import run_cell
-        from repro.serve import jobs as jobs_module
         from repro.serve.jobs import JobManager
 
-        campaign = Campaign(
-            name="tiny",
-            specs=["minimum"],
-            inputs=[(1, 2)],
-            engines=("python",),
-            configs=(RunConfig(**FAST_CONFIG),),
-            seed=1,
-        )
+        def campaign(inputs):
+            return Campaign(
+                name="tiny",
+                specs=["minimum"],
+                inputs=inputs,
+                engines=("python",),
+                configs=(RunConfig(**FAST_CONFIG),),
+                seed=1,
+            )
+
+        one_cell, two_cells = campaign([(1, 2)]), campaign([(1, 2), (2, 3)])
 
         async def scenario():
-            manager = JobManager(pool=None, cache=None, metrics=ServerMetrics())
+            manager = JobManager(
+                pool=None, cache=None, metrics=ServerMetrics(), queue_limit=3
+            )
 
             async def inline_miss(cell):
                 return run_cell(cell)
 
             manager._execute_miss = inline_miss
             submitted = []
-            for _ in range(jobs_module.MAX_SETTLED_JOBS + 1):
-                job = manager.submit(campaign)
+            for job_campaign in (one_cell, one_cell, one_cell, two_cells):
+                job = manager.submit(job_campaign)
                 submitted.append(job.id)
                 await asyncio.wait_for(manager._tasks[job.id], 60)
             return manager, submitted
 
         manager, submitted = asyncio.run(scenario())
-        assert manager.get(submitted[0]) is None
-        assert manager.cancel(submitted[0]) is None
+        # three one-cell jobs fill the bound; the two-cell job evicts two
+        for evicted in submitted[:2]:
+            assert manager.get(evicted) is None
+            assert manager.cancel(evicted) is None
+        assert list(manager.jobs) == submitted[2:]
         last = manager.get(submitted[-1])
-        assert last.state == "done" and last.results()[0].correct
-        assert len(manager.jobs) == jobs_module.MAX_SETTLED_JOBS
+        assert last.state == "done" and all(row.correct for row in last.results())
+        assert sum(job.total for job in manager.jobs.values()) <= manager.queue_limit
         assert manager._tasks == {}
         assert manager.pending_cells == 0
 
