@@ -17,18 +17,24 @@ of hosts and the per-worker results merged by cache key.  Two pieces:
 
 **The lease contract.**  The work list is the descriptor memo.  Each queue
 instance walks its keys with a cursor, skipping ids it knows are done and
-ids with a done marker; a cell is claimed by creating ``leases/<cell_id>``
-with ``O_CREAT | O_EXCL`` — exactly one claimant can win, and a loser moves
-on.  At the end of the walk the instance tails the memo segments for keys
-written since, so any number of producers may enqueue at once.  A lease carries a deadline; a worker that dies (SIGKILL,
+ids with a done marker.  A claim takes a *batch* of cells, sized by guided
+self-scheduling: the unwalked remainder over a small multiple of the workers
+that have joined, so batches shrink toward the end of the walk.  It creates
+one dot-named batch file in ``leases/`` and wins each cell by hard-linking
+``leases/<cell_id>`` to it; a link, like an ``O_EXCL`` create, has exactly
+one winner, and a loser moves on.  At the end of the walk the instance tails
+the memo segments for keys written since, so any number of producers may
+enqueue at once.  A lease carries a deadline; a worker that dies (SIGKILL,
 host loss) simply stops renewing, and once the deadline passes any other
 worker with nothing left to walk replaces the lease with its own, found by
-listing ``leases/`` (cells in flight, never the whole queue).  The races
-this allows — two reclaimers, or the presumed-dead worker finishing after
-its cell was reclaimed — are *harmless by construction*: cells are
-deterministic, rows are merged by ``cell_id`` with last-write-wins, and both
-writers produce canonical-JSON-identical deterministic rows.  Leases are an
-optimization against duplicate *work*, never a correctness mechanism.
+listing ``leases/`` (cells in flight, never the whole queue), and removes
+the dead worker's batch file.  The races this allows — two reclaimers, or
+the presumed-dead worker finishing after its cells were reclaimed — are
+*harmless by construction*: cells are deterministic, rows are merged by
+``cell_id`` with last-write-wins, and both writers produce
+canonical-JSON-identical deterministic rows.  Leases are an optimization
+against duplicate *work*, never a correctness mechanism.  Hard links are
+required (POSIX filesystems and NFS have them); there is no fallback.
 
 **Merge-by-cache-key.**  Each worker appends to its own
 ``results/<worker_id>.jsonl`` (single-writer, so the store's torn-tail
@@ -46,10 +52,15 @@ Queue directory layout, with how each entry is written (the writers are
     cells/seg-*.jsonl   Cell descriptors: a ResultCache keyed by cell id, one
                         segment per producer (group-committed appends, closed
                         by enqueue before it writes the seal)
-    leases/<id>         held claims: {worker, deadline, ...} (O_EXCL create,
-                        unsynced; renew and reclaim replace_file it)
-    done/<id>           completion markers (O_EXCL create after the row's
-                        fsync, unsynced; only the name is ever read)
+    leases/.batch-*     one per claim: {batch, worker, deadline, ...} (O_EXCL
+                        create, unsynced; removed when the batch completes,
+                        or by the reclaim that takes over a dead owner's lease)
+    leases/<id>         held claims: a hard link to the claim's batch file
+                        (exclusive link, unsynced; renew and reclaim
+                        replace_file it)
+    done/<id>           completion markers: a hard link to the batch file,
+                        made after the batch's rows are fsync'd (exclusive
+                        link; only the name is ever read)
     results/<w>.jsonl   per-worker CellResult shards (ResultStore format)
     stats/<w>.json      per-worker counters (replace_file at start, at most
                         once per COMMIT_SECONDS, on the first empty claim
@@ -64,18 +75,22 @@ descriptor the memo lacks.
 
 from __future__ import annotations
 
+import errno
 import json
+import math
 import os
 import socket
 import time
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.api.config import RunConfig
 from repro.lab.cache import SEGMENT_PREFIX, ResultCache
 from repro.lab.campaign import Cell
 from repro.lab.executor import emit_cell_span, run_cell_with_timeout
-from repro.lab.store import COMMIT_SECONDS, CellResult, JsonlLog, ResultStore
-from repro.lab.store import _create_exclusive, _unlink, read_json, write_json
+from repro.lab.store import COMMIT_ROWS, COMMIT_SECONDS, CellResult, JsonlLog, ResultStore
+from repro.lab.store import _create_exclusive, _link_exclusive, _unlink
+from repro.lab.store import read_json, write_json
 from repro.obs.metrics import MetricsRegistry
 
 #: Schema tag of the queue seal file.
@@ -85,6 +100,15 @@ QUEUE_MANIFEST_NAME = "queue.json"
 
 #: Default seconds a claim stays exclusive without renewal.
 DEFAULT_LEASE_TTL = 60.0
+
+#: Guided self-scheduling (Polychronopoulos & Kuck, IEEE TC 1987): a claim
+#: takes the unwalked remainder over this many times the workers that have
+#: joined, so early batches are large and the tail is handed out cell by cell.
+BATCH_DIVISOR = 2
+
+#: The most cells one claim takes: one group commit's worth of rows, which
+#: bounds what a batch holds in memory and what a worker killed mid-batch loses.
+MAX_BATCH = COMMIT_ROWS
 
 
 def now() -> float:
@@ -144,19 +168,34 @@ def default_worker_id() -> str:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class Batch:
+    """The cells one claim won, leased together.
+
+    ``path`` is the claim's dot-named batch file in ``leases/``, holding
+    ``lease`` (``worker``, ``deadline``, ...); each cell's ``leases/<id>`` is
+    a hard link to it.
+    """
+
+    path: str
+    lease: Dict[str, Any]
+    cells: List[Cell] = field(default_factory=list)
+
+
 class SharedDirQueue:
     """Claim / lease / renew / complete over a shared POSIX directory.
 
     The contract (see module docs): :meth:`enqueue` publishes descriptors
-    idempotently and seals the work list; :meth:`claim` hands *at most one*
-    worker a cell while its lease is live; :meth:`renew` extends a held
-    lease; :meth:`complete` durably records the row and releases the lease
-    (completing twice is harmless); :meth:`follow` waits for cells to finish.
-    Every mutation is an atomic directory operation or an append to the
-    writer's own file, so any number of producers and workers on any hosts
-    can share it.  An instance keeps its walk over the descriptor memo's
-    keys, the ids it has seen done (markers never disappear), and how far
-    it has read each memo segment and result shard.
+    idempotently and seals the work list; :meth:`claim` hands each cell of
+    its batch to *at most one* worker while its lease is live; :meth:`renew`
+    extends a held lease; :meth:`complete` durably records a batch's rows and
+    releases it (completing twice is harmless); :meth:`follow` waits for
+    cells to finish.  Every mutation is an atomic directory operation or an
+    append to the writer's own file, so any number of producers and workers
+    on any hosts can share it.  An instance keeps its walk over the
+    descriptor memo's keys, the ids it has seen done (markers never
+    disappear), how far it has read each memo segment and result shard, and
+    how many workers had joined when ``stats/`` last changed.
     """
 
     def __init__(self, root: str, lease_ttl: float = DEFAULT_LEASE_TTL) -> None:
@@ -173,6 +212,10 @@ class SharedDirQueue:
         self._done: Set[str] = set()
         self._scanned: Dict[str, int] = {}  # memo segment / result shard -> bytes read
         self._rows: Dict[str, Tuple[str, int]] = {}  # cell id -> (shard, offset) of its last row
+        self._stats_seen: Optional[int] = None  # stats/'s mtime when last listed
+        self._joined = 0
+        # Count the workers now, so a claim lists stats/ only when it changes.
+        self._workers()
 
     def _dir(self, name: str) -> str:
         return os.path.join(self.root, name)
@@ -257,68 +300,110 @@ class SharedDirQueue:
 
     # -- worker side --------------------------------------------------------
 
-    def claim(self, worker_id: str) -> Optional[Cell]:
-        """Atomically claim one cell, or ``None`` if nothing is claimable.
+    def claim(
+        self,
+        worker_id: str,
+        max_cells: Optional[int] = None,
+        timeout: Optional[float] = None,
+    ) -> Optional[Batch]:
+        """Atomically claim a batch of cells, or ``None`` if nothing is claimable.
 
-        Walks this instance's cursor through the published ids, skipping
-        done ones, and wins an id by creating its lease with ``O_EXCL``
-        (exactly one winner, even across hosts; a loser moves on).  At the
-        end of the walk it reads what was published since; if nothing was,
-        it takes over an expired lease.  A failed create other than a lost
-        race leaves the cursor on its id, so the next claim retries it.
+        The batch takes the unwalked remainder over :data:`BATCH_DIVISOR`
+        times the workers that have joined, at most :data:`MAX_BATCH` and
+        ``max_cells`` cells.  Walks this instance's cursor through the
+        published ids, skipping done ones, and wins an id by hard-linking its
+        lease to the claim's batch file (exactly one winner, even across
+        hosts; a loser moves on).  At the end of the walk it reads what was
+        published since; if nothing was and it won nothing, it takes over an
+        expired lease.  A failed create or link other than a lost race leaves
+        the cursor on its id, so the next claim retries it.  The lease lasts
+        ``lease_ttl``, or twice the cells' summed ``timeout`` if longer.
         """
-        while True:
-            while self._cursor < len(self._ids):
+        if self._cursor == len(self._ids) and not self._extend():
+            return self._reclaim_expired(worker_id, timeout)
+        remaining = len(self._ids) - self._cursor
+        size = min(math.ceil(remaining / (BATCH_DIVISOR * self._workers())), MAX_BATCH)
+        if max_cells is not None:
+            size = min(size, max_cells)
+        batch: Optional[Batch] = None
+        failed = False
+        try:
+            while batch is None or len(batch.cells) < size:
+                if self._cursor == len(self._ids) and not self._extend():
+                    break
                 cell_id = self._ids[self._cursor]
-                try:
-                    cell = None if self._is_done(cell_id) else self._lease(cell_id, worker_id)
-                except OSError:
-                    return None
+                if not self._is_done(cell_id):
+                    if batch is None:
+                        batch = self._new_batch(worker_id, size, timeout)
+                    if _link_exclusive(batch.path, self._entry("leases", cell_id)):
+                        self._add(batch, cell_id)
                 self._cursor += 1
-                if cell is not None:
-                    return cell
-            if not self._extend():
-                return self._reclaim_expired(worker_id)
+        except OSError:
+            failed = True
+        if batch is not None and batch.cells:
+            return batch
+        if batch is not None:
+            _unlink(batch.path)
+        return None if failed else self._reclaim_expired(worker_id, timeout)
 
     def _is_done(self, cell_id: str) -> bool:
         if cell_id not in self._done and os.path.exists(self._entry("done", cell_id)):
             self._done.add(cell_id)
         return cell_id in self._done
 
-    def _lease(self, cell_id: str, worker_id: str, take_over: bool = False) -> Optional[Cell]:
-        """Hold ``cell_id``'s lease and load its descriptor; ``None`` if
-        another claimant holds the lease or the descriptor is unreadable.
+    def _workers(self) -> int:
+        """How many workers have joined: the ``stats/`` entries, listed again
+        only when the directory changed since the last look."""
+        try:
+            changed: Optional[int] = os.stat(self._dir("stats")).st_mtime_ns
+        except OSError:
+            changed = None
+        if changed != self._stats_seen:
+            self._stats_seen = changed
+            self._joined = sum(name.endswith(".json") for name in self._list("stats"))
+        return max(1, self._joined)
 
-        A claim must win the ``O_EXCL`` create; a reclaim (``take_over``)
-        replaces the expired lease in place, so the cell never goes without one.
-        """
-        lease_path = self._entry("leases", cell_id)
+    def _new_batch(self, worker_id: str, cells: int, timeout: Optional[float]) -> Batch:
+        """Create the batch file for a claim of up to ``cells`` cells."""
         claimed = now()
+        name = f".batch-{os.urandom(6).hex()}"
         lease = {
-            "cell_id": cell_id,
+            "batch": name,
             "worker": worker_id,
             "claimed_unix": claimed,
-            "deadline": claimed + self.lease_ttl,
+            "deadline": claimed + max(self.lease_ttl, 2 * (timeout or 0.0) * cells),
             "pid": os.getpid(),
             "host": socket.gethostname(),
         }
-        if take_over:
-            write_json(lease_path, lease)
-        elif not _create_exclusive(lease_path, lease):
-            return None  # someone else holds (or just won) this cell
-        cell_data = self.descriptors.get(cell_id)
+        path = self._entry("leases", name)
+        if not _create_exclusive(path, lease):
+            raise FileExistsError(errno.EEXIST, "batch file name taken", path)
+        return Batch(path, lease)
+
+    def _add(self, batch: Batch, cell_id: str) -> None:
+        """Load the descriptor of ``cell_id``, whose lease ``batch`` holds, into it.
+
+        The lease is dropped instead if the cell is done by now: a worker
+        completed it after the caller's check, since a completion links the
+        done marker before it unlinks the lease.  It is dropped too for an
+        unreadable descriptor, which nothing can ever run, so the damage is
+        visible as an unfinished queue rather than silently marked done (a
+        re-enqueue republishes it).
+        """
+        cell_data = None if self._is_done(cell_id) else self.descriptors.get(cell_id)
         if cell_data is None:
-            # unreadable descriptor: nothing can ever run this id; drop the
-            # lease so the damage is visible as an unfinished queue rather
-            # than silently marked done (a re-enqueue republishes it)
-            _unlink(lease_path)
-            return None
-        return cell_from_dict(cell_data)
+            _unlink(self._entry("leases", cell_id))
+        else:
+            batch.cells.append(cell_from_dict(cell_data))
 
-    def _reclaim_expired(self, worker_id: str) -> Optional[Cell]:
-        """Take over an expired lease, listing only ``leases/``; ``None`` if none.
+    def _reclaim_expired(self, worker_id: str, timeout: Optional[float]) -> Optional[Batch]:
+        """Take over one expired lease, listing only ``leases/``; ``None`` if none.
 
-        Two reclaimers racing cost at most one duplicate execution.
+        The lease is replaced whole by the taker's (so the cell never goes
+        without a lease, and a failed write leaves the expired one for the
+        next reclaim), which names a batch file of the taker's own, and the
+        dead holder's batch file, which nothing else would remove, goes.  Two
+        reclaimers racing cost at most one duplicate execution.
         """
         checked = now()
         for cell_id in self._list("leases"):
@@ -326,23 +411,32 @@ class SharedDirQueue:
             if self._is_done(cell_id):
                 _unlink(lease_path)
                 continue
-            meta = read_json(lease_path)
-            deadline = meta.get("deadline") if meta else None
+            meta = read_json(lease_path) or {}
+            deadline = meta.get("deadline")
             if not isinstance(deadline, (int, float)):
-                # half-written lease (claimant died between create and write):
-                # fall back to the file's age
+                # a lease whose unsynced content a power cut lost: fall back
+                # to the file's age
                 try:
                     deadline = os.path.getmtime(lease_path) + self.lease_ttl
                 except OSError:
                     continue
             if checked < deadline:
                 continue
+            batch = None
             try:
-                cell = self._lease(cell_id, worker_id, take_over=True)
+                batch = self._new_batch(worker_id, 1, timeout)
+                write_json(lease_path, batch.lease)
             except OSError:
+                if batch is not None:
+                    _unlink(batch.path)
                 continue  # the expired lease stays, for the next reclaim
-            if cell is not None:
-                return cell
+            orphan = meta.get("batch")
+            if isinstance(orphan, str) and orphan.startswith(".batch-") and os.sep not in orphan:
+                _unlink(self._entry("leases", orphan))
+            self._add(batch, cell_id)
+            if batch.cells:
+                return batch
+            _unlink(batch.path)
         return None
 
     def renew(self, cell_id: str, worker_id: str, ttl: Optional[float] = None) -> bool:
@@ -361,24 +455,33 @@ class SharedDirQueue:
     def worker_trace_path(self, worker_id: str) -> str:
         return self._entry("traces", worker_id + ".jsonl")
 
-    def complete(self, cell_id: str, worker_id: str, result: CellResult) -> None:
-        """Durably record ``result`` and release the lease.
+    def complete(self, batch: Batch, results: Sequence[CellResult]) -> None:
+        """Durably record a batch's rows, then mark them done and release the batch.
 
-        Order matters: the row is appended and committed (fsync'd) *before*
-        the done marker appears, so a done marker always has a row behind it.
-        A marker that already exists means an earlier completion: harmless.
+        Order matters: every row is appended and the shard committed (one
+        fsync for the batch) *before* any done marker appears, so a done
+        marker always has a row behind it.  Each marker is a hard link to the
+        batch file; one that already exists means an earlier completion:
+        harmless.  Then the leases and the batch file go.
         """
-        store = self.worker_store(worker_id)
+        store = self.worker_store(batch.lease["worker"])
         try:
-            store.append(result)
+            for result in results:
+                store.append(result)
         finally:
             store.close()
-        _create_exclusive(
-            self._entry("done", cell_id),
-            {"cell_id": cell_id, "worker": worker_id, "finished_unix": time.time()},
-        )
-        self._done.add(cell_id)
-        _unlink(self._entry("leases", cell_id))
+        for result in results:
+            marker = self._entry("done", result.cell_id)
+            try:
+                _link_exclusive(batch.path, marker)
+            except FileNotFoundError:
+                # a reclaim took this worker for dead and removed its batch
+                # file; link the markers left to a new one, which no lease names
+                batch.path = self._new_batch(batch.lease["worker"], 0, None).path
+                _link_exclusive(batch.path, marker)
+            self._done.add(result.cell_id)
+            _unlink(self._entry("leases", result.cell_id))
+        _unlink(batch.path)
 
     # -- coordinator / merge side ------------------------------------------
 
@@ -556,7 +659,7 @@ class _WorkerSession:
     The session publishes its ``stats/<worker_id>.json`` as soon as it
     starts, so a worker that joins and never gets a cell still shows up in
     :meth:`SharedDirQueue.worker_stats`, with ``claimed: 0``.  While it
-    runs cells it republishes at most once per
+    runs batches it republishes at most once per
     :data:`~repro.lab.store.COMMIT_SECONDS` of the module clock :func:`now`;
     the first claim that finds nothing publishes any counts still unpublished,
     so a live worker's stats are final within one poll of its last cell, and
@@ -605,31 +708,31 @@ class _WorkerSession:
             self.stats["updated_unix"] = time.time()
             self.queue.write_worker_stats(self.worker_id, self.stats)
 
-    def serve_one(self) -> bool:
-        """Claim and execute one cell; ``False`` when nothing was claimable."""
-        cell = self.queue.claim(self.worker_id)
-        if cell is None:
+    def serve_one(self, max_cells: Optional[int] = None) -> bool:
+        """Claim and execute one batch of at most ``max_cells`` cells;
+        ``False`` when nothing was claimable.
+
+        The claim passes the cell ``timeout``, so the batch's lease outlives
+        the budgets of all its cells without a renewal.
+        """
+        batch = self.queue.claim(self.worker_id, max_cells, self.timeout)
+        if batch is None:
             self._publish(force=True)
             return False
-        self.stats["claimed"] += 1
-        if self.timeout is not None and self.timeout > 0:
-            # make sure the lease outlives the cell's own wall-clock budget
-            self.queue.renew(
-                cell.cell_id,
-                self.worker_id,
-                ttl=max(self.queue.lease_ttl, self.timeout * 2),
-            )
-        result = run_cell_with_timeout(cell, self.timeout)
-        self.queue.complete(cell.cell_id, self.worker_id, result)
-        self.stats["executed"] += 1
-        if not result.ok:
-            self.stats["errors"] += 1
-        self.stats["wall_s"] += result.wall_time
-        self.stats["cpu_s"] += result.cpu_time or 0.0
+        self.stats["claimed"] += len(batch.cells)
+        results = []
+        for cell in batch.cells:
+            result = run_cell_with_timeout(cell, self.timeout)
+            results.append(result)
+            if self._tracer is not None:
+                emit_cell_span(self._tracer, result, self.worker_id)
+        self.queue.complete(batch, results)
+        self.stats["executed"] += len(results)
+        self.stats["errors"] += sum(not result.ok for result in results)
+        self.stats["wall_s"] += sum(result.wall_time for result in results)
+        self.stats["cpu_s"] += sum(result.cpu_time or 0.0 for result in results)
         self._dirty = True
         self._publish()
-        if self._tracer is not None:
-            emit_cell_span(self._tracer, result, self.worker_id)
         return True
 
     def finish(self) -> Dict[str, Any]:
@@ -651,9 +754,9 @@ def worker_loop(
 ) -> Dict[str, Any]:
     """Serve a shared-dir queue until it drains: ``python -m repro worker``.
 
-    Claims cells one at a time, executing each under ``timeout`` and
-    completing it durably before claiming the next.  Exits when the queue is
-    sealed and fully done, after ``max_idle`` seconds without a successful
+    Claims a batch at a time, executing each cell under ``timeout`` and
+    completing the batch durably before claiming the next.  Exits when the
+    queue is sealed and fully done, after ``max_idle`` seconds without a successful
     claim (covers the never-sealed and stuck-foreign-lease cases), or after
     ``max_cells`` completions.  Returns the worker's final counter dict (the
     same payload published to ``stats/<worker_id>.json``).
@@ -665,9 +768,10 @@ def worker_loop(
     idle_since: Optional[float] = None
     try:
         while True:
-            if max_cells is not None and session.stats["executed"] >= max_cells:
+            left = None if max_cells is None else max_cells - session.stats["executed"]
+            if left is not None and left <= 0:
                 break
-            if session.serve_one():
+            if session.serve_one(left):
                 idle_since = None
                 continue
             if queue.all_done():

@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lease-ttl",
         type=float,
         default=60.0,
-        help="seconds a claimed cell stays exclusive without renewal (default: 60)",
+        help="seconds a claimed batch of cells stays exclusive without renewal (default: 60)",
     )
     worker.add_argument(
         "--poll",
@@ -332,8 +332,8 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         "--lease-ttl",
         type=float,
         default=60.0,
-        help="shared-dir backend: seconds a claimed cell stays exclusive "
-        "without renewal (default: 60)",
+        help="shared-dir backend: seconds a claimed batch of cells stays "
+        "exclusive without renewal (default: 60)",
     )
 
 

@@ -8,9 +8,10 @@ group-committed fsync, the last-write-wins index scan, reading from an
 offset — is :class:`JsonlLog`, which the result cache's segments and the
 shared-dir shard merge use too.
 
-It is also the one module that creates, truncates or replaces a file
+It is also the one module that creates, truncates, replaces or links a file
 (``tests/test_durable_io.py`` holds the package to that): :func:`replace_file`
-and :func:`write_json` for whole files, :func:`_create_exclusive` for markers.
+and :func:`write_json` for whole files, :func:`_create_exclusive` for marker
+files, and :func:`_link_exclusive` for names that share one.
 
 The **determinism contract**: everything in :meth:`CellResult.deterministic_dict`
 is a pure function of the cell descriptor (spec fingerprint, input, config,
@@ -186,6 +187,17 @@ def _create_exclusive(path: str, payload: Mapping[str, Any]) -> bool:
         return False
     with os.fdopen(fd, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True)
+    return True
+
+
+def _link_exclusive(source: str, path: str) -> bool:
+    """Hard-link ``path`` to ``source``'s file: like :func:`_create_exclusive`,
+    exactly one caller wins the name and the rest get ``False``, but nothing
+    is created or written.  ``FileNotFoundError`` if ``source`` is gone."""
+    try:
+        os.link(source, path)
+    except FileExistsError:
+        return False
     return True
 
 

@@ -1,15 +1,17 @@
 """Tripwire: ``repro.lab.store`` is the one module that writes whole files.
 
-Every file the package creates, truncates or replaces goes through the store
-(:func:`~repro.lab.store.replace_file`, :func:`~repro.lab.store.write_json`,
-the ``O_EXCL`` markers, the JSONL line logs), so there is one durable-I/O
-seam whose crash points ``TestCrashPoints`` enumerates.  This scan fails if
-any other module under ``src/repro`` calls
+Every file the package creates, truncates, replaces or links goes through the
+store (:func:`~repro.lab.store.replace_file`, :func:`~repro.lab.store.write_json`,
+the ``O_EXCL`` markers, the hard-linked leases and done markers, the JSONL
+line logs), so there is one durable-I/O seam whose crash points
+``TestCrashPoints`` enumerates.  This scan fails if any other module under
+``src/repro`` calls
 
 * ``open`` / ``io.open`` with a mode containing ``w`` or ``x`` (or a mode
   that is not a literal);
 * ``os.open`` with ``O_CREAT`` but without ``O_APPEND``;
 * ``os.replace`` or ``os.rename``;
+* ``os.link`` or ``os.symlink``;
 * anything in ``tempfile``.
 
 Appends stay allowed: the trace sink's ``O_APPEND`` descriptor is not a
@@ -65,6 +67,8 @@ def whole_file_writes(source):
                 found.append((node.lineno, "imports from tempfile"))
             elif module == "os" and {a.name for a in node.names} & {"replace", "rename"}:
                 found.append((node.lineno, "imports os.replace / os.rename"))
+            elif module == "os" and {a.name for a in node.names} & {"link", "symlink"}:
+                found.append((node.lineno, "imports os.link / os.symlink"))
             continue
         if not isinstance(node, ast.Call):
             continue
@@ -81,7 +85,7 @@ def whole_file_writes(source):
             flags = _flag_names(_argument(node, 1, "flags") or ast.Constant(0))
             if "O_CREAT" in flags and "O_APPEND" not in flags:
                 found.append((node.lineno, "os.open with O_CREAT and no O_APPEND"))
-        elif name in ("os.replace", "os.rename"):
+        elif name in ("os.replace", "os.rename", "os.link", "os.symlink"):
             found.append((node.lineno, name))
         elif name and name.split(".")[0] == "tempfile":
             found.append((node.lineno, name))
@@ -105,7 +109,8 @@ def test_only_the_store_writes_whole_files():
             for line, reason in whole_file_writes(handle.read()):
                 offenders.append(f"{relative}:{line}: {reason}")
     assert offenders == [], (
-        "write whole files through repro.lab.store (replace_file / write_json):\n"
+        "write whole files and links through repro.lab.store "
+        "(replace_file / write_json / _link_exclusive):\n"
         + "\n".join(offenders)
     )
 
@@ -113,7 +118,7 @@ def test_only_the_store_writes_whole_files():
 def test_the_store_is_where_the_writes_are():
     with open(os.path.join(SRC, SEAM), encoding="utf-8") as handle:
         reasons = {reason for _, reason in whole_file_writes(handle.read())}
-    assert {"os.replace", "os.open with O_CREAT and no O_APPEND"} <= reasons
+    assert {"os.replace", "os.link", "os.open with O_CREAT and no O_APPEND"} <= reasons
 
 
 @pytest.mark.parametrize(
@@ -128,6 +133,9 @@ def test_the_store_is_where_the_writes_are():
         "import os\nos.replace(a, b)",
         "import os\nos.rename(a, b)",
         "from os import replace",
+        "import os\nos.link(a, b)",
+        "import os\nos.symlink(a, b)",
+        "from os import link",
         "import tempfile",
         "from tempfile import mkstemp",
     ],

@@ -18,6 +18,7 @@ import threading
 import time
 
 import glob
+import itertools
 
 import pytest
 
@@ -84,6 +85,22 @@ def descriptor_lines(root):
 def run_one(cell):
     (row,) = SerialExecutor().map([cell])
     return row
+
+
+def run_batch(queue, batch):
+    """Run a claimed batch serially and complete it; returns its cell ids."""
+    queue.complete(batch, [run_one(cell) for cell in batch.cells])
+    return [cell.cell_id for cell in batch.cells]
+
+
+def drain(queue, worker_id):
+    """Claim and complete batches until nothing is claimable; the cell ids run."""
+    ran = []
+    while True:
+        batch = queue.claim(worker_id)
+        if batch is None:
+            return ran
+        ran += run_batch(queue, batch)
 
 
 def canonical(rows):
@@ -161,13 +178,7 @@ class TestSharedDirQueue:
         assert len(descriptor_lines(root)) == len(cells)
         assert set(first.manifest()["cell_ids"]) == {c.cell_id for c in cells}
         worker = SharedDirQueue(root)
-        claimed = []
-        while True:
-            cell = worker.claim("w")
-            if cell is None:
-                break
-            claimed.append(cell.cell_id)
-            worker.complete(cell.cell_id, "w", run_one(cell))
+        claimed = drain(worker, "w")
         assert sorted(claimed) == sorted(c.cell_id for c in cells)
         merged = worker.merged_rows()
         serial = list(SerialExecutor().map(cells))
@@ -201,27 +212,28 @@ class TestSharedDirQueue:
         assert len(SharedDirQueue(root).manifest()["cell_ids"]) < len(cells)
         worker = SharedDirQueue(root)
         assert not worker.all_done()
-        claimed = []
-        while True:
-            cell = worker.claim("w")
-            if cell is None:
-                break
-            claimed.append(cell.cell_id)
-            worker.complete(cell.cell_id, "w", run_one(cell))
+        claimed = drain(worker, "w")
         assert sorted(claimed) == sorted(c.cell_id for c in cells)
         assert worker.all_done()
 
-    @pytest.mark.parametrize("path", ["claim", "reclaim"])
+    @pytest.mark.parametrize(
+        "path, writer",
+        [
+            ("claim", "_create_exclusive"),  # the batch file
+            ("claim", "_link_exclusive"),  # the cell's lease
+            ("reclaim", "_create_exclusive"),
+            ("reclaim", "write_json"),  # the lease, replaced whole
+        ],
+    )
     def test_failed_lease_write_is_retried_by_the_next_claim(
-        self, tmp_path, monkeypatch, clock, path
+        self, tmp_path, monkeypatch, clock, path, writer
     ):
         queue = SharedDirQueue(str(tmp_path / "q"))
         (cell,) = tiny_campaign(grid="0:1").expand()[:1]
         queue.enqueue([cell])
         if path == "reclaim":
-            assert queue.claim("dying-worker") == cell
+            assert queue.claim("dying-worker").cells == [cell]
             clock.advance(DEFAULT_LEASE_TTL + 1)
-        writer = "_create_exclusive" if path == "claim" else "write_json"
 
         def disk_full(*args):
             raise OSError(errno.ENOSPC, "No space left on device")
@@ -229,8 +241,13 @@ class TestSharedDirQueue:
         with monkeypatch.context() as patched:
             patched.setattr(backends, writer, disk_full)
             assert queue.claim("w") is None
-        # the disk has room again: the same instance claims the cell
-        assert queue.claim("w") == cell
+        # the disk has room again: the same instance claims the cell, and the
+        # failed attempt left no batch file of its own behind
+        batch = queue.claim("w")
+        assert batch.cells == [cell]
+        assert [n for n in os.listdir(os.path.join(queue.root, "leases")) if n[0] == "."] == [
+            os.path.basename(batch.path)
+        ]
 
     @pytest.mark.parametrize("damage", ["garbage", "torn"])
     def test_unreadable_descriptor_drops_the_lease(self, tmp_path, damage):
@@ -253,7 +270,7 @@ class TestSharedDirQueue:
         # a re-enqueue republishes the descriptor (the seal already lists the
         # id), and even the worker that failed to load it can claim it now
         assert SharedDirQueue(str(root)).enqueue([cell]) == 0
-        assert queue.claim("w") == cell
+        assert queue.claim("w").cells == [cell]
 
     def test_descriptor_traffic_is_not_result_cache_traffic(self, tmp_path):
         requests = global_registry().counter(
@@ -274,18 +291,55 @@ class TestSharedDirQueue:
         assert counts() == before
 
     def test_claim_is_exclusive_and_exhaustive(self, tmp_path):
-        queue = SharedDirQueue(str(tmp_path / "q"))
+        root = str(tmp_path / "q")
         cells = tiny_campaign().expand()
-        queue.enqueue(cells)
+        SharedDirQueue(root).enqueue(cells)
+        workers = [SharedDirQueue(root), SharedDirQueue(root)]
         claimed = []
-        # two workers alternate claims; every cell must be handed out exactly once
+        # two workers, each walking the queue on its own, alternate claims;
+        # every cell must be handed out exactly once
         while True:
-            cell = queue.claim("worker-a") or queue.claim("worker-b")
-            if cell is None:
+            batch = workers[0].claim("worker-a") or workers[1].claim("worker-b")
+            if batch is None:
                 break
-            claimed.append(cell.cell_id)
+            claimed += [cell.cell_id for cell in batch.cells]
         assert sorted(claimed) == sorted(c.cell_id for c in cells)
         assert len(set(claimed)) == len(claimed)
+
+    def test_racing_workers_claim_each_cell_once(self, tmp_path):
+        # more workers than cores, each walking the queue on its own instance
+        root = str(tmp_path / "q")
+        template = sealed_queue(root, 300)
+        row = run_one(template)
+        claimed = {f"w{i}": [] for i in range(6)}
+
+        def serve(worker_id):
+            queue = SharedDirQueue(root)
+            queue.write_worker_stats(worker_id, {"claimed": 0})
+            while True:
+                batch = queue.claim(worker_id)
+                if batch is None:
+                    return
+                claimed[worker_id] += [c.cell_id for c in batch.cells]
+                queue.complete(
+                    batch, [dataclasses.replace(row, cell_id=c.cell_id) for c in batch.cells]
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=serve, args=(w,)) for w in claimed]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        ids = [cell_id for ran in claimed.values() for cell_id in ran]
+        assert len(ids) == len(set(ids)) == 300
+        assert len(os.listdir(os.path.join(root, "done"))) == 300
+        assert os.listdir(os.path.join(root, "leases")) == []
 
     def test_expired_lease_is_reclaimable(self, tmp_path, clock):
         queue = SharedDirQueue(str(tmp_path / "q"))
@@ -299,7 +353,7 @@ class TestSharedDirQueue:
         clock.advance(2)
         second = queue.claim("other-worker")
         assert second is not None
-        assert second.cell_id == first.cell_id
+        assert second.cells == first.cells
 
     def test_listings_skip_the_temp_files_a_crashed_replace_leaves(
         self, tmp_path, monkeypatch, clock
@@ -319,9 +373,9 @@ class TestSharedDirQueue:
         monkeypatch.setattr(
             queue.descriptors, "get", lambda key: looked_up.append(key) or real_get(key)
         )
-        assert queue.claim("w") == cell
+        assert queue.claim("w").cells == [cell]
         clock.advance(DEFAULT_LEASE_TTL + 1)
-        assert queue.claim("w2") == cell  # the reclaim walks leases/
+        assert queue.claim("w2").cells == [cell]  # the reclaim walks leases/
         assert ".tmp-x" not in looked_up and looked_up == [cell.cell_id] * 2
         assert sorted(queue.worker_stats()) == ["w"]
 
@@ -338,16 +392,24 @@ class TestSharedDirQueue:
         clock.advance(2 * DEFAULT_LEASE_TTL)
         assert queue.claim("impostor") is not None  # the renewal ran out too
 
-    def test_merged_rows_dedupe_across_shards(self, tmp_path):
-        queue = SharedDirQueue(str(tmp_path / "q"))
+    def test_merged_rows_dedupe_across_shards(self, tmp_path, clock):
+        root = str(tmp_path / "q")
         cells = tiny_campaign(grid="0:2").expand()
+        queue, other = SharedDirQueue(root), SharedDirQueue(root)
         queue.enqueue(cells)
         rows = [SerialExecutor().map([c]).__next__() for c in cells]
-        # the same cell completed by two different workers (the reclaim race)
-        queue.complete(cells[0].cell_id, "worker-a", rows[0])
-        queue.complete(cells[0].cell_id, "worker-b", rows[0])
-        for cell, row in zip(cells[1:], rows[1:]):
-            queue.complete(cell.cell_id, "worker-b", row)
+        # the reclaim race: worker-a stalls past its lease, worker-b reclaims
+        # and completes its cells, then worker-a completes them as well
+        stalled = queue.claim("worker-a")
+        clock.advance(DEFAULT_LEASE_TTL + 1)
+        assert sorted(drain(other, "worker-b")) == sorted(c.cell_id for c in cells)
+        assert run_batch(queue, stalled)
+        executions = [
+            row.cell_id
+            for shard in ("worker-a", "worker-b")
+            for row in queue.worker_store(shard).iter_rows(dedupe=False)
+        ]
+        assert len(executions) == len(cells) + len(stalled.cells)
         merged = queue.merged_rows({c.cell_id for c in cells})
         assert set(merged) == {c.cell_id for c in cells}
         assert canonical(merged[c.cell_id] for c in cells) == canonical(rows)
@@ -357,9 +419,9 @@ class TestSharedDirQueue:
         queue = SharedDirQueue(str(tmp_path / "q"))
         (cell,) = tiny_campaign(grid="0:1").expand()[:1]
         queue.enqueue([cell])
-        assert queue.claim("w") is not None
+        batch = queue.claim("w")
         (row,) = SerialExecutor().map([cell])
-        queue.complete(cell.cell_id, "w", row)
+        queue.complete(batch, [row])
         assert cell.cell_id in queue.done_ids()
         assert cell.cell_id in queue.merged_rows()
         # lease and token are gone: nothing is claimable
@@ -367,11 +429,11 @@ class TestSharedDirQueue:
 
     def test_row_is_committed_before_the_done_marker_exists(self, tmp_path, monkeypatch):
         queue = SharedDirQueue(str(tmp_path / "q"))
-        (cell,) = tiny_campaign(grid="0:1").expand()[:1]
-        queue.enqueue([cell])
-        assert queue.claim("w") is not None
-        (row,) = SerialExecutor().map([cell])
-        marker = os.path.join(queue.root, "done", cell.cell_id)
+        queue.enqueue(tiny_campaign(grid="0:2").expand())
+        batch = queue.claim("w")
+        assert len(batch.cells) > 1
+        rows = list(SerialExecutor().map(batch.cells))
+        markers = [os.path.join(queue.root, "done", c.cell_id) for c in batch.cells]
         shard = os.path.join(queue.root, "results", "w.jsonl")
         fsyncs = []
         real_fsync = store_module.JsonlLog._fsync
@@ -379,43 +441,90 @@ class TestSharedDirQueue:
         def recording_fsync(log, handle):
             real_fsync(log, handle)
             with open(log.path, "rb") as synced:
-                fsyncs.append((log.path, synced.read().count(b"\n"), os.path.exists(marker)))
+                fsyncs.append(
+                    (log.path, synced.read().count(b"\n"), any(map(os.path.exists, markers)))
+                )
 
         monkeypatch.setattr(store_module.JsonlLog, "_fsync", recording_fsync)
-        queue.complete(cell.cell_id, "w", row)
-        # the row was on disk and fsync'd while the marker did not exist yet
-        assert fsyncs and fsyncs[-1] == (shard, 1, False)
-        assert os.path.exists(marker)
+        queue.complete(batch, rows)
+        # every row was on disk and fsync'd while no marker of the batch existed
+        assert fsyncs and fsyncs[-1] == (shard, len(rows), False)
+        assert all(map(os.path.exists, markers))
 
-
-    def test_second_complete_keeps_one_marker(self, tmp_path):
+    def test_second_complete_keeps_one_marker(self, tmp_path, clock):
         queue = SharedDirQueue(str(tmp_path / "q"))
         (cell,) = tiny_campaign(grid="0:1").expand()[:1]
         queue.enqueue([cell])
-        assert queue.claim("a") is not None
+        held = queue.claim("a")
+        clock.advance(DEFAULT_LEASE_TTL + 1)
+        reclaimed = SharedDirQueue(queue.root).claim("b")
         row = run_one(cell)
-        queue.complete(cell.cell_id, "a", row)
-        queue.complete(cell.cell_id, "b", row)  # the reclaim race, lost by "b"
+        queue.complete(held, [row])
+        queue.complete(reclaimed, [row])  # the reclaim race, lost by "b"
         assert os.listdir(os.path.join(queue.root, "done")) == [cell.cell_id]
+        assert os.listdir(os.path.join(queue.root, "leases")) == []
         with open(os.path.join(queue.root, "done", cell.cell_id)) as handle:
             assert json.load(handle)["worker"] == "a"
         assert canonical(queue.merged_rows().values()) == canonical([row])
 
     def test_failed_shard_fsync_leaves_no_done_marker(self, tmp_path, monkeypatch):
         queue = SharedDirQueue(str(tmp_path / "q"))
-        (cell,) = tiny_campaign(grid="0:1").expand()[:1]
-        queue.enqueue([cell])
-        assert queue.claim("w") is not None
-        row = run_one(cell)
+        queue.enqueue(tiny_campaign(grid="0:2").expand())
+        batch = queue.claim("w")
+        assert len(batch.cells) > 1
+        rows = [run_one(cell) for cell in batch.cells]
 
         def failing_fsync(log, handle):
             raise OSError("disk full")
 
         monkeypatch.setattr(store_module.JsonlLog, "_fsync", failing_fsync)
         with pytest.raises(OSError, match="disk full"):
-            queue.complete(cell.cell_id, "w", row)
-        assert not os.path.exists(os.path.join(queue.root, "done", cell.cell_id))
+            queue.complete(batch, rows)
+        assert os.listdir(os.path.join(queue.root, "done")) == []
         assert queue.done_ids() == set()
+        # the leases stay, for a reclaim once they expire
+        for cell in batch.cells:
+            assert os.path.exists(os.path.join(queue.root, "leases", cell.cell_id))
+
+    def test_stop_between_commit_and_markers_reruns_only_that_batch(
+        self, tmp_path, monkeypatch, clock
+    ):
+        root = str(tmp_path / "q")
+        cells = tiny_campaign().expand()
+        queue = SharedDirQueue(root)
+        queue.enqueue(cells)
+        batch = queue.claim("stopped")
+        assert 1 < len(batch.cells) < len(cells)
+        stopped = {cell.cell_id for cell in batch.cells}
+        real_link = backends._link_exclusive
+
+        class Stop(BaseException):
+            pass
+
+        def stop_at_markers(source, path):
+            if os.path.dirname(path) == os.path.join(root, "done"):
+                raise Stop()
+            return real_link(source, path)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(backends, "_link_exclusive", stop_at_markers)
+            with pytest.raises(Stop):
+                run_batch(queue, batch)
+        assert len(list(queue.worker_store("stopped").iter_rows())) == len(stopped)
+        assert queue.done_ids() == set()
+
+        survivor = SharedDirQueue(root)
+        fresh = drain(survivor, "survivor")  # the stopped batch's leases are live
+        assert set(fresh) == {c.cell_id for c in cells} - stopped
+        clock.advance(DEFAULT_LEASE_TTL + 1)
+        rerun = drain(survivor, "survivor")
+        assert sorted(rerun) == sorted(stopped)
+        assert survivor.all_done()
+        # the first reclaim removed the stopped batch's file; completes removed the rest
+        assert os.listdir(os.path.join(root, "leases")) == []
+        merged = survivor.merged_rows()
+        serial = list(SerialExecutor().map(cells))
+        assert canonical(merged[c.cell_id] for c in cells) == canonical(serial)
 
 
 def count_listings(monkeypatch):
@@ -466,14 +575,47 @@ class TestProtocolCost:
             row = row or run_one(template)
             queue = SharedDirQueue(root)
             del calls[:]
-            for _ in range(200):
-                cell = queue.claim("w")
-                queue.complete(cell.cell_id, "w", dataclasses.replace(row, cell_id=cell.cell_id))
+            completed = 0
+            while completed < 200:
+                batch = queue.claim("w", max_cells=200 - completed)
+                queue.complete(
+                    batch, [dataclasses.replace(row, cell_id=c.cell_id) for c in batch.cells]
+                )
+                completed += len(batch.cells)
             listings[size] = len(calls)
             assert len(os.listdir(os.path.join(root, "done"))) == 200
         # at either size: the walk's first read of the memo, and the
         # descriptor index's first build
         assert listings[1_000] == listings[100_000] <= 2
+
+    def test_a_drain_creates_files_per_batch_not_per_cell(
+        self, tmp_path, monkeypatch, clock
+    ):
+        root = str(tmp_path / "q")
+        sealed_queue(root, 200)
+        queue = SharedDirQueue(root)
+        # with a cell timeout, so the lease must outlive every cell's budget
+        session = backends._WorkerSession(queue, "w", timeout=30.0)
+        created = []
+        real_open = os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT:
+                created.append(os.path.dirname(path))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        batches = 0
+        while session.serve_one():
+            batches += 1
+        session.finish()
+        assert session.stats["executed"] == 200
+        assert len(os.listdir(os.path.join(root, "done"))) == 200
+        # one batch file per claim, and the stats of the last batch and the
+        # finish (the clock stands still, so no commit window passes)
+        leases = os.path.join(root, "leases")
+        assert created.count(leases) == batches <= 200 // 10
+        assert len(created) <= batches + 2
 
     def test_follow_reads_each_shard_byte_once(self, tmp_path, monkeypatch):
         queue = SharedDirQueue(str(tmp_path / "q"))
@@ -492,11 +634,13 @@ class TestProtocolCost:
         monkeypatch.setattr(store_module.JsonlLog, "lines", counting_lines)
         follow = SharedDirQueue(queue.root).follow(c.cell_id for c in cells)
         followed = {}
-        for i, cell in enumerate(cells):
+        shards = itertools.cycle(["w0", "w1"])
+        while len(followed) < len(cells):
             assert next(follow) == {}  # an idle poll: nothing new
-            queue.complete(cell.cell_id, f"w{i % 2}", run_one(cell))  # two shards
+            batch = queue.claim(next(shards))  # two shards
+            run_batch(queue, batch)
             fresh = next(follow)
-            assert list(fresh) == [cell.cell_id]
+            assert sorted(fresh) == sorted(c.cell_id for c in batch.cells)
             followed.update(fresh)
         assert next(follow, None) is None  # every wanted cell is done
         shard_bytes = sum(os.path.getsize(os.path.join(results, n)) for n in os.listdir(results))
@@ -525,8 +669,10 @@ class TestWorkerStatsCadence:
         session = backends._WorkerSession(queue, "w")
         assert queue.worker_stats()["w"]["claimed"] == 0  # before any cell runs
         writes = record_stats_writes(queue)
-        assert session.serve_one() and session.serve_one()
-        # within one commit window: not rewritten per cell
+        # one worker has joined: batches of 2, 1 and 1 of the four cells
+        assert session.serve_one()
+        assert session.stats["executed"] == 2
+        # within one commit window: not rewritten per batch
         assert writes == []
         assert queue.worker_stats()["w"]["claimed"] == 0
         clock.advance(store_module.COMMIT_SECONDS)
@@ -545,7 +691,7 @@ class TestWorkerStatsCadence:
         queue.enqueue(tiny_campaign(grid="0:2").expand())
         session = backends._WorkerSession(queue, "w")
         writes = record_stats_writes(queue)
-        for _ in range(4):
+        while session.stats["executed"] < 4:
             assert session.serve_one()
         assert writes == []  # all four cells inside one commit window
         assert not session.serve_one()  # drained
@@ -607,7 +753,7 @@ class TestSharedDirBackendIdentity:
         cells = tiny_campaign().expand()[:2]
         queue = SharedDirQueue(queue_dir)
         queue.enqueue(cells)
-        held = queue.claim("foreign")  # a live lease no one will complete
+        (held,) = queue.claim("foreign").cells  # a live lease no one will complete
         backend = SharedDirBackend(
             queue_dir=queue_dir,
             poll=0.01,
@@ -651,19 +797,58 @@ class TestWorkerLoop:
         assert set(reported) == {"busy", "starved"}
         assert reported["starved"]["claimed"] == 0
 
+    def test_executes_exactly_max_cells(self, tmp_path):
+        queue = SharedDirQueue(str(tmp_path / "q"))
+        cells = tiny_campaign(grid="0:4").expand()
+        queue.enqueue(cells)
+        # the first batch would be 8 of the 16 cells; 3 caps it
+        stats = worker_loop(str(tmp_path / "q"), worker_id="a", max_cells=3, max_idle=10.0)
+        assert stats["claimed"] == stats["executed"] == 3
+        # two workers have joined now: batches of 4, 3, 2, 1 and the 1 still wanted
+        stats = worker_loop(str(tmp_path / "q"), worker_id="b", max_cells=11, max_idle=10.0)
+        assert stats["claimed"] == stats["executed"] == 11
+        assert len(queue.done_ids()) == 14
+        assert os.listdir(os.path.join(queue.root, "leases")) == []
+
     def test_reclaims_a_dead_workers_cells(self, tmp_path, clock):
-        # a worker claims two cells' worth of leases and dies without completing
+        # a worker claims two batches of leases and dies without completing
         queue = SharedDirQueue(str(tmp_path / "q"))
         cells = tiny_campaign(grid="0:2").expand()
         queue.enqueue(cells)
         assert queue.claim("dead-worker") is not None
         assert queue.claim("dead-worker") is not None
+        leases = os.path.join(queue.root, "leases")
+        assert len([name for name in os.listdir(leases) if name.startswith(".")]) == 2
         clock.advance(DEFAULT_LEASE_TTL + 1)
         worker_loop(str(tmp_path / "q"), worker_id="survivor", max_idle=10.0)
         merged = queue.merged_rows()
         assert set(merged) == {c.cell_id for c in cells}
         serial = list(SerialExecutor().map(cells))
         assert canonical(merged[c.cell_id] for c in cells) == canonical(serial)
+        # the reclaims that took the dead worker's leases removed its batch files
+        assert os.listdir(leases) == []
+
+    def test_a_batch_lease_outlives_its_cells_timeouts(self, tmp_path, clock, monkeypatch):
+        root = str(tmp_path / "q")
+        cells = tiny_campaign(grid="0:2").expand()
+        queue, rival = SharedDirQueue(root), SharedDirQueue(root)
+        queue.enqueue(cells)
+        timeout = DEFAULT_LEASE_TTL
+        session = backends._WorkerSession(queue, "w", timeout=timeout)
+        ran, stolen = [], []
+
+        def budget_spending_run(cell, cell_timeout):
+            assert cell_timeout == timeout
+            clock.advance(timeout)  # each cell runs its whole budget
+            ran.append(cell.cell_id)
+            stolen.extend(drain(rival, "rival"))  # claims, then tries to reclaim
+            return run_one(cell)
+
+        monkeypatch.setattr(backends, "run_cell_with_timeout", budget_spending_run)
+        assert session.serve_one()
+        assert len(ran) == 2  # a batch of two cells, 2 * timeout > lease_ttl
+        assert sorted(ran + stolen) == sorted(c.cell_id for c in cells)
+        assert queue.all_done()
 
 
 def spawn_worker(queue_dir, worker_id, lease_ttl="1.0", extra=()):
