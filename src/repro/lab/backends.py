@@ -24,17 +24,22 @@ one dot-named batch file in ``leases/`` and wins each cell by hard-linking
 ``leases/<cell_id>`` to it; a link, like an ``O_EXCL`` create, has exactly
 one winner, and a loser moves on.  At the end of the walk the instance tails
 the memo segments for keys written since, so any number of producers may
-enqueue at once.  A lease carries a deadline; a worker that dies (SIGKILL,
-host loss) simply stops renewing, and once the deadline passes any other
-worker with nothing left to walk replaces the lease with its own, found by
-listing ``leases/`` (cells in flight, never the whole queue), and removes
-the dead worker's batch file.  The races this allows — two reclaimers, or
-the presumed-dead worker finishing after its cells were reclaimed — are
-*harmless by construction*: cells are deterministic, rows are merged by
-``cell_id`` with last-write-wins, and both writers produce
-canonical-JSON-identical deterministic rows.  Leases are an optimization
-against duplicate *work*, never a correctness mechanism.  Hard links are
-required (POSIX filesystems and NFS have them); there is no fallback.
+enqueue at once.  A lease carries a deadline, ``lease_ttl`` or twice the
+cell timeout if longer, and the holder renews it before each cell of the
+batch by rewriting the batch file in place, which renews every lease linked
+to it and creates nothing.  A worker that dies (SIGKILL, host loss) simply
+stops renewing, and once the deadline passes any other worker with nothing
+left to walk replaces the lease with its own, found by listing ``leases/``
+(cells in flight, never the whole queue), and removes the dead worker's
+batch file; the same pass removes a batch file a ``lease_ttl`` past its
+deadline, which a worker killed between its batch file and its links left.
+The races this allows — two reclaimers, or the presumed-dead worker
+finishing after its cells were reclaimed — are *harmless by construction*:
+cells are deterministic, rows are merged by ``cell_id`` with
+last-write-wins, and both writers produce canonical-JSON-identical
+deterministic rows.  Leases are an optimization against duplicate *work*,
+never a correctness mechanism.  Hard links are required (POSIX filesystems
+and NFS have them); there is no fallback.
 
 **Merge-by-cache-key.**  Each worker appends to its own
 ``results/<worker_id>.jsonl`` (single-writer, so the store's torn-tail
@@ -53,11 +58,12 @@ Queue directory layout, with how each entry is written (the writers are
                         segment per producer (group-committed appends, closed
                         by enqueue before it writes the seal)
     leases/.batch-*     one per claim: {batch, worker, deadline, ...} (O_EXCL
-                        create, unsynced; removed when the batch completes,
-                        or by the reclaim that takes over a dead owner's lease)
+                        create, unsynced; renew rewrites it in place; removed
+                        when the batch completes, by the reclaim that takes
+                        over a dead owner's lease, or by a reclaim pass once
+                        it is lease_ttl past its deadline)
     leases/<id>         held claims: a hard link to the claim's batch file
-                        (exclusive link, unsynced; renew and reclaim
-                        replace_file it)
+                        (exclusive link, unsynced; a reclaim replace_files it)
     done/<id>           completion markers: a hard link to the batch file,
                         made after the batch's rows are fsync'd (exclusive
                         link; only the name is ever read)
@@ -89,7 +95,7 @@ from repro.lab.cache import SEGMENT_PREFIX, ResultCache
 from repro.lab.campaign import Cell
 from repro.lab.executor import emit_cell_span, run_cell_with_timeout
 from repro.lab.store import COMMIT_ROWS, COMMIT_SECONDS, CellResult, JsonlLog, ResultStore
-from repro.lab.store import _create_exclusive, _link_exclusive, _unlink
+from repro.lab.store import _create_exclusive, _link_exclusive, _rewrite_in_place, _unlink
 from repro.lab.store import read_json, write_json
 from repro.obs.metrics import MetricsRegistry
 
@@ -107,7 +113,9 @@ DEFAULT_LEASE_TTL = 60.0
 BATCH_DIVISOR = 2
 
 #: The most cells one claim takes: one group commit's worth of rows, which
-#: bounds what a batch holds in memory and what a worker killed mid-batch loses.
+#: bounds what a batch holds in memory and what a worker killed mid-batch
+#: loses.  Cell length does not bound it: the holder renews the batch's
+#: leases before each cell.
 MAX_BATCH = COMMIT_ROWS
 
 
@@ -174,7 +182,7 @@ class Batch:
 
     ``path`` is the claim's dot-named batch file in ``leases/``, holding
     ``lease`` (``worker``, ``deadline``, ...); each cell's ``leases/<id>`` is
-    a hard link to it.
+    a hard link to it, so rewriting it renews them all.
     """
 
     path: str
@@ -188,9 +196,9 @@ class SharedDirQueue:
     The contract (see module docs): :meth:`enqueue` publishes descriptors
     idempotently and seals the work list; :meth:`claim` hands each cell of
     its batch to *at most one* worker while its lease is live; :meth:`renew`
-    extends a held lease; :meth:`complete` durably records a batch's rows and
-    releases it (completing twice is harmless); :meth:`follow` waits for
-    cells to finish.  Every mutation is an atomic directory operation or an
+    extends a batch's leases; :meth:`complete` durably records a batch's
+    rows and releases it (completing twice is harmless); :meth:`follow`
+    waits for cells to finish.  Every mutation is an atomic directory operation or an
     append to the writer's own file, so any number of producers and workers
     on any hosts can share it.  An instance keeps its walk over the
     descriptor memo's keys, the ids it has seen done (markers never
@@ -317,7 +325,7 @@ class SharedDirQueue:
         published since; if nothing was and it won nothing, it takes over an
         expired lease.  A failed create or link other than a lost race leaves
         the cursor on its id, so the next claim retries it.  The lease lasts
-        ``lease_ttl``, or twice the cells' summed ``timeout`` if longer.
+        :meth:`_lease_span`; :meth:`renew` restarts it.
         """
         if self._cursor == len(self._ids) and not self._extend():
             return self._reclaim_expired(worker_id, timeout)
@@ -334,7 +342,7 @@ class SharedDirQueue:
                 cell_id = self._ids[self._cursor]
                 if not self._is_done(cell_id):
                     if batch is None:
-                        batch = self._new_batch(worker_id, size, timeout)
+                        batch = self._new_batch(worker_id, timeout)
                     if _link_exclusive(batch.path, self._entry("leases", cell_id)):
                         self._add(batch, cell_id)
                 self._cursor += 1
@@ -363,15 +371,21 @@ class SharedDirQueue:
             self._joined = sum(name.endswith(".json") for name in self._list("stats"))
         return max(1, self._joined)
 
-    def _new_batch(self, worker_id: str, cells: int, timeout: Optional[float]) -> Batch:
-        """Create the batch file for a claim of up to ``cells`` cells."""
+    def _lease_span(self, timeout: Optional[float]) -> float:
+        """How long a lease lasts from its claim or renewal: ``lease_ttl``, or
+        twice the cell ``timeout`` if longer, so one cell run under its
+        budget never outlives it."""
+        return max(self.lease_ttl, 2 * (timeout or 0.0))
+
+    def _new_batch(self, worker_id: str, timeout: Optional[float]) -> Batch:
+        """Create the batch file for a claim."""
         claimed = now()
         name = f".batch-{os.urandom(6).hex()}"
         lease = {
             "batch": name,
             "worker": worker_id,
             "claimed_unix": claimed,
-            "deadline": claimed + max(self.lease_ttl, 2 * (timeout or 0.0) * cells),
+            "deadline": claimed + self._lease_span(timeout),
             "pid": os.getpid(),
             "host": socket.gethostname(),
         }
@@ -403,51 +417,82 @@ class SharedDirQueue:
         without a lease, and a failed write leaves the expired one for the
         next reclaim), which names a batch file of the taker's own, and the
         dead holder's batch file, which nothing else would remove, goes.  Two
-        reclaimers racing cost at most one duplicate execution.
+        reclaimers racing cost at most one duplicate execution.  On the way
+        the pass clears what killed workers left: a done cell's lease (and
+        its batch file, once the lease has expired) and a batch file a
+        ``lease_ttl`` past its deadline that no lease led to.
         """
         checked = now()
-        for cell_id in self._list("leases"):
-            lease_path = self._entry("leases", cell_id)
-            if self._is_done(cell_id):
-                _unlink(lease_path)
+        try:
+            names = sorted(os.listdir(self._dir("leases")))
+        except FileNotFoundError:
+            return None
+        for name in names:
+            lease_path = self._entry("leases", name)
+            if name.startswith(".batch-"):
+                deadline = self._deadline(lease_path, read_json(lease_path) or {})
+                if deadline is not None and checked >= deadline + self.lease_ttl:
+                    _unlink(lease_path)
                 continue
+            if name.startswith("."):
+                continue  # the temp file of a crashed replace
             meta = read_json(lease_path) or {}
-            deadline = meta.get("deadline")
-            if not isinstance(deadline, (int, float)):
-                # a lease whose unsynced content a power cut lost: fall back
-                # to the file's age
-                try:
-                    deadline = os.path.getmtime(lease_path) + self.lease_ttl
-                except OSError:
-                    continue
+            deadline = self._deadline(lease_path, meta)
+            if deadline is None:
+                continue
+            if self._is_done(name):
+                _unlink(lease_path)
+                if checked >= deadline:
+                    self._drop_batch(meta)
+                continue
             if checked < deadline:
                 continue
             batch = None
             try:
-                batch = self._new_batch(worker_id, 1, timeout)
+                batch = self._new_batch(worker_id, timeout)
                 write_json(lease_path, batch.lease)
             except OSError:
                 if batch is not None:
                     _unlink(batch.path)
                 continue  # the expired lease stays, for the next reclaim
-            orphan = meta.get("batch")
-            if isinstance(orphan, str) and orphan.startswith(".batch-") and os.sep not in orphan:
-                _unlink(self._entry("leases", orphan))
-            self._add(batch, cell_id)
+            self._drop_batch(meta)
+            self._add(batch, name)
             if batch.cells:
                 return batch
             _unlink(batch.path)
         return None
 
-    def renew(self, cell_id: str, worker_id: str, ttl: Optional[float] = None) -> bool:
-        """Extend a held lease; ``False`` if it is no longer this worker's."""
-        lease_path = self._entry("leases", cell_id)
-        meta = read_json(lease_path)
-        if meta is None or meta.get("worker") != worker_id:
-            return False
-        meta["deadline"] = now() + (ttl if ttl is not None else self.lease_ttl)
-        write_json(lease_path, meta)
-        return True
+    def _deadline(self, path: str, meta: Dict[str, Any]) -> Optional[float]:
+        """The lease ``meta``'s deadline; ``None`` if ``path`` is gone.
+
+        Content a power cut lost, or a read that raced an in-place renewal
+        tore, falls back to the file's age: its mtime is fresh in the latter.
+        """
+        deadline = meta.get("deadline")
+        if isinstance(deadline, (int, float)):
+            return float(deadline)
+        try:
+            return os.path.getmtime(path) + self.lease_ttl
+        except OSError:
+            return None
+
+    def _drop_batch(self, meta: Dict[str, Any]) -> None:
+        """Remove the batch file the lease ``meta`` names: a dead holder's."""
+        name = meta.get("batch")
+        if isinstance(name, str) and name.startswith(".batch-") and os.sep not in name:
+            _unlink(self._entry("leases", name))
+
+    def renew(self, batch: Batch, timeout: Optional[float] = None) -> bool:
+        """Restart the leases of ``batch``, as :meth:`claim` set them.
+
+        Rewrites the batch file in place, so every lease still linked to it
+        is renewed and nothing is created; a lease a reclaim took over is a
+        file of its own and keeps the taker's deadline.  ``False`` if the
+        batch file is gone: a reclaim took this worker for dead, and its
+        remaining leases run out (a duplicate run at worst).
+        """
+        batch.lease["deadline"] = now() + self._lease_span(timeout)
+        return _rewrite_in_place(batch.path, batch.lease)
 
     def worker_store(self, worker_id: str) -> ResultStore:
         return ResultStore(self._entry("results", worker_id + ".jsonl"))
@@ -477,7 +522,7 @@ class SharedDirQueue:
             except FileNotFoundError:
                 # a reclaim took this worker for dead and removed its batch
                 # file; link the markers left to a new one, which no lease names
-                batch.path = self._new_batch(batch.lease["worker"], 0, None).path
+                batch.path = self._new_batch(batch.lease["worker"], None).path
                 _link_exclusive(batch.path, marker)
             self._done.add(result.cell_id)
             _unlink(self._entry("leases", result.cell_id))
@@ -712,8 +757,8 @@ class _WorkerSession:
         """Claim and execute one batch of at most ``max_cells`` cells;
         ``False`` when nothing was claimable.
 
-        The claim passes the cell ``timeout``, so the batch's lease outlives
-        the budgets of all its cells without a renewal.
+        Each cell starts with a full lease: the claim sets it for the first,
+        and a :meth:`SharedDirQueue.renew` restarts it for each later one.
         """
         batch = self.queue.claim(self.worker_id, max_cells, self.timeout)
         if batch is None:
@@ -721,7 +766,9 @@ class _WorkerSession:
             return False
         self.stats["claimed"] += len(batch.cells)
         results = []
-        for cell in batch.cells:
+        for position, cell in enumerate(batch.cells):
+            if position:
+                self.queue.renew(batch, self.timeout)
             result = run_cell_with_timeout(cell, self.timeout)
             results.append(result)
             if self._tracer is not None:

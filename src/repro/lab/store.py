@@ -201,6 +201,24 @@ def _link_exclusive(source: str, path: str) -> bool:
     return True
 
 
+def _rewrite_in_place(path: str, payload: Mapping[str, Any]) -> bool:
+    """Overwrite the file ``path`` names with ``payload`` as JSON, in place
+    and unsynced: every hard link to it reads the new content, and nothing is
+    created.  ``False`` if ``path`` is gone.  A reader racing the write may
+    see a torn object; every caller tolerates that."""
+    data = json.dumps(payload, sort_keys=True).encode("utf-8")
+    try:
+        fd = os.open(path, os.O_WRONLY)
+    except FileNotFoundError:
+        return False
+    try:
+        os.pwrite(fd, data, 0)
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+    return True
+
+
 def _unlink(path: str) -> None:
     """Remove ``path`` if it is still there (another process may have won)."""
     with contextlib.suppress(OSError):

@@ -2,14 +2,15 @@
 
 Every file the package creates, truncates, replaces or links goes through the
 store (:func:`~repro.lab.store.replace_file`, :func:`~repro.lab.store.write_json`,
-the ``O_EXCL`` markers, the hard-linked leases and done markers, the JSONL
-line logs), so there is one durable-I/O seam whose crash points
-``TestCrashPoints`` enumerates.  This scan fails if any other module under
-``src/repro`` calls
+the ``O_EXCL`` markers, the hard-linked leases and done markers, the lease
+renewal's in-place rewrite, the JSONL line logs), so there is one durable-I/O
+seam whose crash points ``TestCrashPoints`` enumerates.  This scan fails if
+any other module under ``src/repro`` calls
 
 * ``open`` / ``io.open`` with a mode containing ``w`` or ``x`` (or a mode
   that is not a literal);
-* ``os.open`` with ``O_CREAT`` but without ``O_APPEND``;
+* ``os.open`` with ``O_CREAT`` but without ``O_APPEND``, or with ``O_TRUNC``;
+* ``os.truncate`` or ``os.ftruncate``;
 * ``os.replace`` or ``os.rename``;
 * ``os.link`` or ``os.symlink``;
 * anything in ``tempfile``.
@@ -85,7 +86,11 @@ def whole_file_writes(source):
             flags = _flag_names(_argument(node, 1, "flags") or ast.Constant(0))
             if "O_CREAT" in flags and "O_APPEND" not in flags:
                 found.append((node.lineno, "os.open with O_CREAT and no O_APPEND"))
-        elif name in ("os.replace", "os.rename", "os.link", "os.symlink"):
+            elif "O_TRUNC" in flags:
+                found.append((node.lineno, "os.open with O_TRUNC"))
+        elif name in (
+            "os.replace", "os.rename", "os.link", "os.symlink", "os.truncate", "os.ftruncate"
+        ):
             found.append((node.lineno, name))
         elif name and name.split(".")[0] == "tempfile":
             found.append((node.lineno, name))
@@ -110,7 +115,7 @@ def test_only_the_store_writes_whole_files():
                 offenders.append(f"{relative}:{line}: {reason}")
     assert offenders == [], (
         "write whole files and links through repro.lab.store "
-        "(replace_file / write_json / _link_exclusive):\n"
+        "(replace_file / write_json / _link_exclusive / _rewrite_in_place):\n"
         + "\n".join(offenders)
     )
 
@@ -118,7 +123,9 @@ def test_only_the_store_writes_whole_files():
 def test_the_store_is_where_the_writes_are():
     with open(os.path.join(SRC, SEAM), encoding="utf-8") as handle:
         reasons = {reason for _, reason in whole_file_writes(handle.read())}
-    assert {"os.replace", "os.link", "os.open with O_CREAT and no O_APPEND"} <= reasons
+    assert {
+        "os.replace", "os.link", "os.ftruncate", "os.open with O_CREAT and no O_APPEND"
+    } <= reasons
 
 
 @pytest.mark.parametrize(
@@ -135,6 +142,9 @@ def test_the_store_is_where_the_writes_are():
         "from os import replace",
         "import os\nos.link(a, b)",
         "import os\nos.symlink(a, b)",
+        "import os\nos.open(p, os.O_WRONLY | os.O_TRUNC)",
+        "import os\nos.ftruncate(fd, 0)",
+        "import os\nos.truncate(p, 0)",
         "from os import link",
         "import tempfile",
         "from tempfile import mkstemp",

@@ -379,18 +379,32 @@ class TestSharedDirQueue:
         assert ".tmp-x" not in looked_up and looked_up == [cell.cell_id] * 2
         assert sorted(queue.worker_stats()) == ["w"]
 
-    def test_renew_extends_only_the_holders_lease(self, tmp_path, clock):
-        queue = SharedDirQueue(str(tmp_path / "q"))
-        (cell,) = tiny_campaign(grid="0:1").expand()[:1]
-        queue.enqueue([cell])
-        assert queue.claim("holder") is not None
-        assert queue.renew(cell.cell_id, "holder", ttl=3 * DEFAULT_LEASE_TTL) is True
-        assert queue.renew(cell.cell_id, "impostor") is False
-        clock.advance(2 * DEFAULT_LEASE_TTL)
-        # renewed past the ttl, so nobody else can steal it
-        assert queue.claim("impostor") is None
-        clock.advance(2 * DEFAULT_LEASE_TTL)
-        assert queue.claim("impostor") is not None  # the renewal ran out too
+    def test_renew_rewrites_the_batch_file_in_place(self, tmp_path, clock):
+        root = str(tmp_path / "q")
+        cells = tiny_campaign(grid="0:2").expand()
+        queue, rival = SharedDirQueue(root), SharedDirQueue(root)
+        queue.enqueue(cells)
+        batch = queue.claim("holder")
+        assert len(batch.cells) == 2
+        assert len(drain(rival, "rival")) == 2  # the cells the batch left
+        leases = os.path.join(root, "leases")
+        before = sorted(os.listdir(leases))
+        clock.advance(DEFAULT_LEASE_TTL - 1)
+        assert queue.renew(batch, timeout=DEFAULT_LEASE_TTL) is True
+        # nothing created: both leases still link to the rewritten batch file
+        assert sorted(os.listdir(leases)) == before
+        inode = os.stat(batch.path).st_ino
+        assert {os.stat(os.path.join(leases, c.cell_id)).st_ino for c in batch.cells} == {
+            inode
+        }
+        clock.advance(2 * DEFAULT_LEASE_TTL - 1)
+        assert rival.claim("rival") is None  # renewed for twice the timeout
+        clock.advance(2)
+        taken = rival.claim("rival")
+        assert taken is not None and taken.cells[0] in batch.cells
+        # the reclaim took the holder for dead and removed its batch file
+        assert queue.renew(batch) is False
+        assert rival.claim("rival").cells[0] in batch.cells
 
     def test_merged_rows_dedupe_across_shards(self, tmp_path, clock):
         root = str(tmp_path / "q")
@@ -527,6 +541,76 @@ class TestSharedDirQueue:
         assert canonical(merged[c.cell_id] for c in cells) == canonical(serial)
 
 
+    @pytest.mark.parametrize(
+        "window, swept",
+        [
+            # no lease was linked: only the sweep finds the batch file
+            ("claim: after the batch file", True),
+            # the reclaim that takes over the second lease removes it
+            ("complete: after the first marker", False),
+            # the done cell's expired lease leads the reclaim pass to it
+            ("complete: after the last marker", False),
+            # no lease is left: only the sweep finds the batch file
+            ("complete: after the leases", True),
+        ],
+    )
+    def test_a_killed_workers_batch_file_does_not_outlive_it(
+        self, tmp_path, monkeypatch, clock, window, swept
+    ):
+        root = str(tmp_path / "q")
+        cells = tiny_campaign(grid="0:2").expand()
+        queue = SharedDirQueue(root)
+        queue.enqueue(cells)
+
+        class Killed(BaseException):
+            pass
+
+        def dies_at(real, doomed):
+            def patched(*args):
+                if doomed(*args):
+                    raise Killed()
+                return real(*args)
+
+            return patched
+
+        with monkeypatch.context() as patched:
+            if window.startswith("claim"):
+                patched.setattr(
+                    backends, "_link_exclusive", dies_at(backends._link_exclusive, lambda *a: True)
+                )
+                with pytest.raises(Killed):
+                    queue.claim("killed")
+            else:
+                batch = queue.claim("killed")
+                assert len(batch.cells) == 2
+                doomed = {
+                    "first marker": lambda path: True,
+                    "last marker": lambda path: path.endswith(batch.cells[-1].cell_id),
+                    "leases": lambda path: os.path.basename(path).startswith(".batch-"),
+                }[window.split("after the ")[1]]
+                rows = [run_one(cell) for cell in batch.cells]
+                patched.setattr(backends, "_unlink", dies_at(backends._unlink, doomed))
+                with pytest.raises(Killed):
+                    queue.complete(batch, rows)
+        leases = os.path.join(root, "leases")
+
+        def batch_files():
+            return [name for name in os.listdir(leases) if name.startswith(".batch-")]
+
+        assert len(batch_files()) == 1
+        clock.advance(DEFAULT_LEASE_TTL + 1)  # the killed worker's leases expire
+        survivor = SharedDirQueue(root)
+        drain(survivor, "survivor")
+        assert survivor.all_done()
+        assert len(batch_files()) == int(swept)
+        # a lease_ttl past its deadline, the next reclaim pass sweeps it
+        clock.advance(DEFAULT_LEASE_TTL)
+        assert survivor.claim("survivor") is None
+        assert os.listdir(leases) == []
+        merged = survivor.merged_rows()
+        serial = list(SerialExecutor().map(cells))
+        assert canonical(merged[c.cell_id] for c in cells) == canonical(serial)
+
 def count_listings(monkeypatch):
     """Count ``os.listdir`` / ``os.scandir`` calls; returns the call log."""
     calls = []
@@ -596,12 +680,14 @@ class TestProtocolCost:
         queue = SharedDirQueue(root)
         # with a cell timeout, so the lease must outlive every cell's budget
         session = backends._WorkerSession(queue, "w", timeout=30.0)
-        created = []
+        created, rewritten = [], []
         real_open = os.open
 
         def recording_open(path, flags, *args, **kwargs):
             if flags & os.O_CREAT:
                 created.append(os.path.dirname(path))
+            elif flags & os.O_WRONLY:
+                rewritten.append(os.path.dirname(path))
             return real_open(path, flags, *args, **kwargs)
 
         monkeypatch.setattr(os, "open", recording_open)
@@ -616,6 +702,8 @@ class TestProtocolCost:
         leases = os.path.join(root, "leases")
         assert created.count(leases) == batches <= 200 // 10
         assert len(created) <= batches + 2
+        # every cell after a batch's first renews the batch file in place
+        assert rewritten == [leases] * (200 - batches)
 
     def test_follow_reads_each_shard_byte_once(self, tmp_path, monkeypatch):
         queue = SharedDirQueue(str(tmp_path / "q"))
@@ -828,28 +916,80 @@ class TestWorkerLoop:
         # the reclaims that took the dead worker's leases removed its batch files
         assert os.listdir(leases) == []
 
-    def test_a_batch_lease_outlives_its_cells_timeouts(self, tmp_path, clock, monkeypatch):
-        root = str(tmp_path / "q")
-        cells = tiny_campaign(grid="0:2").expand()
+    @staticmethod
+    def serve_long_cells(root, clock, monkeypatch, timeout, cell_s):
+        """One session serves a batch whose every cell runs ``cell_s`` on the
+        fake clock; a rival drains the queue after each cell.  Returns the
+        cell ids the session ran and those the rival took."""
         queue, rival = SharedDirQueue(root), SharedDirQueue(root)
-        queue.enqueue(cells)
-        timeout = DEFAULT_LEASE_TTL
         session = backends._WorkerSession(queue, "w", timeout=timeout)
         ran, stolen = [], []
 
-        def budget_spending_run(cell, cell_timeout):
+        def long_run(cell, cell_timeout):
             assert cell_timeout == timeout
-            clock.advance(timeout)  # each cell runs its whole budget
+            clock.advance(cell_s)
             ran.append(cell.cell_id)
             stolen.extend(drain(rival, "rival"))  # claims, then tries to reclaim
             return run_one(cell)
 
-        monkeypatch.setattr(backends, "run_cell_with_timeout", budget_spending_run)
+        monkeypatch.setattr(backends, "run_cell_with_timeout", long_run)
         assert session.serve_one()
-        assert len(ran) == 2  # a batch of two cells, 2 * timeout > lease_ttl
-        assert sorted(ran + stolen) == sorted(c.cell_id for c in cells)
-        assert queue.all_done()
+        return ran, stolen
 
+    def test_a_batch_lease_outlives_its_cells_timeouts(self, tmp_path, clock, monkeypatch):
+        root = str(tmp_path / "q")
+        cells = tiny_campaign(grid="0:4").expand()
+        SharedDirQueue(root).enqueue(cells)
+        # each cell runs its whole budget: the batch's cells run 8 * timeout
+        # together, far past the claim's lease of 2 * timeout
+        ran, stolen = self.serve_long_cells(
+            root, clock, monkeypatch, timeout=DEFAULT_LEASE_TTL, cell_s=DEFAULT_LEASE_TTL
+        )
+        assert len(ran) == 8
+        assert sorted(ran + stolen) == sorted(c.cell_id for c in cells)
+        assert SharedDirQueue(root).all_done()
+
+    def test_long_cells_without_a_timeout_keep_their_batch_leased(
+        self, tmp_path, clock, monkeypatch
+    ):
+        root = str(tmp_path / "q")
+        cells = tiny_campaign(grid="0:4").expand()
+        SharedDirQueue(root).enqueue(cells)
+        ran, stolen = self.serve_long_cells(
+            root, clock, monkeypatch, timeout=None, cell_s=0.75 * DEFAULT_LEASE_TTL
+        )
+        assert len(ran) == 8
+        assert sorted(ran + stolen) == sorted(c.cell_id for c in cells)
+
+    def test_a_killed_holders_cells_are_reclaimable_after_twice_the_timeout(
+        self, tmp_path, clock, monkeypatch
+    ):
+        root = str(tmp_path / "q")
+        cells = tiny_campaign(grid="0:4").expand()
+        queue, rival = SharedDirQueue(root), SharedDirQueue(root)
+        queue.enqueue(cells)
+        timeout = DEFAULT_LEASE_TTL
+        session = backends._WorkerSession(queue, "w", timeout=timeout)
+
+        class Killed(BaseException):
+            pass
+
+        def killed(cell, cell_timeout):
+            raise Killed()
+
+        monkeypatch.setattr(backends, "run_cell_with_timeout", killed)
+        with pytest.raises(Killed):
+            session.serve_one()  # killed during the first cell of its batch
+        leases = os.path.join(root, "leases")
+        held = {name for name in os.listdir(leases) if not name.startswith(".")}
+        assert len(held) == 8
+        assert set(drain(rival, "rival")) == {c.cell_id for c in cells} - held
+        clock.advance(2 * timeout - 1)
+        assert rival.claim("rival") is None
+        clock.advance(2)
+        assert sorted(drain(rival, "rival")) == sorted(held)
+        assert rival.all_done()
+        assert os.listdir(leases) == []
 
 def spawn_worker(queue_dir, worker_id, lease_ttl="1.0", extra=()):
     env = dict(os.environ)
