@@ -10,6 +10,7 @@ trajectory is tracked across PRs.
 
 import os
 import sys
+import time
 
 import pytest
 
@@ -49,15 +50,22 @@ def bench_record():
     return record
 
 
-def mean_seconds(benchmark):
-    """Best-effort mean runtime from a pytest-benchmark fixture (None if unknown)."""
-    try:
-        return float(benchmark.stats.stats.mean)
-    except AttributeError:
-        try:
-            return float(benchmark.stats["mean"])
-        except Exception:
-            return None
+def events_over(min_seconds, run_seeded, events_of):
+    """Run ``run_seeded(seed)`` on seeds 1, 2, ... until ``min_seconds`` have passed.
+
+    Returns ``(events, seconds, runs, seed-1 result)``: the summed events and
+    wall time of every run, so a rate taken from them rests on a sample long
+    enough that timer resolution and scheduling noise cannot decide it.
+    """
+    events, seconds, runs, first = 0, 0.0, 0, None
+    while seconds < min_seconds:
+        start = time.perf_counter()
+        result = run_seeded(runs + 1)
+        seconds += time.perf_counter() - start
+        events += events_of(result)
+        runs += 1
+        first = result if first is None else first
+    return events, seconds, runs, first
 
 
 def pytest_sessionfinish(session, exitstatus):

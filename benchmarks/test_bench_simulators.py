@@ -35,6 +35,8 @@ from repro.sim.kernel import (
 from repro.sim.registry import get_engine
 from repro.verify.stable import verify_stable_computation
 
+from conftest import events_over
+
 
 SCALAR_POPULATIONS = [10, 100, 1000, 10_000]
 BATCH_POPULATIONS = [1000, 10_000, 100_000]
@@ -42,24 +44,6 @@ BATCH = 64
 #: The ``perfbench`` campaign's cells: four specs on a 10x10 grid of even inputs.
 PAPER_SPECS = ("minimum", "weighted_floor", "fig7", "quilt_2d_fig3b")
 PAPER_AXIS = range(0, 20, 2)
-
-
-def events_over(min_seconds, run_seeded, events_of):
-    """Run ``run_seeded(seed)`` on seeds 1, 2, ... until ``min_seconds`` have passed.
-
-    Returns ``(events, seconds, runs, seed-1 result)``: the summed events and
-    wall time of every run, so a rate taken from them rests on a sample long
-    enough that timer resolution and scheduling noise cannot decide it.
-    """
-    events, seconds, runs, first = 0, 0.0, 0, None
-    while seconds < min_seconds:
-        start = time.perf_counter()
-        result = run_seeded(runs + 1)
-        seconds += time.perf_counter() - start
-        events += events_of(result)
-        runs += 1
-        first = result if first is None else first
-    return events, seconds, runs, first
 
 
 def best_of(runs, run_once):

@@ -68,9 +68,10 @@ Queue directory layout, with how each entry is written (the writers are
                         made after the batch's rows are fsync'd (exclusive
                         link; only the name is ever read)
     results/<w>.jsonl   per-worker CellResult shards (ResultStore format)
-    stats/<w>.json      per-worker counters (replace_file at start, at most
-                        once per COMMIT_SECONDS, on the first empty claim
-                        after new work, and at finish)
+    stats/<w>.json      per-worker counters (replace_file at start, after
+                        the first batch, then at most once per
+                        COMMIT_SECONDS, on the first empty claim after new
+                        work, and at finish)
     traces/<w>.jsonl    optional repro-trace-v1 shards (unsynced O_APPEND)
 
 A lost unsynced entry only costs work: a re-run cell.  Queue dirs from
@@ -703,8 +704,9 @@ class _WorkerSession:
 
     The session publishes its ``stats/<worker_id>.json`` as soon as it
     starts, so a worker that joins and never gets a cell still shows up in
-    :meth:`SharedDirQueue.worker_stats`, with ``claimed: 0``.  While it
-    runs batches it republishes at most once per
+    :meth:`SharedDirQueue.worker_stats`, with ``claimed: 0``.  Its first
+    completed batch always republishes, so a worker killed after it still
+    counts that work; after that it republishes at most once per
     :data:`~repro.lab.store.COMMIT_SECONDS` of the module clock :func:`now`;
     the first claim that finds nothing publishes any counts still unpublished,
     so a live worker's stats are final within one poll of its last cell, and
@@ -742,16 +744,19 @@ class _WorkerSession:
                 manifest={"worker": worker_id, "queue_dir": queue.root},
             )
             self._tracer = Tracer(self._sink)
-        self._published = 0.0
-        self._dirty = True
-        self._publish(force=True)
+        self._write()
+        # The join opens no commit window: the first completed batch publishes.
+        self._published = -math.inf
 
     def _publish(self, force: bool = False) -> None:
         if self._dirty and (force or now() - self._published >= COMMIT_SECONDS):
             self._published = now()
-            self._dirty = False
-            self.stats["updated_unix"] = time.time()
-            self.queue.write_worker_stats(self.worker_id, self.stats)
+            self._write()
+
+    def _write(self) -> None:
+        self._dirty = False
+        self.stats["updated_unix"] = time.time()
+        self.queue.write_worker_stats(self.worker_id, self.stats)
 
     def serve_one(self, max_cells: Optional[int] = None) -> bool:
         """Claim and execute one batch of at most ``max_cells`` cells;

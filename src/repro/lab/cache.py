@@ -173,11 +173,15 @@ class ResultCache:
         self._sizes: List[int] = []  # per segment: size at the last read
         self._own: Optional[int] = None  # this instance's segment number
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The cached payload for ``key``, or ``None`` (corruption reads as a miss)."""
+    def get(self, key: str, refresh: bool = True) -> Optional[Dict[str, Any]]:
+        """The cached payload for ``key``, or ``None`` (corruption reads as a miss).
+
+        ``refresh=False`` reads the index as it stands: for a caller that
+        called :meth:`refresh` once before a run of lookups.
+        """
         start = time.perf_counter()
         try:
-            data = self._lookup(key)
+            data = self._lookup(key, refresh)
         finally:
             self._get_seconds.observe(time.perf_counter() - start)
         if data is None:
@@ -221,9 +225,13 @@ class ResultCache:
         For bulk producers: one refresh per call instead of one per missing
         key, and no hit/miss counts.
         """
+        self.refresh()
+        return [key for key in keys if self._lookup(key, refresh=False) is None]
+
+    def refresh(self) -> None:
+        """Bring the index up to date with every segment (see the class docstring)."""
         with self._lock:
             self._refresh()
-        return [key for key in keys if self._lookup(key, refresh=False) is None]
 
     def _lookup(self, key: str, refresh: bool = True) -> Optional[Dict[str, Any]]:
         """Read ``key``'s indexed line; a miss, or a line that does not parse

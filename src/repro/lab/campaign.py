@@ -713,8 +713,12 @@ def run_campaign(
 
         from_cache = 0
         to_run: List[Cell] = []
+        if cache is not None and pending:
+            # One index refresh for the campaign: a refresh per missed cell
+            # would cost a listdir plus a stat per segment each time.
+            cache.refresh()
         for cell in pending:
-            result = memo_lookup(cache, cell)
+            result = memo_lookup(cache, cell, refresh=False)
             if result is not None:
                 store.append(result)
                 recorded[result.cell_id] = result

@@ -315,18 +315,23 @@ class PoolExecutor:
 
 
 def memo_lookup(
-    cache, cell: Cell, record: Optional[Callable[[bool], None]] = None
+    cache,
+    cell: Cell,
+    record: Optional[Callable[[bool], None]] = None,
+    refresh: bool = True,
 ) -> Optional[CellResult]:
     """The cached row for ``cell``, or ``None``.
 
     Only seeded (``cacheable``) cells consult ``cache``.  A payload is a hit
     only if it carries the cell's own ``cell_id``; the returned row is marked
     ``cached=True`` with ``wall_time=0.0``.  ``record``, when given, is told
-    the outcome of every consult (``True`` for a hit).
+    the outcome of every consult (``True`` for a hit).  ``refresh=False``
+    skips the cache's index refresh on a miss, for a caller that refreshed
+    once before its lookups (:meth:`~repro.lab.cache.ResultCache.get`).
     """
     if cache is None or not cell.cacheable:
         return None
-    payload = cache.get(cell.cache_key())
+    payload = cache.get(cell.cache_key(), refresh=refresh)
     if payload is not None and payload.get("cell_id") != cell.cell_id:
         payload = None  # another cell's entry under this key
     if record is not None:

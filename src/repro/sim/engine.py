@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -109,6 +109,11 @@ class CompiledCRN:
         reactions consuming it, ascending (``j``'s own never lies above the
         count while ``j`` is applicable); and ``keeps_output``, whether firing
         ``j`` leaves the output count unchanged.
+    ``fair_fire``
+        ``None`` until the first fair run on this instance; then one
+        generated function per reaction that fires it and updates the fair
+        stepper's flags (see :mod:`repro.sim.kernel`).  Not pickled: a copy
+        generates its own.
 
     This is the single IR shared by the scalar kernel
     (:mod:`repro.sim.kernel`) and the vectorized batch engines below.
@@ -182,6 +187,11 @@ class CompiledCRN:
             keeps_output = all(s != self.output_index for s, _ in terms)
             forced.append((drains, fills, keeps_output))
         self.forced_limits: Tuple[tuple, ...] = tuple(forced)
+        self.fair_fire: Optional[Tuple[Callable, ...]] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Generated functions do not pickle; the copy regenerates on first use.
+        return dict(self.__dict__, fair_fire=None)
 
     # -- shape accessors -----------------------------------------------------
 

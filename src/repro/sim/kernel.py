@@ -33,8 +33,10 @@ scalar run is ``SimulatorCore(crn, policy, rng=...).run(...)``:
   species: every coefficient is at least 1.  The fair policy also keeps the
   ascending list of applicable indices it chooses from, editing it only for
   the flags that flip (about one per step on the paper's CRNs), so no step
-  rebuilds it.  Its ``propensity_ops`` still counts ``|deps(j)|`` per event,
-  not the rechecks made, so pinned :class:`~repro.obs.stats.RunStats` hold;
+  rebuilds it.  Its ``propensity_ops`` is a nominal count, ``|deps(j)|``
+  per event, not the rechecks made (fewer; none in a forced stretch), so
+  the pinned :class:`~repro.obs.stats.RunStats` mean the same across
+  revisions of the fair stepper;
 * scheduling semantics are pluggable :class:`StepPolicy` strategies —
   :class:`GillespiePolicy` (exponential clocks, propensity-proportional
   choice), :class:`FairPolicy` (uniform or statically biased choice among
@@ -45,11 +47,23 @@ scalar run is ``SimulatorCore(crn, policy, rng=...).run(...)``:
 Every bound stepper exposes one method, ``advance``, which fires events until
 its budget is spent, the run falls silent, ``max_time`` passes, or the
 quiescence window converges.  The exact steppers own that loop outright: one
-tight Python loop per burst draws the reaction, applies its ``net_terms``,
-refreshes the affected flags or propensities, and tracks the output count
-(``max_output``, ``last_output``, ``unchanged_for``) inline, with the
-``CompiledCRN`` tables and the generator's bound methods held in locals —
-no Python call per event beyond the draws themselves.  The core keeps
+tight Python loop per burst draws the reaction, fires it, and tracks the
+output count (``max_output``, ``last_output``, ``unchanged_for``) inline,
+with the ``CompiledCRN`` tables and the generator's bound methods held in
+locals.  The Gillespie stepper applies ``net_terms`` and refreshes the
+dependents' propensities in the loop itself, with no Python call per event
+beyond the draws.  The fair stepper makes one call per event,
+``fire[j](counts, app, applicable)``: a function generated from the tables
+for reaction ``j`` (:func:`fair_fire_sources`; the crossing-rule loop
+specialized to one reaction, as in partial evaluation).  Its body is
+straight-line code, ``counts[s] += d`` per net term, then one guard per
+group of readers and an applicability test with constant indices and
+thresholds.  The functions are generated once per ``CompiledCRN``, at the
+first fair run on it, not when the CRN is compiled, so set-up that only
+compiles pays nothing; they are cached on the instance
+(``CompiledCRN.fair_fire``, left out of its pickle) and each source is
+registered with ``linecache``, so tracebacks and profilers show the
+generated line.  The core keeps
 ``max_steps``, trajectories and ``stop_when``, and sets each burst's budget
 from them: the steps left, 1 under ``stop_when``, the events left until the
 next trajectory record.  Tau-leaping fires a whole Poisson batch per
@@ -109,10 +123,13 @@ callable would observe fewer calls than under the legacy scheduler.
 
 from __future__ import annotations
 
+import itertools
+import linecache
 import math
 import random
 import sys
 import time as _time
+import weakref
 from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
@@ -244,6 +261,104 @@ class FairPolicy(StepPolicy):
 
 #: The quiescence limit when the window is off: no run fires this many events.
 _NO_WINDOW = sys.maxsize
+
+#: Numbers the generated firing code's ``linecache`` names, one per CompiledCRN.
+_FIRE_SERIAL = itertools.count(1)
+
+
+def _ints_only(table) -> None:
+    """Reject any entry of a (nested) table that is not a plain ``int``, so
+    only integer literals reach ``exec``."""
+    for entry in table:
+        if isinstance(entry, (tuple, list)):
+            _ints_only(entry)
+        elif type(entry) is not int:
+            raise TypeError(f"firing code takes int table entries only, got {entry!r}")
+
+
+def fair_fire_sources(compiled: CompiledCRN) -> List[str]:
+    """The source of reaction ``j``'s fair firing function, for each ``j``.
+
+    ``fire_j(counts, app, applicable)`` applies ``net_terms[j]``, then
+    re-derives the flag of each reader of a species ``j`` changed, under a
+    guard, and edits ``app`` and ``applicable`` where the flag flips.  The
+    flags are exact on entry, so a reader whose changed reactants all fell
+    can only turn off, exactly when one of those terms fails: that test is
+    its guard.  Any other reader is guarded by the crossing rule's bar tests
+    for the species it reads; one whose changed reactants all rose can only
+    turn on, so its test starts with ``not app[r]``.  Readers with the same
+    guard share one ``if``.  Every index and threshold is an int literal,
+    emitted in table order, so the text depends on the tables alone.
+    """
+    _ints_only((compiled.net_terms, compiled.crossings, compiled.reactant_terms))
+    sources = []
+    for j, terms in enumerate(compiled.net_terms):
+        lines = [f"def fire_{j}(counts, app, applicable):"]
+        lines += [f"    counts[{s}] += {delta}" for s, delta in terms]
+        rises = {s: delta > 0 for s, delta in terms}
+        bars: Dict[int, List[str]] = {}
+        for s, bar, readers in compiled.crossings[j]:
+            for r in readers:
+                bars.setdefault(r, []).append(f"counts[{s}] < {bar}")
+        groups: Dict[str, List[str]] = {}
+        for r in sorted(bars):
+            reactants = sorted(compiled.reactant_terms[r])
+            moves = {rises[t] for t, _ in reactants if t in rises}
+            on = [f"app[{r}] = True", f"insort(applicable, {r})"]
+            off = [f"app[{r}] = False", f"applicable.remove({r})"]
+            test = " and ".join(f"counts[{t}] >= {k}" for t, k in reactants)
+            if moves == {False}:
+                guard = " or ".join(f"counts[{t}] < {k}" for t, k in reactants if t in rises)
+                body = [f"if app[{r}]:"] + ["    " + line for line in off]
+            elif moves == {True}:
+                guard = " or ".join(bars[r])
+                body = [f"if not app[{r}] and {test}:"] + ["    " + line for line in on]
+            else:
+                guard = " or ".join(bars[r])
+                body = [f"if {test}:", f"    if not app[{r}]:"]
+                body += ["        " + line for line in on]
+                body += [f"elif app[{r}]:"] + ["    " + line for line in off]
+            groups.setdefault(guard, []).extend(body)
+        for guard, body in groups.items():
+            lines.append(f"    if {guard}:")
+            lines += ["        " + line for line in body]
+        if len(lines) == 1:
+            lines.append("    pass")
+        sources.append("\n".join(lines) + "\n")
+    return sources
+
+
+def _fair_fire(compiled: CompiledCRN) -> Tuple[Callable, ...]:
+    """``compiled.fair_fire``, generating it on first use (see :func:`fair_fire_sources`).
+
+    Each reaction's function is compiled on its own, which keeps the
+    compiler's peak memory at one reaction's, and its source is registered
+    with ``linecache`` under its own name, so tracebacks and profilers show
+    it; the entries go when ``compiled`` does.
+    """
+    fire = compiled.fair_fire
+    if fire is None:
+        serial = next(_FIRE_SERIAL)
+        label = compiled.crn.name or "crn"
+        namespace: Dict[str, object] = {"__builtins__": {}, "insort": insort}
+        filenames = []
+        for j, source in enumerate(fair_fire_sources(compiled)):
+            filename = f"<fair fire {serial} {label}: reaction {j}>"
+            exec(compile(source, filename, "exec"), namespace)
+            linecache.cache[filename] = (
+                len(source), None, source.splitlines(True), filename
+            )
+            filenames.append(filename)
+        weakref.finalize(compiled, _forget_sources, filenames)
+        fire = compiled.fair_fire = tuple(
+            namespace[f"fire_{j}"] for j in range(compiled.n_reactions)
+        )
+    return fire
+
+
+def _forget_sources(filenames: List[str]) -> None:
+    for filename in filenames:
+        linecache.cache.pop(filename, None)
 
 
 class _Stepper:
@@ -423,7 +538,7 @@ class _FairStepper(_Stepper):
     """Single-run fair-scheduler state: the applicability flags and the
     ascending list of applicable indices, both kept incrementally."""
 
-    __slots__ = ("weights", "app", "applicable", "propensity_ops")
+    __slots__ = ("weights", "fire", "app", "applicable", "propensity_ops")
 
     #: RNG draws per fired event: one ``choice()`` (unbiased, or biased with
     #: every applicable weight zero) or one ``random()`` (biased).  A silent
@@ -443,9 +558,14 @@ class _FairStepper(_Stepper):
     ) -> None:
         super().__init__(compiled, rng)
         self.weights = weights
-        #: Applicability evaluations — the fair scheduler's analogue of the
-        #: kinetic steppers' propensity work, counted under the same name so
-        #: :class:`repro.obs.stats.RunStats` is uniform across policies.
+        #: ``fire[j](counts, app, applicable)`` fires reaction ``j`` and
+        #: updates the flags (see :func:`fair_fire_sources`).
+        self.fire = _fair_fire(compiled)
+        #: A nominal count of applicability evaluations, the fair analogue
+        #: of the kinetic steppers' propensity work, named alike so
+        #: :class:`repro.obs.stats.RunStats` is uniform across policies:
+        #: ``n_reactions`` at ``start``, then ``|deps(j)|`` per event fired,
+        #: forced or not, whatever the firing code actually rechecks.
         self.propensity_ops = 0
         self.app: List[bool] = []
         #: The indices ``j`` with ``app[j]`` set, ascending: the list the
@@ -477,9 +597,10 @@ class _FairStepper(_Stepper):
     ) -> int:
         """Fire up to ``budget`` fair events (see :class:`StepPolicy`).
 
-        After each event only the readers of a species that crossed a
-        threshold are rechecked, and ``applicable`` is edited only for the
-        flags that flip (about one per step on the paper's CRNs).  A forced
+        Each event goes through the reaction's generated firing function,
+        which rechecks only the readers whose flags can have flipped and
+        edits ``applicable`` only for the flags that do flip (about one per
+        step on the paper's CRNs).  A forced
         stretch (one applicable reaction) fires in one step, less its last
         event, which takes the per-event path below (see the module
         docstring).  The scheduler has no clock, so ``max_time`` is the
@@ -489,10 +610,9 @@ class _FairStepper(_Stepper):
         app = self.app
         applicable = self.applicable
         weights = self.weights
-        reactant_terms = compiled.reactant_terms
+        fire = self.fire
         net_terms = compiled.net_terms
         n_dependents = compiled.n_dependents
-        crossings = compiled.crossings
         forced_limits = compiled.forced_limits
         output_index = compiled.output_index
         getrandbits = self.rng.getrandbits
@@ -564,22 +684,8 @@ class _FairStepper(_Stepper):
                         break
                 else:
                     j = applicable[-1]
-            for s, delta in net_terms[j]:
-                counts[s] += delta
+            fire[j](counts, app, applicable)
             ops += n_dependents[j]
-            for s, bar, rs in crossings[j]:
-                if counts[s] < bar:
-                    for r in rs:
-                        for t, k in reactant_terms[r]:
-                            if counts[t] < k:
-                                if app[r]:
-                                    app[r] = False
-                                    applicable.remove(r)
-                                break
-                        else:
-                            if not app[r]:
-                                app[r] = True
-                                insort(applicable, r)
             fired += 1
             current = counts[output_index]
             if current == last_output:

@@ -18,9 +18,17 @@ Three layers of protection for the dict-loop -> kernel rebase:
   applicability definition itself, every reactant present).
 """
 
+import gc
 import hashlib
+import json
+import linecache
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
+import traceback
 from types import SimpleNamespace
 
 import pytest
@@ -43,12 +51,14 @@ from repro.functions.paper_examples import fig7_spec
 from repro.serve.protocol import canonical_json
 from repro.sim._reference import ReferenceFairScheduler, ReferenceGillespieSimulator
 from repro.sim.fair import output_consuming_bias, output_producing_bias
+from repro.sim.engine import CompiledCRN
 from repro.sim.kernel import (
     FairPolicy,
     GillespiePolicy,
     SimulatorCore,
     TauLeapPolicy,
     default_quiescence_window,
+    fair_fire_sources,
 )
 from repro.sim.runner import run_many
 
@@ -683,6 +693,124 @@ class TestCrossingRule:
                 _assert_flags_by_definition(stepper, counts)
                 # Pinned: one applicability evaluation per reaction.
                 assert stepper.propensity_ops == compiled.n_reactions
+
+
+#: Prints one digest of the generated fair firing source per buildable
+#: registered spec, as JSON, after compiling each source with warnings as
+#: errors.
+_SOURCE_DIGESTS = """
+import hashlib, json, warnings
+from repro.core.characterization import build_crn_for
+from repro.lab.campaign import resolve_spec, spec_factory_names
+from repro.sim.kernel import fair_fire_sources
+digests = {}
+for name in spec_factory_names():
+    try:
+        crn = build_crn_for(resolve_spec(name), name=name, strategy="auto")
+    except ValueError:
+        continue  # a spec with no oblivious construction
+    sources = fair_fire_sources(crn.compiled())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source in sources:
+            compile(source, name, "exec")
+    digests[name] = hashlib.sha256("".join(sources).encode()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+class TestGeneratedFiring:
+    """The fair stepper fires each reaction through a function generated
+    from the ``CompiledCRN`` tables (:func:`repro.sim.kernel.fair_fire_sources`).
+    CI also runs this class with warnings as errors, so a warning raised by
+    generated source fails it."""
+
+    @staticmethod
+    def _digests(hash_seed):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        out = subprocess.run(
+            [sys.executable, "-c", _SOURCE_DIGESTS],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout)
+
+    def test_sources_do_not_depend_on_the_hash_seed(self):
+        first = self._digests(1)
+        assert {"minimum", "weighted_floor", "fig7", "quilt_2d_fig3b"} <= set(first)
+        assert self._digests(4242) == first
+
+    def test_a_crn_that_ran_still_pickles_and_replays(self):
+        crn = build_crn_for(fig7_spec(), name="fig7")
+        x = (6, 4)
+
+        def run(network, seed):
+            rng = random.Random(seed)
+            result = SimulatorCore(network, FairPolicy(), rng=rng).run_on_input(x)
+            return (
+                result.final_configuration, result.steps, result.max_output_seen,
+                result.stats.propensity_ops, result.stats.rng_draws, rng.getstate(),
+            )
+
+        expected = run(crn, 13)
+        assert crn.compiled().fair_fire is not None
+        clone = pickle.loads(pickle.dumps(crn))
+        assert clone.compiled().fair_fire is None
+        assert run(clone, 13) == expected
+        assert clone.compiled().fair_fire is not None
+
+    def test_fresh_compilations_never_share_firing_code(self):
+        # Firing functions live on their CompiledCRN, so a new instance at a
+        # recycled address generates its own; the linecache entries go with it.
+        def linecache_names():
+            return {name for name in linecache.cache if name.startswith("<fair fire")}
+
+        rng = random.Random(1000)
+        before = linecache_names()
+        events = 0
+        for _ in range(1000):
+            crn = _random_crn(rng)
+            compiled = CompiledCRN(crn)
+            policy = FairPolicy(_random_bias(rng, crn))
+            stepper = policy.bind(compiled, random.Random(rng.getrandbits(32)))
+            assert len(compiled.fair_fire) == compiled.n_reactions
+            counts = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(compiled.n_species)]
+            stepper.start(counts)
+            for _ in range(30):
+                if not _advance_one_event(stepper, counts, 0):
+                    break
+                events += 1
+                _assert_flags_by_definition(stepper, counts)
+            del crn, compiled, stepper
+        gc.collect()
+        assert events > 5_000
+        assert len(linecache_names() - before) < 20
+
+    @pytest.mark.parametrize(
+        "table, entry",
+        [("net_terms", 1.0), ("net_terms", True), ("crossings", "0"), ("reactant_terms", None)],
+    )
+    def test_only_int_entries_reach_exec(self, table, entry):
+        compiled = CompiledCRN(maximum_spec().known_crn)
+        rows = [list(row) for row in getattr(compiled, table)]
+        first = next(row for row in rows if row)
+        first[0] = (entry,) + tuple(first[0])[1:]
+        setattr(compiled, table, tuple(tuple(row) for row in rows))
+        with pytest.raises(TypeError, match="int table entries"):
+            fair_fire_sources(compiled)
+        with pytest.raises(TypeError, match="int table entries"):
+            FairPolicy().bind(compiled, random.Random(0))
+
+    def test_tracebacks_show_the_generated_line(self):
+        compiled = CompiledCRN(maximum_spec().known_crn)
+        FairPolicy().bind(compiled, random.Random(0))
+        with pytest.raises(IndexError) as caught:
+            compiled.fair_fire[0]([], [], [])
+        frame = traceback.extract_tb(caught.value.__traceback__)[-1]
+        assert frame.filename.startswith("<fair fire")
+        assert frame.line.startswith("counts[")
 
 
 class TestTauLeapPolicy:

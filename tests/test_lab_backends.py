@@ -760,15 +760,16 @@ class TestWorkerStatsCadence:
         # one worker has joined: batches of 2, 1 and 1 of the four cells
         assert session.serve_one()
         assert session.stats["executed"] == 2
-        # within one commit window: not rewritten per batch
-        assert writes == []
-        assert queue.worker_stats()["w"]["claimed"] == 0
+        # the first batch always publishes
+        assert writes == [2]
+        assert queue.worker_stats()["w"]["claimed"] == 2
         clock.advance(store_module.COMMIT_SECONDS)
         assert session.serve_one() and session.serve_one()
-        assert writes == [3]
+        # within one commit window: not rewritten per batch
+        assert writes == [2, 3]
         assert queue.worker_stats()["w"]["executed"] == 3
         final = session.finish()
-        assert writes == [3, 4]
+        assert writes == [2, 3, 4]
         assert final["executed"] == final["claimed"] == 4
         assert queue.worker_stats()["w"] == final
 
@@ -781,14 +782,28 @@ class TestWorkerStatsCadence:
         writes = record_stats_writes(queue)
         while session.stats["executed"] < 4:
             assert session.serve_one()
-        assert writes == []  # all four cells inside one commit window
+        assert writes == [2]  # the first batch; the rest inside one commit window
         assert not session.serve_one()  # drained
-        assert writes == [4]
+        assert writes == [2, 4]
         assert queue.worker_stats()["w"]["executed"] == 4
         assert not session.serve_one()
-        assert writes == [4]  # an idle poll with nothing new writes nothing
+        assert writes == [2, 4]  # an idle poll with nothing new writes nothing
         assert session.finish()["executed"] == 4
         assert queue.worker_stats()["w"]["executed"] == 4
+
+    def test_a_worker_killed_after_its_first_batch_still_counts_it(self, tmp_path, clock):
+        # The join publish opens no commit window, so a batch completed
+        # 0.05 s later publishes; the session then dies without finish().
+        queue = SharedDirQueue(str(tmp_path / "q"))
+        queue.enqueue(tiny_campaign(grid="0:2").expand())
+        session = backends._WorkerSession(queue, "w")
+        clock.advance(0.05)
+        assert session.serve_one()
+        executed = session.stats["executed"]
+        del session
+        with open(os.path.join(str(tmp_path / "q"), "stats", "w.json"), encoding="utf-8") as handle:
+            published = json.load(handle)
+        assert executed == published["executed"] == published["claimed"] == 2
 
 
 class TestSharedDirBackendIdentity:

@@ -637,6 +637,41 @@ class TestCampaignCacheAndResume:
             r.deterministic_dict() for r in replay
         ]
 
+    def test_a_cold_campaign_refreshes_a_shared_cache_once(self, tmp_path, monkeypatch):
+        # Over a root shared with S other writers, a refresh per missed cell
+        # would cost cells x (S + 1) listdir/stat calls; one refresh per
+        # campaign costs O(S + cells).
+        shared = tmp_path / "shared"
+        shared.mkdir()
+        foreign = 200
+        for n in range(foreign):
+            line = json.dumps({"k": format(n, "x").rjust(64, "f"), "v": {"cell_id": f"other-{n}"}})
+            name = f"{cache_module.SEGMENT_PREFIX}{n:016x}-1-{n:08x}.jsonl"
+            (shared / name).write_text(line + "\n")
+        calls = {"listdir": 0, "stat": 0}
+        real_listdir, real_stat = os.listdir, os.stat
+
+        def counting(name, real):
+            def call(path, *args, **kwargs):
+                if str(path).startswith(str(shared)):
+                    calls[name] += 1
+                return real(path, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(os, "listdir", counting("listdir", real_listdir))
+        monkeypatch.setattr(os, "stat", counting("stat", real_stat))
+        campaign = dataclasses.replace(tiny_campaign(), inputs=SweepGrid.parse("0:5,0:10"))
+        run = run_campaign(campaign, str(tmp_path / "out"), cache_dir=str(shared))
+        monkeypatch.undo()
+        cells = run.total_cells
+        assert cells == run.executed == 50
+        assert calls["listdir"] + calls["stat"] <= 2 * (foreign + cells)
+        alone = run_campaign(campaign, str(tmp_path / "alone"), cache_dir=str(tmp_path / "own"))
+        assert [r.deterministic_dict() for r in run.results] == [
+            r.deterministic_dict() for r in alone.results
+        ]
+
     def test_cache_replay_never_walks_the_cache(self, tmp_path, monkeypatch):
         cache_dir = str(tmp_path / "cache")
         run_campaign(tiny_campaign(), str(tmp_path / "cold"), cache_dir=cache_dir)

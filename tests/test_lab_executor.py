@@ -346,7 +346,7 @@ class FakeCache:
         self.gets = []
         self.puts = []
 
-    def get(self, key):
+    def get(self, key, refresh=True):
         self.gets.append(key)
         return self.entries.get(key)
 
