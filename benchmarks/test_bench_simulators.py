@@ -318,22 +318,28 @@ def test_tau_leap_step_collapse_at_population_1e5(bench_record):
     crn = minimum_spec().known_crn
     crn.compiled()  # compile outside the timed region
 
-    def run_exact():
-        core = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(1))
+    def run_exact(seed):
+        core = SimulatorCore(crn, GillespiePolicy(), rng=random.Random(seed))
         return core.run_on_input((population, population), max_steps=10_000_000)
 
-    def run_tau():
-        core = SimulatorCore(crn, TauLeapPolicy(), rng=random.Random(1))
+    def run_tau(seed):
+        core = SimulatorCore(crn, TauLeapPolicy(), rng=random.Random(seed))
         return core.run_on_input((population, population), max_steps=10_000_000)
 
     SimulatorCore(crn, GillespiePolicy(), rng=random.Random(1)).run_on_input(
         (population // 10, population // 10)
     )  # warm-up
-    exact_time, exact_result = best_of(3, run_exact)
+    # Each side is timed over seeds 1, 2, ... until 0.1 s has passed (one tau
+    # run lasts a few milliseconds); the checks read each side's seed-1 run.
+    exact_selections, exact_time, exact_runs, exact_result = events_over(
+        0.1, run_exact, lambda result: result.selections
+    )
     SimulatorCore(crn, TauLeapPolicy(), rng=random.Random(1)).run_on_input(
         (population // 10, population // 10)
     )  # warm-up
-    tau_time, tau_result = best_of(3, run_tau)
+    tau_selections, tau_time, tau_runs, tau_result = events_over(
+        0.1, run_tau, lambda result: result.selections
+    )
 
     assert exact_result.silent and tau_result.silent
     assert crn.output_count(exact_result.final_configuration) == population
@@ -344,22 +350,25 @@ def test_tau_leap_step_collapse_at_population_1e5(bench_record):
         "tau-leap/exact-gillespie/pop200000",
         2 * population,
         exact_time,
-        exact_result.selections,
+        exact_selections,
+        runs=exact_runs,
     )
     bench_record(
         "tau-leap/tau/pop200000",
         2 * population,
         tau_time,
-        tau_result.selections,
-        events=tau_result.steps,
+        tau_selections,
+        events=tau_result.steps * tau_runs,
         epsilon=0.03,
+        runs=tau_runs,
     )
     collapse = exact_result.selections / tau_result.selections
+    exact_per_run, tau_per_run = exact_time / exact_runs, tau_time / tau_runs
     print(
         f"\n[tau-leap] exact {exact_result.selections:,} selections "
-        f"({exact_time:.3f}s), tau {tau_result.selections:,} selections "
-        f"({tau_time:.3f}s) -> {collapse:.0f}x step-count collapse, "
-        f"{exact_time / tau_time:.1f}x wall speedup"
+        f"({exact_per_run:.3f}s per run), tau {tau_result.selections:,} selections "
+        f"({tau_per_run:.3f}s per run) -> {collapse:.0f}x step-count collapse, "
+        f"{exact_per_run / tau_per_run:.1f}x wall speedup"
     )
     assert collapse >= 5.0
     # The exact engine's seeded stream must be untouched by the tau machinery

@@ -83,10 +83,6 @@ class FunctionSpec:
         """All integer points with coordinates in ``[0, bound)``."""
         return itertools.product(range(bound), repeat=self.dimension)
 
-    def values_upto(self, bound: int) -> Dict[IntPoint, int]:
-        """The function tabulated on the grid ``[0, bound)^d``."""
-        return {x: self(x) for x in self.grid(bound)}
-
     # -- structural checks ----------------------------------------------------------
 
     def is_nondecreasing_upto(self, bound: int) -> bool:

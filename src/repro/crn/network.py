@@ -249,11 +249,14 @@ class CRN:
         return not any(rxn.applicable(config) for rxn in self._reactions)
 
     def compiled(self):
-        """The dense :class:`repro.sim.engine.CompiledCRN` view of this network.
+        """The :class:`repro.sim.engine.CompiledCRN` view of this network.
 
         Compiled lazily on first use and cached (reactions and species are
         immutable after construction, so the compilation never goes stale).
-        The numpy-backed batch engines consume this representation.
+        Compiling builds the scalar kernel's sparse tables in plain Python;
+        the dense numpy matrices the batch engines read are built on their
+        first access, and a pickle drops them (and the generated firing
+        code), so a scalar-only process never imports numpy.
         """
         if self._compiled is None:
             from repro.sim.engine import CompiledCRN

@@ -19,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.geometry.linalg import rational_nullspace, rational_rank
 
 

@@ -52,10 +52,6 @@ class Hyperplane:
         """``normal·x - (threshold - 1/2)``: positive on the + side, negative on the - side."""
         return self.dot(x) - (Fraction(self.threshold) - Fraction(1, 2))
 
-    def contains_integer_points(self) -> bool:
-        """Whether the *shifted* boundary contains integer points (always False by design)."""
-        return False
-
     def is_parallel_to(self, direction: Sequence) -> bool:
         """True if the direction vector is parallel to the hyperplane (normal·direction == 0)."""
         return sum(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from repro.quilt.quilt_affine import QuiltAffine
 
@@ -117,10 +117,6 @@ class EventuallyMin:
             if not translated.has_nonnegative_range_upto(translated.period):
                 return False
         return True
-
-    def translated_pieces(self) -> List[QuiltAffine]:
-        """The pieces ``g_k(x + n)``, used by the Lemma 6.2 construction."""
-        return [g.translate(self.threshold) for g in self.pieces]
 
     # -- display ----------------------------------------------------------------------
 

@@ -134,10 +134,6 @@ class QuiltAffine:
                     return False
         return True
 
-    def is_nonnegative_on(self, points: Iterable[Sequence[int]]) -> bool:
-        """True if the function is >= 0 on every given point."""
-        return all(self.value(x) >= 0 for x in points)
-
     def has_nonnegative_range_upto(self, bound: int) -> bool:
         """Bounded check that the function is nonnegative on ``[0, bound)^d``.
 
@@ -248,10 +244,6 @@ class QuiltAffine:
             name=f"{self.name}[x{index + 1}={value}]" if self.name else "",
             validate=False,
         )
-
-    def scaling_gradient(self) -> RationalVector:
-        """The gradient, which is the ∞-scaling of this function (Theorem 8.2)."""
-        return self.gradient
 
     # -- comparisons / display ------------------------------------------------------
 

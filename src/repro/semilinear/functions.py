@@ -156,13 +156,6 @@ class SemilinearFunction:
                     return False
         return True
 
-    def disjoint_upto(self, bound: int) -> bool:
-        """True if no two pieces' domains overlap within the bound."""
-        for x in itertools.product(range(bound), repeat=self.dimension):
-            if sum(1 for piece in self.pieces if piece.applies_to(x)) > 1:
-                return False
-        return True
-
     def agrees_with_upto(self, other: Callable[[Sequence[int]], int], bound: int) -> bool:
         """True if this function equals ``other`` on every point below the bound."""
         for x in itertools.product(range(bound), repeat=self.dimension):

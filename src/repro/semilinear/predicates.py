@@ -11,7 +11,7 @@ CRN model on the classical predicate workloads (majority, threshold, parity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.semilinear.sets import ModSet, SemilinearSet, ThresholdSet
 
@@ -30,10 +30,6 @@ class SemilinearPredicate:
 
     def __call__(self, x: Sequence[int]) -> int:
         return 1 if self.accepting_set.contains(x) else 0
-
-    def as_indicator(self) -> Callable[[Sequence[int]], int]:
-        """The predicate as a 0/1-valued callable."""
-        return self.__call__
 
     def negation(self) -> "SemilinearPredicate":
         """The complementary predicate."""

@@ -25,7 +25,7 @@ import asyncio
 import json
 from dataclasses import dataclass, field
 from http import HTTPStatus
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api.config import CANONICAL_JSON, RunConfig
 from repro.api.serialization import run_config_from_json_dict, spec_from_json_dict
@@ -206,22 +206,6 @@ class Response:
 # ---------------------------------------------------------------------------
 # Request schemas
 # ---------------------------------------------------------------------------
-
-
-def _require_object(data: Any) -> Mapping[str, Any]:
-    if not isinstance(data, Mapping):
-        raise ApiError(400, f"request body must be a JSON object, got {type(data).__name__}")
-    return data
-
-
-def _reject_unknown(data: Mapping[str, Any], allowed: Sequence[str]) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ApiError(
-            400,
-            f"unknown field(s) {', '.join(repr(k) for k in unknown)}; "
-            f"allowed: {', '.join(repr(k) for k in allowed)}",
-        )
 
 
 def parse_spec_ref(data: Mapping[str, Any]) -> Tuple[str, Any, str]:

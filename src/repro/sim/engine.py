@@ -7,13 +7,13 @@ inspection, but kinetic benchmarks and the repeated-run evidence gathered by
 :mod:`repro.verify.stable` want many independent trajectories, which is this
 module's job.
 
-This module trades the sparse dict representation for a dense one:
-
 * :class:`CompiledCRN` compiles a :class:`~repro.crn.network.CRN` once into
-  reactant / product / net stoichiometry matrices (R x S integer arrays over a
-  fixed species ordering) plus the rate vector, output-species index,
-  per-reaction sparse term lists, and the reaction dependency graph.  It is
-  the single IR shared with the scalar kernel (:mod:`repro.sim.kernel`).
+  the single IR shared with the scalar kernel (:mod:`repro.sim.kernel`): a
+  fixed species ordering, the output-species index, per-reaction sparse term
+  lists and the reaction dependency graph, all plain Python tuples.  The
+  dense stoichiometry matrices and rate vector the batch engines read are
+  built on first access, and numpy is imported only where it is used, so a
+  process that runs only the scalar kernel never loads it.
 * :class:`BatchGillespieEngine` advances ``B`` independent Gillespie
   trajectories simultaneously: propensities are computed as a ``(B, R)``
   matrix using binomial-coefficient mass-action kinetics, exponential waiting
@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
-
-import numpy as np
 
 from repro.crn.configuration import Configuration
 from repro.crn.species import Species
@@ -52,20 +51,22 @@ from repro.obs.stats import RunStats
 from repro.obs.trace import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports us lazily)
+    import numpy as np
+
     from repro.crn.network import CRN
     from repro.crn.reaction import Reaction
 
+#: The members built on first access; a pickle drops them with ``fair_fire``.
+_DENSE = ("reactants", "products", "net", "rates")
+
 
 class CompiledCRN:
-    """A dense, numpy-ready compilation of a :class:`~repro.crn.network.CRN`.
+    """The compiled form of a :class:`~repro.crn.network.CRN`.
 
     The compilation fixes the species ordering (sorted by name, matching
-    ``CRN.species()``) and materializes:
+    ``CRN.species()``) and builds, at construction and in plain Python, the
+    tables the scalar kernel reads:
 
-    ``reactants`` / ``products`` / ``net``
-        ``(R, S)`` integer stoichiometry matrices; ``net = products - reactants``.
-    ``rates``
-        ``(R,)`` float vector of mass-action rate constants.
     ``output_index``
         Column index of the designated output species.
     ``rate_list``
@@ -115,6 +116,11 @@ class CompiledCRN:
         stepper's flags (see :mod:`repro.sim.kernel`).  Not pickled: a copy
         generates its own.
 
+    The dense numpy members the batch engines read (``reactants`` /
+    ``products`` / ``net``, ``(R, S)`` int64, and ``rates``, ``(R,)``
+    float64) are built on first access and cached on the instance.  A pickle
+    drops them with ``fair_fire``, so it never carries an ndarray.
+
     This is the single IR shared by the scalar kernel
     (:mod:`repro.sim.kernel`) and the vectorized batch engines below.
     Compile once per network and reuse: :meth:`repro.crn.network.CRN.compiled`
@@ -125,17 +131,7 @@ class CompiledCRN:
         self.crn = crn
         self.species: Tuple[Species, ...] = crn.species()
         self.index: Dict[Species, int] = {sp: i for i, sp in enumerate(self.species)}
-        n_reactions = len(crn.reactions)
         n_species = len(self.species)
-        self.reactants = np.zeros((n_reactions, n_species), dtype=np.int64)
-        self.products = np.zeros((n_reactions, n_species), dtype=np.int64)
-        for r, rxn in enumerate(crn.reactions):
-            for sp, count in rxn.reactants.counts.items():
-                self.reactants[r, self.index[sp]] = count
-            for sp, count in rxn.products.counts.items():
-                self.products[r, self.index[sp]] = count
-        self.net = self.products - self.reactants
-        self.rates = np.array([rxn.rate for rxn in crn.reactions], dtype=np.float64)
         self.rate_list: Tuple[float, ...] = tuple(rxn.rate for rxn in crn.reactions)
         self.output_index = self.index[crn.output_species]
         # Per-reaction sparse term lists.  ``reactant_terms`` preserves the
@@ -151,10 +147,8 @@ class CompiledCRN:
             tuple(sorted(terms)) for terms in self.reactant_terms
         ]
         self.net_terms: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
-            tuple(
-                (s, int(self.net[r, s])) for s in np.flatnonzero(self.net[r]).tolist()
-            )
-            for r in range(n_reactions)
+            tuple(sorted((self.index[sp], d) for sp, d in rxn.net_changes().items()))
+            for rxn in crn.reactions
         )
         readers: List[List[int]] = [[] for _ in range(n_species)]
         thresholds: Dict[int, set] = {}
@@ -190,8 +184,44 @@ class CompiledCRN:
         self.fair_fire: Optional[Tuple[Callable, ...]] = None
 
     def __getstate__(self) -> Dict[str, Any]:
-        # Generated functions do not pickle; the copy regenerates on first use.
-        return dict(self.__dict__, fair_fire=None)
+        # Generated functions do not pickle; the copy regenerates them, and
+        # rebuilds the dense members, on first use.
+        state = {k: v for k, v in self.__dict__.items() if k not in _DENSE}
+        state["fair_fire"] = None
+        return state
+
+    # -- dense members (first access imports numpy) ----------------------------
+
+    def _dense(self, terms: Sequence[Tuple[Tuple[int, int], ...]]) -> np.ndarray:
+        import numpy as np
+
+        matrix = np.zeros((self.n_reactions, self.n_species), dtype=np.int64)
+        for r, row in enumerate(terms):
+            for s, k in row:
+                matrix[r, s] = k
+        return matrix
+
+    @cached_property
+    def reactants(self) -> np.ndarray:
+        """``(R, S)`` integer reactant stoichiometry matrix."""
+        return self._dense(self._terms)
+
+    @cached_property
+    def net(self) -> np.ndarray:
+        """``(R, S)`` net change matrix, ``products - reactants``."""
+        return self._dense(self.net_terms)
+
+    @cached_property
+    def products(self) -> np.ndarray:
+        """``(R, S)`` integer product stoichiometry matrix."""
+        return self.reactants + self.net
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """``(R,)`` float vector of mass-action rate constants."""
+        import numpy as np
+
+        return np.array(self.rate_list, dtype=np.float64)
 
     # -- shape accessors -----------------------------------------------------
 
@@ -209,6 +239,8 @@ class CompiledCRN:
 
     def encode(self, config: Configuration) -> np.ndarray:
         """Encode a sparse configuration as a dense ``(S,)`` count vector."""
+        import numpy as np
+
         vector = np.zeros(self.n_species, dtype=np.int64)
         for sp, count in config.items():
             try:
@@ -223,9 +255,9 @@ class CompiledCRN:
         """Tile one configuration into a ``(batch, S)`` matrix of row copies."""
         if batch < 1:
             raise ValueError(f"batch size must be positive, got {batch}")
-        return np.tile(self.encode(config), (batch, 1))
+        return self.encode(config)[None, :].repeat(batch, axis=0)
 
-    def decode(self, vector: np.ndarray) -> Configuration:
+    def decode(self, vector: Sequence[int]) -> Configuration:
         """Decode one dense ``(S,)`` count vector back into a configuration."""
         return Configuration(
             {sp: int(vector[i]) for sp, i in self.index.items() if vector[i] > 0}
@@ -242,6 +274,8 @@ class CompiledCRN:
         :meth:`repro.crn.reaction.Reaction.propensity`, zero whenever a
         reactant is under-supplied.
         """
+        import numpy as np
+
         counts = np.atleast_2d(counts)
         out = np.broadcast_to(self.rates, (counts.shape[0], self.n_reactions)).copy()
         for r, terms in enumerate(self._terms):
@@ -258,6 +292,8 @@ class CompiledCRN:
 
     def applicable(self, counts: np.ndarray) -> np.ndarray:
         """Boolean ``(B, R)`` applicability matrix (all reactants present)."""
+        import numpy as np
+
         counts = np.atleast_2d(counts)
         out = np.ones((counts.shape[0], self.n_reactions), dtype=bool)
         for r, terms in enumerate(self._terms):
@@ -318,16 +354,11 @@ class BatchRunResult:
 
     def all_silent_or_converged(self) -> bool:
         """True if every trajectory ended in silence or detected quiescence."""
-        return bool(np.all(self.silent | self.converged))
+        return bool((self.silent | self.converged).all())
 
     def total_steps(self) -> int:
         """Total reaction events fired across the whole batch."""
         return int(self.steps.sum())
-
-
-#: The empty position array ``_gillespie_step`` returns when no row went
-#: silent or timed out (the common case, so no index work is spent on it).
-_NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
 class _BatchEngineBase:
@@ -343,6 +374,8 @@ class _BatchEngineBase:
         seed: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
+        import numpy as np
+
         self.compiled = crn if isinstance(crn, CompiledCRN) else CompiledCRN(crn)
         self.crn = self.compiled.crn
         if rng is not None and seed is not None:
@@ -373,6 +406,8 @@ class _BatchEngineBase:
         cut.  ``times`` is ``None`` unless ``clock``.  A network with no
         reactions is silent everywhere, like a scalar run.
         """
+        import numpy as np
+
         output_index = self.compiled.output_index
         counts = self.compiled.encode_batch(initial, batch)
         steps = np.zeros(batch, dtype=np.int64)
@@ -439,11 +474,14 @@ class _BatchEngineBase:
         clamped to ``max_time``.  ``stats`` counts the propensity evaluations
         and generator draws.
         """
+        import numpy as np
+
         cumulative = np.cumsum(self.compiled.propensities(counts[rows]), axis=1)
         stats.propensity_ops += cumulative.size
         alive = cumulative[:, -1] > 0.0
         fired = np.flatnonzero(alive)
-        went_silent = _NO_ROWS
+        # No row went silent or timed out is the common case: no index work.
+        went_silent = timed_out = fired[:0]
         if fired.size < rows.size:
             went_silent = np.flatnonzero(~alive)
             cumulative = cumulative[fired]
@@ -453,7 +491,6 @@ class _BatchEngineBase:
         )
         stats.rng_draws += fired.size
         overtime = new_times > max_time
-        timed_out = _NO_ROWS
         if overtime.any():
             timed_out = fired[overtime]
             times[fired_rows[overtime]] = max_time
@@ -606,6 +643,8 @@ class BatchTauLeapEngine(_BatchEngineBase):
         would cross ``max_time`` has its final leap clamped to land exactly
         on it.
         """
+        import numpy as np
+
         from repro.sim.tau import critical_mask
 
         t0_unix = _time.time()
@@ -737,6 +776,8 @@ class BatchFairEngine(_BatchEngineBase):
         rng: Optional[np.random.Generator] = None,
         bias: Optional[Callable[["Reaction"], float]] = None,
     ) -> None:
+        import numpy as np
+
         super().__init__(crn, seed=seed, rng=rng)
         if bias is None:
             self.weights = np.ones(self.compiled.n_reactions, dtype=np.float64)
@@ -761,6 +802,8 @@ class BatchFairEngine(_BatchEngineBase):
         if positive, a row stops (``converged``) once its output count has been
         unchanged for that many consecutive steps.
         """
+        import numpy as np
+
         compiled = self.compiled
 
         def advance(counts, times, rows, active, silent):

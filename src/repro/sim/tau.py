@@ -34,9 +34,10 @@ See ``DESIGN.md`` §10 for how the batched engine composes these helpers.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - numpy loads only where a batch engine runs
+    import numpy as np
 
 __all__ = [
     "GCandidates",
@@ -148,6 +149,8 @@ class BatchTauSelector:
         g_candidates: GCandidates,
         net: np.ndarray,
     ) -> None:
+        import numpy as np
+
         self.columns = np.array(sorted(g_candidates), dtype=np.intp)
         self.net = np.ascontiguousarray(
             np.asarray(net, dtype=np.float64)[:, self.columns]
@@ -171,6 +174,8 @@ class BatchTauSelector:
         drifting reactant species get ``inf`` (the caller applies the
         catalytic-kinetics cap).
         """
+        import numpy as np
+
         if self.columns.size == 0:
             return np.full(props.shape[0], np.inf, dtype=np.float64)
         x = counts[:, self.columns].astype(np.float64)

@@ -34,11 +34,6 @@ class Trajectory:
         self._tracked: Tuple[Species, ...] = tuple(tracked)
         self._points: List[TrajectoryPoint] = []
 
-    @property
-    def tracked_species(self) -> Tuple[Species, ...]:
-        """The species recorded by this trajectory."""
-        return self._tracked
-
     def record(self, time: float, step: int, config: Configuration) -> None:
         """Append a sample of the tracked species at the given time/step."""
         self._points.append(

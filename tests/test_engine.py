@@ -8,8 +8,10 @@ seeded sha256 pins of the batch engines' streams.
 """
 
 import hashlib
+import io
 import json
 import math
+import pickle
 import random
 
 import numpy as np
@@ -653,3 +655,31 @@ class TestBatchStreamPins:
     def test_seeded_batch_stream_is_unchanged(self, name):
         run, expected = BATCH_STREAM_PINS[name]
         assert _digest(run()) == expected
+
+    def test_a_compilation_that_ran_pickles_without_arrays_and_replays(self):
+        # The dense members a batch run built are dropped from the pickle and
+        # rebuilt by the copy on its first run.
+        _, expected = BATCH_STREAM_PINS["gillespie-max-time"]
+        compiled = CompiledCRN(maximum_spec().known_crn)
+
+        def run(network):
+            return BatchGillespieEngine(network, seed=3).run_on_input(
+                (30, 25), batch=7, max_time=0.3
+            )
+
+        assert _digest(run(compiled)) == expected
+        assert isinstance(compiled.__dict__.get("net"), np.ndarray)
+        arrays = []
+
+        class ArraySpy(pickle.Pickler):
+            def persistent_id(self, obj):
+                if isinstance(obj, np.ndarray):
+                    arrays.append(obj)
+                return None
+
+        buffer = io.BytesIO()
+        ArraySpy(buffer).dump(compiled)
+        assert not arrays
+        clone = pickle.loads(buffer.getvalue())
+        assert not any(name in clone.__dict__ for name in ("reactants", "products", "net", "rates"))
+        assert _digest(run(clone)) == expected

@@ -813,6 +813,74 @@ class TestGeneratedFiring:
         assert frame.line.startswith("counts[")
 
 
+def _tables_from_a_numpy_net(crn, compiled):
+    """The kernel's sparse tables read off dense numpy stoichiometry
+    matrices, the way ``CompiledCRN`` once derived them."""
+    np = pytest.importorskip("numpy")
+    shape = (compiled.n_reactions, compiled.n_species)
+    reactants = np.zeros(shape, dtype=np.int64)
+    products = np.zeros(shape, dtype=np.int64)
+    for r, rxn in enumerate(crn.reactions):
+        for sp, count in rxn.reactants.counts.items():
+            reactants[r, compiled.index[sp]] = count
+        for sp, count in rxn.products.counts.items():
+            products[r, compiled.index[sp]] = count
+    net = products - reactants
+    consumed = reactants > 0
+    readers = [tuple(np.flatnonzero(consumed[:, s]).tolist()) for s in range(shape[1])]
+    kmax = reactants.max(axis=0).tolist()
+    net_terms = tuple(
+        tuple((s, int(net[j, s])) for s in np.flatnonzero(net[j]).tolist())
+        for j in range(shape[0])
+    )
+    return {
+        "reactants": reactants,
+        "products": products,
+        "net": net,
+        "readers": tuple(readers),
+        "net_terms": net_terms,
+        "dependency_graph": tuple(
+            tuple(np.flatnonzero(consumed[:, net[j] != 0].any(axis=1)).tolist())
+            for j in range(shape[0])
+        ),
+        "crossings": tuple(
+            tuple((s, kmax[s] + max(d, 0), readers[s]) for s, d in terms if readers[s])
+            for terms in net_terms
+        ),
+        "forced_limits": tuple(
+            (
+                tuple((s, int(reactants[j, s]), -d) for s, d in terms if d < 0),
+                tuple(
+                    (s, d, tuple(np.unique(reactants[consumed[:, s], s]).tolist()))
+                    for s, d in terms
+                    if d > 0 and readers[s]
+                ),
+                bool(net[j, compiled.output_index] == 0),
+            )
+            for j, terms in enumerate(net_terms)
+        ),
+    }
+
+
+class TestPlainPythonTables:
+    """``CompiledCRN`` builds the kernel's tables in plain Python; over
+    random CRNs they equal the same tables read off a numpy ``net`` matrix,
+    and the dense members it builds on first access equal the matrices."""
+
+    def test_tables_equal_those_of_a_numpy_net_matrix(self):
+        rng = random.Random(36)
+        for _ in range(500):
+            crn = _random_crn(rng)
+            compiled = CompiledCRN(crn)
+            expected = _tables_from_a_numpy_net(crn, compiled)
+            for table in ("readers", "net_terms", "dependency_graph", "crossings", "forced_limits"):
+                assert getattr(compiled, table) == expected[table], (table, crn)
+            assert compiled.n_dependents == tuple(map(len, expected["dependency_graph"]))
+            for matrix in ("reactants", "products", "net"):
+                assert (getattr(compiled, matrix) == expected[matrix]).all(), (matrix, crn)
+            assert compiled.rates.tolist() == [rxn.rate for rxn in crn.reactions]
+
+
 class TestTauLeapPolicy:
     """Unit behaviour of the batch-firing policy (distributional correctness
     lives in ``tests/test_statistical_equivalence.py``)."""
@@ -1603,6 +1671,76 @@ class TestBuiltinEngineLock:
         ) == expected["catalytic_estimate"]
         info = get_engine(engine).to_dict()
         assert json.dumps(info) == BUILTIN_ENGINE_INFO[engine]
+
+
+#: Every scalar user path in one process -- a ``python``-engine campaign of
+#: the paper's constructions, a one-cell shared-dir worker and a serve miss --
+#: then one ``vectorized`` cell; prints whether numpy was loaded before and
+#: after that cell, and the cell's row.
+_SCALAR_PATHS_THEN_A_BATCH_CELL = """
+import json, os, sys, tempfile
+from repro.api.config import RunConfig
+from repro.lab.backends import SharedDirQueue, _WorkerSession
+from repro.lab.campaign import Campaign, SweepGrid, run_campaign
+from repro.lab.executor import run_cell
+from repro.serve import ServeClient, ServerThread
+from repro.serve.jobs import single_cell
+
+root = tempfile.mkdtemp()
+
+def campaign(grid):
+    return Campaign(
+        name="scalar", specs=["minimum", "weighted_floor", "fig7"],
+        inputs=SweepGrid.parse(grid, dimension=2), engines=("python",),
+        configs=(RunConfig(trials=2),), seed=7,
+    )
+
+run = run_campaign(
+    campaign("0:2"), out_dir=os.path.join(root, "out"), cache_dir=os.path.join(root, "cache")
+)
+assert run.results and all(row.ok and row.correct for row in run.results)
+queue = SharedDirQueue(os.path.join(root, "queue"))
+queue.enqueue(campaign("3:4").expand()[-1:])
+worker = _WorkerSession(queue, "w")
+assert worker.serve_one(max_cells=1) and not worker.serve_one()
+worker.finish()
+with ServerThread(port=0, workers=0, cache_dir=os.path.join(root, "serve")) as server:
+    status, headers, _ = ServeClient("127.0.0.1", server.port).request(
+        "POST", "/v1/simulate",
+        {"spec": "weighted_floor", "input": [5, 4],
+         "config": {"trials": 2, "seed": 3, "engine": "python"}},
+    )
+assert status == 200 and headers["x-repro-cache"] == "miss", (status, headers)
+before = "numpy" in sys.modules
+row = run_cell(single_cell(
+    "maximum", "auto", (5, 3), RunConfig(engine="vectorized", trials=5, seed=2024)
+))
+print(json.dumps({
+    "numpy_before": before,
+    "numpy_after": "numpy" in sys.modules,
+    "row": [row.status, list(row.outputs), row.total_steps, row.converged],
+}))
+"""
+
+
+class TestNumpyOnlyWhereABatchEngineRuns:
+    """The scalar paths never import numpy; the first batch engine does."""
+
+    def test_scalar_paths_leave_numpy_unloaded(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        out = subprocess.run(
+            [sys.executable, "-c", _SCALAR_PATHS_THEN_A_BATCH_CELL],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert report["numpy_before"] is False
+        assert report["numpy_after"] is True
+        # the cell replays the vectorized engine's pinned "max" report
+        outputs, _, steps, settled = BUILTIN_ENGINE_RESULTS["vectorized"]["max"]
+        assert report["row"] == ["ok", outputs, sum(steps), settled]
 
 
 def _scalar_reference(run_policy, kinetic_policy):
