@@ -70,7 +70,6 @@ def _built_crn(spec_name: str, strategy: str) -> CRN:
         from repro.core.characterization import build_crn_for
 
         crn = build_crn_for(spec, name=spec.name, strategy=strategy)
-        crn.compiled()  # warm the dense matrices for vectorized cells
         entry = _CRN_CACHE[key] = (spec, crn)
     return entry[1]
 
@@ -118,6 +117,7 @@ def run_cell(cell: Cell) -> CellResult:
         expected = spec(cell.input)
         crn = _built_crn(cell.spec, cell.strategy)
         report = run_many(crn, cell.input, config=cell.config)
+        output_mode = report.output_mode
         return CellResult(
             cell_id=cell.cell_id,
             spec=cell.spec,
@@ -128,10 +128,10 @@ def run_cell(cell: Cell) -> CellResult:
             status="ok",
             expected=expected,
             outputs=tuple(report.outputs),
-            output_mode=report.output_mode,
+            output_mode=output_mode,
             output_unanimous=report.output_unanimous,
             converged=report.all_silent_or_converged,
-            correct=(report.output_mode == expected),
+            correct=(output_mode == expected),
             mean_steps=report.mean_steps,
             total_steps=sum(report.steps),
             wall_time=time.perf_counter() - start,

@@ -12,12 +12,13 @@ Two scheduling semantics are provided, each in a scalar and a vectorized form:
   for inputs too large for exhaustive search.
 
 Both forms run over the single :class:`~repro.sim.engine.CompiledCRN` IR.
-The scalar side is the kernel (:mod:`repro.sim.kernel`): one
-:class:`~repro.sim.kernel.SimulatorCore` driving pluggable
-:class:`~repro.sim.kernel.StepPolicy` strategies, whose bound steppers fire
-events in bursts through ``advance`` with Gibson–Bruck dependency-graph
-propensity updates.  Every scalar run is one ``SimulatorCore(crn, policy,
-rng=...)`` returning a :class:`~repro.sim.kernel.KernelRunResult`.  The batch
+The scalar side is the kernel (:mod:`repro.sim.kernel`): one run driver
+over pluggable :class:`~repro.sim.kernel.StepPolicy` strategies, whose bound
+steppers fire events in bursts through ``advance`` with Gibson–Bruck
+dependency-graph propensity updates.  One trajectory is
+``SimulatorCore(crn, policy, rng=...).run(...)``, returning a
+:class:`~repro.sim.kernel.KernelRunResult`; the seeded trials of one input
+are one :func:`~repro.sim.kernel.run_trials` call.  The batch
 engines (:mod:`repro.sim.engine`) advance ``B`` trajectories per numpy step and
 are selected via ``engine="vectorized"`` in the runner helpers.  Engines are
 looked up in the pluggable registry (:mod:`repro.sim.registry`) — register a

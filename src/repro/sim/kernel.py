@@ -1,105 +1,68 @@
 """The scalar simulation kernel: one run driver, pluggable step policies.
 
-Historically the package carried two parallel scalar hot loops — the Gillespie
-direct method and the fair scheduler, frozen in :mod:`repro.sim._reference` —
-each advancing an immutable dict-backed
-:class:`~repro.crn.configuration.Configuration` one reaction at a time and
-re-deriving every propensity / applicability flag from scratch at every step.
-That duplicated the applicability, propensity, and quiescence logic already
-present in the batch engines and capped scalar runs at populations around
-10^3 (every step paid a full dict copy plus ``R`` dict-lookup propensity
-evaluations).
+The legacy scalar loops — the Gillespie direct method and the fair
+scheduler, frozen in :mod:`repro.sim._reference` — advanced an immutable
+dict-backed :class:`~repro.crn.configuration.Configuration` one reaction at
+a time, re-deriving every propensity / applicability flag at every step.
+This module replaces both with one run driver over the shared
+:class:`~repro.sim.engine.CompiledCRN` IR and two entry points:
+``SimulatorCore(crn, policy, rng=...).run(...)`` for one trajectory (with
+trajectories, ``stop_when`` and ``max_time``), and :func:`run_trials` for
+the seeded trials of one input, which encodes the input once and reads each
+trial's output from the dense counts, building no ``Configuration``.  Both
+go through one burst loop and one stats/span tail.  ``DESIGN.md`` §5 gives
+the proofs and measurements behind the points below.
 
-This module replaces both loops with a single :class:`SimulatorCore` driving
-steppers over the shared :class:`~repro.sim.engine.CompiledCRN` IR; every
-scalar run is ``SimulatorCore(crn, policy, rng=...).run(...)``:
-
-* species counts live in one mutable dense list, so firing a reaction is a
-  handful of integer adds over the reaction's sparse ``net_terms``;
-* propensities / applicability flags are recomputed *incrementally*: after
+* Species counts live in one mutable dense list, so firing a reaction is a
+  handful of integer adds over the reaction's sparse ``net_terms``.
+* Propensities / applicability flags are recomputed *incrementally*: after
   reaction ``j`` fires, the Gillespie stepper refreshes only the reactions
-  listed in ``CompiledCRN.dependency_graph[j]`` (those whose reactants share
-  a species with the species ``j`` changed) — the Gibson–Bruck dependency
-  trick, which makes exact SSA scale with the number of *affected* reactions
-  instead of the number of reactions.  A flag changes only when a count
-  crosses one of its thresholds, so the fair stepper narrows that further:
-  for each ``(s, bar, readers)`` in ``CompiledCRN.crossings[j]`` it
-  rechecks ``readers`` only when the new ``counts[s] < bar``.  That is
-  exact: a term ``(s, k)`` changes truth only if ``min(old, new) < k <=
-  max(old, new)``, and ``k`` is at most ``kmax``, the largest coefficient on
-  ``s``, so ``min(old, new) < kmax`` — which is the bar test (``bar`` is
-  ``kmax`` when ``j`` consumes ``s``, ``kmax + delta`` when it produces
-  ``delta``).  ``start`` likewise checks only the readers of nonzero
-  species: every coefficient is at least 1.  The fair policy also keeps the
-  ascending list of applicable indices it chooses from, editing it only for
-  the flags that flip (about one per step on the paper's CRNs), so no step
-  rebuilds it.  Its ``propensity_ops`` is a nominal count, ``|deps(j)|``
-  per event, not the rechecks made (fewer; none in a forced stretch), so
-  the pinned :class:`~repro.obs.stats.RunStats` mean the same across
-  revisions of the fair stepper;
-* scheduling semantics are pluggable :class:`StepPolicy` strategies —
+  in ``CompiledCRN.dependency_graph[j]`` (the Gibson–Bruck dependency
+  trick).  The fair stepper narrows that to threshold crossings: for each
+  ``(s, bar, readers)`` in ``CompiledCRN.crossings[j]`` it rechecks
+  ``readers`` only when the new ``counts[s] < bar`` (exact; ``bar`` is
+  ``kmax``, the largest coefficient on ``s``, when ``j`` consumes ``s``,
+  ``kmax + delta`` when it produces ``delta``).  It also keeps the
+  ascending list of applicable indices, editing it only for the flags that
+  flip.  Its ``propensity_ops`` is a nominal count, ``|deps(j)|`` per
+  event, so the pinned :class:`~repro.obs.stats.RunStats` mean the same
+  across revisions of the fair stepper.
+* Scheduling semantics are pluggable :class:`StepPolicy` strategies —
   :class:`GillespiePolicy` (exponential clocks, propensity-proportional
   choice), :class:`FairPolicy` (uniform or statically biased choice among
-  applicable reactions), and :class:`TauLeapPolicy` (approximate SSA firing
-  Poisson batches of reactions per leap) — while the step bound,
-  trajectory recording and ``stop_when`` predicates live once in the core.
+  applicable reactions) and :class:`TauLeapPolicy` (approximate SSA firing
+  Poisson batches of reactions per leap).
 
 Every bound stepper exposes one method, ``advance``, which fires events until
 its budget is spent, the run falls silent, ``max_time`` passes, or the
-quiescence window converges.  The exact steppers own that loop outright: one
-tight Python loop per burst draws the reaction, fires it, and tracks the
-output count (``max_output``, ``last_output``, ``unchanged_for``) inline,
-with the ``CompiledCRN`` tables and the generator's bound methods held in
-locals.  The Gillespie stepper applies ``net_terms`` and refreshes the
-dependents' propensities in the loop itself, with no Python call per event
-beyond the draws.  The fair stepper makes one call per event,
-``fire[j](counts, app, applicable)``: a function generated from the tables
-for reaction ``j`` (:func:`fair_fire_sources`; the crossing-rule loop
-specialized to one reaction, as in partial evaluation).  Its body is
-straight-line code, ``counts[s] += d`` per net term, then one guard per
-group of readers and an applicability test with constant indices and
-thresholds.  The functions are generated once per ``CompiledCRN``, at the
-first fair run on it, not when the CRN is compiled, so set-up that only
-compiles pays nothing; they are cached on the instance
-(``CompiledCRN.fair_fire``, left out of its pickle) and each source is
-registered with ``linecache``, so tracebacks and profilers show the
-generated line.  The core keeps
-``max_steps``, trajectories and ``stop_when``, and sets each burst's budget
-from them: the steps left, 1 under ``stop_when``, the events left until the
-next trajectory record.  Tau-leaping fires a whole Poisson batch per
-scheduler iteration and observes the output only at leap boundaries; its
-exact fallback is one call to the embedded Gillespie stepper's ``advance``.
+quiescence window converges.  The exact steppers run one tight Python loop
+per burst, with the ``CompiledCRN`` tables and the generator's bound methods
+in locals, tracking the output count (``max_output``, ``last_output``,
+``unchanged_for``) inline.  The fair stepper fires reaction ``j`` through
+``fire[j](counts, app, applicable)``, straight-line code generated from the
+tables (:func:`fair_fire_sources`) at the first fair run on a
+``CompiledCRN``, cached on it (``CompiledCRN.fair_fire``, left out of its
+pickle) and registered with ``linecache`` so tracebacks show the generated
+line.  The driver sets each burst's budget: the steps left, 1 under
+``stop_when``, the events left until the next trajectory record.
+Tau-leaping fires a whole Poisson batch per scheduler iteration and observes
+the output only at leap boundaries; its exact fallback is one call to the
+embedded Gillespie stepper's ``advance``.
 
-The fair stepper also fires *forced stretches* in one step.  On large inputs
-most of a fair run has one applicable reaction ``j`` (once the smaller input
-of ``add``, ``max`` or ``min`` is used up, the rest drains through one
-reaction).  The stepper then fires the ``m`` events of ``j`` after which no
-flag can change, where ``m`` is the smallest of: the budget less one; for
-each species ``j`` consumes, the firings that keep it at or above ``j``'s own
-threshold; for each species ``j`` produces, the firings that keep it below
-the next threshold above its count among the other reactions consuming it;
-and, when ``j`` leaves the output unchanged, the events left in the
-quiescence window less one.  The limits are exact because a falling count
-cannot make an inapplicable reaction applicable, and every other reaction is
-inapplicable.  The stretch makes the same draws as ``m`` single events, in a
-tight loop (``getrandbits(1)`` until it reads 0, the inlined ``choice()``
-over one index, or one ``random()`` for a positive weight), applies ``j``'s
-net change times ``m`` once, adds ``|deps(j)|`` per event to
-``propensity_ops`` as the per-event loop does, and advances
-``unchanged_for`` in closed form.  The event that ends the stretch goes
-through the per-event loop, which refreshes the flags and, when ``j`` moves
-the output, records it.  A non-forced event pays one extra int compare.
-The :class:`KernelRunResult` distinguishes ``steps`` (reaction events fired)
-from ``selections`` (scheduler iterations); for exact policies the two are
-equal, while a tau-leap run collapses thousands of events into a handful of
-leaps.  Every run also carries a uniform :class:`repro.obs.stats.RunStats`
-block (``result.stats``: events, selections, propensity_ops, rng_draws,
-wall_s) — the counters are locals folded into plain per-stepper ints once
-per burst, or, for draws that come at a fixed number per fired event, a
-class constant ``rng_draws_per_event`` folded in once per run.  The random
-stream and the seeded draw order are untouched, and the disabled-tracing
-overhead stays inside the ≤ 2% bench ceiling
-(``benchmarks/test_bench_obs.py``).
+The fair stepper fires *forced stretches* in one step: when one reaction
+``j`` is applicable, it fires the ``m`` events of ``j`` after which no flag
+can change (bounded by the budget, ``j``'s consumed and produced
+thresholds, and the quiescence window), making the same draws as ``m``
+single events in a tight loop and applying ``j``'s net change times ``m``
+once.  The :class:`KernelRunResult` distinguishes ``steps`` (reaction events
+fired) from ``selections`` (scheduler iterations); the two are equal for
+exact policies, while a tau-leap run collapses thousands of events into a
+handful of leaps.  Every run also yields a :class:`repro.obs.stats.RunStats`
+block (events, selections, propensity_ops, rng_draws, wall_s), counted in
+locals folded in once per burst, or, for draws made at a fixed number per
+event, a class constant ``rng_draws_per_event`` folded in once per run.
+The random stream is never wrapped, and the disabled-tracing overhead stays
+inside the ≤ 2% bench ceiling (``benchmarks/test_bench_obs.py``).
 
 Seeding / reproducibility policy
 --------------------------------
@@ -107,15 +70,15 @@ Seeding / reproducibility policy
 The kernel consumes a :class:`random.Random` generator with *exactly* the
 draw order of the legacy loops: Gillespie draws ``expovariate(total)`` then
 ``random()`` per step; the fair policy draws one ``choice()`` (unbiased) or
-one ``random()`` (biased) per step over the ascending applicable indices
-(the kept list equals the one the legacy loop rebuilt every step), and
-propensities are multiplied in each reaction's own term order.  The fair
-stepper makes the ``choice()`` draw inline — ``Random.choice``'s own
+one ``random()`` (biased) per step over the ascending applicable indices,
+and propensities are multiplied in each reaction's own term order.  The
+fair stepper makes the ``choice()`` draw inline — ``Random.choice``'s own
 rejection draw over ``getrandbits(n.bit_length())`` — so it consumes the
-same bits; ``tests/test_kernel.py`` checks the two agree.  Seeded runs
-therefore reproduce the historical scalar simulators bit for bit —
-``tests/test_kernel.py`` locks this against the frozen legacy implementation
-in :mod:`repro.sim._reference`.  The one documented divergence: a
+same bits.  Seeded runs therefore reproduce the historical scalar
+simulators bit for bit — ``tests/test_kernel.py`` locks this against
+:mod:`repro.sim._reference`.  :func:`run_trials` gives trial ``i`` its own
+``random.Random(seeds[i])``; it is the one place a scalar engine or
+verifier builds per-trial generators.  The one documented divergence: a
 :class:`FairPolicy` bias function is evaluated once per reaction per run (it
 is static in every in-repo use), not once per step, so a *stateful* bias
 callable would observe fewer calls than under the legacy scheduler.
@@ -187,7 +150,24 @@ class KernelRunResult:
     stats: Optional[RunStats] = None
     """The uniform :class:`repro.obs.stats.RunStats` counter block (events,
     selections, propensity_ops, rng_draws, wall_s) — populated by
-    :meth:`SimulatorCore.run` for every policy, including tau-leaping."""
+    the run driver for every policy, including tau-leaping."""
+
+
+@dataclass
+class TrialResults:
+    """What :func:`run_trials` reports, one entry per seed in seed order:
+    entry ``i`` is trial ``i``'s final output count, ``max_output_seen``,
+    ``steps``, ``silent`` and ``converged``."""
+
+    outputs: List[int]
+    max_outputs: List[int]
+    steps: List[int]
+    silent: List[bool]
+    converged: List[bool]
+
+    def all_settled(self) -> bool:
+        """True if every trial fell silent or converged."""
+        return all(s or c for s, c in zip(self.silent, self.converged))
 
 
 class StepPolicy:
@@ -412,7 +392,7 @@ class _GillespieStepper(_Stepper):
         #: per-event constant above — i.e. the lone expovariate consumed by a
         #: step that then passes ``max_time``.  The direct method's draw count
         #: is otherwise a constant 2 per fired event, so the hot path carries
-        #: no counter at all; :meth:`SimulatorCore.run` folds
+        #: no counter at all; the run driver (``_drive``) folds
         #: ``rng_draws + rng_draws_per_event * events`` into RunStats.  The
         #: stream itself is never wrapped, so seeded runs stay bit-identical
         #: (RunStats contract).
@@ -543,7 +523,7 @@ class _FairStepper(_Stepper):
     #: RNG draws per fired event: one ``choice()`` (unbiased, or biased with
     #: every applicable weight zero) or one ``random()`` (biased).  A silent
     #: step draws nothing, so, unlike the kinetic steppers, this one needs
-    #: no draw counter of its own; :meth:`SimulatorCore.run` folds the
+    #: no draw counter of its own; the run driver (``_drive``) folds the
     #: constant.
     rng_draws_per_event = 1
     rng_draws = 0
@@ -704,10 +684,6 @@ class _FairStepper(_Stepper):
         self.propensity_ops += ops
         self.selections += fired
         return fired
-
-    def applicability(self) -> Tuple[bool, ...]:
-        """A snapshot of the incrementally-maintained applicability flags."""
-        return tuple(self.app)
 
 
 class TauLeapPolicy(StepPolicy):
@@ -1017,8 +993,116 @@ class _TauLeapStepper(_Stepper):
         return tuple(self.exact.props)
 
 
+def _encode(
+    compiled: CompiledCRN, initial: Configuration
+) -> Tuple[List[int], Dict[Species, int]]:
+    """Dense counts plus a passthrough dict for out-of-network species, which
+    no reaction can consume; :meth:`SimulatorCore.run` re-merges them into
+    every decoded configuration, as the legacy dict-backed loops kept them."""
+    counts = [0] * compiled.n_species
+    extras: Dict[Species, int] = {}
+    index = compiled.index
+    for sp, count in initial.items():
+        i = index.get(sp)
+        if i is None:
+            extras[sp] = count
+        else:
+            counts[i] = count
+    return counts, extras
+
+
+def _drive(
+    compiled: CompiledCRN,
+    policy: StepPolicy,
+    rng: random.Random,
+    counts: List[int],
+    max_steps: int,
+    max_time: float,
+    window: int,
+    cut: Optional[Callable[[int, object], int]] = None,
+):
+    """Run a fresh ``policy`` stepper on ``counts`` (mutated in place) to its
+    end; returns ``(stepper, stats)``.  The kernel's one burst loop and
+    stats/span tail.  ``cut(steps, stepper)``, when given, caps each burst's
+    budget before it fires; 0 ends the run.  A batch-firing stepper may
+    overshoot a budget (and so ``max_steps``) by one leap."""
+    t0_unix = _time.time()
+    t0 = _time.perf_counter()
+    stepper = policy.bind(compiled, rng)
+    stepper.start(counts)
+    advance = stepper.advance
+    steps = 0
+    while steps < max_steps and stepper.time_now < max_time:
+        budget = max_steps - steps
+        if cut is not None:
+            budget = min(budget, cut(steps, stepper))
+            if budget <= 0:
+                break
+        steps += advance(counts, budget, max_time, window)
+        if stepper.silent or stepper.converged:
+            break
+    stats = RunStats(
+        events=steps,
+        selections=stepper.selections,
+        propensity_ops=stepper.propensity_ops,
+        rng_draws=stepper.rng_draws + stepper.rng_draws_per_event * steps,
+        wall_s=_time.perf_counter() - t0,
+    )
+    # Tracing is a single emit of timings already measured above; when the
+    # global tracer is disabled (the default) this is one bool check.
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.emit_span(
+            "kernel.run",
+            t0_unix,
+            stats.wall_s,
+            policy=type(policy).__name__,
+            events=steps,
+            selections=stats.selections,
+            propensity_ops=stats.propensity_ops,
+            rng_draws=stats.rng_draws,
+            silent=stepper.silent,
+            converged=stepper.converged,
+        )
+    return stepper, stats
+
+
+def run_trials(
+    crn: "CRN | CompiledCRN",
+    policy: StepPolicy,
+    x: Sequence[int],
+    seeds: Sequence[Optional[int]],
+    max_steps: int = 1_000_000,
+    quiescence_window: int = 0,
+) -> TrialResults:
+    """One run of ``policy`` on input ``x`` per seed, in seed order.
+
+    Trial ``i`` makes the draws and the ``kernel.run`` span of
+    ``SimulatorCore(crn, policy, rng=random.Random(seeds[i])).run_on_input(x,
+    max_steps=..., quiescence_window=...)``, but the input is encoded once
+    and each output read from the dense counts: no
+    :class:`~repro.crn.configuration.Configuration` is built per trial.
+    """
+    compiled = crn if isinstance(crn, CompiledCRN) else crn.compiled()
+    # Inputs and the leader are network species: nothing passes through.
+    initial, _ = _encode(compiled, compiled.crn.initial_configuration(x))
+    trials = TrialResults([], [], [], [], [])
+    for seed in seeds:
+        counts = list(initial)
+        stepper, stats = _drive(
+            compiled, policy, random.Random(seed), counts, max_steps, math.inf,
+            quiescence_window,
+        )
+        trials.outputs.append(counts[compiled.output_index])
+        trials.max_outputs.append(stepper.max_output)
+        trials.steps.append(stats.events)
+        trials.silent.append(stepper.silent)
+        trials.converged.append(stepper.converged)
+    return trials
+
+
 class SimulatorCore:
-    """The scalar run driver: a :class:`StepPolicy` stepper fires the events.
+    """The one-trajectory run driver: a :class:`StepPolicy` stepper fires the events.
 
     Parameters
     ----------
@@ -1045,34 +1129,11 @@ class SimulatorCore:
         self.policy = policy
         self.rng = rng or random.Random()
 
-    # -- encoding --------------------------------------------------------------
-
-    def _encode(self, initial: Configuration) -> Tuple[List[int], Dict[Species, int]]:
-        """Dense counts plus a passthrough dict for out-of-network species.
-
-        The legacy dict-backed simulators carried species the network never
-        mentions through a run untouched (no reaction can consume them); the
-        kernel preserves that by re-merging them into every decoded
-        configuration.
-        """
-        counts = [0] * self.compiled.n_species
-        extras: Dict[Species, int] = {}
-        index = self.compiled.index
-        for sp, count in initial.items():
-            i = index.get(sp)
-            if i is None:
-                extras[sp] = count
-            else:
-                counts[i] = count
-        return counts, extras
-
     def _decode(self, counts: List[int], extras: Dict[Species, int]) -> Configuration:
         merged = {sp: counts[i] for sp, i in self.compiled.index.items() if counts[i] > 0}
         if extras:
             merged.update(extras)
         return Configuration(merged)
-
-    # -- the step loop ---------------------------------------------------------
 
     def run(
         self,
@@ -1098,94 +1159,52 @@ class SimulatorCore:
             firing — the convergence detector for CRNs that never fall silent.
         track / record_every:
             Species recorded into a :class:`~repro.sim.trajectory.Trajectory`,
-            sampled every ``record_every`` reaction events.
+            sampled every ``record_every`` (at least 1) reaction events.
         stop_when:
             Optional predicate on the current configuration, checked before
             each step (each event-firing leap under tau-leaping); the run
             stops as soon as it returns True.
         """
-        t0_unix = _time.time()
-        t0 = _time.perf_counter()
-        counts, extras = self._encode(initial)
-        stepper = self.policy.bind(self.compiled, self.rng)
-        stepper.start(counts)
-        advance = stepper.advance
-        uses_time = self.policy.uses_time
-
-        steps = 0
+        if record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {record_every!r}")
+        counts, extras = _encode(self.compiled, initial)
+        decode = lambda: self._decode(counts, extras)  # noqa: E731
         trajectory = Trajectory(track) if track else None
-        last_recorded = 0
         if trajectory is not None:
-            trajectory.record(0.0, 0, self._decode(counts, extras))
+            trajectory.record(0.0, 0, decode())
 
-        # The stepper fires whole bursts; the core cuts one short only where
-        # it must look at the run: one event per stop_when check, and the
-        # events left until the next trajectory record.  A batch-firing
-        # stepper may overshoot a budget (and so max_steps) by one leap.
-        while steps < max_steps and stepper.time_now < max_time:
-            if stop_when is not None:
-                if stop_when(self._decode(counts, extras)):
-                    break
-                budget = 1
-            else:
-                budget = max_steps - steps
+        def record(stepper, steps: int) -> None:
+            time_now = stepper.time_now if self.policy.uses_time else float(steps)
+            trajectory.record(time_now, steps, decode())
+
+        def cut(steps: int, stepper) -> int:
+            # A burst is cut short only where the core must look at the run:
+            # the events left until the next trajectory record, and one event
+            # per stop_when check.
+            budget = max_steps
             if trajectory is not None:
-                budget = min(budget, max(1, last_recorded + record_every - steps))
-            steps += advance(counts, budget, max_time, quiescence_window)
-            if trajectory is not None and steps - last_recorded >= record_every:
-                last_recorded = steps
-                trajectory.record(
-                    stepper.time_now if uses_time else float(steps),
-                    steps,
-                    self._decode(counts, extras),
-                )
-            if stepper.silent or stepper.converged:
-                break
+                if steps - trajectory[-1].step >= record_every:
+                    record(stepper, steps)
+                budget = max(1, trajectory[-1].step + record_every - steps)
+            if stop_when is not None:
+                return 0 if stop_when(decode()) else 1
+            return budget
 
-        time_now = stepper.time_now
-        silent = stepper.silent
-        converged = stepper.converged
-        selections = stepper.selections
-        if trajectory is not None and (
-            len(trajectory) == 0 or trajectory[-1].step != steps
-        ):
-            trajectory.record(
-                time_now if uses_time else float(steps),
-                steps,
-                self._decode(counts, extras),
-            )
-        stats = RunStats(
-            events=steps,
-            selections=selections,
-            propensity_ops=stepper.propensity_ops,
-            rng_draws=stepper.rng_draws + stepper.rng_draws_per_event * steps,
-            wall_s=_time.perf_counter() - t0,
+        stepper, stats = _drive(
+            self.compiled, self.policy, self.rng, counts, max_steps, max_time,
+            quiescence_window, None if trajectory is None and stop_when is None else cut,
         )
-        # Tracing is a single emit of timings already measured above; when the
-        # global tracer is disabled (the default) this is one bool check.
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.emit_span(
-                "kernel.run",
-                t0_unix,
-                stats.wall_s,
-                policy=type(self.policy).__name__,
-                events=steps,
-                selections=selections,
-                propensity_ops=stats.propensity_ops,
-                rng_draws=stats.rng_draws,
-                silent=silent,
-                converged=converged,
-            )
+        if trajectory is not None and trajectory[-1].step != stats.events:
+            record(stepper, stats.events)
         return KernelRunResult(
-            final_configuration=self._decode(counts, extras),
-            steps=steps,
-            silent=silent,
-            converged=converged,
-            final_time=time_now,
+            final_configuration=decode(),
+            steps=stats.events,
+            silent=stepper.silent,
+            converged=stepper.converged,
+            final_time=stepper.time_now,
             max_output_seen=stepper.max_output,
             trajectory=trajectory,
-            selections=selections,
+            selections=stats.selections,
             stats=stats,
         )
 

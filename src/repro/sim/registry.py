@@ -28,7 +28,8 @@ selector or :class:`~repro.api.config.RunConfig` is accepted — no dispatch
 code needs to change.  The built-in engines (``"python"``, ``"vectorized"``,
 ``"tau"``, ``"tau-vec"``) are registered the same way, from the
 ``BUILTIN_ENGINES`` table of :mod:`repro.sim.runner`; a built-in's
-implementation is a :class:`~repro.sim.runner.ScalarEngine` or
+implementation is a :class:`~repro.sim.runner.ScalarEngine` (its trial seeds
+run through one :func:`repro.sim.kernel.run_trials` call) or
 :class:`~repro.sim.runner.BatchEngine`, whose kinetic half
 (``kinetic_policy`` / ``kinetic_engine``) also serves
 :func:`repro.verify.statistical.sample_kinetic_distribution`.

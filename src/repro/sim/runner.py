@@ -10,8 +10,9 @@ Engines are resolved through the pluggable registry of
 :data:`BUILTIN_ENGINES` maps each name to an instance of one of two generic
 adapters plus its capability metadata.
 
-* :class:`ScalarEngine` runs one :class:`~repro.sim.kernel.SimulatorCore`
-  trajectory per trial seed under a :class:`~repro.sim.kernel.StepPolicy`.
+* :class:`ScalarEngine` runs a cell's trial seeds through
+  :func:`~repro.sim.kernel.run_trials` under a
+  :class:`~repro.sim.kernel.StepPolicy`.
 * :class:`BatchEngine` advances all trials at once through one of the numpy
   batch engines of :mod:`repro.sim.engine`, seeded from ``config.seed``.
 
@@ -47,7 +48,6 @@ Third-party backends plug in via
 
 from __future__ import annotations
 
-import random
 import statistics
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -63,10 +63,10 @@ from repro.sim.engine import (
 from repro.sim.kernel import (
     FairPolicy,
     GillespiePolicy,
-    SimulatorCore,
     StepPolicy,
     TauLeapPolicy,
     default_quiescence_window,
+    run_trials,
 )
 from repro.sim.registry import check_engine, get_engine, register_engine
 
@@ -140,7 +140,7 @@ def _quiescence_window(config: RunConfig, x: Sequence[int]) -> int:
 
 
 class ScalarEngine:
-    """One :class:`~repro.sim.kernel.SimulatorCore` trajectory per trial seed.
+    """The trials of a cell run through :func:`~repro.sim.kernel.run_trials`.
 
     ``run_policy(config)`` builds the step policy ``run_many`` samples with,
     under the config's quiescence window (default: population-scaled);
@@ -158,42 +158,25 @@ class ScalarEngine:
         self.kinetic_policy = kinetic_policy
 
     def run_many(self, crn: CRN, x: Sequence[int], config: RunConfig) -> ConvergenceReport:
-        policy = self.run_policy(config)
-        quiescence_window = _quiescence_window(config, x)
-        outputs: List[int] = []
-        max_outputs: List[int] = []
-        steps: List[int] = []
-        all_done = True
-        initial = crn.initial_configuration(x)
-        for trial_seed in config.trial_seeds():
-            core = SimulatorCore(crn, policy, rng=random.Random(trial_seed))
-            result = core.run(
-                initial, max_steps=config.max_steps, quiescence_window=quiescence_window
-            )
-            outputs.append(crn.output_count(result.final_configuration))
-            max_outputs.append(result.max_output_seen)
-            steps.append(result.steps)
-            if not (result.silent or result.converged):
-                all_done = False
+        trials = run_trials(
+            crn, self.run_policy(config), x, config.trial_seeds(),
+            config.max_steps, _quiescence_window(config, x),
+        )
         return ConvergenceReport(
             input_value=tuple(x),
-            outputs=outputs,
-            max_outputs=max_outputs,
-            steps=steps,
-            all_silent_or_converged=all_done,
+            outputs=trials.outputs,
+            max_outputs=trials.max_outputs,
+            steps=trials.steps,
+            all_silent_or_converged=trials.all_settled(),
         )
 
     def estimate_expected_output(
         self, crn: CRN, x: Sequence[int], config: RunConfig
     ) -> float:
-        policy = self.kinetic_policy(config)
-        total = 0.0
-        initial = crn.initial_configuration(x)
-        for trial_seed in config.trial_seeds():
-            core = SimulatorCore(crn, policy, rng=random.Random(trial_seed))
-            result = core.run(initial, max_steps=config.max_steps)
-            total += crn.output_count(result.final_configuration)
-        return total / config.trials
+        trials = run_trials(
+            crn, self.kinetic_policy(config), x, config.trial_seeds(), config.max_steps
+        )
+        return sum(trials.outputs) / config.trials
 
 
 class BatchEngine:

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from repro.crn.network import CRN
 from repro.sim.fair import output_producing_bias
-from repro.sim.kernel import FairPolicy, SimulatorCore
+from repro.sim.kernel import FairPolicy, run_trials
 
 
 @dataclass
@@ -57,29 +57,24 @@ def find_overproduction(
     """
     x = tuple(int(v) for v in x)
     target = int(func(x))
+    # The master generator feeds only the trial seeds, so drawing them up
+    # front gives the seeds that drawing one per trial would.
     rng = random.Random(seed)
-    worst: Optional[OverproductionWitness] = None
-    for _ in range(trials):
-        core = SimulatorCore(
-            crn,
-            FairPolicy(bias=output_producing_bias(crn, strength=bias_strength)),
-            rng=random.Random(rng.getrandbits(64)),
-        )
-        result = core.run_on_input(
-            x, max_steps=max_steps, quiescence_window=50 * (sum(x) + 2)
-        )
-        if result.max_output_seen > target:
-            witness = OverproductionWitness(
-                input_value=x,
-                target=target,
-                max_output_seen=result.max_output_seen,
-                final_output=crn.output_count(result.final_configuration),
-                steps=result.steps,
-            )
-            if worst is None or witness.overshoot > worst.overshoot:
-                worst = witness
-    return worst
-
+    seeds = [rng.getrandbits(64) for _ in range(trials)]
+    policy = FairPolicy(bias=output_producing_bias(crn, strength=bias_strength))
+    runs = run_trials(crn, policy, x, seeds, max_steps, 50 * (sum(x) + 2))
+    # The first trial with the highest peak has the largest overshoot.
+    peaks = runs.max_outputs
+    worst = max(range(trials), key=peaks.__getitem__, default=None)
+    if worst is None or peaks[worst] <= target:
+        return None
+    return OverproductionWitness(
+        input_value=x,
+        target=target,
+        max_output_seen=peaks[worst],
+        final_output=runs.outputs[worst],
+        steps=runs.steps[worst],
+    )
 
 def measure_overshoot(
     crn: CRN,

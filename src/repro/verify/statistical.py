@@ -39,13 +39,12 @@ CTMC" means, so passing these gates is the admission contract.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple, Union
 
 from repro.api.config import RunConfig
 from repro.crn.network import CRN
-from repro.sim.kernel import SimulatorCore, StepPolicy
+from repro.sim.kernel import StepPolicy, run_trials
 from repro.sim.registry import get_engine
 
 __all__ = [
@@ -240,15 +239,12 @@ def sample_kinetic_distribution(
         sample.all_completed = bool(result.silent.all())
         return sample
 
-    for i in range(n_seeds):
-        core = SimulatorCore(crn, policy, rng=random.Random(base_seed + i))
-        result = core.run_on_input(
-            x, max_steps=max_steps, quiescence_window=quiescence_window
-        )
-        sample.steps.append(result.steps)
-        sample.outputs.append(crn.output_count(result.final_configuration))
-        if not (result.silent or result.converged):
-            sample.all_completed = False
+    trials = run_trials(
+        crn, policy, x, range(base_seed, base_seed + n_seeds), max_steps, quiescence_window
+    )
+    sample.steps = trials.steps
+    sample.outputs = trials.outputs
+    sample.all_completed = trials.all_settled()
     return sample
 
 

@@ -59,6 +59,7 @@ from repro.sim.kernel import (
     TauLeapPolicy,
     default_quiescence_window,
     fair_fire_sources,
+    run_trials,
 )
 from repro.sim.runner import run_many
 
@@ -649,6 +650,64 @@ class TestForcedStretches:
             ), case
         # Consecutive forced events are what a burst fires in one step.
         assert forced_pairs > 10_000
+
+
+class TestRunTrials:
+    """``run_trials`` reports, per seed, what a fresh ``SimulatorCore`` run
+    on ``random.Random(seed)`` reports, under every built-in policy, over the
+    forced-stretch tests' random CRNs."""
+
+    @pytest.mark.parametrize(
+        "make_policy",
+        [
+            lambda crn: FairPolicy(),
+            lambda crn: FairPolicy(bias=output_producing_bias(crn, strength=4.0)),
+            lambda crn: GillespiePolicy(),
+            lambda crn: TauLeapPolicy(),
+        ],
+        ids=["fair", "fair-biased", "gillespie", "tau"],
+    )
+    @pytest.mark.parametrize("windowed", [False, True], ids=["window-0", "default-window"])
+    def test_equals_one_simulator_core_per_seed(self, make_policy, windowed):
+        rng = random.Random(4242)
+        ends = set()
+        for case in range(60):
+            crn = _random_small_crn(rng)
+            policy = make_policy(crn)
+            x = (rng.randint(0, 9), rng.randint(0, 9))
+            window = default_quiescence_window(x) if windowed else 0
+            seeds = [rng.getrandbits(32) for _ in range(3)]
+            trials = run_trials(
+                crn.compiled() if case % 2 else crn, policy, x, seeds,
+                max_steps=1_500, quiescence_window=window,
+            )
+            expected = []
+            for seed in seeds:
+                core = SimulatorCore(crn, policy, rng=random.Random(seed))
+                result = core.run_on_input(x, max_steps=1_500, quiescence_window=window)
+                expected.append((
+                    crn.output_count(result.final_configuration),
+                    result.max_output_seen,
+                    result.steps,
+                    result.silent,
+                    result.converged,
+                ))
+            got = list(zip(
+                trials.outputs, trials.max_outputs, trials.steps,
+                trials.silent, trials.converged,
+            ))
+            assert got == expected, case
+            assert trials.all_settled() == all(s or c for *_, s, c in expected)
+            ends.update((s, c) for *_, s, c in expected)
+        # Both stop flags, and runs cut by max_steps, are exercised.
+        assert (True, False) in ends and (False, False) in ends
+        if windowed:
+            assert (False, True) in ends
+
+    def test_no_seeds_no_trials(self):
+        trials = run_trials(minimum_spec().known_crn, FairPolicy(), (2, 3), [])
+        assert trials.outputs == trials.steps == trials.silent == []
+        assert trials.all_settled()
 
 
 class TestCrossingRule:
@@ -1897,6 +1956,12 @@ class TestSimulatorCore:
         result = core.run_on_input((0,))
         assert result.silent and result.steps == 0
         assert result.final_configuration == Configuration({})
+
+    @pytest.mark.parametrize("record_every", [0, -3])
+    def test_record_every_below_one_is_rejected(self, record_every):
+        core = SimulatorCore(minimum_spec().known_crn, FairPolicy())
+        with pytest.raises(ValueError, match="record_every"):
+            core.run_on_input((3, 4), track=[Y], record_every=record_every)
 
     def test_accepts_precompiled_ir(self):
         crn = minimum_spec().known_crn

@@ -20,6 +20,7 @@ The contracts pinned down here:
 """
 
 import bisect
+import functools
 import json
 import math
 import random
@@ -66,7 +67,9 @@ from repro.sim.kernel import (
     GillespiePolicy,
     SimulatorCore,
     TauLeapPolicy,
+    default_quiescence_window,
 )
+from repro.sim.runner import estimate_expected_output, run_many
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +447,53 @@ class TestRunStatsInvariants:
         assert stats.rng_draws == 2 * stats.events
         # beyond the start() full vector, each firing recomputes >= 1 dependent
         assert stats.propensity_ops >= len(crn.reactions) + stats.events
+
+
+def _kernel_span_attrs(path, work):
+    """The attrs of every ``kernel.run`` span emitted while ``work()`` runs
+    under a global tracer writing to ``path``, in emission order."""
+    sink = JsonlTraceSink(path)
+    previous = install_tracer(Tracer(sink))
+    try:
+        work()
+    finally:
+        install_tracer(previous)
+        sink.close()
+    records = list(read_trace(path))
+    assert validate_trace(records) == []
+    return [r["attrs"] for r in records if r.get("name") == "kernel.run"]
+
+
+class TestTracedKernelRuns:
+    """A scalar engine's trials each emit the ``kernel.run`` span a
+    one-trajectory ``SimulatorCore.run`` on the same seed emits."""
+
+    @pytest.mark.parametrize("entry", ["run_many", "estimate_expected_output"])
+    def test_one_span_per_trial_matching_simulator_core(self, tmp_path, entry):
+        crn = build_crn_for(quilt_2d_fig3b_spec(), strategy="quilt")
+        x = (3, 2)
+        config = RunConfig(trials=3, seed=17, max_steps=20_000)
+        if entry == "run_many":
+            policy, window = FairPolicy(), default_quiescence_window(x)
+            work = functools.partial(run_many, crn, x, config=config)
+        else:
+            policy, window = GillespiePolicy(), 0
+            work = functools.partial(estimate_expected_output, crn, x, config=config)
+
+        def one_core_per_seed():
+            for seed in config.trial_seeds():
+                SimulatorCore(crn, policy, rng=random.Random(seed)).run_on_input(
+                    x, max_steps=config.max_steps, quiescence_window=window
+                )
+
+        traced = _kernel_span_attrs(str(tmp_path / "engine.jsonl"), work)
+        expected = _kernel_span_attrs(str(tmp_path / "core.jsonl"), one_core_per_seed)
+        assert len(traced) == 3
+        assert traced == expected
+        assert set(traced[0]) == {
+            "policy", "events", "selections", "propensity_ops", "rng_draws",
+            "silent", "converged",
+        }
 
 
 # ---------------------------------------------------------------------------
